@@ -25,7 +25,7 @@ from .decomposition import (MonteCarloConfig, curve_repeat, estimate_mv_sdv_nest
                             fit_rule_regression, fit_rule_two_point,
                             oracle_decompose, predict_mse)
 from .generators import GeneratorSpec, generate_ensemble
-from .metrics import MetricSpec, read_long_csv, write_long_csv
+from .metrics import MetricSpec, long_rows, read_long_csv, write_long_csv
 from .predictors import PredictorSpec, parse_predictor, train_forest_curve
 from .processes import get_process
 from .rng import child_seed, make_rng
@@ -247,11 +247,13 @@ def _cmd_curve(cfg, seed, tracker, jobs=1):
             for averaging in averagings:
                 if averaging == "dual_log_prob" and task == "regression":
                     raise ConfigError("dual_log_prob averaging needs classification")
+                labels = {"dataset": label, "generator": spec.kind, "mode": mode,
+                          "predictor": predictor.label, "averaging": averaging,
+                          "metric": metric.kind}
                 for j in range(repeats):
                     rep_seed = child_seed(seed, "repeat", j)
                     cells.append(((spec, data, predictor, test, m_values, averaging,
-                                   metric, rep_seed, mode),
-                                  (predictor.label, metric.kind, averaging, j)))
+                                   metric, rep_seed, mode), labels, j))
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -260,13 +262,8 @@ def _cmd_curve(cfg, seed, tracker, jobs=1):
         results = [_curve_cell(c[0]) for c in cells]
 
     rows = []
-    for (args, (plabel, mkind, averaging, j)), scores in zip(cells, results):
-        for m in m_values:
-            score, se = scores[m]
-            rows.append({"dataset": label, "generator": spec.kind, "mode": mode,
-                         "predictor": plabel, "averaging": averaging,
-                         "metric": mkind, "m": m, "repeat": j,
-                         "score": score, "std_error": se})
+    for (_, labels, j), scores in zip(cells, results):
+        rows.extend(long_rows(labels, j, scores))
     write_long_csv(tracker.path("curve.csv"), rows)
     return EXIT_OK
 

@@ -151,11 +151,14 @@ class FeatureMatrix:
 def _parse_cell(text: str, col: Column, row_num: int) -> float:
     if col.kind == NUMERIC:
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise ParseError(
                 f"row {row_num}, column {col.name!r}: {text!r} is not numeric"
             ) from None
+        if not math.isfinite(value):
+            raise ParseError(f"row {row_num}, column {col.name!r}: {text!r} is not finite")
+        return value
     try:
         return float(col.levels.index(text))
     except ValueError:

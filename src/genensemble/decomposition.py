@@ -30,7 +30,7 @@ import numpy as np
 from . import bregman as brg
 from .data import Dataset, encode
 from .generators import GeneratorSpec, fit, generate_ensemble, sample
-from .metrics import MEAN, MetricSpec, combine_predictions, score_predictions
+from .metrics import MEAN, MetricSpec, long_rows, score_prefixes
 from .predictors import PredictorSpec, predict_batch, train
 from .processes import get_process
 from .rng import child_rng, child_seed
@@ -127,24 +127,23 @@ class NestedVarianceEstimate:
     multiclass_experimental: bool = False
 
 
-def _scalar_predictions(model, x, task) -> np.ndarray:
-    preds = predict_batch(model, x)
-    if task == "regression":
-        return preds
-    if preds.shape[1] != 2:
-        raise ValueError("scalar decompositions need a binary classification task")
-    return preds[:, 1]
+def _fit_predict(predictor: PredictorSpec, ds: Dataset, test: Dataset, seed: int):
+    """Train the predictor on one synthetic dataset and predict the test rows.
+
+    Both sides are encoded with the synthetic dataset's own scaler. Returns
+    the predictions and the encoded test targets.
+    """
+    fm_train = encode(ds, ds, predictor.wants_standardize)
+    fm_test = encode(ds, test, predictor.wants_standardize)
+    return predict_batch(train(predictor, fm_train, seed), fm_test.x), fm_test.y
 
 
-def _prediction_components(model, x, task, n_classes) -> np.ndarray:
+def _components(preds: np.ndarray) -> np.ndarray:
     """(n_test, c) prediction block: one column for regression or the binary
     positive-class probability, all class probabilities for multiclass."""
-    preds = predict_batch(model, x)
-    if task == "regression":
+    if preds.ndim == 1:
         return preds[:, None]
-    if n_classes == 2:
-        return preds[:, 1:2]
-    return preds
+    return preds[:, 1:2] if preds.shape[1] == 2 else preds
 
 
 def estimate_mv_sdv_nested(generator: GeneratorSpec, data: Dataset,
@@ -155,40 +154,39 @@ def estimate_mv_sdv_nested(generator: GeneratorSpec, data: Dataset,
 
     Draws r_theta generator fits; for each fit draws s_per_theta synthetic
     datasets and trains the predictor on each. MV is the mean over fits of
-    the within-fit prediction variance, SDV the variance across fits of the
-    within-fit mean prediction. Classification predictors contribute their
-    positive-class probability; with more than two classes the per-class
-    variances are summed instead, which is exposed as an experimental
-    variant (the scalar theory does not cover it directly).
+    the within-fit prediction variance. SDV is the variance across fits of
+    the within-fit mean prediction minus MV / s_per_theta, the part of that
+    spread due to averaging only s_per_theta datasets, so it is unbiased.
+    Classification predictors contribute their positive-class probability;
+    with more than two classes the per-class variances are summed instead,
+    which is exposed as an experimental variant (the scalar theory does not
+    cover it directly).
     """
     if r_theta < 2 or s_per_theta < 2:
         raise ValueError("r_theta and s_per_theta must be >= 2")
     if isinstance(predictor, str):
         predictor = PredictorSpec(predictor, data.schema.task)
     n_rows = generator.n_synthetic if generator.n_synthetic is not None else data.n
-    n_classes = data.schema.n_classes
-    multiclass = predictor.task == "classification" and n_classes > 2
-    width = n_classes if multiclass else 1
+    multiclass = predictor.task == "classification" and data.schema.n_classes > 2
 
-    preds = np.empty((r_theta, s_per_theta, test.n, width))
+    preds = []
     for i in range(r_theta):
         params = fit(generator, data, child_seed(seed, "fit", i))
         for j in range(s_per_theta):
             ds = sample(params, n_rows, child_seed(child_seed(seed, "synth", i), "rep", j))
-            fm_train = encode(ds, ds, predictor.wants_standardize)
-            fm_test = encode(ds, test, predictor.wants_standardize)
-            model = train(predictor, fm_train,
-                          child_seed(child_seed(seed, "train", i), "rep", j))
-            preds[i, j] = _prediction_components(model, fm_test.x, predictor.task,
-                                                 n_classes)
+            member, _ = _fit_predict(predictor, ds, test,
+                                     child_seed(child_seed(seed, "train", i), "rep", j))
+            preds.append(_components(member))
+    preds = np.reshape(preds, (r_theta, s_per_theta) + preds[0].shape)
 
     within_var = preds.var(axis=1, ddof=1).sum(axis=-1)         # (r_theta, n_test)
     mv_per_point = within_var.mean(axis=0)
-    sdv_per_point = preds.mean(axis=1).var(axis=0, ddof=1).sum(axis=-1)
+    between_var = preds.mean(axis=1).var(axis=0, ddof=1).sum(axis=-1)
+    sdv_per_point = between_var - mv_per_point / s_per_theta
     mv = float(mv_per_point.mean())
     sdv = float(sdv_per_point.mean())
     mv_se = float(within_var.mean(axis=1).std(ddof=1) / math.sqrt(r_theta))
-    sdv_se = sdv * math.sqrt(2.0 / (r_theta - 1))
+    sdv_se = float(between_var.mean()) * math.sqrt(2.0 / (r_theta - 1))
     return NestedVarianceEstimate(mv_per_point=mv_per_point, sdv_per_point=sdv_per_point,
                                   mv=mv, sdv=sdv, mv_se=mv_se, sdv_se=sdv_se,
                                   r_theta=r_theta, s_per_theta=s_per_theta,
@@ -310,52 +308,53 @@ def _assemble(records: dict, mode: str, mc: MonteCarloConfig, f_value, idx=None)
     return out
 
 
-def _collect_builtin(process, mode, m, rho, mc: MonteCarloConfig, seed: int) -> dict:
-    """Per-replicate statistics using the process's built-in scalar predictor."""
-    records = {key: np.empty(mc.r_real) for key in
-               ("mv", "sdv_raw", "b", "fbar", "mse")}
+def _collect(process, outputs, point_shape: tuple, mode, m, rho, mc: MonteCarloConfig,
+             seed: int) -> dict:
+    """Per-replicate statistics of the chain real data -> theta -> synthetic
+    data -> prediction, indexed by outer replicate along axis 0.
+
+    outputs(rng, thetas, tag, r) returns one prediction per parameter draw in
+    the array thetas, each made from its own synthetic dataset, with shape
+    thetas.shape + point_shape.
+    """
+    names = ["mv", "sdv_raw", "b", "fbar", "mse"]
     if mode == SHARED_SUMMARY:
-        records["dpv_raw"] = np.empty(mc.r_real)
+        names.append("dpv_raw")
     if mode == CORRELATED:
-        records["cov_raw"] = np.empty(mc.r_real)
+        names.append("cov_raw")
+    records = {key: np.empty((mc.r_real,) + point_shape) for key in names}
+
+    def spread(rng, thetas, r):
+        """Within-draw variance, between-draw variance and mean of the
+        predictions over r_syn datasets per draw, and the mean f_theta."""
+        preds = outputs(rng, np.repeat(thetas[:, None], mc.r_syn, axis=1), "grid", r)
+        a = preds.mean(axis=1)
+        fbar = np.broadcast_to(process.f_theta(thetas).mean(axis=0), point_shape)
+        return preds.var(axis=1, ddof=1).mean(axis=0), a.var(axis=0, ddof=1), \
+            a.mean(axis=0), fbar
 
     for r in range(mc.r_real):
         rng = child_rng(seed, "estimate", r)
         real = process.sample_real(rng)
         if mode == SHARED_SUMMARY:
-            mv_u = np.empty(mc.summaries)
-            sdv_u = np.empty(mc.summaries)
-            c_u = np.empty(mc.summaries)
-            fbar_u = np.empty(mc.summaries)
-            for u in range(mc.summaries):
+            per_summary = []
+            for _ in range(mc.summaries):
                 summary = process.sample_summary(rng, real)
                 thetas = process.sample_theta_from_summary(rng, summary, mc.r_theta)
-                preds = process.predictor_outputs(
-                    rng, np.repeat(thetas[:, None], mc.r_syn, axis=1))
-                a = preds.mean(axis=1)
-                mv_u[u] = preds.var(axis=1, ddof=1).mean()
-                sdv_u[u] = a.var(ddof=1)
-                c_u[u] = a.mean()
-                fbar_u[u] = process.f_theta(thetas).mean()
-            records["mv"][r] = mv_u.mean()
-            records["sdv_raw"][r] = sdv_u.mean()
-            records["dpv_raw"][r] = c_u.var(ddof=1)
-            records["b"][r] = c_u.mean()
-            records["fbar"][r] = fbar_u.mean()
+                per_summary.append(spread(rng, thetas, r))
+            mv, sdv_raw, c, fbar = (np.array(column) for column in zip(*per_summary))
+            records["dpv_raw"][r] = c.var(axis=0, ddof=1)
+            stats = (mv.mean(axis=0), sdv_raw.mean(axis=0), c.mean(axis=0),
+                     fbar.mean(axis=0))
         else:
-            thetas = process.sample_theta(rng, real, mc.r_theta)
-            preds = process.predictor_outputs(
-                rng, np.repeat(thetas[:, None], mc.r_syn, axis=1))
-            a = preds.mean(axis=1)
-            records["mv"][r] = preds.var(axis=1, ddof=1).mean()
-            records["sdv_raw"][r] = a.var(ddof=1)
-            records["b"][r] = a.mean()
-            records["fbar"][r] = process.f_theta(thetas).mean()
-            if mode == CORRELATED:
-                pairs = process.sample_theta_correlated(rng, real, mc.r_theta, 2, rho)
-                g = process.predictor_outputs(rng, pairs)
-                cov = np.cov(g[:, 0], g[:, 1], ddof=1)[0, 1]
-                records["cov_raw"][r] = cov
+            stats = spread(rng, process.sample_theta(rng, real, mc.r_theta), r)
+        for key, value in zip(("mv", "sdv_raw", "b", "fbar"), stats):
+            records[key][r] = value
+        if mode == CORRELATED:
+            pairs = process.sample_theta_correlated(rng, real, mc.r_theta, 2, rho)
+            g = outputs(rng, pairs, "covgrid", r).reshape(mc.r_theta, 2, -1)
+            cov = [np.cov(g[:, 0, k], g[:, 1, k], ddof=1)[0, 1] for k in range(g.shape[2])]
+            records["cov_raw"][r] = np.reshape(cov, point_shape)
 
         # Direct error estimate from fresh draws of everything.
         rng_d = child_rng(seed, "direct", r)
@@ -367,80 +366,34 @@ def _collect_builtin(process, mode, m, rho, mc: MonteCarloConfig, seed: int) -> 
             thetas_d = process.sample_theta_correlated(rng_d, real_d, 1, m, rho)[0]
         else:
             thetas_d = process.sample_theta(rng_d, real_d, m)
-        g_hat = process.predictor_outputs(rng_d, thetas_d).mean()
-        y = process.sample_y(rng_d, mc.r_y)
-        records["mse"][r] = np.mean((y - g_hat) ** 2)
-    return records
-
-
-def _collect_generic(process, predictor: PredictorSpec, mode, m, rho,
-                     test_points: np.ndarray, mc: MonteCarloConfig, seed: int) -> dict:
-    """Per-replicate statistics training an actual predictor on sampled datasets.
-
-    Slower than the built-in path; intended for small Monte Carlo counts.
-    """
-    if mode == SHARED_SUMMARY:
-        raise ValueError("shared_summary oracle runs use the built-in predictor")
-    n_x = test_points.shape[0]
-    schema = process.schema
-    feat_idx = schema.feature_indices
-    test_rows = np.zeros((n_x, len(schema.columns)))
-    test_rows[:, feat_idx] = test_points
-    test_ds = Dataset(schema, test_rows)
-
-    def train_predict(theta, rng_seed):
-        ds = process.sample_synth_dataset(theta, process.n_synth, child_rng(rng_seed, "rows"))
-        fm_train = encode(ds, ds, predictor.wants_standardize)
-        fm_test = encode(ds, test_ds, predictor.wants_standardize)
-        model = train(predictor, fm_train, child_seed(rng_seed, "train"))
-        return _scalar_predictions(model, fm_test.x, predictor.task)
-
-    records = {key: np.empty((mc.r_real, n_x)) for key in
-               ("mv", "sdv_raw", "b", "fbar", "mse")}
-    if mode == CORRELATED:
-        records["cov_raw"] = np.empty((mc.r_real, n_x))
-
-    for r in range(mc.r_real):
-        rng = child_rng(seed, "estimate", r)
-        real = process.sample_real(rng)
-        thetas = process.sample_theta(rng, real, mc.r_theta)
-        preds = np.empty((mc.r_theta, mc.r_syn, n_x))
-        for t in range(mc.r_theta):
-            for s in range(mc.r_syn):
-                preds[t, s] = train_predict(thetas[t],
-                                            child_seed(child_seed(seed, "grid", r),
-                                                       "cell", t * mc.r_syn + s))
-        a = preds.mean(axis=1)
-        records["mv"][r] = preds.var(axis=1, ddof=1).mean(axis=0)
-        records["sdv_raw"][r] = a.var(axis=0, ddof=1)
-        records["b"][r] = a.mean(axis=0)
-        records["fbar"][r] = np.mean(
-            [np.broadcast_to(process.f_theta(th), (n_x,)) for th in thetas], axis=0)
-        if mode == CORRELATED:
-            pairs = process.sample_theta_correlated(rng, real, mc.r_theta, 2, rho)
-            g = np.empty((mc.r_theta, 2, n_x))
-            for t in range(mc.r_theta):
-                for j in range(2):
-                    g[t, j] = train_predict(pairs[t, j],
-                                            child_seed(child_seed(seed, "covgrid", r),
-                                                       "cell", t * 2 + j))
-            gm = g.mean(axis=0)
-            records["cov_raw"][r] = ((g[:, 0] - gm[0]) * (g[:, 1] - gm[1])).sum(axis=0) \
-                / (mc.r_theta - 1)
-
-        rng_d = child_rng(seed, "direct", r)
-        real_d = process.sample_real(rng_d)
-        if mode == CORRELATED:
-            thetas_d = process.sample_theta_correlated(rng_d, real_d, 1, m, rho)[0]
-        else:
-            thetas_d = process.sample_theta(rng_d, real_d, m)
-        member = np.array([train_predict(th, child_seed(child_seed(seed, "directgrid", r),
-                                                        "cell", i))
-                           for i, th in enumerate(thetas_d)])
-        g_hat = member.mean(axis=0)
-        y = process.sample_y(rng_d, (mc.r_y, n_x))
+        g_hat = outputs(rng_d, thetas_d, "directgrid", r).mean(axis=0)
+        y = process.sample_y(rng_d, (mc.r_y,) + point_shape)
         records["mse"][r] = ((y - g_hat) ** 2).mean(axis=0)
     return records
+
+
+def _trained_outputs(process, predictor: PredictorSpec, test_points: np.ndarray,
+                     seed: int):
+    """Grid-prediction callable for _collect that trains the predictor on one
+    synthetic dataset per parameter draw and predicts at the test points.
+
+    Slower than the built-in predictor; intended for small Monte Carlo counts.
+    """
+    schema = process.schema
+    test_rows = np.zeros((test_points.shape[0], len(schema.columns)))
+    test_rows[:, schema.feature_indices] = test_points
+    test_ds = Dataset(schema, test_rows)
+
+    def outputs(rng, thetas, tag, r):
+        base = child_seed(seed, tag, r)
+        preds = []
+        for k, theta in enumerate(thetas.flat):
+            cell = child_seed(base, "cell", k)
+            ds = process.sample_synth_dataset(theta, process.n_synth, child_rng(cell, "rows"))
+            member, _ = _fit_predict(predictor, ds, test_ds, child_seed(cell, "train"))
+            preds.append(_components(member)[:, 0])
+        return np.reshape(preds, thetas.shape + (test_points.shape[0],))
+    return outputs
 
 
 def oracle_decompose(process, generator_mode: str = IID,
@@ -474,17 +427,23 @@ def oracle_decompose(process, generator_mode: str = IID,
     builtin = isinstance(predictor, str) and predictor in ("builtin",
                                                            process.builtin_predictor)
     if builtin:
-        records = _collect_builtin(process, generator_mode, m, rho, mc, seed)
+        def outputs(rng, thetas, tag, r):
+            return process.predictor_outputs(rng, thetas)
+        point_shape = ()
         n_x = 1 if test_points is None else len(test_points)
-        per_x = False
     else:
+        if generator_mode == SHARED_SUMMARY:
+            raise ValueError("shared_summary oracle runs use the built-in predictor")
+        if process.schema.n_classes > 2:
+            raise ValueError("scalar decompositions need a binary classification task")
         if isinstance(predictor, str):
             predictor = PredictorSpec(predictor, process.schema.task)
         pts = np.atleast_2d(np.asarray(test_points if test_points is not None else [[0.0]],
                                        dtype=np.float64))
-        records = _collect_generic(process, predictor, generator_mode, m, rho, pts, mc, seed)
+        outputs = _trained_outputs(process, predictor, pts, seed)
         n_x = pts.shape[0]
-        per_x = True
+        point_shape = (n_x,)
+    records = _collect(process, outputs, point_shape, generator_mode, m, rho, mc, seed)
 
     noise = process.noise_var()
     f_value = process.f()
@@ -522,7 +481,7 @@ def oracle_decompose(process, generator_mode: str = IID,
     per_point = {}
     for name in term_names:
         vals = np.asarray(stats[name], dtype=np.float64)
-        per_point[name] = vals if per_x else np.full(n_x, float(np.mean(vals)))
+        per_point[name] = vals if point_shape else np.full(n_x, float(np.mean(vals)))
 
     config = {"process": process.id, "mode": generator_mode, "m": m, "rho": rho,
               "predictor": "builtin" if builtin else predictor.label,
@@ -670,23 +629,16 @@ def curve_repeat(generator: GeneratorSpec, data: Dataset, predictor: PredictorSp
     may run in any order or in parallel."""
     if averaging != MEAN and predictor.task != "classification":
         raise ValueError("dual_log_prob averaging requires a classification task")
-    max_m = max(m_values)
-    datasets, _ = generate_ensemble(generator, data, max_m, mode, seed=rep_seed)
+    if min(m_values) < 1:
+        raise ValueError("m values must be >= 1")
+    datasets, _ = generate_ensemble(generator, data, max(m_values), mode, seed=rep_seed)
     member_preds = []
-    y_ref = None
     for i, ds in enumerate(datasets):
-        fm_train = encode(ds, ds, predictor.wants_standardize)
-        fm_test = encode(ds, test, predictor.wants_standardize)
-        model = train(predictor, fm_train, child_seed(rep_seed, "train", i))
-        member_preds.append(predict_batch(model, fm_test.x))
-        y_ref = fm_test.y
-    member_preds = np.asarray(member_preds)
-    out = {}
-    for m in m_values:
-        combined = combine_predictions(member_preds[:m], averaging)
-        result = score_predictions(combined, y_ref, metric, task=predictor.task)
-        out[m] = (result.score, result.std_error)
-    return out
+        preds, y_ref = _fit_predict(predictor, ds, test, child_seed(rep_seed, "train", i))
+        member_preds.append(preds)
+    results = score_prefixes(np.asarray(member_preds), y_ref, m_values, averaging, metric,
+                             predictor.task)
+    return {m: (result.score, result.std_error) for m, result in results.items()}
 
 
 def mse_curve(generator: GeneratorSpec, data: Dataset,
@@ -703,23 +655,19 @@ def mse_curve(generator: GeneratorSpec, data: Dataset,
     if isinstance(predictor, str):
         predictor = PredictorSpec(predictor, data.schema.task)
     m_values = sorted(set(int(m) for m in m_values))
-    if m_values[0] < 1:
-        raise ValueError("m values must be >= 1")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
 
+    labels = {"dataset": dataset_label, "generator": generator.kind, "mode": mode,
+              "predictor": predictor.label, "averaging": averaging, "metric": metric.kind}
     per_repeat = {m: np.empty(repeats) for m in m_values}
     rows = []
     for j in range(repeats):
         scores = curve_repeat(generator, data, predictor, test, m_values, averaging,
                               metric, child_seed(seed, "repeat", j), mode)
         for m in m_values:
-            score, se = scores[m]
-            per_repeat[m][j] = score
-            rows.append({"dataset": dataset_label, "generator": generator.kind,
-                         "mode": mode, "predictor": predictor.label,
-                         "averaging": averaging, "metric": metric.kind, "m": m,
-                         "repeat": j, "score": score, "std_error": se})
+            per_repeat[m][j] = scores[m][0]
+        rows.extend(long_rows(labels, j, scores))
 
     aggregate = {}
     for m in m_values:

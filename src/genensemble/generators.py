@@ -97,7 +97,11 @@ def _check_privacy_params(epsilon: float, delta: float) -> None:
 
 
 def epsilon_from_rho(rho: float, delta: float) -> float:
-    """Tight zCDP-to-approximate-DP conversion."""
+    """Standard zCDP-to-approximate-DP conversion (Bun & Steinke 2016, Prop. 1.3).
+
+    rho-zCDP implies (rho + 2 sqrt(rho log(1/delta)), delta)-DP. The bound is
+    not tight; Canonne, Kamath & Steinke (2020) give a sharper one.
+    """
     return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
 
 
@@ -294,9 +298,13 @@ def generate_ensemble(spec: GeneratorSpec, data: Dataset, m: int, mode: str,
                       seed: int = 0) -> tuple[list[Dataset], EnsembleProvenance]:
     """Generate m synthetic datasets under one of the three ensemble modes.
 
-    independent    -- m i.i.d. fit+sample chains given the real data.
+    independent    -- m i.i.d. fit+sample chains given the real data; with
+                      the DP generator, m releases at the full budget.
     shared_summary -- one DP summary release; m i.i.d. parameter draws from it.
-    split_budget   -- m DP releases, each spending rho_total/m of zCDP budget.
+    split_budget   -- m DP releases, each spending 1/m of the zCDP budget.
+
+    For the DP generator the record holds one rho per release and their sum,
+    the composed zCDP spend (zCDP composes additively).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -310,7 +318,9 @@ def generate_ensemble(spec: GeneratorSpec, data: Dataset, m: int, mode: str,
     member_seeds = tuple(child_seed(seed, "member", i) for i in range(m))
     datasets: list[Dataset] = []
     summary_ids: list[str] = []
-    rho_members: list[float] = []
+    rho_members: list[float] = []       # one entry per DP release
+    rho_full = (rho_from_epsilon(spec.epsilon, spec.delta)
+                if spec.kind == NOISY_MARGINAL_DP else None)
 
     if mode == INDEPENDENT:
         for i, ms in enumerate(member_seeds):
@@ -318,6 +328,7 @@ def generate_ensemble(spec: GeneratorSpec, data: Dataset, m: int, mode: str,
             datasets.append(sample(params, n_rows, child_seed(ms, "sample"), replicate=i))
             if params.summary_id:
                 summary_ids.append(params.summary_id)
+                rho_members.append(rho_full)
     elif mode == SHARED_SUMMARY:
         summary = fit_dp_summary(data, spec.epsilon, spec.delta, child_seed(seed, "summary"))
         summary_ids = [summary.summary_id] * m
@@ -326,8 +337,7 @@ def generate_ensemble(spec: GeneratorSpec, data: Dataset, m: int, mode: str,
             params = sample_params_from_summary(summary, child_seed(ms, "theta"))
             datasets.append(sample(params, n_rows, child_seed(ms, "sample"), replicate=i))
     else:  # split budget
-        rho_total = rho_from_epsilon(spec.epsilon, spec.delta)
-        rho_i = rho_total / m
+        rho_i = rho_full / m
         eps_i = epsilon_from_rho(rho_i, spec.delta)
         for i, ms in enumerate(member_seeds):
             summary = _dp_summary_with_rho(data, rho_i, eps_i, spec.delta,
@@ -337,8 +347,7 @@ def generate_ensemble(spec: GeneratorSpec, data: Dataset, m: int, mode: str,
             params = sample_params_from_summary(summary, child_seed(ms, "theta"))
             datasets.append(sample(params, n_rows, child_seed(ms, "sample"), replicate=i))
 
-    rho_total = (rho_from_epsilon(spec.epsilon, spec.delta)
-                 if spec.kind == NOISY_MARGINAL_DP else None)
+    rho_total = sum(rho_members) if rho_full is not None else None
     record = EnsembleProvenance(kind=spec.kind, mode=mode, m=m, n_rows=n_rows, seed=seed,
                                 member_seeds=member_seeds, epsilon=spec.epsilon,
                                 delta=spec.delta, rho_total=rho_total,

@@ -12,6 +12,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.stats import rankdata
 
 from .data import FeatureMatrix
 from .predictors import TrainedModel, predict_batch
@@ -108,17 +109,7 @@ def _auc(scores: np.ndarray, labels: np.ndarray) -> float:
     neg = scores[labels != 1]
     if pos.size == 0 or neg.size == 0:
         raise ValueError("AUC needs both classes present in the test labels")
-    order = np.argsort(np.concatenate([pos, neg]), kind="stable")
-    ranks = np.empty(order.size, dtype=np.float64)
-    sorted_vals = np.concatenate([pos, neg])[order]
-    # midranks: average rank within each tied block
-    i = 0
-    while i < sorted_vals.size:
-        j = i
-        while j + 1 < sorted_vals.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks = rankdata(np.concatenate([pos, neg]))       # midranks for ties
     rank_sum_pos = ranks[:pos.size].sum()
     return (rank_sum_pos - pos.size * (pos.size + 1) / 2.0) / (pos.size * neg.size)
 
@@ -158,10 +149,25 @@ def score_predictions(preds: np.ndarray, y: np.ndarray, metric: MetricSpec,
     return EvalResult(score=float(per_point.mean()), per_point=per_point, std_error=se)
 
 
+def score_prefixes(member_preds: np.ndarray, y: np.ndarray, m_values, averaging: str,
+                   metric: MetricSpec, task: str) -> dict[int, EvalResult]:
+    """Score the nested ensembles made of the first m >= 1 members, for each m."""
+    return {m: score_predictions(combine_predictions(member_preds[:m], averaging), y,
+                                 metric, task=task)
+            for m in m_values}
+
+
 def evaluate(ens: EnsemblePredictor, test: FeatureMatrix, metric: MetricSpec) -> EvalResult:
     """Score the combined ensemble prediction on a test set."""
     preds = ensemble_predict_batch(ens, test.x)
     return score_predictions(preds, test.y, metric, task=ens.task)
+
+
+def long_rows(labels: dict, repeat: int, scores: dict[int, tuple]) -> list[dict]:
+    """Long-format rows of one repeat: the labels plus m, repeat, score and
+    std_error for each entry {m: (score, std_error)} of scores."""
+    return [{**labels, "m": m, "repeat": repeat, "score": score, "std_error": se}
+            for m, (score, se) in scores.items()]
 
 
 def write_long_csv(path, rows: list[dict]) -> None:

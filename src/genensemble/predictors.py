@@ -174,6 +174,11 @@ def _tree_predict(node, xq):
     return node.value
 
 
+def _tree_predict_rows(tree, x):
+    """Leaf value of each row of x: (n,) for regression, (n, K) probabilities."""
+    return np.asarray([_tree_predict(tree, row) for row in x])
+
+
 # --- ridge / linear ----------------------------------------------------------
 
 def _fit_ridge(x, y, lam):
@@ -299,11 +304,11 @@ def predict_batch(model: TrainedModel, x: np.ndarray) -> np.ndarray:
             if model.task == "regression":
                 out.append(ty[nearest].mean())
             else:
-                out.append(np.bincount(ty[nearest], minlength=n_classes) / k)
+                out.append(np.bincount(ty[nearest], minlength=n_classes) / nearest.size)
         return np.asarray(out)
 
     if model.kind == "cart":
-        return np.asarray([_tree_predict(model.state, row) for row in x])
+        return _tree_predict_rows(model.state, x)
 
     if model.kind in ("ridge", "linear"):
         coef, intercept = model.state
@@ -314,8 +319,7 @@ def predict_batch(model: TrainedModel, x: np.ndarray) -> np.ndarray:
         return _softmax(x @ w + b)
 
     if model.kind == "bagged_trees":
-        preds = np.asarray([[_tree_predict(t, row) for row in x] for t in model.state])
-        return preds.mean(axis=0)
+        return np.mean([_tree_predict_rows(t, x) for t in model.state], axis=0)
 
     raise ValueError(f"unknown predictor kind {model.kind!r}")
 
@@ -333,16 +337,11 @@ def train_forest_curve(data: FeatureMatrix, test: FeatureMatrix, t_max: int,
     Trains t_max bootstrap trees once; entry T of the result is the metric of
     the mean of the first T trees' predictions.
     """
-    from .metrics import score_predictions
+    from .metrics import MEAN, score_prefixes
 
     if t_max < 2:
         raise ValueError("t_max must be >= 2")
     model = train(PredictorSpec("bagged_trees", data.task, n_trees=t_max), data, seed)
-    member = np.asarray([[_tree_predict(t, row) for row in test.x] for t in model.state])
-    curve = {}
-    running = np.zeros_like(member[0])
-    for t in range(t_max):
-        running = running + member[t]
-        curve[t + 1] = score_predictions(running / (t + 1), test.y, metric,
-                                         task=data.task).score
-    return curve
+    member = np.asarray([_tree_predict_rows(t, test.x) for t in model.state])
+    results = score_prefixes(member, test.y, range(1, t_max + 1), MEAN, metric, data.task)
+    return {t: result.score for t, result in results.items()}

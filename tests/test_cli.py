@@ -229,3 +229,15 @@ method = two_point
         assert cli.main(["generate", "--config", str(cfg),
                          "--output", str(out)]) == 2
         assert not any(out.iterdir())
+
+
+class TestCurveMValues:
+    @pytest.mark.parametrize("m_values", ["0, 2", "-1, 4"])
+    def test_m_below_one_fails_without_curve_csv(self, tmp_path, m_values, capsys):
+        out = tmp_path / "out"
+        text = PROCESS_CONFIG.format(curve_csv=out / "curve.csv").replace(
+            "m_values = 1, 2, 4", f"m_values = {m_values}")
+        cfg = write_config(tmp_path, text)
+        assert cli.main(["curve", "--config", str(cfg), "--output", str(out)]) != 0
+        assert "m values must be >= 1" in capsys.readouterr().err
+        assert not (out / "curve.csv").exists()

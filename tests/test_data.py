@@ -47,6 +47,11 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match=r"row 1.*'x'"):
             load_csv(write(tmp_path, "x,y\nabc,2\n"), NUM_SCHEMA)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        with pytest.raises(ParseError, match=r"row 2.*'y'.*finite"):
+            load_csv(write(tmp_path, f"x,y\n1,2\n3,{cell}\n"), NUM_SCHEMA)
+
     def test_unknown_level_is_parse_error(self, tmp_path):
         schema = Schema((Column("c", CATEGORICAL, FEATURE, levels=("red", "green")),
                          Column("y", NUMERIC, TARGET)))

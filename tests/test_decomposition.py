@@ -166,6 +166,18 @@ class TestNestedEstimator:
         # ddof=1 variance of two values in [0,1] is at most 1/2
         assert np.all(est.mv_per_point <= 0.5 + 1e-12)
 
+    def test_sdv_is_corrected_for_few_datasets_per_fit(self):
+        # n_synthetic=2 makes MV = 1/2 large against SDV = 0.04: the raw
+        # between-fit variance carries MV / s_per_theta = 0.1 on top of SDV
+        proc = get_process("gaussian_toy")
+        data = proc.sample_real_dataset(make_rng(61), 50)
+        test = proc.sample_real_dataset(make_rng(62), 5)
+        gen = GeneratorSpec("truth_process", process="gaussian_toy", n_synthetic=2)
+        est = estimate_mv_sdv_nested(gen, data, "mean", test,
+                                     r_theta=400, s_per_theta=5, seed=63)
+        assert abs(est.mv - 0.5) <= 3.0 * est.mv_se
+        assert abs(est.sdv - 0.04) <= 3.0 * est.sdv_se
+
 
 class TestOracleDecompose:
     def test_fully_deterministic_process_gives_exact_identity(self):
@@ -341,3 +353,15 @@ class TestMseCurve:
             se = diff.std(ddof=1) / math.sqrt(diff.size)
             assert abs(diff.mean()) <= 3.0 * se
             assert predict_mse(two, m) == pytest.approx(pred_r.mean(), abs=1e-12)
+
+
+class TestCurveRepeatValidation:
+    @pytest.mark.parametrize("m_values", [[0, 2], [-1, 4]])
+    def test_m_below_one_rejected(self, m_values):
+        from genensemble.decomposition import curve_repeat
+        proc = get_process("gaussian_toy")
+        data = proc.sample_real_dataset(make_rng(0), 10)
+        with pytest.raises(ValueError, match="m values"):
+            curve_repeat(GeneratorSpec("bootstrap"), data,
+                         PredictorSpec("mean", "regression"), data, m_values, "mean",
+                         MetricSpec("mse"), rep_seed=0)

@@ -217,6 +217,28 @@ class TestGenerateEnsemble:
         assert abs(sum(record.rho_per_member) - record.rho_total) < 1e-12
         assert len(set(record.summary_ids)) == 2
 
+    @pytest.mark.parametrize("mode, releases", [("independent", 8),
+                                                ("shared_summary", 1),
+                                                ("split_budget", 8)])
+    def test_recorded_spend_composes_every_release(self, mode, releases):
+        data = cat_dataset([[0, 1], [1, 0], [1, 1], [0, 0]])
+        spec = GeneratorSpec("noisy_marginal_dp", epsilon=1.0, delta=1e-6)
+        _, record = generate_ensemble(spec, data, 8, mode, seed=4)
+        full = rho_from_epsilon(1.0, 1e-6)
+        assert len(record.rho_per_member) == releases
+        assert record.rho_total == sum(record.rho_per_member)
+        per_release = full if mode != "split_budget" else full / 8
+        assert all(r == per_release for r in record.rho_per_member)
+        # only independent releases spend the full budget more than once
+        expected = 8 * full if mode == "independent" else full
+        assert record.rho_total == pytest.approx(expected, rel=1e-12)
+
+    def test_non_dp_generator_records_no_spend(self):
+        data = Dataset(NUM_SCHEMA, np.arange(20.0).reshape(10, 2))
+        _, record = generate_ensemble(GeneratorSpec("bootstrap"), data, 3,
+                                      "independent", seed=1)
+        assert record.rho_total is None and record.rho_per_member == ()
+
     def test_mode_kind_mismatch(self):
         data = Dataset(NUM_SCHEMA, np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError, match="requires"):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genensemble.data import FeatureMatrix
 from genensemble.metrics import (EnsemblePredictor, MetricSpec, clamp_probs,
@@ -112,6 +114,20 @@ class TestAuc:
         preds = np.full((4, 2), 0.5)
         res = score_predictions(preds, y, MetricSpec("one_minus_auc"), "classification")
         assert res.score == pytest.approx(0.5)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 1)), min_size=2,
+                    max_size=30).filter(lambda rows: len({label for _, label in rows}) == 2))
+    def test_matches_pairwise_definition(self, rows):
+        # P(score_pos > score_neg) + 1/2 P(tie) over all positive-negative pairs
+        scores = np.array([s for s, _ in rows], dtype=float) / 4.0
+        y = np.array([label for _, label in rows])
+        pos, neg = scores[y == 1], scores[y == 0]
+        pairwise = ((pos[:, None] > neg).sum() + 0.5 * (pos[:, None] == neg).sum()) \
+            / (pos.size * neg.size)
+        preds = np.column_stack([1.0 - scores, scores])
+        res = score_predictions(preds, y, MetricSpec("one_minus_auc"), "classification")
+        assert res.score == pytest.approx(1.0 - pairwise, abs=1e-12)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):

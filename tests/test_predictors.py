@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genensemble.data import FeatureMatrix
-from genensemble.metrics import MetricSpec
+from genensemble.metrics import DUAL_LOG_PROB, MEAN, MetricSpec, combine_predictions
 from genensemble.predictors import (PredictorSpec, _grow_tree, parse_predictor,
                                     predict, predict_batch, train,
                                     train_forest_curve)
@@ -88,6 +90,12 @@ class TestKnn:
         assert predict(model, [0.0]) == 10.0
         model2 = train(PredictorSpec("knn", "regression", k=2), reg_matrix(x, y))
         assert predict(model2, [1.0]) == 20.0     # ties at distance 0: rows 0 then 2
+
+    def test_k_above_n_averages_all_rows(self):
+        x = np.array([[0.0], [1.0], [2.0]])
+        model = train(PredictorSpec("knn", "classification", k=5),
+                      clf_matrix(x, np.array([0, 1, 1])))
+        np.testing.assert_allclose(predict(model, [0.5]), [1 / 3, 2 / 3])
 
 
 class TestLinearModels:
@@ -182,6 +190,26 @@ class TestForestCurve:
         single = np.mean((predict_batch(model, test.x) - test.y) ** 2)
         assert curve[1] == pytest.approx(single)
 
+    @pytest.mark.parametrize("task, metric", [("regression", "mse"),
+                                              ("classification", "brier_binary")])
+    def test_matches_running_mean_of_per_row_tree_predictions(self, task, metric):
+        from genensemble.metrics import score_predictions
+        from genensemble.predictors import _tree_predict
+        rng = np.random.default_rng(7)
+        x, x_test = rng.normal(size=(25, 2)), rng.normal(size=(15, 2))
+        if task == "regression":
+            fm, test = reg_matrix(x, x[:, 0]), reg_matrix(x_test, x_test[:, 1])
+        else:
+            fm, test = clf_matrix(x, x[:, 0] > 0), clf_matrix(x_test, x_test[:, 1] > 0)
+        t_max = 9
+        curve = train_forest_curve(fm, test, t_max, MetricSpec(metric), seed=2)
+        model = train(PredictorSpec("bagged_trees", task, n_trees=t_max), fm, seed=2)
+        running = 0.0
+        for t, tree in enumerate(model.state, start=1):
+            running = running + np.asarray([_tree_predict(tree, row) for row in test.x])
+            expected = score_predictions(running / t, test.y, MetricSpec(metric), task)
+            assert curve[t] == expected.score
+
     def test_degenerate_bootstrap_flat_curve(self):
         fm = reg_matrix([[1.0]], [5.0])
         test = reg_matrix([[0.0], [2.0]], [5.0, 6.0])
@@ -220,3 +248,38 @@ class TestContracts:
         assert PredictorSpec("knn", "regression").wants_standardize
         assert PredictorSpec("ridge", "regression").wants_standardize
         assert PredictorSpec("cart", "regression", standardize=True).wants_standardize
+
+
+CLASSIFIERS = [PredictorSpec("knn", "classification", k=1),
+               PredictorSpec("knn", "classification", k=4),
+               PredictorSpec("cart", "classification"),
+               PredictorSpec("logistic", "classification", max_iter=50),
+               PredictorSpec("bagged_trees", "classification", n_trees=3),
+               PredictorSpec("mean", "classification")]
+
+
+@st.composite
+def small_classification(draw):
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 2))
+    n_classes = draw(st.integers(2, 3))
+    # a coarse grid of feature values makes distance and split ties common
+    x = draw(st.lists(st.integers(-2, 2), min_size=n * d, max_size=n * d))
+    y = draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
+    return clf_matrix(np.reshape(x, (n, d)), y, n_classes)
+
+
+class TestProbabilityContract:
+    @settings(max_examples=50, deadline=None)
+    @given(data=small_classification(),
+           spec=st.sampled_from(CLASSIFIERS),
+           averaging=st.sampled_from([MEAN, DUAL_LOG_PROB]))
+    def test_ensemble_rows_are_distributions(self, data, spec, averaging):
+        reversed_data = clf_matrix(data.x[::-1], data.y[::-1], data.n_classes)
+        query = np.vstack([data.x, np.full((1, data.d), 0.5)])
+        members = np.asarray([predict_batch(train(spec, fm, seed), query)
+                              for seed, fm in enumerate((data, reversed_data))])
+        for probs in (*members, combine_predictions(members, averaging)):
+            assert probs.shape == (query.shape[0], data.n_classes)
+            assert np.all(probs >= 0)
+            np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
