@@ -105,8 +105,8 @@ def _node_value(y, n_classes, task):
 def _best_split(x, y, task, n_classes):
     """Best (feature, midpoint threshold) minimizing child-weighted impurity.
 
-    Returns (feature, threshold, weighted_impurity) or None when no candidate
-    exists. Scanning features in ascending order and thresholds in ascending
+    Regression targets arrive centred at the node mean. Returns (feature,
+    threshold, weighted_impurity) or None when no candidate exists. Scanning features in ascending order and thresholds in ascending
     order with strict improvement implements the tie-break contract.
     """
     n = y.size
@@ -119,12 +119,14 @@ def _best_split(x, y, task, n_classes):
             continue
         ys = y[order]
         if task == "regression":
-            s1 = np.cumsum(ys)[:-1]
-            s2 = np.cumsum(ys * ys)[:-1]
+            s1 = np.cumsum(ys)
+            s2 = np.cumsum(ys * ys)
+            t1, t2 = s1[-1], s2[-1]
+            s1, s2 = s1[:-1], s2[:-1]
             left_n = np.arange(1, n)
             right_n = n - left_n
             sse_left = s2 - s1 * s1 / left_n
-            sse_right = (s2[-1] + ys[-1] ** 2 - s2) - (s1[-1] + ys[-1] - s1) ** 2 / right_n
+            sse_right = (t2 - s2) - (t1 - s1) ** 2 / right_n
             score = (sse_left + sse_right) / n
         else:
             onehot = np.zeros((n, n_classes))
@@ -145,21 +147,28 @@ def _best_split(x, y, task, n_classes):
 
 
 def _node_impurity(y, task, n_classes):
+    """Leaf value, impurity and split targets of a node.
+
+    Regression sums are sequential and the targets are centred at the node
+    mean before they are squared, so a large target offset does not cancel.
+    """
     if task == "regression":
-        return float(np.mean((y - y.mean()) ** 2))
+        mean = np.cumsum(y)[-1] / y.size
+        centred = y - mean
+        return float(mean), float(np.cumsum(centred * centred)[-1] / y.size), centred
     freq = np.bincount(y, minlength=n_classes) / y.size
-    return float(1.0 - np.sum(freq ** 2))
+    return freq, float(1.0 - np.sum(freq ** 2)), y
 
 
 def _grow_tree(x, y, task, n_classes):
     node = _TreeNode()
+    value, impurity, targets = _node_impurity(y, task, n_classes)
     if np.all(y == y[0]):
-        node.value = _node_value(y, n_classes, task)
+        node.value = value
         return node
-    impurity = _node_impurity(y, task, n_classes)
-    best = _best_split(x, y, task, n_classes)
+    best = _best_split(x, targets, task, n_classes)
     if best is None or best[2] >= impurity:
-        node.value = _node_value(y, n_classes, task)
+        node.value = value
         return node
     node.feature, node.threshold = best[0], best[1]
     mask = x[:, node.feature] <= node.threshold
