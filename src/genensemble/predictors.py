@@ -3,8 +3,10 @@
 All learners are implemented directly on numpy arrays so that tie-breaking
 and randomness are fully pinned down: kNN resolves equal distances by lowest
 training-row index, CART picks the lowest feature index and then the lowest
-midpoint threshold among equally good splits, and every model is a pure
-function of (spec, data, seed).
+midpoint threshold among splits with equal computed scores, and every model
+is a pure function of (spec, data, seed). Candidate splits that tie only in
+exact arithmetic are ordered by the rounding of their sums: two features that
+induce the same partition can score a few ulps apart.
 """
 from __future__ import annotations
 
@@ -85,15 +87,18 @@ class TrainedModel:
 
 # --- CART ------------------------------------------------------------------
 
-class _TreeNode:
-    __slots__ = ("feature", "threshold", "left", "right", "value")
+@dataclass(frozen=True)
+class _Tree:
+    """A grown CART as flat node arrays, the root at node 0.
 
-    def __init__(self, value=None):
-        self.feature = -1
-        self.threshold = 0.0
-        self.left = None
-        self.right = None
-        self.value = value
+    At a leaf, feature, left and right are -1. value holds every node's mean
+    target (regression) or class frequencies (classification, one row each).
+    """
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
 
 
 def _node_value(y, n_classes, task):
@@ -102,90 +107,166 @@ def _node_value(y, n_classes, task):
     return np.bincount(y, minlength=n_classes) / y.size
 
 
-def _best_split(x, y, task, n_classes):
-    """Best (feature, midpoint threshold) minimizing child-weighted impurity.
+# A level's padded (nodes x widest node) blocks may hold this many cells, or
+# twice the level's rows if more; beyond that the nodes go in size bands.
+_BLOCK_CELLS = 4096
 
-    Regression targets arrive centred at the node mean. Returns (feature,
-    threshold, weighted_impurity) or None when no candidate exists. Scanning features in ascending order and thresholds in ascending
-    order with strict improvement implements the tie-break contract.
+
+def _prefix_sums(values, cell, shape):
+    """Prefix sums of each node's values, as rows of a zero-padded block.
+
+    cell places each value in the block; a row's cumsum adds in the same
+    order as a 1-D cumsum of that node's values, so the bits are the same.
+    A tuple of value arrays gives a stack of blocks.
     """
-    n = y.size
-    best = None
-    for j in range(x.shape[1]):
-        order = np.argsort(x[:, j], kind="stable")
-        xs = x[order, j]
-        valid = xs[1:] > xs[:-1]
-        if not valid.any():
-            continue
-        ys = y[order]
+    stack = () if isinstance(values, np.ndarray) else (len(values),)
+    block = np.zeros(stack + shape)
+    block.reshape(stack + (-1,))[..., cell] = values
+    return block.cumsum(axis=-1)
+
+
+def _band_splits(xo, yo, node, counts, task, n_classes):
+    """Value of each node of a band and its best split, or feature -1.
+
+    The rows of node i lie contiguously in xo, yo (node[p] == i), in their
+    original order. Regression sums are sequential and the targets are
+    centred at the node mean before they are squared, so a large target
+    offset does not cancel. Features are scanned in ascending order with
+    strict improvement, and argmin picks the lowest midpoint, which is the
+    tie-break contract.
+    """
+    k, width = counts.size, int(counts.max())
+    starts = counts.cumsum() - counts
+    cell = node * width + (np.arange(node.size) - starts[node])
+    if task == "regression":
+        last = cell[starts + counts - 1]      # block cell of each node's last row
+        mean = _prefix_sums(yo, cell, (k, width)).reshape(-1)[last] / counts
+        targets = yo - mean[node]
+        impurity = _prefix_sums(targets * targets, cell, (k, width))[:, -1] / counts
+        value = mean
+        impure = np.bincount(node[yo != yo[starts][node]], minlength=k) > 0
+    else:
+        class_counts = np.bincount(node * n_classes + yo,
+                                   minlength=k * n_classes).reshape(k, n_classes)
+        value = class_counts / counts[:, None]
+        impurity = 1.0 - np.sum(value ** 2, axis=1)
+        impure = np.count_nonzero(class_counts, axis=1) > 1
+        targets = yo
+
+    feature = np.full(k, -1, dtype=np.intp)
+    threshold = np.zeros(k)
+    if not impure.any():
+        return value, feature, threshold
+    best = np.full(k, np.inf)
+    rows = np.arange(k)
+    left_n = np.arange(1, width)
+    right_n = np.maximum(counts[:, None] - left_n, 1)
+    for j in range(xo.shape[1]):
+        order = np.lexsort((xo[:, j], node))
+        xs = np.full((k, width), np.nan)
+        xs.reshape(-1)[cell] = xo[order, j]
+        ys = targets[order]
         if task == "regression":
-            s1 = np.cumsum(ys)
-            s2 = np.cumsum(ys * ys)
-            t1, t2 = s1[-1], s2[-1]
-            s1, s2 = s1[:-1], s2[:-1]
-            left_n = np.arange(1, n)
-            right_n = n - left_n
+            s1, s2 = _prefix_sums((ys, ys * ys), cell, (k, width))
+            t1, t2 = s1[:, -1:], s2[:, -1:]
+            s1, s2 = s1[:, :-1], s2[:, :-1]
             sse_left = s2 - s1 * s1 / left_n
             sse_right = (t2 - s2) - (t1 - s1) ** 2 / right_n
-            score = (sse_left + sse_right) / n
+            score = (sse_left + sse_right) / counts[:, None]
         else:
-            onehot = np.zeros((n, n_classes))
-            onehot[np.arange(n), ys] = 1.0
-            counts = np.cumsum(onehot, axis=0)[:-1]
-            left_n = np.arange(1, n)[:, None]
-            right_counts = counts[-1] + onehot[-1] - counts
-            gini_left = 1.0 - np.sum((counts / left_n) ** 2, axis=1)
-            gini_right = 1.0 - np.sum((right_counts / (n - left_n)) ** 2, axis=1)
-            score = (left_n[:, 0] * gini_left + (n - left_n[:, 0]) * gini_right) / n
-        score = np.where(valid, score, np.inf)
-        i = int(np.argmin(score))
-        if not np.isfinite(score[i]):
-            continue
-        if best is None or score[i] < best[2]:
-            best = (j, 0.5 * (xs[i] + xs[i + 1]), float(score[i]))
-    return best
+            onehot = np.zeros((k, width, n_classes))
+            onehot.reshape(-1)[cell * n_classes + ys] = 1.0
+            left_counts = np.cumsum(onehot, axis=1)[:, :-1]
+            right_counts = class_counts[:, None, :] - left_counts
+            gini_left = 1.0 - np.sum((left_counts / left_n[:, None]) ** 2, axis=2)
+            gini_right = 1.0 - np.sum((right_counts / right_n[:, :, None]) ** 2, axis=2)
+            score = (left_n * gini_left + right_n * gini_right) / counts[:, None]
+        score = np.where(xs[:, 1:] > xs[:, :-1], score, np.inf)
+        i = score.argmin(axis=1)
+        found = score[rows, i]
+        better = np.isfinite(found) & (found < best)
+        best = np.where(better, found, best)
+        feature = np.where(better, j, feature)
+        threshold = np.where(better, 0.5 * (xs[rows, i] + xs[rows, i + 1]), threshold)
+    split = impure & (feature >= 0) & ~(best >= impurity)
+    return value, np.where(split, feature, -1), threshold
 
 
-def _node_impurity(y, task, n_classes):
-    """Leaf value, impurity and split targets of a node.
-
-    Regression sums are sequential and the targets are centred at the node
-    mean before they are squared, so a large target offset does not cancel.
-    """
-    if task == "regression":
-        mean = np.cumsum(y)[-1] / y.size
-        centred = y - mean
-        return float(mean), float(np.cumsum(centred * centred)[-1] / y.size), centred
-    freq = np.bincount(y, minlength=n_classes) / y.size
-    return freq, float(1.0 - np.sum(freq ** 2)), y
+def _level_splits(xo, yo, node, counts, task, n_classes):
+    """_band_splits over one level, in power-of-two size bands if it is skewed."""
+    if counts.size * int(counts.max()) <= max(2 * node.size, _BLOCK_CELLS):
+        return _band_splits(xo, yo, node, counts, task, n_classes)
+    band = np.ceil(np.log2(counts)).astype(np.intp)
+    value = np.zeros((counts.size,) + (() if task == "regression" else (n_classes,)))
+    feature = np.empty(counts.size, dtype=np.intp)
+    threshold = np.empty(counts.size)
+    for b in np.unique(band):
+        members = band == b
+        at = members[node]
+        local = np.cumsum(members) - 1
+        (value[members], feature[members],
+         threshold[members]) = _band_splits(xo[at], yo[at], local[node[at]],
+                                            counts[members], task, n_classes)
+    return value, feature, threshold
 
 
 def _grow_tree(x, y, task, n_classes):
-    node = _TreeNode()
-    value, impurity, targets = _node_impurity(y, task, n_classes)
-    if np.all(y == y[0]):
-        node.value = value
-        return node
-    best = _best_split(x, targets, task, n_classes)
-    if best is None or best[2] >= impurity:
-        node.value = value
-        return node
-    node.feature, node.threshold = best[0], best[1]
-    mask = x[:, node.feature] <= node.threshold
-    node.left = _grow_tree(x[mask], y[mask], task, n_classes)
-    node.right = _grow_tree(x[~mask], y[~mask], task, n_classes)
-    return node
+    """Grow a CART one level at a time until every leaf is pure or unsplittable.
 
-
-def _tree_predict(node, xq):
-    while node.value is None:
-        node = node.left if xq[node.feature] <= node.threshold else node.right
-    return node.value
+    The rows of each open node of a level lie contiguously in `rows`, in
+    their original order; a split node's rows move on, left child first.
+    """
+    n = y.size
+    size = 2 * n - 1                 # a binary tree with at most n leaves
+    feature = np.full(size, -1, dtype=np.intp)
+    threshold = np.zeros(size)
+    left = np.full(size, -1, dtype=np.intp)
+    right = np.full(size, -1, dtype=np.intp)
+    value = np.zeros((size,) + (() if task == "regression" else (n_classes,)))
+    rows = np.arange(n)
+    node = np.zeros(n, dtype=np.intp)
+    counts = np.array([n])
+    first, n_nodes = 0, 1            # tree index of the level's first node, nodes so far
+    while rows.size:
+        level_value, level_feature, level_threshold = _level_splits(
+            x[rows], y[rows], node, counts, task, n_classes)
+        value[first:first + counts.size] = level_value
+        split = level_feature >= 0
+        parents = first + np.flatnonzero(split)
+        n_split = parents.size
+        feature[parents] = level_feature[split]
+        threshold[parents] = level_threshold[split]
+        left[parents] = n_nodes + 2 * np.arange(n_split)
+        right[parents] = left[parents] + 1
+        keep = split[node]
+        rows, node = rows[keep], node[keep]
+        side = ~(x[rows, level_feature[node]] <= level_threshold[node])
+        child = 2 * (np.cumsum(split) - 1)[node] + side
+        order = np.argsort(child, kind="stable")
+        rows, node = rows[order], child[order]
+        counts = np.bincount(node, minlength=2 * n_split)
+        first, n_nodes = n_nodes, n_nodes + 2 * n_split
+    return _Tree(feature[:n_nodes], threshold[:n_nodes], left[:n_nodes],
+                 right[:n_nodes], value[:n_nodes])
 
 
 def _tree_predict_rows(tree, x):
-    """Leaf value of each row of x: (n,) for regression, (n, K) probabilities."""
-    return np.asarray([_tree_predict(tree, row) for row in x])
+    """Leaf value of each row of x: (n,) for regression, (n, K) probabilities.
+
+    All rows descend together, one level per step; a row that has reached
+    its leaf stays there.
+    """
+    leaf = tree.feature < 0
+    here = np.arange(leaf.size)
+    left, right = np.where(leaf, here, tree.left), np.where(leaf, here, tree.right)
+    rows = np.arange(x.shape[0])
+    node = np.zeros(x.shape[0], dtype=np.intp)
+    feature = tree.feature[node]
+    while (feature >= 0).any():
+        go_left = x[rows, feature] <= tree.threshold[node]
+        node = np.where(go_left, left[node], right[node])
+        feature = tree.feature[node]
+    return tree.value[node]
 
 
 # --- ridge / linear ----------------------------------------------------------

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from genensemble.data import FeatureMatrix
 from genensemble.metrics import DUAL_LOG_PROB, MEAN, MetricSpec, combine_predictions
-from genensemble.predictors import (PredictorSpec, _grow_tree, parse_predictor,
-                                    predict, predict_batch, train,
+from genensemble.predictors import (PredictorSpec, _grow_tree, _tree_predict_rows,
+                                    parse_predictor, predict, predict_batch, train,
                                     train_forest_curve)
 from genensemble.rng import child_rng
 
@@ -42,8 +42,8 @@ class TestCart:
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0.0, 0.0, 1.0, 1.0])
         model = train(PredictorSpec("cart", "regression"), reg_matrix(x, y))
-        assert model.state.feature == 0
-        assert model.state.threshold == 1.5
+        assert model.state.feature[0] == 0
+        assert model.state.threshold[0] == 1.5
         assert predict(model, [1.49]) == 0.0
         assert predict(model, [1.51]) == 1.0
 
@@ -53,7 +53,27 @@ class TestCart:
         x = np.column_stack([base, base])
         y = np.array([0.0, 0.0, 1.0, 1.0])
         model = train(PredictorSpec("cart", "regression"), reg_matrix(x, y))
-        assert model.state.feature == 0
+        assert model.state.feature[0] == 0
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_interpolates_at_any_target_scale_and_offset(self, data):
+        # distinct values of the first feature leave every impure node a split
+        # that strictly lowers the error (distinct rows alone do not: XOR)
+        first = data.draw(st.lists(st.integers(-1000, 1000), min_size=2, max_size=25,
+                                   unique=True))
+        n, d = len(first), data.draw(st.integers(1, 3))
+        rest = data.draw(st.lists(st.integers(-2, 2), min_size=n * (d - 1),
+                                  max_size=n * (d - 1)))
+        x = np.column_stack([first, np.reshape(rest, (n, d - 1))])
+        # targets on a 1e-6 grid in [-1, 1], so squared spreads do not underflow
+        base = np.asarray(data.draw(st.lists(st.integers(-10**6, 10**6), min_size=n,
+                                             max_size=n))) * 1e-6
+        a = data.draw(st.floats(1e-3, 1e3))
+        b = data.draw(st.floats(-1e8, 1e8))
+        y = a * base + b
+        model = train(PredictorSpec("cart", "regression"), reg_matrix(x, y))
+        assert np.max(np.abs(predict_batch(model, x) - y)) <= 1e-9 * np.max(np.abs(y))
 
     def test_constant_features_give_leaf(self):
         x = np.ones((5, 2))
@@ -162,9 +182,8 @@ class TestBaggedTrees:
         manual = _grow_tree(x[idx], y[idx], "regression", 0)
         grid = rng.normal(size=(40, 2))
         bag_tree = bag.state[0]
-        from genensemble.predictors import _tree_predict
-        manual_preds = [_tree_predict(manual, row) for row in grid]
-        bag_preds = [_tree_predict(bag_tree, row) for row in grid]
+        manual_preds = list(_tree_predict_rows(manual, grid))
+        bag_preds = list(_tree_predict_rows(bag_tree, grid))
         assert manual_preds == bag_preds
 
     def test_deterministic(self):
@@ -194,7 +213,6 @@ class TestForestCurve:
                                               ("classification", "brier_binary")])
     def test_matches_running_mean_of_per_row_tree_predictions(self, task, metric):
         from genensemble.metrics import score_predictions
-        from genensemble.predictors import _tree_predict
         rng = np.random.default_rng(7)
         x, x_test = rng.normal(size=(25, 2)), rng.normal(size=(15, 2))
         if task == "regression":
@@ -206,7 +224,7 @@ class TestForestCurve:
         model = train(PredictorSpec("bagged_trees", task, n_trees=t_max), fm, seed=2)
         running = 0.0
         for t, tree in enumerate(model.state, start=1):
-            running = running + np.asarray([_tree_predict(tree, row) for row in test.x])
+            running = running + _tree_predict_rows(tree, test.x)
             expected = score_predictions(running / t, test.y, MetricSpec(metric), task)
             assert curve[t] == expected.score
 
