@@ -154,10 +154,9 @@ def _band_splits(xo, yo, node, counts, task, n_classes):
         targets = yo
 
     feature = np.full(k, -1, dtype=np.intp)
-    threshold = np.zeros(k)
     if not impure.any():
-        return value, feature, threshold
-    best = np.full(k, np.inf)
+        return value, feature, np.zeros(k)
+    best, below, above = np.full(k, np.inf), np.zeros(k), np.zeros(k)
     rows = np.arange(k)
     left_n = np.arange(1, width)
     right_n = np.maximum(counts[:, None] - left_n, 1)
@@ -187,7 +186,13 @@ def _band_splits(xo, yo, node, counts, task, n_classes):
         better = np.isfinite(found) & (found < best)
         best = np.where(better, found, best)
         feature = np.where(better, j, feature)
-        threshold = np.where(better, 0.5 * (xs[rows, i] + xs[rows, i + 1]), threshold)
+        below = np.where(better, xs[rows, i], below)
+        above = np.where(better, xs[rows, i + 1], above)
+    with np.errstate(over="ignore"):
+        threshold = 0.5 * (below + above)
+    # between adjacent floats the midpoint can round onto the upper value, and
+    # near the float limit it overflows: the split is at the lower value then
+    threshold = np.where((below <= threshold) & (threshold < above), threshold, below)
     split = impure & (feature >= 0) & ~(best >= impurity)
     return value, np.where(split, feature, -1), threshold
 

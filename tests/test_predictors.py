@@ -47,6 +47,16 @@ class TestCart:
         assert predict(model, [1.49]) == 0.0
         assert predict(model, [1.51]) == 1.0
 
+    @pytest.mark.parametrize("below, above", [
+        (np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)),
+        (1e308, 1.5e308), (-1.5e308, -1e308)])
+    def test_threshold_separates_values_whose_midpoint_rounds_away(self, below, above):
+        x = np.array([[below], [above]])
+        y = np.array([0.0, 1.0])
+        model = train(PredictorSpec("cart", "regression"), reg_matrix(x, y))
+        assert below <= model.state.threshold[0] < above
+        assert list(predict_batch(model, x)) == [0.0, 1.0]
+
     def test_tie_breaks_to_lowest_feature(self):
         # second feature duplicates the first: both give identical splits
         base = np.array([0.0, 1.0, 2.0, 3.0])
