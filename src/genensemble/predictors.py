@@ -157,7 +157,7 @@ def _band_splits(xo, yo, node, counts, task, n_classes):
     if not impure.any():
         return value, feature, np.zeros(k)
     best, below, above = np.full(k, np.inf), np.zeros(k), np.zeros(k)
-    rows = np.arange(k)
+    nodes = np.arange(k)
     left_n = np.arange(1, width)
     right_n = np.maximum(counts[:, None] - left_n, 1)
     for j in range(xo.shape[1]):
@@ -175,19 +175,19 @@ def _band_splits(xo, yo, node, counts, task, n_classes):
         else:
             onehot = np.zeros((k, width, n_classes))
             onehot.reshape(-1)[cell * n_classes + ys] = 1.0
-            left_counts = np.cumsum(onehot, axis=1)[:, :-1]
+            left_counts = onehot.cumsum(axis=1)[:, :-1]
             right_counts = class_counts[:, None, :] - left_counts
             gini_left = 1.0 - np.sum((left_counts / left_n[:, None]) ** 2, axis=2)
             gini_right = 1.0 - np.sum((right_counts / right_n[:, :, None]) ** 2, axis=2)
             score = (left_n * gini_left + right_n * gini_right) / counts[:, None]
         score = np.where(xs[:, 1:] > xs[:, :-1], score, np.inf)
         i = score.argmin(axis=1)
-        found = score[rows, i]
+        found = score[nodes, i]
         better = np.isfinite(found) & (found < best)
         best = np.where(better, found, best)
         feature = np.where(better, j, feature)
-        below = np.where(better, xs[rows, i], below)
-        above = np.where(better, xs[rows, i + 1], above)
+        below = np.where(better, xs[nodes, i], below)
+        above = np.where(better, xs[nodes, i + 1], above)
     with np.errstate(over="ignore"):
         threshold = 0.5 * (below + above)
     # between adjacent floats the midpoint can round onto the upper value, and
@@ -208,7 +208,7 @@ def _level_splits(xo, yo, node, counts, task, n_classes):
     for b in np.unique(band):
         members = band == b
         at = members[node]
-        local = np.cumsum(members) - 1
+        local = members.cumsum() - 1
         (value[members], feature[members],
          threshold[members]) = _band_splits(xo[at], yo[at], local[node[at]],
                                             counts[members], task, n_classes)
@@ -246,7 +246,7 @@ def _grow_tree(x, y, task, n_classes):
         keep = split[node]
         rows, node = rows[keep], node[keep]
         side = ~(x[rows, level_feature[node]] <= level_threshold[node])
-        child = 2 * (np.cumsum(split) - 1)[node] + side
+        child = 2 * (split.cumsum() - 1)[node] + side
         order = np.argsort(child, kind="stable")
         rows, node = rows[order], child[order]
         counts = np.bincount(node, minlength=2 * n_split)

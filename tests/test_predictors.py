@@ -100,6 +100,87 @@ class TestCart:
         np.testing.assert_allclose(probs.sum(axis=1), 1.0)
 
 
+def reference_tree(x, y, task, n_classes):
+    """Recursive CART with the grower's arithmetic: a leaf value, or a tuple
+    (feature, threshold, left subtree, right subtree)."""
+    n = y.size
+    if task == "regression":
+        value = np.cumsum(y)[-1] / n
+        targets = y - value
+        impurity = np.cumsum(targets * targets)[-1] / n
+    else:
+        value = np.bincount(y, minlength=n_classes) / n
+        impurity = 1.0 - np.sum(value ** 2)
+        targets = y
+    if np.all(y == y[0]):
+        return value
+    best, left_n = None, np.arange(1, n)
+    for j in range(x.shape[1]):
+        order = np.argsort(x[:, j], kind="stable")
+        xs, ys = x[order, j], targets[order]
+        if task == "regression":
+            s1, s2 = np.cumsum(ys), np.cumsum(ys * ys)
+            sse_left = s2[:-1] - s1[:-1] * s1[:-1] / left_n
+            sse_right = (s2[-1] - s2[:-1]) - (s1[-1] - s1[:-1]) ** 2 / (n - left_n)
+            score = (sse_left + sse_right) / n
+        else:
+            counts = np.cumsum(np.eye(n_classes)[ys], axis=0)[:-1]
+            right = counts[-1] + (ys[-1] == np.arange(n_classes)) - counts
+            gini_left = 1.0 - np.sum((counts / left_n[:, None]) ** 2, axis=1)
+            gini_right = 1.0 - np.sum((right / (n - left_n)[:, None]) ** 2, axis=1)
+            score = (left_n * gini_left + (n - left_n) * gini_right) / n
+        score = np.where(xs[1:] > xs[:-1], score, np.inf)
+        i = int(np.argmin(score))
+        if np.isfinite(score[i]) and (best is None or score[i] < best[0]):
+            best = (score[i], j, 0.5 * (xs[i] + xs[i + 1]))
+    if best is None or best[0] >= impurity:
+        return value
+    _, j, threshold = best
+    mask = x[:, j] <= threshold
+    return (j, threshold, reference_tree(x[mask], y[mask], task, n_classes),
+            reference_tree(x[~mask], y[~mask], task, n_classes))
+
+
+def assert_same_tree(reference, tree, node=0):
+    """Node by node in preorder, comparing thresholds and values bit for bit."""
+    if not isinstance(reference, tuple):
+        assert tree.feature[node] == -1
+        assert np.asarray(reference).tobytes() == np.asarray(tree.value[node]).tobytes()
+        return
+    feature, threshold, left, right = reference
+    assert tree.feature[node] == feature
+    assert np.float64(threshold).tobytes() == tree.threshold[node].tobytes()
+    assert_same_tree(left, tree, tree.left[node])
+    assert_same_tree(right, tree, tree.right[node])
+
+
+class TestCartReference:
+    @pytest.mark.parametrize("block_cells", [4096, 0])
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_matches_recursive_reference_bit_for_bit(self, task, block_cells,
+                                                     monkeypatch):
+        # block_cells 0 puts every level through the node-size bands
+        from genensemble import predictors
+        monkeypatch.setattr(predictors, "_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(11)
+        for trial in range(60):
+            n, d = int(rng.integers(1, 70)), int(rng.integers(1, 5))
+            x = rng.normal(size=(n, d))
+            if trial % 3 == 1:            # integer features: many ties
+                x = rng.integers(-3, 4, size=(n, d)).astype(float)
+            if trial % 3 == 2:            # bootstrap duplicates
+                x = x[rng.integers(0, n, size=n)]
+            if task == "regression":
+                y = np.round(rng.normal(size=n), trial % 4) * 10.0 ** rng.uniform(-3, 3)
+                y = y + rng.choice([0.0, -1e3, 1e8])
+                n_classes = 0
+            else:
+                n_classes = int(rng.integers(2, 10))
+                y = rng.integers(0, n_classes, size=n)
+            assert_same_tree(reference_tree(x, y, task, n_classes),
+                             _grow_tree(x, y, task, n_classes))
+
+
 class TestKnn:
     def test_one_nn_at_training_point(self):
         x = np.array([[0.0], [1.0], [5.0]])
