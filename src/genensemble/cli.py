@@ -77,6 +77,14 @@ def _get_int_list(cfg, section, key, required=False, default=()):
         raise ConfigError(f"[{section}] {key} must be a list of integers") from None
 
 
+def _get_m_values(cfg, section):
+    """The required [section] m_values, sorted and unique, each at least 1."""
+    values = _get_int_list(cfg, section, "m_values", required=True)
+    if any(m < 1 for m in values):
+        raise ConfigError(f"[{section}] m_values: m values must be >= 1")
+    return sorted(set(values))
+
+
 def _parse_bool(raw: str) -> bool:
     low = raw.lower()
     if low in ("true", "yes", "1", "on"):
@@ -236,8 +244,10 @@ def _cmd_curve(cfg, seed, tracker, jobs=1):
     task = data.schema.task
     predictors = _predictor_specs(cfg, task)
     metrics = _metric_specs(cfg, "curve", task)
-    m_values = sorted(set(_get_int_list(cfg, "curve", "m_values", required=True)))
+    m_values = _get_m_values(cfg, "curve")
     repeats = _get(cfg, "curve", "repeats", default=3, convert=int)
+    if repeats < 1:
+        raise ConfigError("[curve] repeats must be >= 1")
     averagings = [tok.strip() for tok in
                   _get(cfg, "curve", "averaging", default="mean").split(",")]
 
@@ -275,7 +285,7 @@ def _cmd_predict_curve(cfg, seed, tracker):
     method = _get(cfg, "predict_curve", "method", default="two_point")
     if method not in ("two_point", "regression"):
         raise ConfigError("[predict_curve] method must be two_point or regression")
-    targets = sorted(set(_get_int_list(cfg, "predict_curve", "m_values", required=True)))
+    targets = _get_m_values(cfg, "predict_curve")
 
     rows = read_long_csv(curve_path)
     groups: dict[tuple, dict[int, list[float]]] = {}

@@ -287,7 +287,10 @@ class EnsembleProvenance:
                "n_rows": self.n_rows, "seed": self.seed,
                "member_seeds": list(self.member_seeds)}
         if self.epsilon is not None:
+            # epsilon is the configured budget; epsilon_total is the spend of
+            # all releases composed, at the same delta
             out.update(epsilon=self.epsilon, delta=self.delta, rho_total=self.rho_total,
+                       epsilon_total=epsilon_from_rho(self.rho_total, self.delta),
                        rho_per_member=list(self.rho_per_member),
                        summary_ids=list(self.summary_ids))
         return out

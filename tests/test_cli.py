@@ -241,3 +241,22 @@ class TestCurveMValues:
         assert cli.main(["curve", "--config", str(cfg), "--output", str(out)]) != 0
         assert "m values must be >= 1" in capsys.readouterr().err
         assert not (out / "curve.csv").exists()
+
+    @pytest.mark.parametrize("option, value", [("m_values = 1, 2, 4", "m_values = 0"),
+                                               ("repeats = 2", "repeats = 0")])
+    def test_count_below_one_is_a_config_error(self, tmp_path, option, value, capsys):
+        out = tmp_path / "out"
+        text = PROCESS_CONFIG.format(curve_csv=out / "curve.csv").replace(option, value)
+        cfg = write_config(tmp_path, text)
+        assert cli.main(["curve", "--config", str(cfg), "--output", str(out)]) == 1
+        assert "config error: [curve]" in capsys.readouterr().err
+        assert not (out / "curve.csv").exists()
+
+    def test_predict_curve_m_below_one_is_a_config_error(self, config, capsys):
+        cfg, out = config
+        assert cli.main(["curve", "--config", str(cfg), "--output", str(out)]) == 0
+        text = cfg.read_text(encoding="utf-8").replace("m_values = 4, 8", "m_values = 0, 8")
+        cfg.write_text(text, encoding="utf-8")
+        assert cli.main(["predict-curve", "--config", str(cfg),
+                         "--output", str(out / "pred")]) == 1
+        assert "[predict_curve] m_values: m values must be >= 1" in capsys.readouterr().err

@@ -233,6 +233,20 @@ class TestGenerateEnsemble:
         expected = 8 * full if mode == "independent" else full
         assert record.rho_total == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("mode", ["independent", "split_budget"])
+    def test_json_reports_composed_epsilon(self, mode):
+        data = cat_dataset([[0, 1], [1, 0], [1, 1], [0, 0]])
+        spec = GeneratorSpec("noisy_marginal_dp", epsilon=1.0, delta=1e-6)
+        _, record = generate_ensemble(spec, data, 8, mode, seed=4)
+        out = record.to_json_dict()
+        assert out["epsilon"] == 1.0
+        if mode == "independent":
+            expected = epsilon_from_rho(8 * rho_from_epsilon(1.0, 1e-6), 1e-6)
+            assert out["epsilon_total"] == pytest.approx(expected, rel=1e-12)
+            assert out["epsilon_total"] > 1.0
+        else:
+            assert out["epsilon_total"] == pytest.approx(1.0, abs=1e-9)
+
     def test_non_dp_generator_records_no_spend(self):
         data = Dataset(NUM_SCHEMA, np.arange(20.0).reshape(10, 2))
         _, record = generate_ensemble(GeneratorSpec("bootstrap"), data, 3,
