@@ -91,8 +91,9 @@ class TrainedModel:
 class _Tree:
     """A grown CART as flat node arrays, the root at node 0.
 
-    At a leaf, feature, left and right are -1. value holds every node's mean
-    target (regression) or class frequencies (classification, one row each).
+    At a leaf, feature, left and right are -1 and threshold is 0. value holds
+    every node's mean target (regression) or class frequencies
+    (classification, one row each).
     """
     feature: np.ndarray
     threshold: np.ndarray
@@ -112,17 +113,20 @@ def _node_value(y, n_classes, task):
 _BLOCK_CELLS = 4096
 
 
+def _block(values, cell, shape, pad):
+    """values placed by their flat cell index in a (nodes x widest node) block."""
+    block = np.full(shape[0] * shape[1], pad)
+    block[cell] = values
+    return block.reshape(shape)
+
+
 def _prefix_sums(values, cell, shape):
     """Prefix sums of each node's values, as rows of a zero-padded block.
 
-    cell places each value in the block; a row's cumsum adds in the same
-    order as a 1-D cumsum of that node's values, so the bits are the same.
-    A tuple of value arrays gives a stack of blocks.
+    Accumulating a row adds in the same order as the 1-D cumsum of that
+    node's values, so the bits are the same.
     """
-    stack = () if isinstance(values, np.ndarray) else (len(values),)
-    block = np.zeros(stack + shape)
-    block.reshape(stack + (-1,))[..., cell] = values
-    return block.cumsum(axis=-1)
+    return np.add.accumulate(_block(values, cell, shape, 0.0), axis=1)
 
 
 def _band_splits(xo, yo, node, counts, task, n_classes):
@@ -144,7 +148,7 @@ def _band_splits(xo, yo, node, counts, task, n_classes):
         targets = yo - mean[node]
         impurity = _prefix_sums(targets * targets, cell, (k, width))[:, -1] / counts
         value = mean
-        impure = np.bincount(node[yo != yo[starts][node]], minlength=k) > 0
+        impure = np.maximum.reduceat(yo, starts) != np.minimum.reduceat(yo, starts)
     else:
         class_counts = np.bincount(node * n_classes + yo,
                                    minlength=k * n_classes).reshape(k, n_classes)
@@ -153,48 +157,53 @@ def _band_splits(xo, yo, node, counts, task, n_classes):
         impure = np.count_nonzero(class_counts, axis=1) > 1
         targets = yo
 
-    feature = np.full(k, -1, dtype=np.intp)
-    if not impure.any():
-        return value, feature, np.zeros(k)
+    if not np.count_nonzero(impure):
+        return value, np.full(k, -1, dtype=np.intp), np.zeros(k)
     best, below, above = np.full(k, np.inf), np.zeros(k), np.zeros(k)
-    nodes = np.arange(k)
-    left_n = np.arange(1, width)
-    right_n = np.maximum(counts[:, None] - left_n, 1)
+    feature = np.zeros(k, dtype=np.intp)
+    score_row, x_row = np.arange(k) * width, np.arange(k) * (width + 1)
+    # column i scores the split after row i of a node; the last column and
+    # those past a node's end are masked below, right_n >= 1 keeps them finite
+    n_rows = counts[:, None]
+    left_n = np.arange(1, width + 1)
+    right_n = np.maximum(n_rows - left_n, 1)
+    x_cell = cell + node                     # one spare column per node
     for j in range(xo.shape[1]):
         order = np.lexsort((xo[:, j], node))
-        xs = np.full((k, width), np.nan)
-        xs.reshape(-1)[cell] = xo[order, j]
+        # -inf padding fails every xs[i + 1] > xs[i] test past a node's last row
+        xs = _block(xo[order, j], x_cell, (k, width + 1), -np.inf)
         ys = targets[order]
         if task == "regression":
-            s1, s2 = _prefix_sums((ys, ys * ys), cell, (k, width))
+            s1 = _prefix_sums(ys, cell, (k, width))
+            s2 = _prefix_sums(ys * ys, cell, (k, width))
             t1, t2 = s1[:, -1:], s2[:, -1:]
-            s1, s2 = s1[:, :-1], s2[:, :-1]
             sse_left = s2 - s1 * s1 / left_n
             sse_right = (t2 - s2) - (t1 - s1) ** 2 / right_n
-            score = (sse_left + sse_right) / counts[:, None]
+            score = (sse_left + sse_right) / n_rows
         else:
             onehot = np.zeros((k, width, n_classes))
             onehot.reshape(-1)[cell * n_classes + ys] = 1.0
-            left_counts = onehot.cumsum(axis=1)[:, :-1]
+            left_counts = np.add.accumulate(onehot, axis=1)
             right_counts = class_counts[:, None, :] - left_counts
             gini_left = 1.0 - np.sum((left_counts / left_n[:, None]) ** 2, axis=2)
             gini_right = 1.0 - np.sum((right_counts / right_n[:, :, None]) ** 2, axis=2)
-            score = (left_n * gini_left + right_n * gini_right) / counts[:, None]
+            score = (left_n * gini_left + right_n * gini_right) / n_rows
         score = np.where(xs[:, 1:] > xs[:, :-1], score, np.inf)
         i = score.argmin(axis=1)
-        found = score[nodes, i]
+        found = score.reshape(-1)[score_row + i]
         better = np.isfinite(found) & (found < best)
-        best = np.where(better, found, best)
-        feature = np.where(better, j, feature)
-        below = np.where(better, xs[nodes, i], below)
-        above = np.where(better, xs[nodes, i + 1], above)
+        np.copyto(best, found, where=better)
+        np.copyto(feature, j, where=better)
+        at = x_row + i
+        np.copyto(below, xs.reshape(-1)[at], where=better)
+        np.copyto(above, xs.reshape(-1)[at + 1], where=better)
     with np.errstate(over="ignore"):
         threshold = 0.5 * (below + above)
     # between adjacent floats the midpoint can round onto the upper value, and
     # near the float limit it overflows: the split is at the lower value then
     threshold = np.where((below <= threshold) & (threshold < above), threshold, below)
-    split = impure & (feature >= 0) & ~(best >= impurity)
-    return value, np.where(split, feature, -1), threshold
+    split = impure & np.isfinite(best) & ~(best >= impurity)
+    return value, np.where(split, feature, -1), np.where(split, threshold, 0.0)
 
 
 def _level_splits(xo, yo, node, counts, task, n_classes):
@@ -220,39 +229,30 @@ def _grow_tree(x, y, task, n_classes):
 
     The rows of each open node of a level lie contiguously in `rows`, in
     their original order; a split node's rows move on, left child first.
+    Nodes are numbered level by level, so the r-th split node (from 0) has
+    children 2r + 1 and 2r + 2.
     """
-    n = y.size
-    size = 2 * n - 1                 # a binary tree with at most n leaves
-    feature = np.full(size, -1, dtype=np.intp)
-    threshold = np.zeros(size)
-    left = np.full(size, -1, dtype=np.intp)
-    right = np.full(size, -1, dtype=np.intp)
-    value = np.zeros((size,) + (() if task == "regression" else (n_classes,)))
-    rows = np.arange(n)
-    node = np.zeros(n, dtype=np.intp)
-    counts = np.array([n])
-    first, n_nodes = 0, 1            # tree index of the level's first node, nodes so far
+    levels = []                      # (feature, threshold, value) per level
+    rows = np.arange(y.size)
+    node = np.zeros(y.size, dtype=np.intp)
+    counts = np.array([y.size])
     while rows.size:
-        level_value, level_feature, level_threshold = _level_splits(
-            x[rows], y[rows], node, counts, task, n_classes)
-        value[first:first + counts.size] = level_value
-        split = level_feature >= 0
-        parents = first + np.flatnonzero(split)
-        n_split = parents.size
-        feature[parents] = level_feature[split]
-        threshold[parents] = level_threshold[split]
-        left[parents] = n_nodes + 2 * np.arange(n_split)
-        right[parents] = left[parents] + 1
+        value, feature, threshold = _level_splits(x[rows], y[rows], node, counts,
+                                                  task, n_classes)
+        levels.append((feature, threshold, value))
+        split = feature >= 0
+        rank = split.cumsum() - 1    # index of a split node among the level's splits
         keep = split[node]
         rows, node = rows[keep], node[keep]
-        side = ~(x[rows, level_feature[node]] <= level_threshold[node])
-        child = 2 * (split.cumsum() - 1)[node] + side
-        order = np.argsort(child, kind="stable")
+        side = ~(x[rows, feature[node]] <= threshold[node])
+        child = 2 * rank[node] + side
+        order = child.argsort(kind="stable")
         rows, node = rows[order], child[order]
-        counts = np.bincount(node, minlength=2 * n_split)
-        first, n_nodes = n_nodes, n_nodes + 2 * n_split
-    return _Tree(feature[:n_nodes], threshold[:n_nodes], left[:n_nodes],
-                 right[:n_nodes], value[:n_nodes])
+        counts = np.bincount(node, minlength=2 * np.count_nonzero(split))
+    feature, threshold, value = (np.concatenate(arrays) for arrays in zip(*levels))
+    split = feature >= 0
+    left = np.where(split, 2 * split.cumsum() - 1, -1)
+    return _Tree(feature, threshold, left, np.where(split, left + 1, -1), value)
 
 
 def _tree_predict_rows(tree, x):
@@ -267,7 +267,7 @@ def _tree_predict_rows(tree, x):
     rows = np.arange(x.shape[0])
     node = np.zeros(x.shape[0], dtype=np.intp)
     feature = tree.feature[node]
-    while (feature >= 0).any():
+    while np.count_nonzero(feature >= 0):
         go_left = x[rows, feature] <= tree.threshold[node]
         node = np.where(go_left, left[node], right[node])
         feature = tree.feature[node]

@@ -132,7 +132,8 @@ def reference_tree(x, y, task, n_classes):
         score = np.where(xs[1:] > xs[:-1], score, np.inf)
         i = int(np.argmin(score))
         if np.isfinite(score[i]) and (best is None or score[i] < best[0]):
-            best = (score[i], j, 0.5 * (xs[i] + xs[i + 1]))
+            midpoint = 0.5 * (xs[i] + xs[i + 1])
+            best = (score[i], j, midpoint if xs[i] <= midpoint < xs[i + 1] else xs[i])
     if best is None or best[0] >= impurity:
         return value
     _, j, threshold = best
