@@ -140,6 +140,7 @@ def _band_splits(xo, yo, node, counts, task, n_classes):
     tie-break contract.
     """
     k, width = counts.size, int(counts.max())
+    n_rows = counts[:, None]
     starts = counts.cumsum() - counts
     cell = node * width + (np.arange(node.size) - starts[node])
     if task == "regression":
@@ -152,7 +153,7 @@ def _band_splits(xo, yo, node, counts, task, n_classes):
     else:
         class_counts = np.bincount(node * n_classes + yo,
                                    minlength=k * n_classes).reshape(k, n_classes)
-        value = class_counts / counts[:, None]
+        value = class_counts / n_rows
         impurity = 1.0 - np.sum(value ** 2, axis=1)
         impure = np.count_nonzero(class_counts, axis=1) > 1
         targets = yo
@@ -164,7 +165,6 @@ def _band_splits(xo, yo, node, counts, task, n_classes):
     score_row, x_row = np.arange(k) * width, np.arange(k) * (width + 1)
     # column i scores the split after row i of a node; the last column and
     # those past a node's end are masked below, right_n >= 1 keeps them finite
-    n_rows = counts[:, None]
     left_n = np.arange(1, width + 1)
     right_n = np.maximum(n_rows - left_n, 1)
     x_cell = cell + node                     # one spare column per node
