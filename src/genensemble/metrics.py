@@ -117,11 +117,15 @@ def _auc(scores: np.ndarray, labels: np.ndarray) -> float:
 def score_predictions(preds: np.ndarray, y: np.ndarray, metric: MetricSpec,
                       task: str) -> EvalResult:
     """Score raw predictions: (n,) values for regression, (n, K) probabilities
-    for classification."""
+    for classification, n the number of targets; other shapes raise ValueError."""
     preds = np.asarray(preds, dtype=np.float64)
     y = np.asarray(y)
     if metric.task != task:
         raise ValueError(f"metric {metric.kind!r} is incompatible with task {task!r}")
+    ndim = 1 if task == "regression" else 2
+    if y.ndim != 1 or preds.ndim != ndim or preds.shape[0] != y.size:
+        raise ValueError(f"{task} predictions of shape {preds.shape} do not match "
+                         f"targets of shape {y.shape}")
 
     if metric.kind == "mse":
         per_point = (preds - y) ** 2

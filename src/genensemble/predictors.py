@@ -274,6 +274,47 @@ def _tree_predict_rows(tree, x):
     return tree.value[node]
 
 
+# --- kNN ---------------------------------------------------------------------
+
+# A (test rows x train rows x features) block of squared differences holds at
+# most this many cells, and always at least one test row.
+_KNN_CELLS = 1 << 16
+
+
+def _sq_distances(x, tx):
+    """Squared Euclidean distance from each row of x to each row of tx.
+
+    Each block is reduced along its contiguous feature axis, as
+    ((tx - row) ** 2).sum(axis=1) reduces for a single row, so the bits are
+    those of a per-row loop.
+    """
+    n_train, d = tx.shape
+    step = max(1, _KNN_CELLS // max(1, n_train * d))
+    dist = np.empty((x.shape[0], n_train))
+    for start in range(0, x.shape[0], step):
+        block = x[start:start + step, None, :]
+        dist[start:start + step] = ((tx - block) ** 2).sum(axis=2)
+    return dist
+
+
+def _nearest(dist, k):
+    """Column indices of each row's min(k, columns) smallest distances.
+
+    Each row lists them in stable-argsort order: by distance, equal distances
+    by lowest column. Only the candidates up to the row's k-th smallest value
+    are sorted. A NaN distance would drop out of the candidates.
+    """
+    n, n_train = dist.shape
+    k = min(k, n_train)
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+    rows, cols = np.nonzero(dist <= kth)     # rows ascending, then columns
+    # stable, so equal distances keep the column order; rows stay as they are
+    cols = cols[np.lexsort((dist[rows, cols], rows))]
+    counts = np.bincount(rows, minlength=n)
+    rank = np.arange(rows.size) - (counts.cumsum() - counts)[rows]
+    return cols[rank < k].reshape(n, k)
+
+
 # --- ridge / linear ----------------------------------------------------------
 
 def _fit_ridge(x, y, lam):
@@ -343,6 +384,10 @@ def train(spec: PredictorSpec, data: FeatureMatrix, seed: int = 0) -> TrainedMod
         raise ValueError("cannot train on empty data")
     if spec.task != data.task:
         raise ValueError(f"predictor task {spec.task!r} does not match data task {data.task!r}")
+    if not np.isfinite(data.x).all():
+        raise ValueError("training features must be finite")
+    if data.task == "regression" and not np.isfinite(data.y).all():
+        raise ValueError("regression targets must be finite")
     fingerprint = (data.d, data.task, data.n_classes)
     x, y = data.x, data.y
 
@@ -383,6 +428,8 @@ def predict_batch(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != model.fingerprint[0]:
         raise ValueError(f"feature block shape {x.shape} does not match training "
                          f"fingerprint {model.fingerprint}")
+    if not np.isfinite(x).all():
+        raise ValueError("features must be finite")
     n_classes = model.n_classes
 
     if model.kind == "mean":
@@ -392,15 +439,13 @@ def predict_batch(model: TrainedModel, x: np.ndarray) -> np.ndarray:
 
     if model.kind == "knn":
         tx, ty, k = model.state
-        out = []
-        for row in x:
-            dist = ((tx - row) ** 2).sum(axis=1)
-            nearest = np.argsort(dist, kind="stable")[:k]
-            if model.task == "regression":
-                out.append(ty[nearest].mean())
-            else:
-                out.append(np.bincount(ty[nearest], minlength=n_classes) / nearest.size)
-        return np.asarray(out)
+        nearest = _nearest(_sq_distances(x, tx), k)
+        if model.task == "regression":
+            return ty[nearest].mean(axis=1)
+        n = x.shape[0]
+        labels = np.arange(n)[:, None] * n_classes + ty[nearest]
+        counts = np.bincount(labels.reshape(-1), minlength=n * n_classes)
+        return counts.reshape(n, n_classes) / nearest.shape[1]
 
     if model.kind == "cart":
         return _tree_predict_rows(model.state, x)

@@ -96,6 +96,21 @@ class TestMetricValues:
             score_predictions(np.array([1.0]), np.array([1.0]),
                               MetricSpec("brier_binary"), "regression")
 
+    def test_regression_column_predictions_rejected(self):
+        # a (3, 1) column against (3,) targets would broadcast to (3, 3)
+        with pytest.raises(ValueError, match="shape"):
+            score_predictions(np.ones((3, 1)), np.zeros(3), MetricSpec("mse"), "regression")
+
+    @pytest.mark.parametrize("kind", ["brier_multiclass", "cross_entropy",
+                                      "one_minus_accuracy"])
+    def test_classification_row_count_mismatch_rejected(self, kind):
+        preds = np.full((4, 2), 0.5)
+        with pytest.raises(ValueError, match="shape"):
+            score_predictions(preds, np.array([0, 1, 0]), MetricSpec(kind), "classification")
+        with pytest.raises(ValueError, match="shape"):
+            score_predictions(np.full(3, 0.5), np.array([0, 1, 0]), MetricSpec(kind),
+                              "classification")
+
 
 class TestAuc:
     def test_perfect_and_reversed_ranking(self):

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from genensemble.data import FeatureMatrix
 from genensemble.metrics import DUAL_LOG_PROB, MEAN, MetricSpec, combine_predictions
-from genensemble.predictors import (PredictorSpec, _grow_tree, _tree_predict_rows,
+from genensemble.predictors import (_KNN_CELLS, KINDS, PredictorSpec, _grow_tree,
+                                    _sq_distances, _tree_predict_rows,
                                     parse_predictor, predict, predict_batch, train,
                                     train_forest_curve)
 from genensemble.rng import child_rng
@@ -182,6 +183,66 @@ class TestCartReference:
                              _grow_tree(x, y, task, n_classes))
 
 
+def _knn_reference(tx, ty, k, task, n_classes, x):
+    """kNN one test row at a time: a stable argsort of the row's distances."""
+    out = []
+    for row in x:
+        dist = ((tx - row) ** 2).sum(axis=1)
+        nearest = np.argsort(dist, kind="stable")[:k]
+        if task == "regression":
+            out.append(ty[nearest].mean())
+        else:
+            out.append(np.bincount(ty[nearest], minlength=n_classes) / nearest.size)
+    return np.asarray(out)
+
+
+class TestKnnReference:
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), task=st.sampled_from(["regression", "classification"]))
+    @pytest.mark.parametrize("one_row_blocks", [False, True])
+    def test_batched_matches_per_row_loop_bytes(self, data, task, one_row_blocks):
+        if one_row_blocks:
+            # d above numpy's 128-element pairwise block; n_train * d > _KNN_CELLS
+            d = data.draw(st.integers(129, 200))
+            n_train = _KNN_CELLS // d + data.draw(st.integers(1, 40))
+        else:
+            d = data.draw(st.integers(1, 40))
+            n_train = data.draw(st.integers(1, 30))
+        n = data.draw(st.integers(1, 12))
+        k = data.draw(st.integers(1, 40 if n_train <= 30 else 12))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # integer, rounded, thirds and standardised integer features, and
+        # duplicated rows, make distance ties; thirds and standardised values
+        # also make the sums round, so ties rest on the order of the additions
+        style = data.draw(st.sampled_from(["integer", "rounded", "thirds", "standardised"]))
+        if style == "rounded":
+            x = np.round(rng.normal(size=(n_train + n, d)), data.draw(st.integers(0, 2)))
+        else:
+            x = rng.integers(-2, 3, size=(n_train + n, d)).astype(float)
+        if style == "thirds":
+            x = x / 3.0
+        if style == "standardised":
+            std = x.std(axis=0)
+            x = np.where(std > 0, (x - x.mean(axis=0)) / np.where(std > 0, std, 1.0), 0.0)
+        tx, query = x[:n_train], x[n_train:]
+        if data.draw(st.booleans()):
+            tx = tx[rng.integers(0, n_train, size=n_train)]
+            query = np.vstack([query, tx[:3]])
+        if task == "regression":
+            n_classes, ty = 0, rng.normal(size=n_train)
+            fm = reg_matrix(tx, ty)
+        else:
+            n_classes = data.draw(st.integers(2, 5))
+            ty = rng.integers(0, n_classes, size=n_train)
+            fm = clf_matrix(tx, ty, n_classes)
+        dist = np.asarray([((tx - row) ** 2).sum(axis=1) for row in query])
+        assert _sq_distances(query, tx).tobytes() == dist.tobytes()
+        got = predict_batch(train(PredictorSpec("knn", task, k=k), fm), query)
+        want = _knn_reference(tx, ty, k, task, n_classes, query)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 class TestKnn:
     def test_one_nn_at_training_point(self):
         x = np.array([[0.0], [1.0], [5.0]])
@@ -327,6 +388,13 @@ class TestForestCurve:
         assert len(set(curve.values())) == 1
 
 
+# every kind on each task it supports
+SPECS = [PredictorSpec(kind, task, k=2, n_trees=2, max_iter=20)
+         for kind in KINDS for task in ("regression", "classification")
+         if not (kind in ("ridge", "linear") and task == "classification")
+         and not (kind == "logistic" and task == "regression")]
+
+
 class TestContracts:
     def test_fingerprint_mismatch_rejected(self):
         model = train(PredictorSpec("cart", "regression"),
@@ -343,6 +411,34 @@ class TestContracts:
         with pytest.raises(ValueError):
             train(PredictorSpec("cart", "regression"),
                   reg_matrix(np.zeros((0, 1)), np.zeros(0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        x = np.array([[0.0], [1.0], [2.0]])
+        x_bad = x.copy()
+        x_bad[1, 0] = bad
+        for spec in SPECS:
+            matrix = reg_matrix if spec.task == "regression" else clf_matrix
+            with pytest.raises(ValueError, match="finite"):
+                train(spec, matrix(x_bad, [0, 1, 1]))
+            model = train(spec, matrix(x, [0, 1, 1]))
+            with pytest.raises(ValueError, match="finite"):
+                predict_batch(model, x_bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_regression_targets_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            train(PredictorSpec("knn", "regression"),
+                  reg_matrix([[0.0], [1.0]], [1.0, bad]))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.task}")
+    def test_empty_block_shape(self, spec):
+        x = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+        if spec.task == "regression":
+            model, shape = train(spec, reg_matrix(x, [0.5, 1.5, 2.5])), (0,)
+        else:
+            model, shape = train(spec, clf_matrix(x, [0, 2, 1], n_classes=3)), (0, 3)
+        assert predict_batch(model, np.zeros((0, 2))).shape == shape
 
     def test_parse_predictor(self):
         spec = parse_predictor("knn:5", "classification")
