@@ -21,9 +21,9 @@ from pathlib import Path
 from . import __version__
 from .data import (CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Schema,
                    encode, load_csv, save_csv, train_test_split)
-from .decomposition import (MonteCarloConfig, curve_repeat, estimate_mv_sdv_nested,
-                            fit_rule_regression, fit_rule_two_point,
-                            oracle_decompose, predict_mse)
+from .decomposition import (MonteCarloConfig, check_oracle_request, curve_repeat,
+                            estimate_mv_sdv_nested, fit_rule_regression,
+                            fit_rule_two_point, oracle_decompose, predict_mse)
 from .generators import GeneratorSpec, generate_ensemble
 from .metrics import MetricSpec, long_rows, read_long_csv, write_long_csv
 from .predictors import PredictorSpec, parse_predictor, train_forest_curve
@@ -331,10 +331,11 @@ def _cmd_decompose(cfg, seed, tracker):
             r_summary=_get(cfg, "decompose", "r_summary", convert=int),
         )
         process = get_process(pid)
+        if predictor not in ("builtin", process.builtin_predictor):
+            predictor = parse_predictor(predictor, process.schema.task)
+        check_oracle_request(process, mode, predictor, m, rho)
     except ValueError as exc:
         raise ConfigError(f"[decompose]: {exc}") from None
-    if predictor != "builtin" and predictor != process.builtin_predictor:
-        predictor = parse_predictor(predictor, process.schema.task)
     report = oracle_decompose(process, mode, predictor, m=m, mc=mc,
                               seed=child_seed(seed, "decompose"), rho=rho)
     tracker.path("report.json").write_text(report.to_json() + "\n", encoding="utf-8")

@@ -316,6 +316,9 @@ def _collect(process, outputs, point_shape: tuple, mode, m, rho, mc: MonteCarloC
     outputs(rng, thetas, tag, r) returns one prediction per parameter draw in
     the array thetas, each made from its own synthetic dataset, with shape
     thetas.shape + point_shape.
+
+    Only the random draws run once per summary; the statistics of each outer
+    replicate are reduced once, over its whole block of draws.
     """
     names = ["mv", "sdv_raw", "b", "fbar", "mse"]
     if mode == SHARED_SUMMARY:
@@ -324,30 +327,42 @@ def _collect(process, outputs, point_shape: tuple, mode, m, rho, mc: MonteCarloC
         names.append("cov_raw")
     records = {key: np.empty((mc.r_real,) + point_shape) for key in names}
 
-    def spread(rng, thetas, r):
+    def grid(rng, thetas, r):
+        """Predictions from r_syn synthetic datasets per parameter draw."""
+        return outputs(rng, np.repeat(thetas[:, None], mc.r_syn, axis=1), "grid", r)
+
+    def spread(thetas, preds):
         """Within-draw variance, between-draw variance and mean of the
-        predictions over r_syn datasets per draw, and the mean f_theta."""
-        preds = outputs(rng, np.repeat(thetas[:, None], mc.r_syn, axis=1), "grid", r)
-        a = preds.mean(axis=1)
-        fbar = np.broadcast_to(process.f_theta(thetas).mean(axis=0), point_shape)
-        return preds.var(axis=1, ddof=1).mean(axis=0), a.var(axis=0, ddof=1), \
-            a.mean(axis=0), fbar
+        predictions over r_syn datasets per draw, and the mean f_theta.
+
+        thetas has shape lead + (r_theta,) and preds lead + (r_theta, r_syn)
+        + point_shape; each statistic has shape lead + point_shape.
+        """
+        axis = thetas.ndim - 1
+        a = preds.mean(axis=axis + 1)
+        fbar = process.f_theta(thetas).mean(axis=axis)
+        fbar = np.broadcast_to(fbar.reshape(fbar.shape + (1,) * len(point_shape)),
+                               thetas.shape[:axis] + point_shape)
+        return preds.var(axis=axis + 1, ddof=1).mean(axis=axis), \
+            a.var(axis=axis, ddof=1), a.mean(axis=axis), fbar
 
     for r in range(mc.r_real):
         rng = child_rng(seed, "estimate", r)
         real = process.sample_real(rng)
         if mode == SHARED_SUMMARY:
-            per_summary = []
-            for _ in range(mc.summaries):
+            thetas = np.empty((mc.summaries, mc.r_theta))
+            preds = np.empty((mc.summaries, mc.r_theta, mc.r_syn) + point_shape)
+            for s in range(mc.summaries):
                 summary = process.sample_summary(rng, real)
-                thetas = process.sample_theta_from_summary(rng, summary, mc.r_theta)
-                per_summary.append(spread(rng, thetas, r))
-            mv, sdv_raw, c, fbar = (np.array(column) for column in zip(*per_summary))
+                thetas[s] = process.sample_theta_from_summary(rng, summary, mc.r_theta)
+                preds[s] = grid(rng, thetas[s], r)
+            mv, sdv_raw, c, fbar = spread(thetas, preds)
             records["dpv_raw"][r] = c.var(axis=0, ddof=1)
             stats = (mv.mean(axis=0), sdv_raw.mean(axis=0), c.mean(axis=0),
                      fbar.mean(axis=0))
         else:
-            stats = spread(rng, process.sample_theta(rng, real, mc.r_theta), r)
+            thetas = process.sample_theta(rng, real, mc.r_theta)
+            stats = spread(thetas, grid(rng, thetas, r))
         for key, value in zip(("mv", "sdv_raw", "b", "fbar"), stats):
             records[key][r] = value
         if mode == CORRELATED:
@@ -396,6 +411,32 @@ def _trained_outputs(process, predictor: PredictorSpec, test_points: np.ndarray,
     return outputs
 
 
+def check_oracle_request(process, generator_mode: str, predictor: PredictorSpec | str,
+                         m: int, rho: float = 0.0) -> bool:
+    """Raise ValueError unless oracle_decompose can run this request.
+
+    Returns whether the predictor is the process's built-in one.
+    """
+    if generator_mode not in (IID, SHARED_SUMMARY, CORRELATED):
+        raise ValueError(f"unknown generator mode {generator_mode!r}")
+    if generator_mode == SHARED_SUMMARY and not process.has_summary:
+        raise ValueError(f"process {process.id!r} has no summary sampler")
+    if generator_mode == CORRELATED and not process.supports_correlated:
+        raise ValueError(f"process {process.id!r} has no correlated sampler")
+    if generator_mode == CORRELATED and not 0.0 <= rho <= 1.0:
+        raise ValueError("rho must lie in [0, 1]")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    builtin = isinstance(predictor, str) and predictor in ("builtin",
+                                                           process.builtin_predictor)
+    if not builtin:
+        if generator_mode == SHARED_SUMMARY:
+            raise ValueError("shared_summary oracle runs use the built-in predictor")
+        if process.schema.n_classes > 2:
+            raise ValueError("scalar decompositions need a binary classification task")
+    return builtin
+
+
 def oracle_decompose(process, generator_mode: str = IID,
                      predictor: PredictorSpec | str = "builtin", m: int = 1,
                      test_points=None, mc: MonteCarloConfig = MonteCarloConfig(),
@@ -415,27 +456,13 @@ def oracle_decompose(process, generator_mode: str = IID,
     """
     if isinstance(process, str):
         process = get_process(process)
-    if generator_mode not in (IID, SHARED_SUMMARY, CORRELATED):
-        raise ValueError(f"unknown generator mode {generator_mode!r}")
-    if generator_mode == SHARED_SUMMARY and not process.has_summary:
-        raise ValueError(f"process {process.id!r} has no summary sampler")
-    if generator_mode == CORRELATED and not process.supports_correlated:
-        raise ValueError(f"process {process.id!r} has no correlated sampler")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-
-    builtin = isinstance(predictor, str) and predictor in ("builtin",
-                                                           process.builtin_predictor)
+    builtin = check_oracle_request(process, generator_mode, predictor, m, rho)
     if builtin:
         def outputs(rng, thetas, tag, r):
             return process.predictor_outputs(rng, thetas)
         point_shape = ()
         n_x = 1 if test_points is None else len(test_points)
     else:
-        if generator_mode == SHARED_SUMMARY:
-            raise ValueError("shared_summary oracle runs use the built-in predictor")
-        if process.schema.n_classes > 2:
-            raise ValueError("scalar decompositions need a binary classification task")
         if isinstance(predictor, str):
             predictor = PredictorSpec(predictor, process.schema.task)
         pts = np.atleast_2d(np.asarray(test_points if test_points is not None else [[0.0]],
@@ -522,27 +549,17 @@ class BregmanBoundReport:
         return self.error.value <= self.upper_bound + multiple * self.bound_slack_se
 
 
-def bregman_oracle_decompose(process, m: int = 1,
-                             mc: MonteCarloConfig = MonteCarloConfig(),
-                             seed: int = 0) -> BregmanBoundReport:
-    """Check the generalized-variance upper bound for dual-averaged ensembles.
+def _outcome_divergence(spec: brg.BregmanSpec, y_weights: np.ndarray, g) -> float:
+    """Expected divergence from the one-hot binary outcome, drawn with
+    probabilities y_weights, to the prediction g."""
+    return float(y_weights @ np.array([brg.divergence(spec, y, g) for y in np.eye(2)]))
 
-    Runs the i.i.d. chain of a binary truth process with probability-vector
-    predictions under the negative-entropy potential. The expected divergence
-    of the dual-averaged ensemble must not exceed MV + SDV + RDV + Bias +
-    Noise (with equality at m = 1).
-    """
-    if isinstance(process, str):
-        process = get_process(process)
-    spec = brg.BregmanSpec(brg.NEGENTROPY, 2)
-    p0 = process.f()
-    y0 = np.array([1.0, 0.0])
-    y1 = np.array([0.0, 1.0])
-    y_weights = np.array([1.0 - p0, p0])
-    y_mean = brg.dual_inverse(spec, brg.dual(spec, np.array([1.0 - p0, p0])))
-    noise = float(y_weights @ np.array([brg.divergence(spec, y0, y_mean),
-                                        brg.divergence(spec, y1, y_mean)]))
 
+def _collect_bregman(process, spec: brg.BregmanSpec, y_weights: np.ndarray, m: int,
+                     mc: MonteCarloConfig, seed: int):
+    """Per-replicate MV, SDV, mean dual prediction and ensemble error of the
+    i.i.d. chain with probability-vector predictions, indexed by outer
+    replicate along axis 0."""
     mv_r = np.empty(mc.r_real)
     sdv_r = np.empty(mc.r_real)
     c_r_dual = np.empty((mc.r_real, 2))
@@ -556,8 +573,7 @@ def bregman_oracle_decompose(process, m: int = 1,
             rng, np.repeat(thetas[:, None], mc.r_syn, axis=1))   # (t, s, 2)
         duals = brg.dual(spec, probs)
         centers_t = brg.dual_inverse(spec, duals.mean(axis=1))   # E_{D_s|theta}[g]
-        mv_r[r] = np.mean([brg.divergence(spec, centers_t[t], probs[t]).mean()
-                           for t in range(mc.r_theta)])
+        mv_r[r] = brg.divergence(spec, centers_t[:, None, :], probs).mean(axis=1).mean()
         center_r = brg.dual_inverse(spec, brg.dual(spec, centers_t).mean(axis=0))
         sdv_r[r] = float(np.mean(brg.divergence(spec, center_r, centers_t)))
         c_r_dual[r] = duals.reshape(-1, 2).mean(axis=0)
@@ -567,8 +583,32 @@ def bregman_oracle_decompose(process, m: int = 1,
         thetas_d = process.sample_theta(rng_d, real_d, m)
         member = process.predictor_prob_outputs(rng_d, thetas_d)
         g_hat = brg.dual_average(spec, member)
-        err_r[r] = float(y_weights @ np.array([brg.divergence(spec, y0, g_hat),
-                                               brg.divergence(spec, y1, g_hat)]))
+        err_r[r] = _outcome_divergence(spec, y_weights, g_hat)
+    return mv_r, sdv_r, c_r_dual, err_r
+
+
+def bregman_oracle_decompose(process, m: int = 1,
+                             mc: MonteCarloConfig = MonteCarloConfig(),
+                             seed: int = 0) -> BregmanBoundReport:
+    """Check the generalized-variance upper bound for dual-averaged ensembles.
+
+    Runs the i.i.d. chain of a binary truth process with probability-vector
+    predictions under the negative-entropy potential. The expected divergence
+    of the dual-averaged ensemble must not exceed MV + SDV + RDV + Bias +
+    Noise (with equality at m = 1).
+    """
+    if isinstance(process, str):
+        process = get_process(process)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if not hasattr(process, "predictor_prob_outputs"):
+        raise ValueError(f"process {process.id!r} has no binary probability predictor")
+    spec = brg.BregmanSpec(brg.NEGENTROPY, 2)
+    p0 = process.f()
+    y_weights = np.array([1.0 - p0, p0])
+    y_mean = brg.dual_inverse(spec, brg.dual(spec, y_weights))
+    noise = _outcome_divergence(spec, y_weights, y_mean)
+    mv_r, sdv_r, c_r_dual, err_r = _collect_bregman(process, spec, y_weights, m, mc, seed)
 
     def rdv_bias(idx):
         cd = c_r_dual if idx is None else c_r_dual[idx]

@@ -481,6 +481,8 @@ def train_forest_curve(data: FeatureMatrix, test: FeatureMatrix, t_max: int,
 
     if t_max < 2:
         raise ValueError("t_max must be >= 2")
+    if not np.isfinite(test.x).all():
+        raise ValueError("features must be finite")
     model = train(PredictorSpec("bagged_trees", data.task, n_trees=t_max), data, seed)
     member = np.asarray([_tree_predict_rows(t, test.x) for t in model.state])
     results = score_prefixes(member, test.y, range(1, t_max + 1), MEAN, metric, data.task)

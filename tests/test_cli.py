@@ -260,3 +260,29 @@ class TestCurveMValues:
         assert cli.main(["predict-curve", "--config", str(cfg),
                          "--output", str(out / "pred")]) == 1
         assert "[predict_curve] m_values: m values must be >= 1" in capsys.readouterr().err
+
+
+class TestDecomposeValidation:
+    @pytest.mark.parametrize("old, new, message", [
+        ("mode = iid\nm = 2", "mode = iid\nm = 0", "m must be >= 1"),
+        ("mode = iid\nm = 2", "mode = iid\nm = -3", "m must be >= 1"),
+        ("mode = iid", "mode = bogus", "unknown generator mode 'bogus'"),
+        ("process = gaussian_toy\nmode = iid",
+         "process = discrete_toy\nmode = shared_summary\npredictor = knn:3",
+         "built-in predictor"),
+        ("mode = iid", "mode = shared_summary", "no summary sampler"),
+        ("process = gaussian_toy\nmode = iid", "process = discrete_toy\nmode = correlated",
+         "no correlated sampler"),
+        ("mode = iid", "mode = correlated\nrho = 1.5", "rho must lie in [0, 1]"),
+        ("mode = iid", "mode = iid\npredictor = knn:x", "invalid literal"),
+    ])
+    def test_bad_request_is_a_config_error(self, tmp_path, old, new, message, capsys):
+        out = tmp_path / "out"
+        text = PROCESS_CONFIG.format(curve_csv=out / "curve.csv")
+        assert old in text
+        cfg = write_config(tmp_path, text.replace(old, new))
+        assert cli.main(["decompose", "--config", str(cfg), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: [decompose]" in err
+        assert message in err
+        assert not (out / "report.json").exists()

@@ -1,11 +1,17 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from genensemble import bregman as brg
+from genensemble import decomposition
 from genensemble.data import Dataset
-from genensemble.decomposition import (MonteCarloConfig, achieved_benefit,
-                                       bregman_oracle_decompose,
+from genensemble.decomposition import (CORRELATED, SHARED_SUMMARY, MonteCarloConfig,
+                                       achieved_benefit, bregman_oracle_decompose,
                                        estimate_mv_sdv_nested, fit_rule_regression,
                                        fit_rule_two_point, mse_curve, oracle_decompose,
                                        predict_mse)
@@ -13,7 +19,7 @@ from genensemble.generators import GeneratorSpec, generate_ensemble
 from genensemble.metrics import MetricSpec
 from genensemble.predictors import PredictorSpec
 from genensemble.processes import get_process
-from genensemble.rng import child_seed, make_rng
+from genensemble.rng import child_rng, child_seed, make_rng
 
 
 class TestRuleOfThumb:
@@ -260,6 +266,173 @@ class TestOracleDecompose:
         assert parsed["coverage"]["identity_se_multiple"] == 4.0
 
 
+def _collect_reference(process, outputs, point_shape, mode, m, rho, mc, seed):
+    """The collector with one set of reductions per summary: each summary's
+    statistics are reduced on their own and then stacked."""
+    names = ["mv", "sdv_raw", "b", "fbar", "mse"]
+    if mode == SHARED_SUMMARY:
+        names.append("dpv_raw")
+    if mode == CORRELATED:
+        names.append("cov_raw")
+    records = {key: np.empty((mc.r_real,) + point_shape) for key in names}
+
+    def spread(rng, thetas, r):
+        preds = outputs(rng, np.repeat(thetas[:, None], mc.r_syn, axis=1), "grid", r)
+        a = preds.mean(axis=1)
+        fbar = np.broadcast_to(process.f_theta(thetas).mean(axis=0), point_shape)
+        return preds.var(axis=1, ddof=1).mean(axis=0), a.var(axis=0, ddof=1), \
+            a.mean(axis=0), fbar
+
+    for r in range(mc.r_real):
+        rng = child_rng(seed, "estimate", r)
+        real = process.sample_real(rng)
+        if mode == SHARED_SUMMARY:
+            per_summary = []
+            for _ in range(mc.summaries):
+                summary = process.sample_summary(rng, real)
+                thetas = process.sample_theta_from_summary(rng, summary, mc.r_theta)
+                per_summary.append(spread(rng, thetas, r))
+            mv, sdv_raw, c, fbar = (np.array(column) for column in zip(*per_summary))
+            records["dpv_raw"][r] = c.var(axis=0, ddof=1)
+            stats = (mv.mean(axis=0), sdv_raw.mean(axis=0), c.mean(axis=0),
+                     fbar.mean(axis=0))
+        else:
+            stats = spread(rng, process.sample_theta(rng, real, mc.r_theta), r)
+        for key, value in zip(("mv", "sdv_raw", "b", "fbar"), stats):
+            records[key][r] = value
+        if mode == CORRELATED:
+            pairs = process.sample_theta_correlated(rng, real, mc.r_theta, 2, rho)
+            g = outputs(rng, pairs, "covgrid", r).reshape(mc.r_theta, 2, -1)
+            cov = [np.cov(g[:, 0, k], g[:, 1, k], ddof=1)[0, 1] for k in range(g.shape[2])]
+            records["cov_raw"][r] = np.reshape(cov, point_shape)
+
+        rng_d = child_rng(seed, "direct", r)
+        real_d = process.sample_real(rng_d)
+        if mode == SHARED_SUMMARY:
+            summary_d = process.sample_summary(rng_d, real_d)
+            thetas_d = process.sample_theta_from_summary(rng_d, summary_d, m)
+        elif mode == CORRELATED:
+            thetas_d = process.sample_theta_correlated(rng_d, real_d, 1, m, rho)[0]
+        else:
+            thetas_d = process.sample_theta(rng_d, real_d, m)
+        g_hat = outputs(rng_d, thetas_d, "directgrid", r).mean(axis=0)
+        y = process.sample_y(rng_d, (mc.r_y,) + point_shape)
+        records["mse"][r] = ((y - g_hat) ** 2).mean(axis=0)
+    return records
+
+
+def _collect_bregman_reference(process, spec, y_weights, m, mc, seed):
+    """The Bregman collector with one MV divergence call per parameter draw."""
+    y0, y1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    mv_r = np.empty(mc.r_real)
+    sdv_r = np.empty(mc.r_real)
+    c_r_dual = np.empty((mc.r_real, 2))
+    err_r = np.empty(mc.r_real)
+    for r in range(mc.r_real):
+        rng = child_rng(seed, "estimate", r)
+        real = process.sample_real(rng)
+        thetas = process.sample_theta(rng, real, mc.r_theta)
+        probs = process.predictor_prob_outputs(
+            rng, np.repeat(thetas[:, None], mc.r_syn, axis=1))
+        duals = brg.dual(spec, probs)
+        centers_t = brg.dual_inverse(spec, duals.mean(axis=1))
+        mv_r[r] = np.mean([brg.divergence(spec, centers_t[t], probs[t]).mean()
+                           for t in range(mc.r_theta)])
+        center_r = brg.dual_inverse(spec, brg.dual(spec, centers_t).mean(axis=0))
+        sdv_r[r] = float(np.mean(brg.divergence(spec, center_r, centers_t)))
+        c_r_dual[r] = duals.reshape(-1, 2).mean(axis=0)
+
+        rng_d = child_rng(seed, "direct", r)
+        real_d = process.sample_real(rng_d)
+        thetas_d = process.sample_theta(rng_d, real_d, m)
+        member = process.predictor_prob_outputs(rng_d, thetas_d)
+        g_hat = brg.dual_average(spec, member)
+        err_r[r] = float(y_weights @ np.array([brg.divergence(spec, y0, g_hat),
+                                               brg.divergence(spec, y1, g_hat)]))
+    return mv_r, sdv_r, c_r_dual, err_r
+
+
+# counts below numpy's 8-element unrolled sum, within its 128-element block,
+# and past it (r_theta 130), so every summation path is compared
+_SMALL_MC = MonteCarloConfig(6, 4, 3, 20, r_summary=3)
+_BLOCK_MC = MonteCarloConfig(12, 9, 10, 50, r_summary=11)
+_WIDE_MC = MonteCarloConfig(10, 130, 9, 20, r_summary=9)
+
+
+class TestOracleMatchesPerSummaryReduction:
+    def _both(self, monkeypatch, **kwargs):
+        new = oracle_decompose(**kwargs).to_json()
+        monkeypatch.setattr(decomposition, "_collect", _collect_reference)
+        return new, oracle_decompose(**kwargs).to_json()
+
+    @pytest.mark.parametrize("mc, seed", [(_SMALL_MC, 0), (_BLOCK_MC, 7), (_WIDE_MC, 123)])
+    @pytest.mark.parametrize("m", [1, 2, 8])
+    @pytest.mark.parametrize("process, mode, rho", [
+        ("discrete_toy", "iid", 0.0),
+        ("discrete_toy", "shared_summary", 0.0),
+        ("gaussian_toy", "iid", 0.0),
+        ("gaussian_toy", "correlated", 0.0),
+        ("gaussian_toy", "correlated", 0.5),
+        ("gaussian_toy", "correlated", 1.0),
+    ])
+    def test_builtin_report_bytes(self, monkeypatch, process, mode, rho, seed, m, mc):
+        new, old = self._both(monkeypatch, process=process, generator_mode=mode, m=m,
+                              mc=mc, seed=seed, rho=rho)
+        assert new == old
+
+    @pytest.mark.parametrize("m", [1, 2, 8])
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("mode, rho", [("iid", 0.0), ("correlated", 0.0),
+                                           ("correlated", 0.5), ("correlated", 1.0)])
+    def test_trained_predictor_report_bytes(self, monkeypatch, mode, rho, seed, m):
+        # three test points: point_shape (3,) reduces along a non-trailing axis
+        new, old = self._both(monkeypatch, process="gaussian_toy", generator_mode=mode,
+                              predictor=PredictorSpec("knn", "regression", k=3), m=m,
+                              test_points=[[-1.0], [0.0], [1.5]],
+                              mc=MonteCarloConfig(3, 3, 3, 20), seed=seed, rho=rho)
+        assert new == old
+
+    @pytest.mark.parametrize("mc, seed", [(_SMALL_MC, 0), (_BLOCK_MC, 7), (_WIDE_MC, 123)])
+    @pytest.mark.parametrize("m", [1, 2, 8])
+    def test_bregman_report_bytes(self, monkeypatch, seed, m, mc):
+        def report():
+            rep = bregman_oracle_decompose("discrete_toy", m=m, mc=mc, seed=seed)
+            return json.dumps(dataclasses.asdict(rep), sort_keys=True)
+
+        new = report()
+        monkeypatch.setattr(decomposition, "_collect_bregman", _collect_bregman_reference)
+        assert new == report()
+
+
+_PROPERTY_MC = MonteCarloConfig(40, 8, 5, 200, r_summary=6)
+
+
+class TestIdentityGapProperty:
+    """The identity gap is zero in expectation, so over random process
+    parameters it stays within the flag multiple of its standard error."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(p0=st.floats(0.05, 0.95), n_real=st.integers(10, 300),
+           n_synth=st.integers(10, 300), epsilon=st.floats(0.2, 10.0),
+           mode=st.sampled_from(["iid", "shared_summary"]), m=st.integers(1, 8),
+           seed=st.integers(0, 2**31 - 1))
+    def test_discrete_toy(self, p0, n_real, n_synth, epsilon, mode, m, seed):
+        proc = get_process("discrete_toy", p0=p0, n_real=n_real, n_synth=n_synth,
+                           epsilon=epsilon)
+        rep = oracle_decompose(proc, mode, m=m, mc=_PROPERTY_MC, seed=seed)
+        assert rep.status == "ok", (rep.identity_gap, rep.identity_gap_se)
+
+    @settings(max_examples=12, deadline=None)
+    @given(mu0=st.floats(-10.0, 10.0), noise_sd=st.floats(0.1, 5.0),
+           tau=st.floats(0.0, 2.0), mode=st.sampled_from(["iid", "correlated"]),
+           rho=st.floats(0.0, 1.0), m=st.integers(1, 8),
+           seed=st.integers(0, 2**31 - 1))
+    def test_gaussian_toy(self, mu0, noise_sd, tau, mode, rho, m, seed):
+        proc = get_process("gaussian_toy", mu0=mu0, noise_sd=noise_sd, tau=tau)
+        rep = oracle_decompose(proc, mode, m=m, mc=_PROPERTY_MC, seed=seed, rho=rho)
+        assert rep.status == "ok", (rep.identity_gap, rep.identity_gap_se)
+
+
 class TestBregmanBound:
     def test_equality_at_single_member(self):
         rep = bregman_oracle_decompose("discrete_toy", m=1,
@@ -272,6 +445,15 @@ class TestBregmanBound:
                                        mc=MonteCarloConfig(250, 25, 8, 10), seed=43)
         assert rep.bound_slack > 0
         assert rep.holds()
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_m_below_one_rejected(self, m):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            bregman_oracle_decompose("discrete_toy", m=m, mc=MonteCarloConfig(4, 2, 2, 2))
+
+    def test_process_without_probability_predictor_rejected(self):
+        with pytest.raises(ValueError, match="gaussian_toy.*probability predictor"):
+            bregman_oracle_decompose("gaussian_toy", mc=MonteCarloConfig(4, 2, 2, 2))
 
 
 class TestMseCurve:

@@ -381,6 +381,13 @@ class TestForestCurve:
             expected = score_predictions(running / t, test.y, MetricSpec(metric), task)
             assert curve[t] == expected.score
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_test_features_rejected(self, bad):
+        fm = reg_matrix([[0.0], [1.0], [2.0], [3.0]], [0.0, 1.0, 2.0, 3.0])
+        test = reg_matrix([[bad], [1.0]], [0.0, 1.0])
+        with pytest.raises(ValueError, match="features must be finite"):
+            train_forest_curve(fm, test, t_max=3, metric=MetricSpec("mse"), seed=0)
+
     def test_degenerate_bootstrap_flat_curve(self):
         fm = reg_matrix([[1.0]], [5.0])
         test = reg_matrix([[0.0], [2.0]], [5.0, 6.0])
