@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -308,17 +309,73 @@ def _assemble(records: dict, mode: str, mc: MonteCarloConfig, f_value, idx=None)
     return out
 
 
-def _collect(process, outputs, point_shape: tuple, mode, m, rho, mc: MonteCarloConfig,
-             seed: int) -> dict:
-    """Per-replicate statistics of the chain real data -> theta -> synthetic
-    data -> prediction, indexed by outer replicate along axis 0.
+class _Draws(NamedTuple):
+    """The draws of one outer replicate of the chain."""
+    thetas: np.ndarray       # (r_theta,), or (summaries, r_theta) in shared-summary mode
+    grid: np.ndarray         # thetas.shape + (r_syn,) + point shape
+    pairs: np.ndarray | None  # (r_theta, 2) + point shape in correlated mode
+    members: np.ndarray      # (m,) + point shape: the direct ensemble's members
+    rng_direct: np.random.Generator   # the direct chain's generator, for its outcomes
+
+
+def _chain(process, outputs, mode, m, rho, mc: MonteCarloConfig, seed: int):
+    """Draws of the chain real data -> theta -> synthetic data -> prediction,
+    one _Draws per outer replicate.
 
     outputs(rng, thetas, tag, r) returns one prediction per parameter draw in
     the array thetas, each made from its own synthetic dataset, with shape
-    thetas.shape + point_shape.
+    thetas.shape + point shape. The estimate chain predicts from r_syn
+    synthetic datasets per parameter draw; the direct chain, from fresh draws
+    of everything, predicts once for each of the m ensemble members.
+    """
+    def grid(rng, thetas, r):
+        return outputs(rng, np.repeat(thetas[:, None], mc.r_syn, axis=1), "grid", r)
 
-    Only the random draws run once per summary; the statistics of each outer
-    replicate are reduced once, over its whole block of draws.
+    for r in range(mc.r_real):
+        rng = child_rng(seed, "estimate", r)
+        real = process.sample_real(rng)
+        if mode == SHARED_SUMMARY:
+            thetas, preds = np.empty((mc.summaries, mc.r_theta)), []
+            for s in range(mc.summaries):
+                summary = process.sample_summary(rng, real)
+                thetas[s] = process.sample_theta_from_summary(rng, summary, mc.r_theta)
+                preds.append(grid(rng, thetas[s], r))
+            preds = np.stack(preds)
+        else:
+            thetas = process.sample_theta(rng, real, mc.r_theta)
+            preds = grid(rng, thetas, r)
+        pairs = None
+        if mode == CORRELATED:
+            pairs = outputs(rng, process.sample_theta_correlated(rng, real, mc.r_theta, 2, rho),
+                            "covgrid", r)
+
+        rng_d = child_rng(seed, "direct", r)
+        real_d = process.sample_real(rng_d)
+        if mode == SHARED_SUMMARY:
+            summary_d = process.sample_summary(rng_d, real_d)
+            thetas_d = process.sample_theta_from_summary(rng_d, summary_d, m)
+        elif mode == CORRELATED:
+            thetas_d = process.sample_theta_correlated(rng_d, real_d, 1, m, rho)[0]
+        else:
+            thetas_d = process.sample_theta(rng_d, real_d, m)
+        yield _Draws(thetas, preds, pairs, outputs(rng_d, thetas_d, "directgrid", r), rng_d)
+
+
+def _bootstrap_se(seed: int, r_real: int, statistic) -> dict[str, float]:
+    """Bootstrap standard error of each named scalar of statistic(idx), over
+    BOOTSTRAP_RESAMPLES resamples idx of the r_real outer replicates."""
+    rng = child_rng(seed, "bootstrap")
+    draws = [statistic(rng.integers(0, r_real, size=r_real))
+             for _ in range(BOOTSTRAP_RESAMPLES)]
+    return {name: float(np.std([d[name] for d in draws], ddof=1)) for name in draws[0]}
+
+
+def _collect(process, outputs, point_shape: tuple, mode, m, rho, mc: MonteCarloConfig,
+             seed: int) -> dict:
+    """Per-replicate statistics of the chain, indexed by outer replicate along
+    axis 0; outputs is as for _chain, with point shape point_shape.
+
+    Each outer replicate is reduced once, over its whole block of draws.
     """
     names = ["mv", "sdv_raw", "b", "fbar", "mse"]
     if mode == SHARED_SUMMARY:
@@ -326,10 +383,6 @@ def _collect(process, outputs, point_shape: tuple, mode, m, rho, mc: MonteCarloC
     if mode == CORRELATED:
         names.append("cov_raw")
     records = {key: np.empty((mc.r_real,) + point_shape) for key in names}
-
-    def grid(rng, thetas, r):
-        """Predictions from r_syn synthetic datasets per parameter draw."""
-        return outputs(rng, np.repeat(thetas[:, None], mc.r_syn, axis=1), "grid", r)
 
     def spread(thetas, preds):
         """Within-draw variance, between-draw variance and mean of the
@@ -346,43 +399,22 @@ def _collect(process, outputs, point_shape: tuple, mode, m, rho, mc: MonteCarloC
         return preds.var(axis=axis + 1, ddof=1).mean(axis=axis), \
             a.var(axis=axis, ddof=1), a.mean(axis=axis), fbar
 
-    for r in range(mc.r_real):
-        rng = child_rng(seed, "estimate", r)
-        real = process.sample_real(rng)
+    for r, draws in enumerate(_chain(process, outputs, mode, m, rho, mc, seed)):
         if mode == SHARED_SUMMARY:
-            thetas = np.empty((mc.summaries, mc.r_theta))
-            preds = np.empty((mc.summaries, mc.r_theta, mc.r_syn) + point_shape)
-            for s in range(mc.summaries):
-                summary = process.sample_summary(rng, real)
-                thetas[s] = process.sample_theta_from_summary(rng, summary, mc.r_theta)
-                preds[s] = grid(rng, thetas[s], r)
-            mv, sdv_raw, c, fbar = spread(thetas, preds)
+            mv, sdv_raw, c, fbar = spread(draws.thetas, draws.grid)
             records["dpv_raw"][r] = c.var(axis=0, ddof=1)
             stats = (mv.mean(axis=0), sdv_raw.mean(axis=0), c.mean(axis=0),
                      fbar.mean(axis=0))
         else:
-            thetas = process.sample_theta(rng, real, mc.r_theta)
-            stats = spread(thetas, grid(rng, thetas, r))
+            stats = spread(draws.thetas, draws.grid)
         for key, value in zip(("mv", "sdv_raw", "b", "fbar"), stats):
             records[key][r] = value
         if mode == CORRELATED:
-            pairs = process.sample_theta_correlated(rng, real, mc.r_theta, 2, rho)
-            g = outputs(rng, pairs, "covgrid", r).reshape(mc.r_theta, 2, -1)
+            g = draws.pairs.reshape(mc.r_theta, 2, -1)
             cov = [np.cov(g[:, 0, k], g[:, 1, k], ddof=1)[0, 1] for k in range(g.shape[2])]
             records["cov_raw"][r] = np.reshape(cov, point_shape)
-
-        # Direct error estimate from fresh draws of everything.
-        rng_d = child_rng(seed, "direct", r)
-        real_d = process.sample_real(rng_d)
-        if mode == SHARED_SUMMARY:
-            summary_d = process.sample_summary(rng_d, real_d)
-            thetas_d = process.sample_theta_from_summary(rng_d, summary_d, m)
-        elif mode == CORRELATED:
-            thetas_d = process.sample_theta_correlated(rng_d, real_d, 1, m, rho)[0]
-        else:
-            thetas_d = process.sample_theta(rng_d, real_d, m)
-        g_hat = outputs(rng_d, thetas_d, "directgrid", r).mean(axis=0)
-        y = process.sample_y(rng_d, (mc.r_y,) + point_shape)
+        g_hat = draws.members.mean(axis=0)
+        y = process.sample_y(draws.rng_direct, (mc.r_y,) + point_shape)
         records["mse"][r] = ((y - g_hat) ** 2).mean(axis=0)
     return records
 
@@ -477,21 +509,15 @@ def oracle_decompose(process, generator_mode: str = IID,
     stats = _assemble(records, generator_mode, mc, f_value)
     gap = _identity_gap(stats, m, noise, generator_mode)
 
-    # Bootstrap over the outermost replication level.
-    boot_rng = child_rng(seed, "bootstrap")
-    names = list(stats) + ["gap"]
-    boot = {name: np.empty(BOOTSTRAP_RESAMPLES) for name in names}
-    for bi in range(BOOTSTRAP_RESAMPLES):
-        idx = boot_rng.integers(0, mc.r_real, size=mc.r_real)
+    def statistic(idx):
         bs = _assemble(records, generator_mode, mc, f_value, idx=idx)
-        bg = _identity_gap(bs, m, noise, generator_mode)
-        for name in stats:
-            boot[name][bi] = np.mean(bs[name])
-        boot["gap"][bi] = np.mean(bg)
+        return {**{name: np.mean(bs[name]) for name in stats},
+                "gap": np.mean(_identity_gap(bs, m, noise, generator_mode))}
+
+    se = _bootstrap_se(seed, mc.r_real, statistic)
 
     def estimate(name, value):
-        return TermEstimate(value=float(np.mean(value)),
-                            std_error=float(boot[name].std(ddof=1)))
+        return TermEstimate(value=float(np.mean(value)), std_error=se[name])
 
     term_names = ["mse", "mv", "sdv", "rdv", "sdb", "mb"]
     if generator_mode == SHARED_SUMMARY:
@@ -502,7 +528,7 @@ def oracle_decompose(process, generator_mode: str = IID,
     terms["noise"] = TermEstimate(value=float(noise), std_error=0.0)
 
     gap_mean = float(np.mean(gap))
-    gap_se = float(boot["gap"].std(ddof=1))
+    gap_se = se["gap"]
     status = "ok" if abs(gap_mean) <= IDENTITY_SE_MULTIPLE * gap_se else "identity_flagged"
 
     per_point = {}
@@ -560,30 +586,22 @@ def _collect_bregman(process, spec: brg.BregmanSpec, y_weights: np.ndarray, m: i
     """Per-replicate MV, SDV, mean dual prediction and ensemble error of the
     i.i.d. chain with probability-vector predictions, indexed by outer
     replicate along axis 0."""
+    def outputs(rng, thetas, tag, r):
+        return process.predictor_prob_outputs(rng, thetas)
+
     mv_r = np.empty(mc.r_real)
     sdv_r = np.empty(mc.r_real)
     c_r_dual = np.empty((mc.r_real, 2))
     err_r = np.empty(mc.r_real)
-
-    for r in range(mc.r_real):
-        rng = child_rng(seed, "estimate", r)
-        real = process.sample_real(rng)
-        thetas = process.sample_theta(rng, real, mc.r_theta)
-        probs = process.predictor_prob_outputs(
-            rng, np.repeat(thetas[:, None], mc.r_syn, axis=1))   # (t, s, 2)
+    for r, draws in enumerate(_chain(process, outputs, IID, m, 0.0, mc, seed)):
+        probs = draws.grid                                       # (t, s, 2)
         duals = brg.dual(spec, probs)
         centers_t = brg.dual_inverse(spec, duals.mean(axis=1))   # E_{D_s|theta}[g]
         mv_r[r] = brg.divergence(spec, centers_t[:, None, :], probs).mean(axis=1).mean()
         center_r = brg.dual_inverse(spec, brg.dual(spec, centers_t).mean(axis=0))
         sdv_r[r] = float(np.mean(brg.divergence(spec, center_r, centers_t)))
         c_r_dual[r] = duals.reshape(-1, 2).mean(axis=0)
-
-        rng_d = child_rng(seed, "direct", r)
-        real_d = process.sample_real(rng_d)
-        thetas_d = process.sample_theta(rng_d, real_d, m)
-        member = process.predictor_prob_outputs(rng_d, thetas_d)
-        g_hat = brg.dual_average(spec, member)
-        err_r[r] = _outcome_divergence(spec, y_weights, g_hat)
+        err_r[r] = _outcome_divergence(spec, y_weights, brg.dual_average(spec, draws.members))
     return mv_r, sdv_r, c_r_dual, err_r
 
 
@@ -610,40 +628,26 @@ def bregman_oracle_decompose(process, m: int = 1,
     noise = _outcome_divergence(spec, y_weights, y_mean)
     mv_r, sdv_r, c_r_dual, err_r = _collect_bregman(process, spec, y_weights, m, mc, seed)
 
-    def rdv_bias(idx):
-        cd = c_r_dual if idx is None else c_r_dual[idx]
-        centers = brg.dual_inverse(spec, cd)
+    def statistic(idx):
+        cd = c_r_dual[idx]
         overall = brg.dual_inverse(spec, cd.mean(axis=0))
-        rdv = float(np.mean(brg.divergence(spec, overall, centers)))
-        bias = float(brg.divergence(spec, y_mean, overall))
-        return rdv, bias
+        out = {"error": err_r[idx].mean(), "mv": mv_r[idx].mean(), "sdv": sdv_r[idx].mean(),
+               "rdv": float(np.mean(brg.divergence(spec, overall, brg.dual_inverse(spec, cd)))),
+               "bias": float(brg.divergence(spec, y_mean, overall))}
+        out["slack"] = out["mv"] + out["sdv"] + out["rdv"] + out["bias"] + noise - out["error"]
+        return out
 
-    rdv, bias = rdv_bias(None)
-    boot_rng = child_rng(seed, "bootstrap")
-    boot = {name: np.empty(BOOTSTRAP_RESAMPLES)
-            for name in ("error", "mv", "sdv", "rdv", "bias", "slack")}
-    for bi in range(BOOTSTRAP_RESAMPLES):
-        idx = boot_rng.integers(0, mc.r_real, size=mc.r_real)
-        rb, bb = rdv_bias(idx)
-        boot["error"][bi] = err_r[idx].mean()
-        boot["mv"][bi] = mv_r[idx].mean()
-        boot["sdv"][bi] = sdv_r[idx].mean()
-        boot["rdv"][bi] = rb
-        boot["bias"][bi] = bb
-        boot["slack"][bi] = (mv_r[idx].mean() + sdv_r[idx].mean() + rb + bb + noise
-                             - err_r[idx].mean())
+    point = statistic(np.arange(mc.r_real))
+    se = _bootstrap_se(seed, mc.r_real, statistic)
 
-    def est(name, value):
-        return TermEstimate(value=float(value), std_error=float(boot[name].std(ddof=1)))
+    def est(name):
+        return TermEstimate(value=float(point[name]), std_error=se[name])
 
-    slack = float(mv_r.mean() + sdv_r.mean() + rdv + bias + noise - err_r.mean())
     config = {"process": process.id, "m": m, "seed": seed,
               "mc": {"r_real": mc.r_real, "r_theta": mc.r_theta, "r_syn": mc.r_syn}}
-    return BregmanBoundReport(error=est("error", err_r.mean()),
-                              mv=est("mv", mv_r.mean()), sdv=est("sdv", sdv_r.mean()),
-                              rdv=est("rdv", rdv), bias=est("bias", bias), noise=noise,
-                              bound_slack=slack,
-                              bound_slack_se=float(boot["slack"].std(ddof=1)),
+    return BregmanBoundReport(error=est("error"), mv=est("mv"), sdv=est("sdv"),
+                              rdv=est("rdv"), bias=est("bias"), noise=noise,
+                              bound_slack=float(point["slack"]), bound_slack_se=se["slack"],
                               config=config)
 
 
