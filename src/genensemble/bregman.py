@@ -1,4 +1,5 @@
-"""Bregman divergences, dual averaging, central predictions, generalized variance.
+"""Probabilities, Bregman divergences, dual averaging, central predictions,
+generalized variance.
 
 Two convex potentials are built in: the squared potential sum(t^2) on R^d,
 whose divergence is the squared error, and the negative-entropy potential
@@ -6,7 +7,11 @@ sum(t ln t) on the probability simplex, whose divergence is the KL
 divergence underlying cross entropy. The central prediction of a sample is
 computed through the dual-mean identity (inverse dual of the mean of duals),
 which is exact for both potentials; the argmin characterization is only used
-as a cross-check in tests.
+as a cross-check in tests. Dual averaging under negentropy is the
+log-probability averaging of classifier ensembles.
+
+Interpolating trees emit hard 0/1 probabilities, so probabilities are floored
+at PROB_FLOOR before any logarithm and renormalized.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import PROB_FLOOR, clamp_probs
+PROB_FLOOR = 1e-12
 
 SQUARED = "squared"
 NEGENTROPY = "negentropy"
@@ -40,6 +45,18 @@ class BregmanSpec:
 class CentralStats:
     central: np.ndarray
     gvar: float
+
+
+def clamp_probs(p: np.ndarray, floor: float = PROB_FLOOR) -> np.ndarray:
+    """Floor probabilities and renormalize along the last axis."""
+    p = np.clip(np.asarray(p, dtype=np.float64), floor, None)
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+def softmax(u: np.ndarray) -> np.ndarray:
+    """Normalized exponential along the last axis, shifted by the maximum."""
+    e = np.exp(u - u.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _check_domain(spec: BregmanSpec, v) -> np.ndarray:
@@ -71,11 +88,12 @@ def divergence(spec: BregmanSpec, y, g) -> float | np.ndarray:
 
 
 def dual(spec: BregmanSpec, g) -> np.ndarray:
-    """Gradient map grad F."""
+    """Gradient map grad F; under negentropy log g, which is grad F = 1 + log g
+    up to the simplex normal, a shift that dual_inverse cancels."""
     g = _check_domain(spec, g)
     if spec.kind == SQUARED:
         return 2.0 * g
-    return 1.0 + np.log(g)
+    return np.log(g)
 
 
 def dual_inverse(spec: BregmanSpec, u) -> np.ndarray:
@@ -84,8 +102,7 @@ def dual_inverse(spec: BregmanSpec, u) -> np.ndarray:
         raise DomainError(f"expected dimension {spec.dimension}, got shape {u.shape}")
     if spec.kind == SQUARED:
         return u / 2.0
-    e = np.exp(u - u.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    return softmax(u)
 
 
 def dual_average(spec: BregmanSpec, predictions) -> np.ndarray:

@@ -1,10 +1,9 @@
 """Generative-ensemble prediction and the error metrics used to score it.
 
 Predictions from the m ensemble members are combined either by plain
-averaging or by averaging log-probabilities and mapping back through softmax
-(the convex-dual combination appropriate for cross entropy). Interpolating
-trees emit hard 0/1 probabilities, so probabilities are floored at
-PROB_FLOOR before any logarithm and renormalized.
+averaging or by averaging log-probabilities and mapping back through softmax,
+which is bregman.dual_average under negentropy (the convex-dual combination
+appropriate for cross entropy).
 """
 from __future__ import annotations
 
@@ -14,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import rankdata
 
+from .bregman import NEGENTROPY, PROB_FLOOR, BregmanSpec, clamp_probs, dual_average
 from .data import FeatureMatrix
 from .predictors import TrainedModel, predict_batch
-
-PROB_FLOOR = 1e-12
 
 MEAN = "mean"
 DUAL_LOG_PROB = "dual_log_prob"
@@ -67,22 +65,13 @@ class EnsemblePredictor:
         return self.members[0].task
 
 
-def clamp_probs(p: np.ndarray, floor: float = PROB_FLOOR) -> np.ndarray:
-    """Floor probabilities and renormalize along the last axis."""
-    p = np.clip(np.asarray(p, dtype=np.float64), floor, None)
-    return p / p.sum(axis=-1, keepdims=True)
-
-
 def combine_predictions(member_preds: np.ndarray, averaging: str) -> np.ndarray:
     """Combine member predictions stacked along axis 0."""
     member_preds = np.asarray(member_preds, dtype=np.float64)
     if averaging == MEAN:
         return member_preds.mean(axis=0)
     if averaging == DUAL_LOG_PROB:
-        logs = np.log(clamp_probs(member_preds))
-        mean_log = logs.mean(axis=0)
-        e = np.exp(mean_log - mean_log.max(axis=-1, keepdims=True))
-        return e / e.sum(axis=-1, keepdims=True)
+        return dual_average(BregmanSpec(NEGENTROPY, member_preds.shape[-1]), member_preds)
     raise ValueError(f"unknown averaging {averaging!r}")
 
 

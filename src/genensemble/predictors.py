@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bregman import softmax
 from .data import FeatureMatrix
 from .rng import child_rng
 
@@ -335,12 +336,6 @@ def _fit_ridge(x, y, lam):
 
 # --- logistic -----------------------------------------------------------------
 
-def _softmax(logits):
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _fit_logistic(x, y, n_classes, lam, max_iter, tol):
     """Full-batch gradient descent with Armijo backtracking on the L2-penalized
     multinomial cross entropy (weights penalized, intercepts free)."""
@@ -358,7 +353,7 @@ def _fit_logistic(x, y, n_classes, lam, max_iter, tol):
 
     current = loss(w, b)
     for _ in range(max_iter):
-        p = _softmax(x @ w + b)
+        p = softmax(x @ w + b)
         gw = x.T @ (p - onehot) + lam * w
         gb = (p - onehot).sum(axis=0)
         gnorm2 = (gw ** 2).sum() + (gb ** 2).sum()
@@ -456,7 +451,7 @@ def predict_batch(model: TrainedModel, x: np.ndarray) -> np.ndarray:
 
     if model.kind == "logistic":
         w, b = model.state
-        return _softmax(x @ w + b)
+        return softmax(x @ w + b)
 
     if model.kind == "bagged_trees":
         return np.mean([_tree_predict_rows(t, x) for t in model.state], axis=0)
