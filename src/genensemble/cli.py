@@ -25,7 +25,8 @@ from .decomposition import (MonteCarloConfig, check_oracle_request, curve_repeat
                             estimate_mv_sdv_nested, fit_rule_regression,
                             fit_rule_two_point, oracle_decompose, predict_mse)
 from .generators import GeneratorSpec, generate_ensemble
-from .metrics import MetricSpec, long_rows, read_long_csv, write_long_csv
+from .metrics import (MetricSpec, check_averaging, long_rows, read_long_csv,
+                      write_long_csv)
 from .predictors import PredictorSpec, parse_predictor, train_forest_curve
 from .processes import get_process
 from .rng import child_seed, make_rng
@@ -174,9 +175,12 @@ def _metric_specs(cfg, section: str, task: str) -> list[MetricSpec]:
     default = "mse" if task == "regression" else "brier_binary"
     raw = _get(cfg, section, "metrics", default=default)
     try:
-        return [MetricSpec(tok.strip()) for tok in raw.split(",") if tok.strip()]
+        specs = [MetricSpec(tok.strip()) for tok in raw.split(",") if tok.strip()]
+        for spec in specs:
+            spec.check_task(task)
     except ValueError as exc:
         raise ConfigError(f"[{section}] metrics: {exc}") from None
+    return specs
 
 
 class _OutputTracker:
@@ -250,13 +254,16 @@ def _cmd_curve(cfg, seed, tracker, jobs=1):
         raise ConfigError("[curve] repeats must be >= 1")
     averagings = [tok.strip() for tok in
                   _get(cfg, "curve", "averaging", default="mean").split(",")]
+    try:
+        for averaging in averagings:
+            check_averaging(averaging, task)
+    except ValueError as exc:
+        raise ConfigError(f"[curve] averaging: {exc}") from None
 
     cells = []
     for predictor in predictors:
         for metric in metrics:
             for averaging in averagings:
-                if averaging == "dual_log_prob" and task == "regression":
-                    raise ConfigError("dual_log_prob averaging needs classification")
                 labels = {"dataset": label, "generator": spec.kind, "mode": mode,
                           "predictor": predictor.label, "averaging": averaging,
                           "metric": metric.kind}

@@ -31,7 +31,7 @@ import numpy as np
 from . import bregman as brg
 from .data import Dataset, encode
 from .generators import GeneratorSpec, fit, generate_ensemble, sample
-from .metrics import MEAN, MetricSpec, long_rows, score_prefixes
+from .metrics import MEAN, MetricSpec, check_averaging, long_rows, score_prefixes
 from .predictors import PredictorSpec, predict_batch, train
 from .processes import get_process
 from .rng import child_rng, child_seed
@@ -671,8 +671,7 @@ def curve_repeat(generator: GeneratorSpec, data: Dataset, predictor: PredictorSp
     """One experiment repeat: generate max(m) datasets, train one model per
     dataset, score the nested ensemble prefixes. Pure in rep_seed, so repeats
     may run in any order or in parallel."""
-    if averaging != MEAN and predictor.task != "classification":
-        raise ValueError("dual_log_prob averaging requires a classification task")
+    check_averaging(averaging, predictor.task)
     if min(m_values) < 1:
         raise ValueError("m values must be >= 1")
     datasets, _ = generate_ensemble(generator, data, max(m_values), mode, seed=rep_seed)

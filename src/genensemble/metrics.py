@@ -42,6 +42,19 @@ class MetricSpec:
     def task(self) -> str:
         return "regression" if self.kind == "mse" else "classification"
 
+    def check_task(self, task: str) -> None:
+        """Raise ValueError unless the metric scores predictions of this task."""
+        if self.task != task:
+            raise ValueError(f"metric {self.kind!r} is incompatible with task {task!r}")
+
+
+def check_averaging(averaging: str, task: str) -> None:
+    """Raise ValueError unless averaging is known and suits the task."""
+    if averaging not in (MEAN, DUAL_LOG_PROB):
+        raise ValueError(f"unknown averaging {averaging!r}")
+    if averaging == DUAL_LOG_PROB and task != "classification":
+        raise ValueError("dual_log_prob averaging requires a classification task")
+
 
 @dataclass(frozen=True)
 class EnsemblePredictor:
@@ -51,14 +64,11 @@ class EnsemblePredictor:
     def __post_init__(self):
         if len(self.members) < 1:
             raise ValueError("ensemble needs at least one member")
-        if self.averaging not in (MEAN, DUAL_LOG_PROB):
-            raise ValueError(f"unknown averaging {self.averaging!r}")
         first = self.members[0]
         if any(m.task != first.task or m.fingerprint != first.fingerprint
                for m in self.members):
             raise ValueError("ensemble members must share task and schema fingerprint")
-        if self.averaging == DUAL_LOG_PROB and first.task == "regression":
-            raise ValueError("dual_log_prob averaging requires a classification task")
+        check_averaging(self.averaging, first.task)
 
     @property
     def task(self) -> str:
@@ -109,8 +119,7 @@ def score_predictions(preds: np.ndarray, y: np.ndarray, metric: MetricSpec,
     for classification, n the number of targets; other shapes raise ValueError."""
     preds = np.asarray(preds, dtype=np.float64)
     y = np.asarray(y)
-    if metric.task != task:
-        raise ValueError(f"metric {metric.kind!r} is incompatible with task {task!r}")
+    metric.check_task(task)
     ndim = 1 if task == "regression" else 2
     if y.ndim != 1 or preds.ndim != ndim or preds.shape[0] != y.size:
         raise ValueError(f"{task} predictions of shape {preds.shape} do not match "

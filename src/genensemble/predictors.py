@@ -413,18 +413,29 @@ def train(spec: PredictorSpec, data: FeatureMatrix, seed: int = 0) -> TrainedMod
     return TrainedModel(kind=spec.kind, task=spec.task, fingerprint=fingerprint, state=state)
 
 
-def predict_batch(model: TrainedModel, x: np.ndarray) -> np.ndarray:
-    """Predict for an (n, d) feature block.
-
-    Regression returns shape (n,), classification an (n, n_classes) matrix of
-    probabilities (rows sum to 1).
-    """
+def _feature_block(model: TrainedModel, x) -> np.ndarray:
+    """x as a float (n, d) block of finite features matching the model."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.fingerprint[0]:
         raise ValueError(f"feature block shape {x.shape} does not match training "
                          f"fingerprint {model.fingerprint}")
     if not np.isfinite(x).all():
         raise ValueError("features must be finite")
+    return x
+
+
+def _tree_members(trees, x) -> np.ndarray:
+    """Each tree's predictions for the rows of x, stacked along axis 0."""
+    return np.asarray([_tree_predict_rows(t, x) for t in trees])
+
+
+def predict_batch(model: TrainedModel, x: np.ndarray) -> np.ndarray:
+    """Predict for an (n, d) feature block.
+
+    Regression returns shape (n,), classification an (n, n_classes) matrix of
+    probabilities (rows sum to 1).
+    """
+    x = _feature_block(model, x)
     n_classes = model.n_classes
 
     if model.kind == "mean":
@@ -454,7 +465,7 @@ def predict_batch(model: TrainedModel, x: np.ndarray) -> np.ndarray:
         return softmax(x @ w + b)
 
     if model.kind == "bagged_trees":
-        return np.mean([_tree_predict_rows(t, x) for t in model.state], axis=0)
+        return _tree_members(model.state, x).mean(axis=0)
 
     raise ValueError(f"unknown predictor kind {model.kind!r}")
 
@@ -476,9 +487,7 @@ def train_forest_curve(data: FeatureMatrix, test: FeatureMatrix, t_max: int,
 
     if t_max < 2:
         raise ValueError("t_max must be >= 2")
-    if not np.isfinite(test.x).all():
-        raise ValueError("features must be finite")
     model = train(PredictorSpec("bagged_trees", data.task, n_trees=t_max), data, seed)
-    member = np.asarray([_tree_predict_rows(t, test.x) for t in model.state])
+    member = _tree_members(model.state, _feature_block(model, test.x))
     results = score_prefixes(member, test.y, range(1, t_max + 1), MEAN, metric, data.task)
     return {t: result.score for t, result in results.items()}
