@@ -6,7 +6,8 @@ config hash, the seed, and the library version; reruns into a clean
 directory reproduce all outputs byte-identically.
 
 Exit codes: 0 success, 1 config/validation error, 2 runtime failure,
-3 decomposition identity check flagged.
+3 decomposition check flagged (report status identity_flagged or
+term_negative).
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .rng import child_seed, make_rng
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
-EXIT_IDENTITY_FLAGGED = 3
+EXIT_FLAGGED = 3
 
 
 class ConfigError(ValueError):
@@ -346,7 +347,7 @@ def _cmd_decompose(cfg, seed, tracker):
     report = oracle_decompose(process, mode, predictor, m=m, mc=mc,
                               seed=child_seed(seed, "decompose"), rho=rho)
     tracker.path("report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    return EXIT_OK if report.status == "ok" else EXIT_IDENTITY_FLAGGED
+    return EXIT_OK if report.status == "ok" else EXIT_FLAGGED
 
 
 def _cmd_nested_var(cfg, seed, tracker):

@@ -57,19 +57,26 @@ class PredictorSpec:
         return self.kind
 
 
+# kind -> (option, conversion, default) of the kinds that take an argument
+_ARGUMENTS = {"knn": ("k", int, 1), "ridge": ("lam", float, 1.0),
+              "logistic": ("lam", float, 1.0), "bagged_trees": ("n_trees", int, 10)}
+
+
 def parse_predictor(text: str, task: str) -> PredictorSpec:
     """Parse compact CLI syntax such as 'knn:5', 'ridge:0.1', 'bagged_trees:25'."""
     name, _, arg = text.strip().partition(":")
-    name = name.strip()
-    if name == "knn":
-        return PredictorSpec("knn", task, k=int(arg) if arg else 1)
-    if name == "ridge":
-        return PredictorSpec("ridge", task, lam=float(arg) if arg else 1.0)
-    if name == "logistic":
-        return PredictorSpec("logistic", task, lam=float(arg) if arg else 1.0)
-    if name == "bagged_trees":
-        return PredictorSpec("bagged_trees", task, n_trees=int(arg) if arg else 10)
+    name, arg = name.strip(), arg.strip()
+    if name in _ARGUMENTS:
+        option, convert, default = _ARGUMENTS[name]
+        try:
+            value = convert(arg) if arg else default
+        except ValueError:
+            kind = "an integer" if convert is int else "a number"
+            raise ValueError(f"{text.strip()}: {option} must be {kind}") from None
+        return PredictorSpec(name, task, **{option: value})
     if name in ("cart", "linear", "mean"):
+        if arg:
+            raise ValueError(f"{text.strip()}: {name} takes no argument")
         return PredictorSpec(name, task)
     raise ValueError(f"cannot parse predictor {text!r}")
 

@@ -54,16 +54,65 @@ metrics = mse
 """
 
 
+CLASSIFICATION_CONFIG = """\
+[experiment]
+seed = 5
+
+[data]
+source = csv
+path = {data_path}
+test_fraction = 0.3
+
+[schema]
+a = categorical(l0|l1|l2) feature
+b = numeric feature
+y = categorical(no|yes) target
+
+[generator]
+kind = bootstrap
+
+[predictors]
+specs = knn:3, cart
+
+[curve]
+m_values = 1, 2, 4
+repeats = 2
+metrics = cross_entropy, brier_binary
+averaging = mean, dual_log_prob
+
+[forest]
+t_max = 3
+metrics = brier_binary
+"""
+
+
 def write_config(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
 
 
+def process_config(tmp_path):
+    return write_config(tmp_path, PROCESS_CONFIG.format(curve_csv=tmp_path / "out" /
+                                                        "curve.csv"))
+
+
+def classification_config(tmp_path):
+    """A binary classification CSV of 40 rows and the config that reads it."""
+    rng = np.random.default_rng(11)
+    a = rng.integers(0, 3, size=40)
+    b = rng.normal(size=40)
+    y = (a + b + rng.normal(size=40) > 1.0).astype(int)
+    lines = ["a,b,y"] + [f"l{u},{float(v)!r},{('no', 'yes')[t]}" for u, v, t in zip(a, b, y)]
+    data_path = tmp_path / "clf.csv"
+    data_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return write_config(tmp_path, CLASSIFICATION_CONFIG.format(data_path=data_path),
+                        name="clf.cfg")
+
+
 @pytest.fixture
 def config(tmp_path):
-    out = tmp_path / "out"
-    return write_config(tmp_path, PROCESS_CONFIG.format(curve_csv=out / "curve.csv")), out
+    return process_config(tmp_path), tmp_path / "out"
 
 
 class TestPipeline:
@@ -100,8 +149,9 @@ class TestPipeline:
         assert (a / "curve.csv").read_bytes() == (b / "curve.csv").read_bytes()
         assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
 
-    def test_jobs_parallelism_reproduces_serial(self, config, tmp_path):
-        cfg, _ = config
+    @pytest.mark.parametrize("make_config", [process_config, classification_config])
+    def test_jobs_parallelism_reproduces_serial(self, make_config, tmp_path):
+        cfg = make_config(tmp_path)
         a, b = tmp_path / "serial", tmp_path / "par"
         assert cli.main(["curve", "--config", str(cfg), "--output", str(a)]) == 0
         assert cli.main(["curve", "--config", str(cfg), "--output", str(b),
@@ -274,7 +324,8 @@ class TestDecomposeValidation:
         ("process = gaussian_toy\nmode = iid", "process = discrete_toy\nmode = correlated",
          "no correlated sampler"),
         ("mode = iid", "mode = correlated\nrho = 1.5", "rho must lie in [0, 1]"),
-        ("mode = iid", "mode = iid\npredictor = knn:x", "invalid literal"),
+        ("mode = iid", "mode = iid\npredictor = knn:x", "knn:x: k must be an integer"),
+        ("mode = iid", "mode = iid\npredictor = cart:5", "cart:5: cart takes no argument"),
     ])
     def test_bad_request_is_a_config_error(self, tmp_path, old, new, message, capsys):
         out = tmp_path / "out"
@@ -286,3 +337,48 @@ class TestDecomposeValidation:
         assert "config error: [decompose]" in err
         assert message in err
         assert not (out / "report.json").exists()
+
+    def test_negative_variance_term_maps_to_exit_3(self, tmp_path):
+        # at these tiny counts seed 3 draws an rdv more than 3 SE below zero
+        out = tmp_path / "out"
+        text = PROCESS_CONFIG.format(curve_csv=out / "curve.csv").replace(
+            "r_real = 30\nr_theta = 8\nr_syn = 4\nr_y = 100",
+            "r_real = 3\nr_theta = 4\nr_syn = 3\nr_y = 20")
+        cfg = write_config(tmp_path, text)
+        assert cli.main(["decompose", "--config", str(cfg), "--output", str(out),
+                         "--seed", "3"]) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "term_negative"
+
+
+class TestCurveValidation:
+    @pytest.mark.parametrize("make_config, subcommand, old, new, message", [
+        (classification_config, "curve", "averaging = mean, dual_log_prob",
+         "averaging = mean, bogus", "[curve] averaging: unknown averaging 'bogus'"),
+        (classification_config, "curve", "metrics = cross_entropy, brier_binary",
+         "metrics = cross_entropy, mse",
+         "[curve] metrics: metric 'mse' is incompatible with task 'classification'"),
+        (classification_config, "forest-curve", "metrics = brier_binary",
+         "metrics = mse",
+         "[forest] metrics: metric 'mse' is incompatible with task 'classification'"),
+        (process_config, "curve", "repeats = 2\nmetrics = mse",
+         "repeats = 2\nmetrics = mse\naveraging = dual_log_prob",
+         "[curve] averaging: dual_log_prob averaging requires a classification task"),
+        (process_config, "curve", "repeats = 2\nmetrics = mse",
+         "repeats = 2\nmetrics = brier_binary",
+         "[curve] metrics: metric 'brier_binary' is incompatible with task 'regression'"),
+        (process_config, "forest-curve", "t_max = 4\nmetrics = mse",
+         "t_max = 4\nmetrics = cross_entropy",
+         "[forest] metrics: metric 'cross_entropy' is incompatible with task 'regression'"),
+    ], ids=["bogus-averaging", "mse-on-classification", "forest-mse-on-classification",
+            "dual-on-regression", "brier-on-regression", "forest-cross-entropy-on-regression"])
+    def test_bad_option_is_a_config_error(self, tmp_path, make_config, subcommand, old, new,
+                                          message, capsys):
+        cfg = make_config(tmp_path)
+        text = cfg.read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        cfg.write_text(text.replace(old, new), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main([subcommand, "--config", str(cfg), "--output", str(out)]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not any(out.iterdir())

@@ -257,6 +257,15 @@ class TestOracleDecompose:
             assert abs(b.value - g.value) <= 4.0 * math.hypot(b.std_error, g.std_error)
         assert generic.status == "ok"
 
+    def test_negative_variance_term_is_reported(self):
+        # an ordinary fluctuation at tiny Monte Carlo counts keeps its report
+        rep = oracle_decompose("gaussian_toy", "iid", m=1,
+                               mc=MonteCarloConfig(3, 4, 3, 20), seed=15)
+        rdv = rep.terms["rdv"]
+        assert rdv.value < -3.0 * rdv.std_error
+        assert abs(rep.identity_gap) <= 4.0 * rep.identity_gap_se
+        assert rep.status == "term_negative"
+
     def test_report_serializes(self):
         rep = oracle_decompose("gaussian_toy", "iid", m=1,
                                mc=MonteCarloConfig(20, 5, 3, 100), seed=0)

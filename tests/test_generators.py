@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from genensemble.data import (CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Dataset,
@@ -246,6 +248,21 @@ class TestGenerateEnsemble:
             assert out["epsilon_total"] > 1.0
         else:
             assert out["epsilon_total"] == pytest.approx(1.0, abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 12),
+           mode=st.sampled_from(["independent", "shared_summary", "split_budget"]),
+           epsilon=st.floats(0.01, 50.0), delta=st.floats(1e-12, 0.1),
+           seed=st.integers(0, 2**63 - 1))
+    def test_recorded_spend_property(self, m, mode, epsilon, delta, seed):
+        data = cat_dataset([[0, 1], [1, 0], [1, 1], [0, 0]])
+        spec = GeneratorSpec("noisy_marginal_dp", epsilon=epsilon, delta=delta)
+        _, record = generate_ensemble(spec, data, m, mode, seed=seed)
+        assert len(record.rho_per_member) == (1 if mode == "shared_summary" else m)
+        assert record.rho_total == sum(record.rho_per_member)
+        out = record.to_json_dict()
+        assert out["rho_total"] == record.rho_total
+        assert out["epsilon_total"] == epsilon_from_rho(record.rho_total, delta)
 
     def test_non_dp_generator_records_no_spend(self):
         data = Dataset(NUM_SCHEMA, np.arange(20.0).reshape(10, 2))

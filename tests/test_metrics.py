@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genensemble.bregman import DomainError
 from genensemble.data import FeatureMatrix
-from genensemble.metrics import (EnsemblePredictor, MetricSpec, clamp_probs,
-                                 combine_predictions, ensemble_predict, evaluate,
-                                 read_long_csv, score_predictions, write_long_csv)
+from genensemble.metrics import (DUAL_LOG_PROB, EnsemblePredictor, MetricSpec,
+                                 clamp_probs, combine_predictions, ensemble_predict,
+                                 evaluate, read_long_csv, score_predictions,
+                                 write_long_csv)
 from genensemble.predictors import PredictorSpec, train
 
 
@@ -42,6 +44,56 @@ class TestCombination:
         out = combine_predictions(stack([1.0, 0.0], [0.0, 1.0]), "dual_log_prob")
         np.testing.assert_allclose(out[0], [0.5, 0.5])
         assert np.all(np.isfinite(out))
+
+
+def _dual_log_prob_reference(member_preds):
+    """Log-probability averaging as combine_predictions computed it inline
+    before it called bregman.dual_average: floor at 1e-12, renormalize, mean
+    of the logs, softmax."""
+    p = np.clip(np.asarray(member_preds, dtype=np.float64), 1e-12, None)
+    p = p / p.sum(axis=-1, keepdims=True)
+    mean_log = np.log(p).mean(axis=0)
+    e = np.exp(mean_log - mean_log.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _probability_rows(k):
+    """Rows on the K-simplex: normalized weights, hard 0/1 rows and the
+    neighbour-count fractions a kNN classifier emits."""
+    weights = st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k).filter(
+        lambda w: sum(w) > 0).map(lambda w: np.asarray(w) / np.sum(w))
+    hard = st.integers(0, k - 1).map(lambda c: np.eye(k)[c])
+    counts = st.lists(st.integers(0, k - 1), min_size=1, max_size=10).map(
+        lambda labels: np.bincount(labels, minlength=k) / len(labels))
+    return st.one_of(weights, hard, counts)
+
+
+@st.composite
+def member_stacks(draw):
+    """An (m, n, K) stack of member probability rows, K 2-6 and m 1-16."""
+    k, m, n = draw(st.integers(2, 6)), draw(st.integers(1, 16)), draw(st.integers(1, 4))
+    rows = draw(st.lists(_probability_rows(k), min_size=m * n, max_size=m * n))
+    return np.reshape(rows, (m, n, k))
+
+
+class TestDualLogProbProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(member_stacks())
+    def test_bytes_match_inline_reference(self, stack):
+        out = combine_predictions(stack, DUAL_LOG_PROB)
+        assert out.tobytes() == _dual_log_prob_reference(stack).tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(member_stacks(), st.data())
+    def test_off_simplex_member_rejected(self, stack, data):
+        bad = stack.copy()
+        i, j = (data.draw(st.integers(0, size - 1)) for size in stack.shape[:2])
+        if data.draw(st.booleans()):
+            bad[i, j] *= data.draw(st.floats(1.01, 3.0))
+        else:
+            bad[i, j, data.draw(st.integers(0, stack.shape[2] - 1))] = -0.1
+        with pytest.raises(DomainError):
+            combine_predictions(bad, DUAL_LOG_PROB)
 
 
 class TestMetricValues:

@@ -455,6 +455,17 @@ class TestContracts:
         with pytest.raises(ValueError):
             parse_predictor("mystery", "regression")
 
+    @pytest.mark.parametrize("text, message", [
+        ("knn:x", "knn:x: k must be an integer"),
+        ("bagged_trees:2.5", "bagged_trees:2.5: n_trees must be an integer"),
+        ("ridge:abc", "ridge:abc: lam must be a number"),
+        ("cart:5", "cart:5: cart takes no argument"),
+        ("mean:abc", "mean:abc: mean takes no argument"),
+    ])
+    def test_parse_predictor_names_spec_and_option(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_predictor(text, "regression")
+
     def test_standardize_defaults(self):
         assert not PredictorSpec("cart", "regression").wants_standardize
         assert not PredictorSpec("bagged_trees", "regression").wants_standardize
