@@ -306,7 +306,7 @@ class _Draws(NamedTuple):
     """The draws of one outer replicate of the chain."""
     thetas: np.ndarray       # (r_theta,), or (summaries, r_theta) in shared-summary mode
     grid: np.ndarray         # thetas.shape + (r_syn,) + point shape
-    pairs: np.ndarray | None  # (r_theta, 2) + point shape in correlated mode
+    pair_preds: np.ndarray | None  # (r_theta, 2) + point shape, correlated mode only
     members: np.ndarray      # (m,) + point shape: the direct ensemble's members
     rng_direct: np.random.Generator   # the direct chain's generator, for its outcomes
 
@@ -337,10 +337,10 @@ def _chain(process, outputs, mode, m, rho, mc: MonteCarloConfig, seed: int):
         else:
             thetas = process.sample_theta(rng, real, mc.r_theta)
             preds = grid(rng, thetas, r)
-        pairs = None
+        pair_preds = None
         if mode == CORRELATED:
-            pairs = outputs(rng, process.sample_theta_correlated(rng, real, mc.r_theta, 2, rho),
-                            "covgrid", r)
+            pairs = process.sample_theta_correlated(rng, real, mc.r_theta, 2, rho)
+            pair_preds = outputs(rng, pairs, "covgrid", r)
 
         rng_d = child_rng(seed, "direct", r)
         real_d = process.sample_real(rng_d)
@@ -351,7 +351,8 @@ def _chain(process, outputs, mode, m, rho, mc: MonteCarloConfig, seed: int):
             thetas_d = process.sample_theta_correlated(rng_d, real_d, 1, m, rho)[0]
         else:
             thetas_d = process.sample_theta(rng_d, real_d, m)
-        yield _Draws(thetas, preds, pairs, outputs(rng_d, thetas_d, "directgrid", r), rng_d)
+        yield _Draws(thetas, preds, pair_preds, outputs(rng_d, thetas_d, "directgrid", r),
+                     rng_d)
 
 
 def _bootstrap_se(seed: int, r_real: int, statistic) -> dict[str, float]:
@@ -403,7 +404,7 @@ def _collect(process, outputs, point_shape: tuple, mode, m, rho, mc: MonteCarloC
         for key, value in zip(("mv", "sdv_raw", "b", "fbar"), stats):
             records[key][r] = value
         if mode == CORRELATED:
-            g = draws.pairs.reshape(mc.r_theta, 2, -1)
+            g = draws.pair_preds.reshape(mc.r_theta, 2, -1)
             cov = [np.cov(g[:, 0, k], g[:, 1, k], ddof=1)[0, 1] for k in range(g.shape[2])]
             records["cov_raw"][r] = np.reshape(cov, point_shape)
         g_hat = draws.members.mean(axis=0)
