@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -38,7 +38,6 @@ class GeneratorSpec:
     epsilon: float | None = None        # DP budget (math.inf = zero-noise surrogate)
     delta: float | None = None
     process: str | None = None          # truth-process id
-    process_options: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in (BOOTSTRAP, GAUSSIAN_PPD, NOISY_MARGINAL_DP, TRUTH_PROCESS):
@@ -233,7 +232,7 @@ def fit(spec: GeneratorSpec, data: Dataset, seed: int) -> GeneratorParams:
                                summary_id=summary.summary_id)
     if spec.kind == TRUTH_PROCESS:
         from .processes import get_process
-        process = get_process(spec.process, **spec.process_options)
+        process = get_process(spec.process)
         theta = process.fit_theta(data, make_rng(seed))
         return GeneratorParams(kind=TRUTH_PROCESS, process=spec.process, theta=theta,
                                schema=data.schema)
@@ -297,7 +296,6 @@ class EnsembleProvenance:
 
 
 def generate_ensemble(spec: GeneratorSpec, data: Dataset, m: int, mode: str,
-                      n_rows: int | None = None,
                       seed: int = 0) -> tuple[list[Dataset], EnsembleProvenance]:
     """Generate m synthetic datasets under one of the three ensemble modes.
 
@@ -315,8 +313,7 @@ def generate_ensemble(spec: GeneratorSpec, data: Dataset, m: int, mode: str,
         raise ValueError(f"unknown ensemble mode {mode!r}")
     if mode in (SHARED_SUMMARY, SPLIT_BUDGET) and spec.kind != NOISY_MARGINAL_DP:
         raise ValueError(f"mode {mode!r} requires kind={NOISY_MARGINAL_DP}")
-    if n_rows is None:
-        n_rows = spec.n_synthetic if spec.n_synthetic is not None else data.n
+    n_rows = spec.n_synthetic if spec.n_synthetic is not None else data.n
 
     member_seeds = tuple(child_seed(seed, "member", i) for i in range(m))
     datasets: list[Dataset] = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import rankdata
 
-from .bregman import NEGENTROPY, PROB_FLOOR, BregmanSpec, clamp_probs, dual_average
+from .bregman import NEGENTROPY, BregmanSpec, clamp_probs, dual_average
 from .data import FeatureMatrix
 from .predictors import TrainedModel, predict_batch
 
@@ -30,13 +30,10 @@ LONG_COLUMNS = ("dataset", "generator", "mode", "predictor", "averaging",
 @dataclass(frozen=True)
 class MetricSpec:
     kind: str
-    clamp: float = PROB_FLOOR
 
     def __post_init__(self):
         if self.kind not in METRIC_KINDS:
             raise ValueError(f"unknown metric {self.kind!r}")
-        if not 0.0 < self.clamp <= 1e-3:
-            raise ValueError("clamp must lie in (0, 1e-3]")
 
     @property
     def task(self) -> str:
@@ -136,7 +133,7 @@ def score_predictions(preds: np.ndarray, y: np.ndarray, metric: MetricSpec,
         onehot[np.arange(len(y)), y.astype(int)] = 1.0
         per_point = ((preds - onehot) ** 2).sum(axis=1)
     elif metric.kind == "cross_entropy":
-        p = clamp_probs(preds, metric.clamp)
+        p = clamp_probs(preds)
         per_point = -np.log(p[np.arange(len(y)), y.astype(int)])
     elif metric.kind == "one_minus_accuracy":
         per_point = (np.argmax(preds, axis=1) != y).astype(np.float64)

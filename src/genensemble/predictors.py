@@ -18,7 +18,14 @@ from .bregman import softmax
 from .data import FeatureMatrix
 from .rng import child_rng
 
-KINDS = ("knn", "cart", "ridge", "linear", "logistic", "bagged_trees", "mean")
+_BOTH = ("regression", "classification")
+# kind -> (option its 'kind:value' argument sets or None, label prefix, tasks)
+_KINDS = {"knn": ("k", "knn", _BOTH), "cart": (None, "cart", _BOTH),
+          "ridge": ("lam", "ridge", ("regression",)),
+          "linear": (None, "linear", ("regression",)),
+          "logistic": ("lam", "logistic", ("classification",)),
+          "bagged_trees": ("n_trees", "bagged", _BOTH), "mean": (None, "mean", _BOTH)}
+KINDS = tuple(_KINDS)
 
 
 @dataclass(frozen=True)
@@ -27,18 +34,20 @@ class PredictorSpec:
     task: str                      # "regression" | "classification"
     k: int = 1                     # knn
     lam: float = 1.0               # ridge / logistic penalty
-    n_trees: int = 1               # bagged_trees
+    n_trees: int = 10              # bagged_trees
     max_iter: int = 1000           # logistic
-    tol: float = 1e-6              # logistic
     standardize: bool | None = None  # None = kind default (trees: no, others: yes)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown predictor kind {self.kind!r}")
-        if self.task not in ("regression", "classification"):
-            raise ValueError(f"unknown task {self.task!r}")
-        if self.k < 1 or self.n_trees < 1 or self.lam < 0:
-            raise ValueError("invalid predictor options")
+        if self.task not in _KINDS[self.kind][2]:
+            raise ValueError(f"{self.kind} supports {' and '.join(_KINDS[self.kind][2])} only")
+        for option in ("k", "n_trees"):
+            if getattr(self, option) < 1:
+                raise ValueError(f"{option} must be >= 1")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError("lam must be finite and >= 0")
 
     @property
     def wants_standardize(self) -> bool:
@@ -48,37 +57,35 @@ class PredictorSpec:
 
     @property
     def label(self) -> str:
-        if self.kind == "knn":
-            return f"knn{self.k}"
-        if self.kind == "ridge":
-            return f"ridge{self.lam:g}"
-        if self.kind == "bagged_trees":
-            return f"bagged{self.n_trees}"
-        return self.kind
-
-
-# kind -> (option, conversion, default) of the kinds that take an argument
-_ARGUMENTS = {"knn": ("k", int, 1), "ridge": ("lam", float, 1.0),
-              "logistic": ("lam", float, 1.0), "bagged_trees": ("n_trees", int, 10)}
+        option, prefix, _ = _KINDS[self.kind]
+        value = "" if option is None else getattr(self, option)
+        return f"{prefix}{value:g}" if isinstance(value, float) else f"{prefix}{value}"
 
 
 def parse_predictor(text: str, task: str) -> PredictorSpec:
-    """Parse compact CLI syntax such as 'knn:5', 'ridge:0.1', 'bagged_trees:25'."""
-    name, _, arg = text.strip().partition(":")
+    """Parse compact CLI syntax such as 'knn:5', 'ridge:0.1', 'bagged_trees:25'.
+
+    An omitted argument keeps the option's default. Errors start with the
+    spec text, as in 'knn:0: k must be >= 1'."""
+    text = text.strip()
+    name, _, arg = text.partition(":")
     name, arg = name.strip(), arg.strip()
-    if name in _ARGUMENTS:
-        option, convert, default = _ARGUMENTS[name]
+    if name not in _KINDS:
+        raise ValueError(f"cannot parse predictor {text!r}")
+    option, options = _KINDS[name][0], {}
+    if arg:
+        if option is None:
+            raise ValueError(f"{text}: {name} takes no argument")
+        convert = type(getattr(PredictorSpec, option))
         try:
-            value = convert(arg) if arg else default
+            options[option] = convert(arg)
         except ValueError:
             kind = "an integer" if convert is int else "a number"
-            raise ValueError(f"{text.strip()}: {option} must be {kind}") from None
-        return PredictorSpec(name, task, **{option: value})
-    if name in ("cart", "linear", "mean"):
-        if arg:
-            raise ValueError(f"{text.strip()}: {name} takes no argument")
-        return PredictorSpec(name, task)
-    raise ValueError(f"cannot parse predictor {text!r}")
+            raise ValueError(f"{text}: {option} must be {kind}") from None
+    try:
+        return PredictorSpec(name, task, **options)
+    except ValueError as exc:
+        raise ValueError(f"{text}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -343,7 +350,10 @@ def _fit_ridge(x, y, lam):
 
 # --- logistic -----------------------------------------------------------------
 
-def _fit_logistic(x, y, n_classes, lam, max_iter, tol):
+_LOGISTIC_TOL = 1e-6       # gradient norm at which gradient descent stops
+
+
+def _fit_logistic(x, y, n_classes, lam, max_iter):
     """Full-batch gradient descent with Armijo backtracking on the L2-penalized
     multinomial cross entropy (weights penalized, intercepts free)."""
     n, d = x.shape
@@ -364,7 +374,7 @@ def _fit_logistic(x, y, n_classes, lam, max_iter, tol):
         gw = x.T @ (p - onehot) + lam * w
         gb = (p - onehot).sum(axis=0)
         gnorm2 = (gw ** 2).sum() + (gb ** 2).sum()
-        if np.sqrt(gnorm2) <= tol:
+        if np.sqrt(gnorm2) <= _LOGISTIC_TOL:
             break
         step = 1.0
         for _ in range(60):
@@ -400,14 +410,10 @@ def train(spec: PredictorSpec, data: FeatureMatrix, seed: int = 0) -> TrainedMod
     elif spec.kind == "cart":
         state = _grow_tree(x, y, data.task, data.n_classes)
     elif spec.kind in ("ridge", "linear"):
-        if data.task != "regression":
-            raise ValueError(f"{spec.kind} supports regression only")
         lam = spec.lam if spec.kind == "ridge" else 0.0
         state = _fit_ridge(x, y, lam)
     elif spec.kind == "logistic":
-        if data.task != "classification":
-            raise ValueError("logistic supports classification only")
-        state = _fit_logistic(x, y, data.n_classes, spec.lam, spec.max_iter, spec.tol)
+        state = _fit_logistic(x, y, data.n_classes, spec.lam, spec.max_iter)
     elif spec.kind == "bagged_trees":
         trees = []
         for t in range(spec.n_trees):

@@ -132,12 +132,6 @@ class TestMetricValues:
         assert np.isfinite(res.score)
         assert res.score == pytest.approx(-math.log(1e-12), rel=1e-6)
 
-    def test_clamp_validation(self):
-        with pytest.raises(ValueError):
-            MetricSpec("cross_entropy", clamp=0.0)
-        with pytest.raises(ValueError):
-            MetricSpec("cross_entropy", clamp=0.01)
-
     def test_accuracy_tie_goes_to_lowest_class(self):
         res = score_predictions(np.array([[0.5, 0.5]]), np.array([0]),
                                 MetricSpec("one_minus_accuracy"), "classification")

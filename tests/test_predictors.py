@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from genensemble.data import FeatureMatrix
 from genensemble.metrics import DUAL_LOG_PROB, MEAN, MetricSpec, combine_predictions
-from genensemble.predictors import (_KNN_CELLS, KINDS, PredictorSpec, _grow_tree,
+from genensemble.predictors import (_KINDS, _KNN_CELLS, KINDS, PredictorSpec, _grow_tree,
                                     _sq_distances, _tree_predict_rows,
                                     parse_predictor, predict, predict_batch, train,
                                     train_forest_curve)
@@ -397,9 +399,7 @@ class TestForestCurve:
 
 # every kind on each task it supports
 SPECS = [PredictorSpec(kind, task, k=2, n_trees=2, max_iter=20)
-         for kind in KINDS for task in ("regression", "classification")
-         if not (kind in ("ridge", "linear") and task == "classification")
-         and not (kind == "logistic" and task == "regression")]
+         for kind, (_, _, tasks) in _KINDS.items() for task in tasks]
 
 
 class TestContracts:
@@ -461,10 +461,44 @@ class TestContracts:
         ("ridge:abc", "ridge:abc: lam must be a number"),
         ("cart:5", "cart:5: cart takes no argument"),
         ("mean:abc", "mean:abc: mean takes no argument"),
+        ("knn:0", "knn:0: k must be >= 1"),
+        ("bagged_trees:0", "bagged_trees:0: n_trees must be >= 1"),
+        ("ridge:nan", "ridge:nan: lam must be finite and >= 0"),
+        ("ridge:inf", "ridge:inf: lam must be finite and >= 0"),
+        ("ridge:-1", "ridge:-1: lam must be finite and >= 0"),
+        ("logistic", "logistic: logistic supports classification only"),
     ])
     def test_parse_predictor_names_spec_and_option(self, text, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_predictor(text, "regression")
+
+    def test_task_the_kind_does_not_support_rejected(self):
+        for text in ("ridge:1.0", "linear"):
+            with pytest.raises(ValueError, match=f"^{text}: .* supports regression only$"):
+                parse_predictor(text, "classification")
+
+    @given(kind=st.sampled_from(KINDS), task=st.sampled_from(["regression", "classification"]),
+           arg=st.one_of(st.integers(-2, 12).map(str), st.floats().map(repr),
+                         st.text(max_size=4)))
+    def test_parse_predictor_property(self, kind, task, arg):
+        text = f"{kind}:{arg}"
+        option, _, tasks = _KINDS[kind]
+        try:
+            spec = parse_predictor(text, task)
+        except ValueError as exc:
+            assert str(exc).startswith(text.strip() + ": ")
+            return
+        assert spec.kind == kind and spec.task == task and task in tasks
+        if arg.strip():
+            assert getattr(spec, option) == type(getattr(PredictorSpec, option))(arg)
+
+    def test_labels(self):
+        labels = [parse_predictor(text, "classification").label
+                  for text in ("logistic", "logistic:0.01", "logistic:100", "knn:5",
+                               "bagged_trees", "cart")]
+        assert labels == ["logistic1", "logistic0.01", "logistic100", "knn5", "bagged10",
+                          "cart"]
+        assert PredictorSpec("bagged_trees", "regression").n_trees == 10
 
     def test_standardize_defaults(self):
         assert not PredictorSpec("cart", "regression").wants_standardize
