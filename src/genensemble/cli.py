@@ -25,7 +25,7 @@ from .data import (CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Schema,
 from .decomposition import (MonteCarloConfig, check_oracle_request, curve_repeat,
                             estimate_mv_sdv_nested, fit_rule_regression,
                             fit_rule_two_point, oracle_decompose, predict_mse)
-from .generators import GeneratorSpec, generate_ensemble
+from .generators import GeneratorSpec, check_ensemble_request, generate_ensemble
 from .metrics import (MetricSpec, check_averaging, long_rows, read_long_csv,
                       write_long_csv)
 from .predictors import PredictorSpec, parse_predictor, train_forest_curve
@@ -77,6 +77,14 @@ def _get_int_list(cfg, section, key, required=False, default=()):
         return [int(tok) for tok in raw.replace(",", " ").split()]
     except ValueError:
         raise ConfigError(f"[{section}] {key} must be a list of integers") from None
+
+
+def _get_count(cfg, section, key, default, minimum=1):
+    """The integer [section] key, which must be at least minimum."""
+    value = _get(cfg, section, key, default=default, convert=int)
+    if value < minimum:
+        raise ConfigError(f"[{section}] {key} must be >= {minimum}")
+    return value
 
 
 def _get_m_values(cfg, section):
@@ -132,7 +140,10 @@ def _load_data(cfg, seed: int) -> tuple[Dataset, Dataset | None, str]:
             raise ConfigError(f"[data] path {path!r} does not exist")
         schema = _parse_schema(cfg)
         full = load_csv(path, schema)
-        train_ds, test_ds = train_test_split(full, fraction, child_seed(seed, "split"))
+        try:
+            train_ds, test_ds = train_test_split(full, fraction, child_seed(seed, "split"))
+        except ValueError as exc:
+            raise ConfigError(f"[data]: {exc}") from None
         return train_ds, test_ds, Path(path).stem
     if source == "process":
         pid = _get(cfg, "data", "process", required=True)
@@ -164,12 +175,29 @@ def _generator_spec(cfg) -> GeneratorSpec:
         raise ConfigError(f"[generator]: {exc}") from None
 
 
+def _ensemble_request(cfg, m: int) -> tuple[GeneratorSpec, str]:
+    """The [generator] spec and mode, checked for an ensemble of m datasets."""
+    spec = _generator_spec(cfg)
+    mode = _get(cfg, "generator", "mode", default="independent")
+    try:
+        check_ensemble_request(spec, m, mode)
+    except ValueError as exc:
+        raise ConfigError(f"[generator]: {exc}") from None
+    return spec, mode
+
+
 def _predictor_specs(cfg, task: str) -> list[PredictorSpec]:
+    """The [predictors] specs, which must have distinct labels."""
     raw = _get(cfg, "predictors", "specs", required=True)
     try:
-        return [parse_predictor(tok, task) for tok in raw.split(",") if tok.strip()]
+        specs = [parse_predictor(tok, task) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"[predictors] specs: {exc}") from None
+    labels = [spec.label for spec in specs]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ConfigError(f"[predictors] specs: two specs share the label {label!r}")
+    return specs
 
 
 def _metric_specs(cfg, section: str, task: str) -> list[MetricSpec]:
@@ -222,9 +250,8 @@ def _write_manifest(tracker: _OutputTracker, subcommand: str, seed: int,
 
 def _cmd_generate(cfg, seed, tracker):
     data, _, _ = _load_data(cfg, seed)
-    spec = _generator_spec(cfg)
     m = _get(cfg, "generator", "m", default=1, convert=int)
-    mode = _get(cfg, "generator", "mode", default="independent")
+    spec, mode = _ensemble_request(cfg, m)
     datasets, record = generate_ensemble(spec, data, m, mode,
                                          seed=child_seed(seed, "generate"))
     for i, ds in enumerate(datasets):
@@ -244,15 +271,12 @@ def _curve_cell(args):
 
 def _cmd_curve(cfg, seed, tracker, jobs=1):
     data, test, label = _load_data(cfg, seed)
-    spec = _generator_spec(cfg)
-    mode = _get(cfg, "generator", "mode", default="independent")
     task = data.schema.task
     predictors = _predictor_specs(cfg, task)
     metrics = _metric_specs(cfg, "curve", task)
     m_values = _get_m_values(cfg, "curve")
-    repeats = _get(cfg, "curve", "repeats", default=3, convert=int)
-    if repeats < 1:
-        raise ConfigError("[curve] repeats must be >= 1")
+    spec, mode = _ensemble_request(cfg, max(m_values))
+    repeats = _get_count(cfg, "curve", "repeats", default=3)
     averagings = [tok.strip() for tok in
                   _get(cfg, "curve", "averaging", default="mean").split(",")]
     try:
@@ -354,8 +378,8 @@ def _cmd_nested_var(cfg, seed, tracker):
     data, test, label = _load_data(cfg, seed)
     spec = _generator_spec(cfg)
     predictors = _predictor_specs(cfg, data.schema.task)
-    r_theta = _get(cfg, "nested_var", "r_theta", default=32, convert=int)
-    s_per = _get(cfg, "nested_var", "s_per_theta", default=5, convert=int)
+    r_theta = _get_count(cfg, "nested_var", "r_theta", default=32, minimum=2)
+    s_per = _get_count(cfg, "nested_var", "s_per_theta", default=5, minimum=2)
 
     lines = ["dataset,predictor,point,mv,sdv"]
     summary = {}
@@ -377,7 +401,7 @@ def _cmd_nested_var(cfg, seed, tracker):
 def _cmd_forest_curve(cfg, seed, tracker):
     data, test, label = _load_data(cfg, seed)
     task = data.schema.task
-    t_max = _get(cfg, "forest", "t_max", default=32, convert=int)
+    t_max = _get_count(cfg, "forest", "t_max", default=32, minimum=2)
     metric = _metric_specs(cfg, "forest", task)[0]
     fm_train = encode(data, data, False)
     fm_test = encode(data, test, False)

@@ -295,6 +295,16 @@ class EnsembleProvenance:
         return out
 
 
+def check_ensemble_request(spec: GeneratorSpec, m: int, mode: str) -> None:
+    """Raise ValueError unless generate_ensemble can make m datasets in this mode."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if mode not in (INDEPENDENT, SHARED_SUMMARY, SPLIT_BUDGET):
+        raise ValueError(f"unknown ensemble mode {mode!r}")
+    if mode in (SHARED_SUMMARY, SPLIT_BUDGET) and spec.kind != NOISY_MARGINAL_DP:
+        raise ValueError(f"mode {mode!r} requires kind={NOISY_MARGINAL_DP}")
+
+
 def generate_ensemble(spec: GeneratorSpec, data: Dataset, m: int, mode: str,
                       seed: int = 0) -> tuple[list[Dataset], EnsembleProvenance]:
     """Generate m synthetic datasets under one of the three ensemble modes.
@@ -307,12 +317,7 @@ def generate_ensemble(spec: GeneratorSpec, data: Dataset, m: int, mode: str,
     For the DP generator the record holds one rho per release and their sum,
     the composed zCDP spend (zCDP composes additively).
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if mode not in (INDEPENDENT, SHARED_SUMMARY, SPLIT_BUDGET):
-        raise ValueError(f"unknown ensemble mode {mode!r}")
-    if mode in (SHARED_SUMMARY, SPLIT_BUDGET) and spec.kind != NOISY_MARGINAL_DP:
-        raise ValueError(f"mode {mode!r} requires kind={NOISY_MARGINAL_DP}")
+    check_ensemble_request(spec, m, mode)
     n_rows = spec.n_synthetic if spec.n_synthetic is not None else data.n
 
     member_seeds = tuple(child_seed(seed, "member", i) for i in range(m))

@@ -312,6 +312,25 @@ class TestCurveMValues:
         assert "[predict_curve] m_values: m values must be >= 1" in capsys.readouterr().err
 
 
+class TestLabels:
+    def test_logistic_penalties_get_their_own_groups(self, tmp_path):
+        cfg = classification_config(tmp_path)
+        out = tmp_path / "out"
+        text = cfg.read_text(encoding="utf-8")
+        for old, new in [("specs = knn:3, cart", "specs = logistic:0.01, logistic:100"),
+                         ("m_values = 1, 2, 4", "m_values = 1, 2"),
+                         ("averaging = mean, dual_log_prob", "averaging = mean")]:
+            text = text.replace(old, new)
+        text += f"\n[predict_curve]\ncurve_csv = {out / 'curve.csv'}\nm_values = 4\n"
+        cfg.write_text(text, encoding="utf-8")
+        assert cli.main(["curve", "--config", str(cfg), "--output", str(out)]) == 0
+        assert cli.main(["predict-curve", "--config", str(cfg), "--output", str(out)]) == 0
+        rows = (out / "predictions.csv").read_text().strip().splitlines()[1:]
+        groups = {tuple(row.split(",")[3:6]) for row in rows}
+        assert groups == {(p, "mean", metric) for p in ("logistic0.01", "logistic100")
+                          for metric in ("cross_entropy", "brier_binary")}
+
+
 class TestDecomposeValidation:
     @pytest.mark.parametrize("old, new, message", [
         ("mode = iid\nm = 2", "mode = iid\nm = 0", "m must be >= 1"),
@@ -370,8 +389,50 @@ class TestCurveValidation:
         (process_config, "forest-curve", "t_max = 4\nmetrics = mse",
          "t_max = 4\nmetrics = cross_entropy",
          "[forest] metrics: metric 'cross_entropy' is incompatible with task 'regression'"),
+        (classification_config, "curve", "specs = knn:3, cart", "specs = ridge:1.0",
+         "[predictors] specs: ridge:1.0: ridge supports regression only"),
+        (classification_config, "curve", "specs = knn:3, cart", "specs = knn:3, linear",
+         "[predictors] specs: linear: linear supports regression only"),
+        (process_config, "curve", "specs = cart, ridge:1.0", "specs = cart, logistic",
+         "[predictors] specs: logistic: logistic supports classification only"),
+        (process_config, "curve", "specs = cart, ridge:1.0", "specs = cart, ridge:nan",
+         "[predictors] specs: ridge:nan: lam must be finite and >= 0"),
+        (process_config, "curve", "specs = cart, ridge:1.0", "specs = cart, ridge:inf",
+         "[predictors] specs: ridge:inf: lam must be finite and >= 0"),
+        (process_config, "curve", "specs = cart, ridge:1.0", "specs = cart, ridge:-1",
+         "[predictors] specs: ridge:-1: lam must be finite and >= 0"),
+        (process_config, "curve", "specs = cart, ridge:1.0", "specs = cart, knn:0",
+         "[predictors] specs: knn:0: k must be >= 1"),
+        (process_config, "nested-var", "specs = cart, ridge:1.0",
+         "specs = cart, bagged_trees:0",
+         "[predictors] specs: bagged_trees:0: n_trees must be >= 1"),
+        (process_config, "curve", "specs = cart, ridge:1.0",
+         "specs = bagged_trees:2, bagged_trees:2",
+         "[predictors] specs: two specs share the label 'bagged2'"),
+        (process_config, "nested-var", "specs = cart, ridge:1.0",
+         "specs = ridge:0.1234567, ridge:0.1234568",
+         "[predictors] specs: two specs share the label 'ridge0.123457'"),
+        (process_config, "nested-var", "r_theta = 4\ns_per_theta = 3",
+         "r_theta = 1\ns_per_theta = 3", "[nested_var] r_theta must be >= 2"),
+        (process_config, "forest-curve", "t_max = 4", "t_max = 1",
+         "[forest] t_max must be >= 2"),
+        (process_config, "generate", "mode = independent\nm = 3",
+         "mode = independent\nm = 0", "[generator]: m must be >= 1"),
+        (process_config, "generate", "mode = independent", "mode = bogus",
+         "[generator]: unknown ensemble mode 'bogus'"),
+        (process_config, "curve", "mode = independent", "mode = shared_summary",
+         "[generator]: mode 'shared_summary' requires kind=noisy_marginal_dp"),
+        (process_config, "generate", "mode = independent", "mode = split_budget",
+         "[generator]: mode 'split_budget' requires kind=noisy_marginal_dp"),
+        (classification_config, "curve", "test_fraction = 0.3", "test_fraction = 1.5",
+         "[data]: test_fraction must lie in (0, 1), got 1.5"),
     ], ids=["bogus-averaging", "mse-on-classification", "forest-mse-on-classification",
-            "dual-on-regression", "brier-on-regression", "forest-cross-entropy-on-regression"])
+            "dual-on-regression", "brier-on-regression", "forest-cross-entropy-on-regression",
+            "ridge-on-classification", "linear-on-classification", "logistic-on-regression",
+            "ridge-nan", "ridge-inf", "ridge-negative", "knn-zero", "bagged-zero",
+            "duplicate-label", "labels-equal-under-g", "nested-r-theta-one", "forest-t-max-one",
+            "generate-m-zero", "bogus-mode", "shared-summary-without-dp",
+            "split-budget-without-dp", "test-fraction-above-one"])
     def test_bad_option_is_a_config_error(self, tmp_path, make_config, subcommand, old, new,
                                           message, capsys):
         cfg = make_config(tmp_path)
