@@ -70,13 +70,6 @@ def _check_domain(spec: BregmanSpec, v) -> np.ndarray:
     return v
 
 
-def potential(spec: BregmanSpec, v) -> np.ndarray:
-    v = _check_domain(spec, v)
-    if spec.kind == SQUARED:
-        return np.sum(v * v, axis=-1)
-    return np.sum(v * np.log(v), axis=-1)
-
-
 def divergence(spec: BregmanSpec, y, g) -> float | np.ndarray:
     """D(y, g) = F(y) - F(g) - <grad F(g), y - g>; >= 0 with equality iff y = g."""
     y = _check_domain(spec, y)

@@ -15,15 +15,17 @@ import argparse
 import configparser
 import hashlib
 import json
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
 from .data import (CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Schema,
                    encode, load_csv, save_csv, train_test_split)
-from .decomposition import (MonteCarloConfig, check_oracle_request, curve_repeat,
-                            estimate_mv_sdv_nested, fit_rule_regression,
+from .decomposition import (MonteCarloConfig, check_oracle_request, curve_cells,
+                            curve_repeat, estimate_mv_sdv_nested, fit_rule_regression,
                             fit_rule_two_point, oracle_decompose, predict_mse)
 from .generators import GeneratorSpec, check_ensemble_request, generate_ensemble
 from .metrics import (MetricSpec, check_averaging, long_rows, read_long_csv,
@@ -38,8 +40,17 @@ EXIT_RUNTIME = 2
 EXIT_FLAGGED = 3
 
 
-class ConfigError(ValueError):
+class ConfigError(Exception):
     pass
+
+
+@contextmanager
+def _config_errors(where: str):
+    """Turns a ValueError raised inside into a ConfigError prefixed by where."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _read_config(path: str) -> tuple[configparser.ConfigParser, bytes]:
@@ -63,20 +74,21 @@ def _get(cfg, section, key, default=None, required=False, convert=str):
         return default
     raw = cfg.get(section, key).strip()
     try:
-        return convert(raw)
+        return cfg.getboolean(section, key) if convert is bool else convert(raw)
     except (TypeError, ValueError):
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a valid "
-                          f"{convert.__name__}") from None
+        name = "boolean" if convert is bool else convert.__name__
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not a valid {name}") from None
 
 
-def _get_int_list(cfg, section, key, required=False, default=()):
-    raw = _get(cfg, section, key, required=required)
-    if raw is None:
-        return list(default)
-    try:
-        return [int(tok) for tok in raw.replace(",", " ").split()]
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} must be a list of integers") from None
+def _get_list(cfg, section, key, parse, default=None, required=False, sep=","):
+    """[section] key split at sep, each non-empty item converted by parse;
+    the list must not be empty."""
+    raw = _get(cfg, section, key, default=default, required=required)
+    with _config_errors(f"[{section}] {key}"):
+        items = [parse(tok) for tok in map(str.strip, re.split(sep, raw)) if tok]
+    if not items:
+        raise ConfigError(f"[{section}] {key} lists no item")
+    return items
 
 
 def _get_count(cfg, section, key, default, minimum=1):
@@ -89,19 +101,10 @@ def _get_count(cfg, section, key, default, minimum=1):
 
 def _get_m_values(cfg, section):
     """The required [section] m_values, sorted and unique, each at least 1."""
-    values = _get_int_list(cfg, section, "m_values", required=True)
-    if any(m < 1 for m in values):
+    values = _get_list(cfg, section, "m_values", int, required=True, sep=r"[,\s]")
+    if min(values) < 1:
         raise ConfigError(f"[{section}] m_values: m values must be >= 1")
     return sorted(set(values))
-
-
-def _parse_bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(raw)
 
 
 def _parse_schema(cfg) -> Schema:
@@ -123,10 +126,8 @@ def _parse_schema(cfg) -> Schema:
         else:
             raise ConfigError(f"[schema] {name}: kind must be numeric or "
                               f"categorical(level|level|...)")
-    try:
+    with _config_errors("[schema]"):
         return Schema(tuple(columns))
-    except ValueError as exc:
-        raise ConfigError(f"[schema]: {exc}") from None
 
 
 def _load_data(cfg, seed: int) -> tuple[Dataset, Dataset | None, str]:
@@ -140,19 +141,15 @@ def _load_data(cfg, seed: int) -> tuple[Dataset, Dataset | None, str]:
             raise ConfigError(f"[data] path {path!r} does not exist")
         schema = _parse_schema(cfg)
         full = load_csv(path, schema)
-        try:
+        with _config_errors("[data]"):
             train_ds, test_ds = train_test_split(full, fraction, child_seed(seed, "split"))
-        except ValueError as exc:
-            raise ConfigError(f"[data]: {exc}") from None
         return train_ds, test_ds, Path(path).stem
     if source == "process":
         pid = _get(cfg, "data", "process", required=True)
-        n = _get(cfg, "data", "n", convert=int)
-        n_test = _get(cfg, "data", "n_test", convert=int)
-        try:
+        with _config_errors("[data] process"):
             process = get_process(pid)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        n = _get_count(cfg, "data", "n", default=process.n_real)
+        n_test = _get_count(cfg, "data", "n_test", default=process.n_real)
         train_ds = process.sample_real_dataset(make_rng(child_seed(seed, "real")), n)
         test_ds = process.sample_real_dataset(make_rng(child_seed(seed, "test")), n_test)
         return train_ds, test_ds, pid
@@ -161,38 +158,30 @@ def _load_data(cfg, seed: int) -> tuple[Dataset, Dataset | None, str]:
 
 def _generator_spec(cfg) -> GeneratorSpec:
     kind = _get(cfg, "generator", "kind", required=True)
-    try:
+    with _config_errors("[generator]"):
         return GeneratorSpec(
             kind=kind,
             n_synthetic=_get(cfg, "generator", "n_synthetic", convert=int),
-            identity=_get(cfg, "generator", "identity", default=False,
-                          convert=_parse_bool),
+            identity=_get(cfg, "generator", "identity", default=False, convert=bool),
             epsilon=_get(cfg, "generator", "epsilon", convert=float),
             delta=_get(cfg, "generator", "delta", convert=float),
             process=_get(cfg, "generator", "process"),
         )
-    except ValueError as exc:
-        raise ConfigError(f"[generator]: {exc}") from None
 
 
 def _ensemble_request(cfg, m: int) -> tuple[GeneratorSpec, str]:
     """The [generator] spec and mode, checked for an ensemble of m datasets."""
     spec = _generator_spec(cfg)
     mode = _get(cfg, "generator", "mode", default="independent")
-    try:
+    with _config_errors("[generator]"):
         check_ensemble_request(spec, m, mode)
-    except ValueError as exc:
-        raise ConfigError(f"[generator]: {exc}") from None
     return spec, mode
 
 
 def _predictor_specs(cfg, task: str) -> list[PredictorSpec]:
     """The [predictors] specs, which must have distinct labels."""
-    raw = _get(cfg, "predictors", "specs", required=True)
-    try:
-        specs = [parse_predictor(tok, task) for tok in raw.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"[predictors] specs: {exc}") from None
+    specs = _get_list(cfg, "predictors", "specs", lambda tok: parse_predictor(tok, task),
+                      required=True)
     labels = [spec.label for spec in specs]
     for label in labels:
         if labels.count(label) > 1:
@@ -202,13 +191,10 @@ def _predictor_specs(cfg, task: str) -> list[PredictorSpec]:
 
 def _metric_specs(cfg, section: str, task: str) -> list[MetricSpec]:
     default = "mse" if task == "regression" else "brier_binary"
-    raw = _get(cfg, section, "metrics", default=default)
-    try:
-        specs = [MetricSpec(tok.strip()) for tok in raw.split(",") if tok.strip()]
+    specs = _get_list(cfg, section, "metrics", MetricSpec, default=default)
+    with _config_errors(f"[{section}] metrics"):
         for spec in specs:
             spec.check_task(task)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] metrics: {exc}") from None
     return specs
 
 
@@ -262,13 +248,6 @@ def _cmd_generate(cfg, seed, tracker):
     return EXIT_OK
 
 
-def _curve_cell(args):
-    (generator, data, predictor, test, m_values, averaging, metric, rep_seed,
-     mode) = args
-    return curve_repeat(generator, data, predictor, test, m_values, averaging,
-                        metric, rep_seed, mode)
-
-
 def _cmd_curve(cfg, seed, tracker, jobs=1):
     data, test, label = _load_data(cfg, seed)
     task = data.schema.task
@@ -277,34 +256,22 @@ def _cmd_curve(cfg, seed, tracker, jobs=1):
     m_values = _get_m_values(cfg, "curve")
     spec, mode = _ensemble_request(cfg, max(m_values))
     repeats = _get_count(cfg, "curve", "repeats", default=3)
-    averagings = [tok.strip() for tok in
-                  _get(cfg, "curve", "averaging", default="mean").split(",")]
-    try:
+    averagings = _get_list(cfg, "curve", "averaging", str, default="mean")
+    with _config_errors("[curve] averaging"):
         for averaging in averagings:
             check_averaging(averaging, task)
-    except ValueError as exc:
-        raise ConfigError(f"[curve] averaging: {exc}") from None
 
-    cells = []
-    for predictor in predictors:
-        for metric in metrics:
-            for averaging in averagings:
-                labels = {"dataset": label, "generator": spec.kind, "mode": mode,
-                          "predictor": predictor.label, "averaging": averaging,
-                          "metric": metric.kind}
-                for j in range(repeats):
-                    rep_seed = child_seed(seed, "repeat", j)
-                    cells.append(((spec, data, predictor, test, m_values, averaging,
-                                   metric, rep_seed, mode), labels, j))
-
+    cells = curve_cells(spec, data, predictors, test, m_values, repeats, averagings,
+                        metrics, seed, mode, label)
+    columns = zip(*(args for _, _, args in cells))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_curve_cell, [c[0] for c in cells]))
+            results = list(pool.map(curve_repeat, *columns))
     else:
-        results = [_curve_cell(c[0]) for c in cells]
+        results = list(map(curve_repeat, *columns))
 
     rows = []
-    for (_, labels, j), scores in zip(cells, results):
+    for (labels, j, _), scores in zip(cells, results):
         rows.extend(long_rows(labels, j, scores))
     write_long_csv(tracker.path("curve.csv"), rows)
     return EXIT_OK
@@ -354,7 +321,7 @@ def _cmd_decompose(cfg, seed, tracker):
     m = _get(cfg, "decompose", "m", default=1, convert=int)
     rho = _get(cfg, "decompose", "rho", default=0.0, convert=float)
     predictor = _get(cfg, "decompose", "predictor", default="builtin")
-    try:
+    with _config_errors("[decompose]"):
         mc = MonteCarloConfig(
             r_real=_get(cfg, "decompose", "r_real", default=100, convert=int),
             r_theta=_get(cfg, "decompose", "r_theta", default=20, convert=int),
@@ -366,8 +333,6 @@ def _cmd_decompose(cfg, seed, tracker):
         if predictor not in ("builtin", process.builtin_predictor):
             predictor = parse_predictor(predictor, process.schema.task)
         check_oracle_request(process, mode, predictor, m, rho)
-    except ValueError as exc:
-        raise ConfigError(f"[decompose]: {exc}") from None
     report = oracle_decompose(process, mode, predictor, m=m, mc=mc,
                               seed=child_seed(seed, "decompose"), rho=rho)
     tracker.path("report.json").write_text(report.to_json() + "\n", encoding="utf-8")

@@ -206,12 +206,15 @@ def save_csv(dataset: Dataset, path) -> None:
 
 
 def train_test_split(data: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded permutation split; |test| = round(test_fraction * n), half rounds up."""
+    """Seeded permutation split; |test| = round(test_fraction * n), half rounds up.
+    Raises ValueError when either side would be empty."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    if data.n < 2:
-        raise ValueError("need at least 2 rows to split")
     n_test = int(math.floor(test_fraction * data.n + 0.5))
+    if not 0 < n_test < data.n:
+        side = "test" if n_test == 0 else "train"
+        raise ValueError(f"test_fraction {test_fraction} of {data.n} rows leaves the "
+                         f"{side} set empty")
     perm = make_rng(seed).permutation(data.n)
     test_idx = np.sort(perm[:n_test])
     train_idx = np.sort(perm[n_test:])

@@ -54,10 +54,7 @@ class RuleOfThumbFit:
     mse1: float
     mv_plus_sdv: float
     method: str                                  # "two_point" | "regression"
-    slope: float | None = None
-    intercept: float | None = None
     r_squared: float | None = None
-    points: dict[int, float] | None = None
 
     @property
     def max_benefit(self) -> float:
@@ -92,9 +89,7 @@ def fit_rule_regression(points: dict[int, float]) -> RuleOfThumbFit:
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return RuleOfThumbFit(mse1=float(intercept), mv_plus_sdv=float(-slope),
-                          method="regression", slope=float(slope),
-                          intercept=float(intercept), r_squared=r2,
-                          points=dict(points))
+                          method="regression", r_squared=r2)
 
 
 def predict_mse(rule: RuleOfThumbFit, m: int) -> float:
@@ -165,6 +160,8 @@ def estimate_mv_sdv_nested(generator: GeneratorSpec, data: Dataset,
     """
     if r_theta < 2 or s_per_theta < 2:
         raise ValueError("r_theta and s_per_theta must be >= 2")
+    if test.n == 0:
+        raise ValueError("the test set is empty")
     if isinstance(predictor, str):
         predictor = PredictorSpec(predictor, data.schema.task)
     n_rows = generator.n_synthetic if generator.n_synthetic is not None else data.n
@@ -686,6 +683,23 @@ def curve_repeat(generator: GeneratorSpec, data: Dataset, predictor: PredictorSp
     return {m: (result.score, result.std_error) for m, result in results.items()}
 
 
+def curve_cells(generator: GeneratorSpec, data: Dataset, predictors, test: Dataset,
+                m_values, repeats: int, averagings, metrics, seed: int = 0,
+                mode: str = "independent", dataset_label: str = "data") -> list[tuple]:
+    """Every cell of a curve grid in curve.csv row order, one per predictor,
+    metric, averaging and repeat: (labels, repeat, curve_repeat arguments).
+    The repeat seed depends only on the repeat, so cells are independent."""
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    m_values = sorted(set(int(m) for m in m_values))
+    return [({"dataset": dataset_label, "generator": generator.kind, "mode": mode,
+              "predictor": predictor.label, "averaging": averaging, "metric": metric.kind},
+             j, (generator, data, predictor, test, m_values, averaging, metric,
+                 child_seed(seed, "repeat", j), mode))
+            for predictor in predictors for metric in metrics for averaging in averagings
+            for j in range(repeats)]
+
+
 def mse_curve(generator: GeneratorSpec, data: Dataset,
               predictor: PredictorSpec | str, test: Dataset,
               m_values, repeats: int, averaging: str = MEAN,
@@ -699,24 +713,17 @@ def mse_curve(generator: GeneratorSpec, data: Dataset,
     """
     if isinstance(predictor, str):
         predictor = PredictorSpec(predictor, data.schema.task)
-    m_values = sorted(set(int(m) for m in m_values))
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-
-    labels = {"dataset": dataset_label, "generator": generator.kind, "mode": mode,
-              "predictor": predictor.label, "averaging": averaging, "metric": metric.kind}
-    per_repeat = {m: np.empty(repeats) for m in m_values}
+    per_repeat: dict[int, np.ndarray] = {}
     rows = []
-    for j in range(repeats):
-        scores = curve_repeat(generator, data, predictor, test, m_values, averaging,
-                              metric, child_seed(seed, "repeat", j), mode)
-        for m in m_values:
-            per_repeat[m][j] = scores[m][0]
+    for labels, j, args in curve_cells(generator, data, [predictor], test, m_values, repeats,
+                                       [averaging], [metric], seed, mode, dataset_label):
+        scores = curve_repeat(*args)
+        for m, (score, _) in scores.items():
+            per_repeat.setdefault(m, np.empty(repeats))[j] = score
         rows.extend(long_rows(labels, j, scores))
 
     aggregate = {}
-    for m in m_values:
-        scores = per_repeat[m]
+    for m, scores in per_repeat.items():
         se = float(scores.std(ddof=1) / math.sqrt(repeats)) if repeats > 1 else None
         aggregate[m] = (float(scores.mean()), se)
     return CurveResult(rows=rows, per_repeat=per_repeat, aggregate=aggregate)

@@ -121,6 +121,8 @@ def score_predictions(preds: np.ndarray, y: np.ndarray, metric: MetricSpec,
     if y.ndim != 1 or preds.ndim != ndim or preds.shape[0] != y.size:
         raise ValueError(f"{task} predictions of shape {preds.shape} do not match "
                          f"targets of shape {y.shape}")
+    if y.size == 0:
+        raise ValueError("cannot score predictions on an empty set of targets")
 
     if metric.kind == "mse":
         per_point = (preds - y) ** 2

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from genensemble import cli
-from genensemble.data import (FEATURE, NUMERIC, TARGET, Column, Schema, load_csv)
+from genensemble.data import (CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Schema, load_csv,
+                              train_test_split)
+from genensemble.decomposition import mse_curve
+from genensemble.generators import GeneratorSpec
+from genensemble.metrics import MetricSpec, read_long_csv, write_long_csv
+from genensemble.predictors import parse_predictor
+from genensemble.rng import child_seed
 
 PROCESS_CONFIG = """\
 [experiment]
@@ -426,13 +432,32 @@ class TestCurveValidation:
          "[generator]: mode 'split_budget' requires kind=noisy_marginal_dp"),
         (classification_config, "curve", "test_fraction = 0.3", "test_fraction = 1.5",
          "[data]: test_fraction must lie in (0, 1), got 1.5"),
+        (classification_config, "curve", "test_fraction = 0.3", "test_fraction = 0.01",
+         "[data]: test_fraction 0.01 of 40 rows leaves the test set empty"),
+        (process_config, "generate", "mode = independent", "mode = independent\nidentity = maybe",
+         "[generator] identity = 'maybe' is not a valid boolean"),
+        (process_config, "decompose", "r_real = 30", "r_real = x",
+         "[decompose] r_real = 'x' is not a valid int"),
+        (process_config, "curve", "process = gaussian_toy\nn = 40", "process = nope\nn = 40",
+         "[data] process: unknown truth process 'nope'"),
+        (process_config, "curve", "n_test = 30", "n_test = 0", "[data] n_test must be >= 1"),
+        (process_config, "nested-var", "n_test = 30", "n_test = 0",
+         "[data] n_test must be >= 1"),
+        (process_config, "forest-curve", "n_test = 30", "n_test = 0",
+         "[data] n_test must be >= 1"),
+        (process_config, "nested-var", "n = 40", "n = 0", "[data] n must be >= 1"),
+        (process_config, "curve", "specs = cart, ridge:1.0", "specs = ,",
+         "[predictors] specs lists no item"),
     ], ids=["bogus-averaging", "mse-on-classification", "forest-mse-on-classification",
             "dual-on-regression", "brier-on-regression", "forest-cross-entropy-on-regression",
             "ridge-on-classification", "linear-on-classification", "logistic-on-regression",
             "ridge-nan", "ridge-inf", "ridge-negative", "knn-zero", "bagged-zero",
             "duplicate-label", "labels-equal-under-g", "nested-r-theta-one", "forest-t-max-one",
             "generate-m-zero", "bogus-mode", "shared-summary-without-dp",
-            "split-budget-without-dp", "test-fraction-above-one"])
+            "split-budget-without-dp", "test-fraction-above-one", "test-fraction-empty-test",
+            "identity-not-boolean", "r-real-not-int", "unknown-process", "curve-n-test-zero",
+            "nested-n-test-zero", "forest-n-test-zero", "nested-n-zero",
+            "no-specs"])
     def test_bad_option_is_a_config_error(self, tmp_path, make_config, subcommand, old, new,
                                           message, capsys):
         cfg = make_config(tmp_path)
@@ -443,3 +468,37 @@ class TestCurveValidation:
         assert cli.main([subcommand, "--config", str(cfg), "--output", str(out)]) == 1
         assert f"config error: {message}" in capsys.readouterr().err
         assert not any(out.iterdir())
+
+    def test_empty_list_items_are_ignored(self, tmp_path):
+        cfg = classification_config(tmp_path)
+        text = cfg.read_text(encoding="utf-8").replace(
+            "averaging = mean, dual_log_prob", "averaging = mean,")
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["curve", "--config", str(cfg), "--output", str(out)]) == 0
+        rows = read_long_csv(out / "curve.csv")
+        assert {row["averaging"] for row in rows} == {"mean"}
+
+
+class TestCurveMatchesLibrary:
+    def test_each_group_is_the_library_curve(self, tmp_path):
+        cfg = classification_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["curve", "--config", str(cfg), "--output", str(out)]) == 0
+
+        schema = Schema((Column("a", CATEGORICAL, FEATURE, levels=("l0", "l1", "l2")),
+                         Column("b", NUMERIC, FEATURE),
+                         Column("y", CATEGORICAL, TARGET, levels=("no", "yes"))))
+        full = load_csv(tmp_path / "clf.csv", schema)
+        data, test = train_test_split(full, 0.3, child_seed(5, "split"))
+        rows = []
+        for spec in ("knn:3", "cart"):
+            for metric in ("cross_entropy", "brier_binary"):
+                for averaging in ("mean", "dual_log_prob"):
+                    curve = mse_curve(GeneratorSpec("bootstrap"), data,
+                                      parse_predictor(spec, "classification"), test,
+                                      [1, 2, 4], 2, averaging, MetricSpec(metric), seed=5,
+                                      dataset_label="clf")
+                    rows.extend(curve.rows)
+        write_long_csv(tmp_path / "library.csv", rows)
+        assert (out / "curve.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()

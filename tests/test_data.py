@@ -109,6 +109,12 @@ class TestSplit:
             with pytest.raises(ValueError):
                 train_test_split(data, bad, seed=0)
 
+    @pytest.mark.parametrize("fraction, side", [(0.01, "test"), (0.99, "train")])
+    def test_empty_side_rejected(self, fraction, side):
+        data = Dataset(NUM_SCHEMA, np.arange(60.0).reshape(30, 2))
+        with pytest.raises(ValueError, match=f"leaves the {side} set empty"):
+            train_test_split(data, fraction, seed=0)
+
     def test_partition_property_random(self):
         rng = np.random.default_rng(11)
         for trial in range(20):

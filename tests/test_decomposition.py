@@ -143,6 +143,14 @@ class TestNestedEstimator:
             estimate_mv_sdv_nested(GeneratorSpec("bootstrap"), data, "mean", data,
                                    r_theta=1, s_per_theta=5)
 
+    def test_empty_test_set_rejected(self):
+        proc = get_process("gaussian_toy")
+        data = proc.sample_real_dataset(make_rng(0), 10)
+        empty = Dataset(data.schema, data.rows[:0])
+        with pytest.raises(ValueError, match="empty"):
+            estimate_mv_sdv_nested(GeneratorSpec("bootstrap"), data, "mean", empty,
+                                   r_theta=2, s_per_theta=2)
+
     def test_multiclass_summed_variant_is_flagged(self):
         from genensemble.data import CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Schema
         schema = Schema((Column("x", NUMERIC, FEATURE),

@@ -142,6 +142,15 @@ class TestMetricValues:
             score_predictions(np.array([1.0]), np.array([1.0]),
                               MetricSpec("brier_binary"), "regression")
 
+    @pytest.mark.parametrize("preds, task, kind", [
+        (np.empty(0), "regression", "mse"),
+        (np.empty((0, 2)), "classification", "cross_entropy"),
+        (np.empty((0, 2)), "classification", "one_minus_auc"),
+    ])
+    def test_empty_targets_rejected(self, preds, task, kind):
+        with pytest.raises(ValueError, match="empty"):
+            score_predictions(preds, np.empty(0), MetricSpec(kind), task)
+
     def test_regression_column_predictions_rejected(self):
         # a (3, 1) column against (3,) targets would broadcast to (3, 3)
         with pytest.raises(ValueError, match="shape"):
