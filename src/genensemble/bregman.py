@@ -47,9 +47,9 @@ class CentralStats:
     gvar: float
 
 
-def clamp_probs(p: np.ndarray, floor: float = PROB_FLOOR) -> np.ndarray:
-    """Floor probabilities and renormalize along the last axis."""
-    p = np.clip(np.asarray(p, dtype=np.float64), floor, None)
+def clamp_probs(p: np.ndarray) -> np.ndarray:
+    """Floor probabilities at PROB_FLOOR and renormalize along the last axis."""
+    p = np.clip(np.asarray(p, dtype=np.float64), PROB_FLOOR, None)
     return p / p.sum(axis=-1, keepdims=True)
 
 
@@ -66,7 +66,7 @@ def _check_domain(spec: BregmanSpec, v) -> np.ndarray:
     if spec.kind == NEGENTROPY:
         if np.any(v < -1e-12) or np.any(np.abs(v.sum(axis=-1) - 1.0) > 1e-6):
             raise DomainError("negentropy inputs must lie on the probability simplex")
-        v = clamp_probs(v, PROB_FLOOR)
+        v = clamp_probs(v)
     return v
 
 

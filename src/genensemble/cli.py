@@ -140,7 +140,8 @@ def _load_data(cfg, seed: int) -> tuple[Dataset, Dataset | None, str]:
         if not Path(path).is_file():
             raise ConfigError(f"[data] path {path!r} does not exist")
         schema = _parse_schema(cfg)
-        full = load_csv(path, schema)
+        with _config_errors("[data] path"):
+            full = load_csv(path, schema)
         with _config_errors("[data]"):
             train_ds, test_ds = train_test_split(full, fraction, child_seed(seed, "split"))
         return train_ds, test_ds, Path(path).stem
@@ -367,14 +368,16 @@ def _cmd_forest_curve(cfg, seed, tracker):
     data, test, label = _load_data(cfg, seed)
     task = data.schema.task
     t_max = _get_count(cfg, "forest", "t_max", default=32, minimum=2)
-    metric = _metric_specs(cfg, "forest", task)[0]
+    metrics = _metric_specs(cfg, "forest", task)
     fm_train = encode(data, data, False)
     fm_test = encode(data, test, False)
-    curve = train_forest_curve(fm_train, fm_test, t_max, metric,
-                               seed=child_seed(seed, "forest"))
     lines = ["dataset,metric,trees,score"]
-    for t in sorted(curve):
-        lines.append(f"{label},{metric.kind},{t},{float(curve[t])!r}")
+    for metric in metrics:
+        # one seed for every metric, so each metric scores the same trees
+        curve = train_forest_curve(fm_train, fm_test, t_max, metric,
+                                   seed=child_seed(seed, "forest"))
+        for t in sorted(curve):
+            lines.append(f"{label},{metric.kind},{t},{float(curve[t])!r}")
     tracker.path("forest_curve.csv").write_text("\n".join(lines) + "\n",
                                                 encoding="utf-8")
     return EXIT_OK

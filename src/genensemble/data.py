@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,21 +90,9 @@ class Schema:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    source: str = "real"           # "real" | "synthetic"
-    generator: str = ""
-    replicate: int = -1
-    summary_id: str = ""
-
-
-REAL = Provenance()
-
-
-@dataclass(frozen=True)
 class Dataset:
     schema: Schema
     rows: np.ndarray
-    provenance: Provenance = REAL
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.float64)
@@ -126,9 +114,6 @@ class Dataset:
 
     def target_values(self) -> np.ndarray:
         return self.rows[:, self.schema.target_index]
-
-    def with_provenance(self, provenance: Provenance) -> "Dataset":
-        return Dataset(self.schema, self.rows, provenance)
 
 
 @dataclass(frozen=True)
@@ -185,7 +170,7 @@ def load_csv(path, schema: Schema) -> Dataset:
             rows.append([_parse_cell(cell, col, row_num)
                          for cell, col in zip(record, schema.columns)])
     data = np.array(rows, dtype=np.float64).reshape(len(rows), len(schema.columns))
-    return Dataset(schema, data, REAL)
+    return Dataset(schema, data)
 
 
 def format_cell(value: float, col: Column) -> str:
@@ -218,8 +203,8 @@ def train_test_split(data: Dataset, test_fraction: float, seed: int) -> tuple[Da
     perm = make_rng(seed).permutation(data.n)
     test_idx = np.sort(perm[:n_test])
     train_idx = np.sort(perm[n_test:])
-    return (Dataset(data.schema, data.rows[train_idx], data.provenance),
-            Dataset(data.schema, data.rows[test_idx], data.provenance))
+    return (Dataset(data.schema, data.rows[train_idx]),
+            Dataset(data.schema, data.rows[test_idx]))
 
 
 def encode(train: Dataset, apply_to: Dataset, standardize: bool) -> FeatureMatrix:

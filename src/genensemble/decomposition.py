@@ -123,23 +123,27 @@ class NestedVarianceEstimate:
     multiclass_experimental: bool = False
 
 
-def _fit_predict(predictor: PredictorSpec, ds: Dataset, test: Dataset, seed: int):
-    """Train the predictor on one synthetic dataset and predict the test rows.
+def _members(predictor: PredictorSpec, test: Dataset, draws) -> tuple[np.ndarray, np.ndarray]:
+    """Train the predictor once per (synthetic dataset, training seed) pair of
+    draws and predict the test rows with each model.
 
     Both sides are encoded with the synthetic dataset's own scaler. Returns
-    the predictions and the encoded test targets.
+    the (m, n_test, ...) member block and the encoded test targets.
     """
-    fm_train = encode(ds, ds, predictor.wants_standardize)
-    fm_test = encode(ds, test, predictor.wants_standardize)
-    return predict_batch(train(predictor, fm_train, seed), fm_test.x), fm_test.y
+    preds = []
+    for ds, seed in draws:
+        fm_train = encode(ds, ds, predictor.wants_standardize)
+        fm_test = encode(ds, test, predictor.wants_standardize)
+        preds.append(predict_batch(train(predictor, fm_train, seed), fm_test.x))
+    return np.asarray(preds), fm_test.y
 
 
-def _components(preds: np.ndarray) -> np.ndarray:
-    """(n_test, c) prediction block: one column for regression or the binary
-    positive-class probability, all class probabilities for multiclass."""
-    if preds.ndim == 1:
-        return preds[:, None]
-    return preds[:, 1:2] if preds.shape[1] == 2 else preds
+def _components(block: np.ndarray, task: str) -> np.ndarray:
+    """(m, n_test, c) view of a member block: one column for regression or the
+    binary positive-class probability, all class probabilities for multiclass."""
+    if task == "regression":
+        return block[..., None]
+    return block[..., 1:2] if block.shape[-1] == 2 else block
 
 
 def estimate_mv_sdv_nested(generator: GeneratorSpec, data: Dataset,
@@ -165,17 +169,13 @@ def estimate_mv_sdv_nested(generator: GeneratorSpec, data: Dataset,
     if isinstance(predictor, str):
         predictor = PredictorSpec(predictor, data.schema.task)
     n_rows = generator.n_synthetic if generator.n_synthetic is not None else data.n
-    multiclass = predictor.task == "classification" and data.schema.n_classes > 2
 
-    preds = []
-    for i in range(r_theta):
-        params = fit(generator, data, child_seed(seed, "fit", i))
-        for j in range(s_per_theta):
-            ds = sample(params, n_rows, child_seed(child_seed(seed, "synth", i), "rep", j))
-            member, _ = _fit_predict(predictor, ds, test,
-                                     child_seed(child_seed(seed, "train", i), "rep", j))
-            preds.append(_components(member))
-    preds = np.reshape(preds, (r_theta, s_per_theta) + preds[0].shape)
+    fits = [fit(generator, data, child_seed(seed, "fit", i)) for i in range(r_theta)]
+    block, _ = _members(predictor, test, (
+        (sample(params, n_rows, child_seed(child_seed(seed, "synth", i), "rep", j)),
+         child_seed(child_seed(seed, "train", i), "rep", j))
+        for i, params in enumerate(fits) for j in range(s_per_theta)))
+    preds = _components(block, predictor.task).reshape(r_theta, s_per_theta, test.n, -1)
 
     within_var = preds.var(axis=1, ddof=1).sum(axis=-1)         # (r_theta, n_test)
     mv_per_point = within_var.mean(axis=0)
@@ -188,7 +188,7 @@ def estimate_mv_sdv_nested(generator: GeneratorSpec, data: Dataset,
     return NestedVarianceEstimate(mv_per_point=mv_per_point, sdv_per_point=sdv_per_point,
                                   mv=mv, sdv=sdv, mv_se=mv_se, sdv_se=sdv_se,
                                   r_theta=r_theta, s_per_theta=s_per_theta,
-                                  multiclass_experimental=multiclass)
+                                  multiclass_experimental=preds.shape[-1] > 1)
 
 
 # --------------------------------------------------------------------------
@@ -246,8 +246,8 @@ class DecompositionReport:
             "per_point": {k: list(map(float, v)) for k, v in self.per_point.items()},
         }
 
-    def to_json(self, indent=2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def _gauss_coverage(k: float) -> float:
@@ -424,13 +424,11 @@ def _trained_outputs(process, predictor: PredictorSpec, test_points: np.ndarray,
 
     def outputs(rng, thetas, tag, r):
         base = child_seed(seed, tag, r)
-        preds = []
-        for k, theta in enumerate(thetas.flat):
-            cell = child_seed(base, "cell", k)
-            ds = process.sample_synth_dataset(theta, process.n_synth, child_rng(cell, "rows"))
-            member, _ = _fit_predict(predictor, ds, test_ds, child_seed(cell, "train"))
-            preds.append(_components(member)[:, 0])
-        return np.reshape(preds, thetas.shape + (test_points.shape[0],))
+        cells = [child_seed(base, "cell", k) for k in range(thetas.size)]
+        block, _ = _members(predictor, test_ds, (
+            (process.sample_synth_dataset(theta, process.n_synth, child_rng(cell, "rows")),
+             child_seed(cell, "train")) for theta, cell in zip(thetas.flat, cells)))
+        return _components(block, predictor.task)[..., 0].reshape(thetas.shape + (test_ds.n,))
     return outputs
 
 
@@ -674,12 +672,9 @@ def curve_repeat(generator: GeneratorSpec, data: Dataset, predictor: PredictorSp
     if min(m_values) < 1:
         raise ValueError("m values must be >= 1")
     datasets, _ = generate_ensemble(generator, data, max(m_values), mode, seed=rep_seed)
-    member_preds = []
-    for i, ds in enumerate(datasets):
-        preds, y_ref = _fit_predict(predictor, ds, test, child_seed(rep_seed, "train", i))
-        member_preds.append(preds)
-    results = score_prefixes(np.asarray(member_preds), y_ref, m_values, averaging, metric,
-                             predictor.task)
+    block, y_ref = _members(predictor, test, ((ds, child_seed(rep_seed, "train", i))
+                                             for i, ds in enumerate(datasets)))
+    results = score_prefixes(block, y_ref, m_values, averaging, metric, predictor.task)
     return {m: (result.score, result.std_error) for m, result in results.items()}
 
 

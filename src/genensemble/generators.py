@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .data import CATEGORICAL, NUMERIC, Dataset, Provenance, Schema
+from .data import CATEGORICAL, NUMERIC, Dataset, Schema
 from .rng import child_seed, make_rng
 
 BOOTSTRAP = "bootstrap"
@@ -239,31 +239,28 @@ def fit(spec: GeneratorSpec, data: Dataset, seed: int) -> GeneratorParams:
     raise ValueError(f"unknown generator kind {spec.kind!r}")
 
 
-def sample(params: GeneratorParams, n_rows: int, seed: int,
-           replicate: int = -1) -> Dataset:
+def sample(params: GeneratorParams, n_rows: int, seed: int) -> Dataset:
     """Draw one synthetic dataset from fitted generator parameters."""
     if n_rows < 1:
         raise ValueError("n_rows must be >= 1")
-    provenance = Provenance(source="synthetic", generator=params.kind,
-                            replicate=replicate, summary_id=params.summary_id)
     rng = make_rng(seed)
     if params.kind == BOOTSTRAP:
         if params.identity:
-            return params.data.with_provenance(provenance)
+            return params.data
         idx = rng.integers(0, params.data.n, size=n_rows)
-        return Dataset(params.schema, params.data.rows[idx], provenance)
+        return Dataset(params.schema, params.data.rows[idx])
     if params.kind == GAUSSIAN_PPD:
         rows = rng.multivariate_normal(params.mean, params.cov, size=n_rows,
                                        method="cholesky")
-        return Dataset(params.schema, rows, provenance)
+        return Dataset(params.schema, rows)
     if params.kind == NOISY_MARGINAL_DP:
         cols = [rng.choice(len(p), size=n_rows, p=p).astype(np.float64)
                 for p in params.probs]
-        return Dataset(params.schema, np.column_stack(cols), provenance)
+        return Dataset(params.schema, np.column_stack(cols))
     if params.kind == TRUTH_PROCESS:
         from .processes import get_process
         process = get_process(params.process)
-        return process.sample_synth_dataset(params.theta, n_rows, rng, provenance)
+        return process.sample_synth_dataset(params.theta, n_rows, rng)
     raise ValueError(f"unknown generator kind {params.kind!r}")
 
 
@@ -326,31 +323,28 @@ def generate_ensemble(spec: GeneratorSpec, data: Dataset, m: int, mode: str,
     rho_members: list[float] = []       # one entry per DP release
     rho_full = (rho_from_epsilon(spec.epsilon, spec.delta)
                 if spec.kind == NOISY_MARGINAL_DP else None)
-
-    if mode == INDEPENDENT:
-        for i, ms in enumerate(member_seeds):
-            params = fit(spec, data, child_seed(ms, "fit"))
-            datasets.append(sample(params, n_rows, child_seed(ms, "sample"), replicate=i))
-            if params.summary_id:
-                summary_ids.append(params.summary_id)
-                rho_members.append(rho_full)
+    if mode == INDEPENDENT and rho_full is not None:
+        rho_members = [rho_full] * m    # each member's fit is a release at the full budget
     elif mode == SHARED_SUMMARY:
         summary = fit_dp_summary(data, spec.epsilon, spec.delta, child_seed(seed, "summary"))
-        summary_ids = [summary.summary_id] * m
-        rho_members = [summary.rho]
-        for i, ms in enumerate(member_seeds):
-            params = sample_params_from_summary(summary, child_seed(ms, "theta"))
-            datasets.append(sample(params, n_rows, child_seed(ms, "sample"), replicate=i))
-    else:  # split budget
+        rho_members.append(summary.rho)
+    elif mode == SPLIT_BUDGET:
         rho_i = rho_full / m
         eps_i = epsilon_from_rho(rho_i, spec.delta)
-        for i, ms in enumerate(member_seeds):
+
+    for ms in member_seeds:
+        # only the way params are drawn depends on the mode
+        if mode == SPLIT_BUDGET:
             summary = _dp_summary_with_rho(data, rho_i, eps_i, spec.delta,
                                            child_seed(ms, "summary"))
-            summary_ids.append(summary.summary_id)
             rho_members.append(summary.rho)
+        if mode == INDEPENDENT:
+            params = fit(spec, data, child_seed(ms, "fit"))
+        else:
             params = sample_params_from_summary(summary, child_seed(ms, "theta"))
-            datasets.append(sample(params, n_rows, child_seed(ms, "sample"), replicate=i))
+        if params.summary_id:
+            summary_ids.append(params.summary_id)
+        datasets.append(sample(params, n_rows, child_seed(ms, "sample")))
 
     rho_total = sum(rho_members) if rho_full is not None else None
     record = EnsembleProvenance(kind=spec.kind, mode=mode, m=m, n_rows=n_rows, seed=seed,

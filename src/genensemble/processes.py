@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Dataset, Provenance, Schema
+from .data import CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Dataset, Schema
 from .generators import gaussian_noise_scale, project_to_simplex, rho_from_epsilon
 
 
@@ -107,11 +107,10 @@ class GaussianMeanProcess:
             return self.mu0
         return float(rng.normal(data.target_values().mean(), self.tau))
 
-    def sample_synth_dataset(self, theta, n_rows, rng, provenance=None) -> Dataset:
+    def sample_synth_dataset(self, theta, n_rows, rng) -> Dataset:
         x = rng.normal(0.0, 1.0, size=n_rows)
         y = rng.normal(float(theta), self.noise_sd, size=n_rows)
-        prov = provenance or Provenance(source="synthetic", generator=self.id)
-        return Dataset(self.schema, np.column_stack([x, y]), prov)
+        return Dataset(self.schema, np.column_stack([x, y]))
 
 
 class DiscreteBernoulliProcess:
@@ -187,10 +186,9 @@ class DiscreteBernoulliProcess:
         ones = int(data.target_values().sum())
         return float(rng.beta(ones + 1.0, data.n - ones + 1.0))
 
-    def sample_synth_dataset(self, theta, n_rows, rng, provenance=None) -> Dataset:
+    def sample_synth_dataset(self, theta, n_rows, rng) -> Dataset:
         y = (rng.random(n_rows) < float(theta)).astype(np.float64)
-        prov = provenance or Provenance(source="synthetic", generator=self.id)
-        return Dataset(self.schema, y[:, None], prov)
+        return Dataset(self.schema, y[:, None])
 
 
 _REGISTRY = {

@@ -181,6 +181,24 @@ class TestPipeline:
         lines = (out / "forest_curve.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 4
 
+    def test_forest_curve_writes_every_metric(self, tmp_path):
+        cfg = classification_config(tmp_path)
+        text = cfg.read_text(encoding="utf-8")
+
+        def run(metrics):
+            cfg.write_text(text.replace("t_max = 3\nmetrics = brier_binary",
+                                        f"t_max = 3\nmetrics = {metrics}"), encoding="utf-8")
+            out = tmp_path / metrics.replace(", ", "-")
+            assert cli.main(["forest-curve", "--config", str(cfg), "--output", str(out)]) == 0
+            return (out / "forest_curve.csv").read_text().splitlines()
+
+        both = run("brier_binary, cross_entropy")
+        assert [line.split(",")[1] for line in both[1:]] == (["brier_binary"] * 3 +
+                                                              ["cross_entropy"] * 3)
+        # each metric scores the trees its one-metric run scores
+        assert both[:4] == run("brier_binary")
+        assert both[4:] == run("cross_entropy")[1:]
+
     def test_seed_override_changes_outputs(self, config, tmp_path):
         cfg, _ = config
         a, b = tmp_path / "s1", tmp_path / "s2"
@@ -478,6 +496,25 @@ class TestCurveValidation:
         assert cli.main(["curve", "--config", str(cfg), "--output", str(out)]) == 0
         rows = read_long_csv(out / "curve.csv")
         assert {row["averaging"] for row in rows} == {"mean"}
+
+    @pytest.mark.parametrize("line, new, message", [
+        (0, "a,c,y", "does not match schema ['a', 'b', 'y']"),
+        (2, "l0,nan,no", "row 2, column 'b': 'nan' is not finite"),
+        (3, "l0,1.0", "row 3 has 2 cells, expected 3"),
+        (1, "l9,1.0,no", "row 1, column 'a': unknown level 'l9'"),
+    ], ids=["wrong-header", "nan-cell", "short-row", "unknown-level"])
+    def test_bad_csv_content_is_a_config_error(self, tmp_path, line, new, message, capsys):
+        cfg = classification_config(tmp_path)
+        data_path = tmp_path / "clf.csv"
+        lines = data_path.read_text(encoding="utf-8").splitlines()
+        lines[line] = new
+        data_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["curve", "--config", str(cfg), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [data] path: ")
+        assert message in err
+        assert not any(out.iterdir())
 
 
 class TestCurveMatchesLibrary:

@@ -40,7 +40,6 @@ class TestLoadCsv:
     def test_two_row_read_back(self, tmp_path):
         ds = load_csv(write(tmp_path, "x,y\n1,2\n3,4\n"), NUM_SCHEMA)
         assert ds.n == 2
-        assert ds.provenance.source == "real"
         np.testing.assert_array_equal(ds.rows, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):

@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 
 from genensemble import bregman as brg
 from genensemble import decomposition
-from genensemble.data import Dataset
+from genensemble.data import (CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Dataset, Schema,
+                              encode)
 from genensemble.decomposition import (CORRELATED, SHARED_SUMMARY, MonteCarloConfig,
                                        achieved_benefit, bregman_oracle_decompose,
                                        estimate_mv_sdv_nested, fit_rule_regression,
                                        fit_rule_two_point, mse_curve, oracle_decompose,
                                        predict_mse)
-from genensemble.generators import GeneratorSpec, generate_ensemble
+from genensemble.generators import GeneratorSpec, fit, generate_ensemble, sample
 from genensemble.metrics import MetricSpec
-from genensemble.predictors import PredictorSpec
+from genensemble.predictors import PredictorSpec, predict_batch, train
 from genensemble.processes import get_process
 from genensemble.rng import child_rng, child_seed, make_rng
 
@@ -191,6 +192,72 @@ class TestNestedEstimator:
                                      r_theta=400, s_per_theta=5, seed=63)
         assert abs(est.mv - 0.5) <= 3.0 * est.mv_se
         assert abs(est.sdv - 0.04) <= 3.0 * est.sdv_se
+
+
+def _nested_reference(generator, data, predictor, test, r_theta, s_per_theta, seed):
+    """The nested estimator with its own loop: train and predict one synthetic
+    dataset at a time, reduce each member's predictions to components, then
+    split the spread. Returns every number of the estimate."""
+    n_rows = generator.n_synthetic if generator.n_synthetic is not None else data.n
+    preds = []
+    for i in range(r_theta):
+        params = fit(generator, data, child_seed(seed, "fit", i))
+        for j in range(s_per_theta):
+            ds = sample(params, n_rows, child_seed(child_seed(seed, "synth", i), "rep", j))
+            fm_train = encode(ds, ds, predictor.wants_standardize)
+            fm_test = encode(ds, test, predictor.wants_standardize)
+            model = train(predictor, fm_train, child_seed(child_seed(seed, "train", i), "rep", j))
+            member = predict_batch(model, fm_test.x)
+            if member.ndim == 1:
+                member = member[:, None]
+            elif member.shape[1] == 2:
+                member = member[:, 1:2]
+            preds.append(member)
+    preds = np.reshape(preds, (r_theta, s_per_theta) + preds[0].shape)
+    within_var = preds.var(axis=1, ddof=1).sum(axis=-1)
+    mv_per_point = within_var.mean(axis=0)
+    between_var = preds.mean(axis=1).var(axis=0, ddof=1).sum(axis=-1)
+    sdv_per_point = between_var - mv_per_point / s_per_theta
+    return (mv_per_point, sdv_per_point, float(mv_per_point.mean()),
+            float(sdv_per_point.mean()),
+            float(within_var.mean(axis=1).std(ddof=1) / math.sqrt(r_theta)),
+            float(between_var.mean()) * math.sqrt(2.0 / (r_theta - 1)))
+
+
+def _nested_data(n_classes):
+    """24 rows of one numeric and one three-level feature with a regression
+    target (n_classes 0) or a categorical one."""
+    rng = make_rng(40 + n_classes)
+    if n_classes:
+        target = Column("y", CATEGORICAL, TARGET, levels=tuple("abc"[:n_classes]))
+        y = rng.integers(0, n_classes, size=24).astype(float)
+    else:
+        target = Column("y", NUMERIC, TARGET)
+        y = rng.normal(size=24)
+    schema = Schema((Column("x", NUMERIC, FEATURE),
+                     Column("c", CATEGORICAL, FEATURE, levels=("l0", "l1", "l2")), target))
+    return Dataset(schema, np.column_stack([rng.normal(size=24),
+                                            rng.integers(0, 3, size=24), y]))
+
+
+class TestNestedMatchesReference:
+    @pytest.mark.parametrize("n_classes, kind", [
+        (0, "cart"), (0, "knn"), (0, "ridge"), (0, "mean"),
+        (2, "cart"), (2, "knn"), (2, "logistic"), (2, "mean"),
+        (3, "cart"), (3, "knn"), (3, "logistic"), (3, "mean"),
+    ])
+    def test_estimate_bytes(self, n_classes, kind):
+        data = _nested_data(n_classes)
+        test = Dataset(data.schema, data.rows[:7])
+        predictor = PredictorSpec(kind, data.schema.task)
+        generator = GeneratorSpec("bootstrap", n_synthetic=15)
+        est = estimate_mv_sdv_nested(generator, data, predictor, test, r_theta=3,
+                                     s_per_theta=2, seed=9)
+        ref = _nested_reference(generator, data, predictor, test, 3, 2, 9)
+        assert est.mv_per_point.tobytes() == ref[0].tobytes()
+        assert est.sdv_per_point.tobytes() == ref[1].tobytes()
+        assert (est.mv, est.sdv, est.mv_se, est.sdv_se) == ref[2:]
+        assert est.multiclass_experimental == (n_classes == 3)
 
 
 class TestOracleDecompose:

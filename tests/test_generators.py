@@ -8,11 +8,13 @@ from scipy import stats
 
 from genensemble.data import (CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Dataset,
                               Schema)
-from genensemble.generators import (GeneratorSpec, PrivateSummary, epsilon_from_rho,
-                                    fit, fit_dp_summary, gaussian_noise_scale,
-                                    generate_ensemble, project_to_simplex,
-                                    rho_from_epsilon, sample,
+from genensemble.generators import (EnsembleProvenance, GeneratorSpec, PrivateSummary,
+                                    _dp_summary_with_rho, check_ensemble_request,
+                                    epsilon_from_rho, fit, fit_dp_summary,
+                                    gaussian_noise_scale, generate_ensemble,
+                                    project_to_simplex, rho_from_epsilon, sample,
                                     sample_params_from_summary)
+from genensemble.rng import child_seed
 
 NUM_SCHEMA = Schema((Column("x", NUMERIC, FEATURE), Column("y", NUMERIC, TARGET)))
 CAT_SCHEMA = Schema((Column("a", CATEGORICAL, FEATURE, levels=("l0", "l1")),
@@ -68,7 +70,6 @@ class TestSample:
         data = Dataset(NUM_SCHEMA, np.array([[7.0, 9.0]]))
         params = fit(GeneratorSpec("bootstrap"), data, seed=0)
         synth = sample(params, 20, seed=3)
-        assert synth.provenance.source == "synthetic"
         assert np.all(synth.rows == [7.0, 9.0])
 
     def test_degenerate_probability_vector(self):
@@ -201,7 +202,6 @@ class TestGenerateEnsemble:
         assert len(datasets) == 3
         assert record.m == 3 and record.mode == "independent"
         for i, ds in enumerate(datasets):
-            assert ds.provenance.replicate == i
             assert all(tuple(r) in set(map(tuple, data.rows)) for r in ds.rows)
 
     def test_shared_summary_references_one_summary(self):
@@ -209,7 +209,6 @@ class TestGenerateEnsemble:
         spec = GeneratorSpec("noisy_marginal_dp", epsilon=1.0, delta=1e-6)
         datasets, record = generate_ensemble(spec, data, 2, "shared_summary", seed=4)
         assert len(set(record.summary_ids)) == 1
-        assert datasets[0].provenance.summary_id == datasets[1].provenance.summary_id
 
     def test_split_budget_conservation(self):
         data = cat_dataset([[0, 1], [1, 0], [1, 1], [0, 0]])
@@ -295,3 +294,82 @@ class TestGenerateEnsemble:
                                  seed=8)
         for da, db in zip(a, b):
             assert np.array_equal(da.rows, db.rows)
+
+
+def _generate_ensemble_reference(spec, data, m, mode, seed=0):
+    """generate_ensemble with one member loop per mode."""
+    check_ensemble_request(spec, m, mode)
+    n_rows = spec.n_synthetic if spec.n_synthetic is not None else data.n
+
+    member_seeds = tuple(child_seed(seed, "member", i) for i in range(m))
+    datasets = []
+    summary_ids = []
+    rho_members = []
+    rho_full = (rho_from_epsilon(spec.epsilon, spec.delta)
+                if spec.kind == "noisy_marginal_dp" else None)
+
+    if mode == "independent":
+        for ms in member_seeds:
+            params = fit(spec, data, child_seed(ms, "fit"))
+            datasets.append(sample(params, n_rows, child_seed(ms, "sample")))
+            if params.summary_id:
+                summary_ids.append(params.summary_id)
+                rho_members.append(rho_full)
+    elif mode == "shared_summary":
+        summary = fit_dp_summary(data, spec.epsilon, spec.delta, child_seed(seed, "summary"))
+        summary_ids = [summary.summary_id] * m
+        rho_members = [summary.rho]
+        for ms in member_seeds:
+            params = sample_params_from_summary(summary, child_seed(ms, "theta"))
+            datasets.append(sample(params, n_rows, child_seed(ms, "sample")))
+    else:
+        rho_i = rho_full / m
+        eps_i = epsilon_from_rho(rho_i, spec.delta)
+        for ms in member_seeds:
+            summary = _dp_summary_with_rho(data, rho_i, eps_i, spec.delta,
+                                           child_seed(ms, "summary"))
+            summary_ids.append(summary.summary_id)
+            rho_members.append(summary.rho)
+            params = sample_params_from_summary(summary, child_seed(ms, "theta"))
+            datasets.append(sample(params, n_rows, child_seed(ms, "sample")))
+
+    rho_total = sum(rho_members) if rho_full is not None else None
+    record = EnsembleProvenance(kind=spec.kind, mode=mode, m=m, n_rows=n_rows, seed=seed,
+                                member_seeds=member_seeds, epsilon=spec.epsilon,
+                                delta=spec.delta, rho_total=rho_total,
+                                rho_per_member=tuple(rho_members),
+                                summary_ids=tuple(summary_ids))
+    return datasets, record
+
+
+CAT3_SCHEMA = Schema((Column("a", CATEGORICAL, FEATURE, levels=("l0", "l1", "l2")),
+                      Column("b", CATEGORICAL, FEATURE, levels=("l0", "l1")),
+                      Column("y", CATEGORICAL, TARGET, levels=("n", "p"))))
+
+
+class TestGenerateEnsembleMatchesReference:
+    @pytest.mark.parametrize("kind, mode", [("noisy_marginal_dp", "independent"),
+                                            ("noisy_marginal_dp", "shared_summary"),
+                                            ("noisy_marginal_dp", "split_budget"),
+                                            ("bootstrap", "independent"),
+                                            ("gaussian_ppd", "independent")])
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 8), n_synthetic=st.one_of(st.none(), st.integers(1, 12)),
+           epsilon=st.one_of(st.floats(0.05, 20.0), st.just(math.inf)),
+           data_seed=st.integers(0, 3), seed=st.integers(0, 2**63 - 1))
+    def test_datasets_and_record(self, kind, mode, m, n_synthetic, epsilon, data_seed, seed):
+        rng = np.random.default_rng(data_seed)
+        if kind == "noisy_marginal_dp":
+            spec = GeneratorSpec(kind, n_synthetic=n_synthetic, epsilon=epsilon, delta=1e-6)
+            data = Dataset(CAT3_SCHEMA, np.column_stack([rng.integers(0, 3, 9),
+                                                         rng.integers(0, 2, 9),
+                                                         rng.integers(0, 2, 9)]))
+        else:
+            spec = GeneratorSpec(kind, n_synthetic=n_synthetic)
+            data = Dataset(NUM_SCHEMA, rng.normal(size=(9, 2)))
+        datasets, record = generate_ensemble(spec, data, m, mode, seed)
+        ref_datasets, ref_record = _generate_ensemble_reference(spec, data, m, mode, seed)
+        assert [ds.rows.tobytes() for ds in datasets] == \
+            [ds.rows.tobytes() for ds in ref_datasets]
+        assert record.to_json_dict() == ref_record.to_json_dict()
+        assert record == ref_record
