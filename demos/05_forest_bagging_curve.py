@@ -25,8 +25,8 @@ train = FeatureMatrix(x=x, y=y, task="regression")
 test = FeatureMatrix(x=xt, y=yt, task="regression")
 
 t_max = 64
-curve = ge.train_forest_curve(train, test, t_max=t_max, metric=MetricSpec("mse"),
-                              seed=17)
+[curve] = ge.train_forest_curve(train, test, t_max=t_max, metrics=[MetricSpec("mse")],
+                                seed=17)
 
 rule = ge.fit_rule_two_point(curve[1], curve[2])
 print(f"single tree mse {curve[1]:.4f}, two trees {curve[2]:.4f} "

@@ -372,10 +372,9 @@ def _cmd_forest_curve(cfg, seed, tracker):
     fm_train = encode(data, data, False)
     fm_test = encode(data, test, False)
     lines = ["dataset,metric,trees,score"]
-    for metric in metrics:
-        # one seed for every metric, so each metric scores the same trees
-        curve = train_forest_curve(fm_train, fm_test, t_max, metric,
-                                   seed=child_seed(seed, "forest"))
+    curves = train_forest_curve(fm_train, fm_test, t_max, metrics,
+                                seed=child_seed(seed, "forest"))
+    for metric, curve in zip(metrics, curves):
         for t in sorted(curve):
             lines.append(f"{label},{metric.kind},{t},{float(curve[t])!r}")
     tracker.path("forest_curve.csv").write_text("\n".join(lines) + "\n",

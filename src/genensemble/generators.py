@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .data import CATEGORICAL, NUMERIC, Dataset, Schema
 from .rng import child_seed, make_rng
@@ -209,8 +208,9 @@ def _fit_gaussian_ppd(data: Dataset, seed: int) -> GeneratorParams:
     psi0 = scatter / n + 1e-6 * np.eye(d)
     kappa_n, nu_n = kappa0 + n, nu0 + n
     psi_n = psi0 + scatter
+    from scipy.stats import invwishart   # scipy.stats costs about 1 s to import
     rng = make_rng(seed)
-    cov = stats.invwishart.rvs(df=nu_n, scale=psi_n, random_state=rng)
+    cov = invwishart.rvs(df=nu_n, scale=psi_n, random_state=rng)
     cov = np.atleast_2d(cov)
     mean = rng.multivariate_normal(xbar, cov / kappa_n, method="cholesky")
     return GeneratorParams(kind=GAUSSIAN_PPD, mean=mean, cov=cov, schema=data.schema)

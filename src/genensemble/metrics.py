@@ -11,7 +11,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .bregman import NEGENTROPY, BregmanSpec, clamp_probs, dual_average
 from .data import FeatureMatrix
@@ -99,13 +98,27 @@ class EvalResult:
     std_error: float | None
 
 
+def _midranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of a, each run of ties sharing the mean of its ranks, or all
+    NaN if a holds a NaN: scipy.stats.rankdata's defaults, bit for bit."""
+    if np.isnan(a).any():
+        return np.full(a.size, np.nan)
+    order = np.argsort(a)
+    sorted_a = a[order]
+    starts = np.flatnonzero(np.r_[True, sorted_a[1:] != sorted_a[:-1]])
+    ends = np.r_[starts[1:], a.size]               # each run's last 1-based rank
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def _auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Mann-Whitney AUC with half credit for ties; positive class is index 1."""
     pos = scores[labels == 1]
     neg = scores[labels != 1]
     if pos.size == 0 or neg.size == 0:
         raise ValueError("AUC needs both classes present in the test labels")
-    ranks = rankdata(np.concatenate([pos, neg]))       # midranks for ties
+    ranks = _midranks(np.concatenate([pos, neg]))
     rank_sum_pos = ranks[:pos.size].sum()
     return (rank_sum_pos - pos.size * (pos.size + 1) / 2.0) / (pos.size * neg.size)
 

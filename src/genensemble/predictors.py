@@ -490,11 +490,11 @@ def predict(model: TrainedModel, x_row) -> float | np.ndarray:
 
 
 def train_forest_curve(data: FeatureMatrix, test: FeatureMatrix, t_max: int,
-                       metric, seed: int = 0) -> dict[int, float]:
-    """Score a growing bagged-tree ensemble on a test set.
+                       metrics, seed: int = 0) -> list[dict[int, float]]:
+    """Score a growing bagged-tree ensemble on a test set under each metric.
 
-    Trains t_max bootstrap trees once; entry T of the result is the metric of
-    the mean of the first T trees' predictions.
+    Trains t_max bootstrap trees once; entry T of the i-th result is metrics[i]
+    of the mean of the first T trees' predictions.
     """
     from .metrics import MEAN, score_prefixes
 
@@ -502,5 +502,6 @@ def train_forest_curve(data: FeatureMatrix, test: FeatureMatrix, t_max: int,
         raise ValueError("t_max must be >= 2")
     model = train(PredictorSpec("bagged_trees", data.task, n_trees=t_max), data, seed)
     member = _tree_members(model.state, _feature_block(model, test.x))
-    results = score_prefixes(member, test.y, range(1, t_max + 1), MEAN, metric, data.task)
-    return {t: result.score for t, result in results.items()}
+    curves = (score_prefixes(member, test.y, range(1, t_max + 1), MEAN, metric, data.task)
+              for metric in metrics)
+    return [{t: result.score for t, result in curve.items()} for curve in curves]

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from genensemble import cli
+from genensemble import cli, predictors
 from genensemble.data import (CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Schema, load_csv,
                               train_test_split)
 from genensemble.decomposition import mse_curve
@@ -198,6 +202,22 @@ class TestPipeline:
         # each metric scores the trees its one-metric run scores
         assert both[:4] == run("brier_binary")
         assert both[4:] == run("cross_entropy")[1:]
+
+    def test_forest_curve_trains_once_for_every_metric(self, tmp_path, monkeypatch):
+        cfg = classification_config(tmp_path)
+        cfg.write_text(cfg.read_text(encoding="utf-8").replace(
+            "t_max = 3\nmetrics = brier_binary",
+            "t_max = 3\nmetrics = brier_binary, cross_entropy"), encoding="utf-8")
+        real_train, calls = predictors.train, []
+
+        def counting_train(spec, *args, **kwargs):
+            calls.append(spec)
+            return real_train(spec, *args, **kwargs)
+
+        monkeypatch.setattr(predictors, "train", counting_train)
+        assert cli.main(["forest-curve", "--config", str(cfg),
+                         "--output", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1 and calls[0].n_trees == 3
 
     def test_seed_override_changes_outputs(self, config, tmp_path):
         cfg, _ = config
@@ -539,3 +559,16 @@ class TestCurveMatchesLibrary:
                     rows.extend(curve.rows)
         write_long_csv(tmp_path / "library.csv", rows)
         assert (out / "curve.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about 1 s to import, which every CLI run would pay;
+    # only a Gaussian-PPD fit loads it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, genensemble, genensemble.cli; "
+             "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -594,8 +594,8 @@ class TestMseCurve:
             data = proc.sample_real_dataset(make_rng(1000 + rep), 50)
             fm_train = encode(data, data, False)
             fm_test = encode(data, test_ds, False)
-            curves.append(train_forest_curve(fm_train, fm_test, t_max=8,
-                                             metric=MetricSpec("mse"), seed=rep))
+            curves += train_forest_curve(fm_train, fm_test, t_max=8,
+                                         metrics=[MetricSpec("mse")], seed=rep)
         for t in (4, 8):
             diffs = np.array([c[1] - 2.0 * (1 - 1 / t) * (c[1] - c[2]) - c[t]
                               for c in curves])

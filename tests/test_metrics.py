@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from genensemble.bregman import DomainError
 from genensemble.data import FeatureMatrix
-from genensemble.metrics import (DUAL_LOG_PROB, EnsemblePredictor, MetricSpec,
-                                 clamp_probs, combine_predictions, ensemble_predict,
+from genensemble.metrics import (DUAL_LOG_PROB, EnsemblePredictor, MetricSpec, _auc,
+                                 _midranks, clamp_probs, combine_predictions, ensemble_predict,
                                  evaluate, read_long_csv, score_predictions,
                                  write_long_csv)
 from genensemble.predictors import PredictorSpec, train
@@ -198,6 +199,27 @@ class TestAuc:
         preds = np.column_stack([1.0 - scores, scores])
         res = score_predictions(preds, y, MetricSpec("one_minus_auc"), "classification")
         assert res.score == pytest.approx(1.0 - pairwise, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(0, 3), min_size=1, max_size=40),          # few levels
+        st.lists(st.floats(-2.0, 2.0).map(lambda v: round(v, 1)), min_size=1, max_size=40),
+        st.builds(lambda v, n: [v] * n, st.floats(-1e3, 1e3), st.integers(1, 40)),
+    ).map(np.asarray))
+    @example(np.array([0.25]))
+    @example(np.full(7, 0.5))
+    @example(np.array([0.3, np.nan, 0.3]))
+    def test_midranks_match_rankdata(self, a):
+        assert _midranks(a).tobytes() == rankdata(a).tobytes()
+
+    def test_auc_on_tied_scores_matches_rankdata_auc(self):
+        scores = np.array([0.5, 0.2, 0.5, 0.9, 0.2, 0.5, 0.7, 0.2, 0.9, 0.5])
+        labels = np.array([1, 0, 0, 1, 1, 0, 1, 0, 0, 1])
+        pos, neg = scores[labels == 1], scores[labels != 1]
+        ranks = rankdata(np.concatenate([pos, neg]))
+        before = ((ranks[:pos.size].sum() - pos.size * (pos.size + 1) / 2.0)
+                  / (pos.size * neg.size))
+        assert _auc(scores, labels) == before == 0.62   # 15.5 of 25 pairs
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):

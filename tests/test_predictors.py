@@ -357,7 +357,7 @@ class TestForestCurve:
         y = np.sin(x[:, 0]) + rng.normal(scale=0.2, size=30)
         fm = reg_matrix(x, y)
         test = reg_matrix(rng.normal(size=(20, 1)), rng.normal(size=20))
-        curve = train_forest_curve(fm, test, t_max=4, metric=MetricSpec("mse"), seed=5)
+        [curve] = train_forest_curve(fm, test, t_max=4, metrics=[MetricSpec("mse")], seed=5)
         model = train(PredictorSpec("bagged_trees", "regression", n_trees=1), fm, seed=5)
         single = np.mean((predict_batch(model, test.x) - test.y) ** 2)
         assert curve[1] == pytest.approx(single)
@@ -373,7 +373,7 @@ class TestForestCurve:
         else:
             fm, test = clf_matrix(x, x[:, 0] > 0), clf_matrix(x_test, x_test[:, 1] > 0)
         t_max = 9
-        curve = train_forest_curve(fm, test, t_max, MetricSpec(metric), seed=2)
+        [curve] = train_forest_curve(fm, test, t_max, [MetricSpec(metric)], seed=2)
         model = train(PredictorSpec("bagged_trees", task, n_trees=t_max), fm, seed=2)
         running = 0.0
         for t, tree in enumerate(model.state, start=1):
@@ -386,12 +386,12 @@ class TestForestCurve:
         fm = reg_matrix([[0.0], [1.0], [2.0], [3.0]], [0.0, 1.0, 2.0, 3.0])
         test = reg_matrix([[bad], [1.0]], [0.0, 1.0])
         with pytest.raises(ValueError, match="features must be finite"):
-            train_forest_curve(fm, test, t_max=3, metric=MetricSpec("mse"), seed=0)
+            train_forest_curve(fm, test, t_max=3, metrics=[MetricSpec("mse")], seed=0)
 
     def test_degenerate_bootstrap_flat_curve(self):
         fm = reg_matrix([[1.0]], [5.0])
         test = reg_matrix([[0.0], [2.0]], [5.0, 6.0])
-        curve = train_forest_curve(fm, test, t_max=6, metric=MetricSpec("mse"), seed=0)
+        [curve] = train_forest_curve(fm, test, t_max=6, metrics=[MetricSpec("mse")], seed=0)
         assert len(set(curve.values())) == 1
 
 
