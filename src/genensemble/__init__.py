@@ -15,9 +15,9 @@ from .data import (Column, Dataset, FeatureMatrix, Schema, encode, load_csv,
 from .generators import (GeneratorParams, GeneratorSpec, PrivateSummary,
                          epsilon_from_rho, fit, fit_dp_summary, generate_ensemble,
                          rho_from_epsilon, sample, sample_params_from_summary)
-from .metrics import (EnsemblePredictor, MetricSpec, ensemble_predict, evaluate)
-from .predictors import (PredictorSpec, TrainedModel, predict, predict_batch,
-                         train, train_forest_curve)
+from .metrics import MetricSpec
+from .predictors import (PredictorSpec, TrainedModel, predict_batch, train,
+                         train_forest_curve)
 from .bregman import (BregmanSpec, CentralStats, central_prediction,
                       check_total_variance, divergence, dual, dual_average,
                       dual_inverse)

@@ -265,8 +265,9 @@ def _cmd_curve(cfg, seed, tracker, jobs=1):
     cells = curve_cells(spec, data, predictors, test, m_values, repeats, averagings,
                         metrics, seed, mode, label)
     columns = zip(*(args for _, _, args in cells))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(cells))     # a pool forks every worker on first submit
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(curve_repeat, *columns))
     else:
         results = list(map(curve_repeat, *columns))
@@ -401,7 +402,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel worker bound for repeats")
+                        help="parallel workers for curve, at most one per grid cell")
     parser.add_argument("--output", default=None, help="output directory")
     args = parser.parse_args(argv)
 

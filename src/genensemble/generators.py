@@ -104,13 +104,16 @@ def epsilon_from_rho(rho: float, delta: float) -> float:
 
 
 def rho_from_epsilon(epsilon: float, delta: float) -> float:
-    """Invert the conversion by bisection to 1e-12 absolute precision."""
+    """Invert the conversion by bisection to 1e-12 absolute precision, or to
+    adjacent floats where those lie further apart (rho of 2**13 and above)."""
     _check_privacy_params(epsilon, delta)
     if math.isinf(epsilon):
         return math.inf
     lo, hi = 0.0, epsilon            # epsilon_from_rho(rho) >= rho, so rho <= epsilon
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if epsilon_from_rho(mid, delta) < epsilon:
             lo = mid
         else:

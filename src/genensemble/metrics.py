@@ -1,4 +1,4 @@
-"""Generative-ensemble prediction and the error metrics used to score it.
+"""Combining ensemble member predictions and the error metrics that score them.
 
 Predictions from the m ensemble members are combined either by plain
 averaging or by averaging log-probabilities and mapping back through softmax,
@@ -13,14 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bregman import NEGENTROPY, BregmanSpec, clamp_probs, dual_average
-from .data import FeatureMatrix
-from .predictors import TrainedModel, predict_batch
 
 MEAN = "mean"
 DUAL_LOG_PROB = "dual_log_prob"
 
 METRIC_KINDS = ("mse", "brier_binary", "brier_multiclass", "cross_entropy",
                 "one_minus_accuracy", "one_minus_auc")
+
+PROB_SUM_TOL = 1e-9   # how far a classification row's sum may stray from 1
 
 LONG_COLUMNS = ("dataset", "generator", "mode", "predictor", "averaging",
                 "metric", "m", "repeat", "score", "std_error")
@@ -52,25 +52,6 @@ def check_averaging(averaging: str, task: str) -> None:
         raise ValueError("dual_log_prob averaging requires a classification task")
 
 
-@dataclass(frozen=True)
-class EnsemblePredictor:
-    members: tuple[TrainedModel, ...]
-    averaging: str = MEAN
-
-    def __post_init__(self):
-        if len(self.members) < 1:
-            raise ValueError("ensemble needs at least one member")
-        first = self.members[0]
-        if any(m.task != first.task or m.fingerprint != first.fingerprint
-               for m in self.members):
-            raise ValueError("ensemble members must share task and schema fingerprint")
-        check_averaging(self.averaging, first.task)
-
-    @property
-    def task(self) -> str:
-        return self.members[0].task
-
-
 def combine_predictions(member_preds: np.ndarray, averaging: str) -> np.ndarray:
     """Combine member predictions stacked along axis 0."""
     member_preds = np.asarray(member_preds, dtype=np.float64)
@@ -79,16 +60,6 @@ def combine_predictions(member_preds: np.ndarray, averaging: str) -> np.ndarray:
     if averaging == DUAL_LOG_PROB:
         return dual_average(BregmanSpec(NEGENTROPY, member_preds.shape[-1]), member_preds)
     raise ValueError(f"unknown averaging {averaging!r}")
-
-
-def ensemble_predict_batch(ens: EnsemblePredictor, x: np.ndarray) -> np.ndarray:
-    member = np.asarray([predict_batch(m, x) for m in ens.members])
-    return combine_predictions(member, ens.averaging)
-
-
-def ensemble_predict(ens: EnsemblePredictor, x_row) -> float | np.ndarray:
-    out = ensemble_predict_batch(ens, np.asarray(x_row, dtype=np.float64)[None, :])
-    return float(out[0]) if ens.task == "regression" else out[0]
 
 
 @dataclass(frozen=True)
@@ -126,7 +97,8 @@ def _auc(scores: np.ndarray, labels: np.ndarray) -> float:
 def score_predictions(preds: np.ndarray, y: np.ndarray, metric: MetricSpec,
                       task: str) -> EvalResult:
     """Score raw predictions: (n,) values for regression, (n, K) probabilities
-    for classification, n the number of targets; other shapes raise ValueError."""
+    for classification, n the number of targets. Other shapes, non-finite
+    values and classification rows off the probability simplex raise ValueError."""
     preds = np.asarray(preds, dtype=np.float64)
     y = np.asarray(y)
     metric.check_task(task)
@@ -136,6 +108,12 @@ def score_predictions(preds: np.ndarray, y: np.ndarray, metric: MetricSpec,
                          f"targets of shape {y.shape}")
     if y.size == 0:
         raise ValueError("cannot score predictions on an empty set of targets")
+    if not np.isfinite(preds).all():
+        raise ValueError("predictions must be finite")
+    if task == "classification" and ((preds < 0).any() or
+                                     (np.abs(preds.sum(axis=1) - 1.0) > PROB_SUM_TOL).any()):
+        raise ValueError("classification predictions must be non-negative rows "
+                         f"summing to 1 within {PROB_SUM_TOL}")
 
     if metric.kind == "mse":
         per_point = (preds - y) ** 2
@@ -169,12 +147,6 @@ def score_prefixes(member_preds: np.ndarray, y: np.ndarray, m_values, averaging:
     return {m: score_predictions(combine_predictions(member_preds[:m], averaging), y,
                                  metric, task=task)
             for m in m_values}
-
-
-def evaluate(ens: EnsemblePredictor, test: FeatureMatrix, metric: MetricSpec) -> EvalResult:
-    """Score the combined ensemble prediction on a test set."""
-    preds = ensemble_predict_batch(ens, test.x)
-    return score_predictions(preds, test.y, metric, task=ens.task)
 
 
 def long_rows(labels: dict, repeat: int, scores: dict[int, tuple]) -> list[dict]:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .bregman import softmax
 from .data import FeatureMatrix
+from .metrics import MEAN, score_prefixes
 from .rng import child_rng
 
 _BOTH = ("regression", "classification")
@@ -483,12 +484,6 @@ def predict_batch(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown predictor kind {model.kind!r}")
 
 
-def predict(model: TrainedModel, x_row) -> float | np.ndarray:
-    """Predict for a single feature row."""
-    result = predict_batch(model, np.asarray(x_row, dtype=np.float64)[None, :])
-    return float(result[0]) if model.task == "regression" else result[0]
-
-
 def train_forest_curve(data: FeatureMatrix, test: FeatureMatrix, t_max: int,
                        metrics, seed: int = 0) -> list[dict[int, float]]:
     """Score a growing bagged-tree ensemble on a test set under each metric.
@@ -496,8 +491,6 @@ def train_forest_curve(data: FeatureMatrix, test: FeatureMatrix, t_max: int,
     Trains t_max bootstrap trees once; entry T of the i-th result is metrics[i]
     of the mean of the first T trees' predictions.
     """
-    from .metrics import MEAN, score_prefixes
-
     if t_max < 2:
         raise ValueError("t_max must be >= 2")
     model = train(PredictorSpec("bagged_trees", data.task, n_trees=t_max), data, seed)

@@ -168,6 +168,31 @@ class TestPipeline:
                          "--jobs", "3"]) == 0
         assert (a / "curve.csv").read_bytes() == (b / "curve.csv").read_bytes()
 
+    def test_jobs_capped_at_grid_cells(self, tmp_path, monkeypatch):
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *columns):
+                return map(fn, *columns)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        cfg = process_config(tmp_path)     # 2 predictors x 2 repeats = 4 cells
+        a, b = tmp_path / "serial", tmp_path / "capped"
+        assert cli.main(["curve", "--config", str(cfg), "--output", str(a)]) == 0
+        assert cli.main(["curve", "--config", str(cfg), "--output", str(b),
+                         "--jobs", "64"]) == 0
+        assert workers == [4]
+        assert (a / "curve.csv").read_bytes() == (b / "curve.csv").read_bytes()
+
     def test_decompose_report(self, config):
         cfg, out = config
         assert cli.main(["decompose", "--config", str(cfg), "--output", str(out)]) == 0
@@ -263,6 +288,35 @@ repeats = 2
         # schema keys keep their case
         loaded = load_csv(data_path, schema)
         assert loaded.n == 30
+
+
+def test_generate_with_large_epsilon(tmp_path):
+    rng = np.random.default_rng(3)
+    lines = ["a,y"] + [f"l{a},{('no', 'yes')[t]}" for a, t in rng.integers(0, 2, size=(20, 2))]
+    data_path = tmp_path / "cat.csv"
+    data_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = write_config(tmp_path, f"""\
+[experiment]
+seed = 2
+
+[data]
+source = csv
+path = {data_path}
+test_fraction = 0.25
+
+[schema]
+a = categorical(l0|l1) feature
+y = categorical(no|yes) target
+
+[generator]
+kind = noisy_marginal_dp
+epsilon = 1e6
+delta = 1e-6
+m = 2
+""")
+    out = tmp_path / "out"
+    assert cli.main(["generate", "--config", str(cfg), "--output", str(out)]) == 0
+    assert (out / "synthetic_001.csv").exists()
 
 
 class TestValidation:

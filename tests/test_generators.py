@@ -100,6 +100,21 @@ class TestPrivacyAccounting:
             rho = rho_from_epsilon(eps, delta)
             assert abs(epsilon_from_rho(rho, delta) - eps) < 1e-9
 
+    @pytest.mark.parametrize("eps", [1e4, 1e6, 1e8, 1e300])
+    def test_large_epsilon_inverts_to_adjacent_floats(self, eps):
+        # adjacent floats lie more than 1e-12 apart from rho = 2**13 on
+        rho = rho_from_epsilon(eps, 1e-6)
+        assert epsilon_from_rho(rho, 1e-6) == eps
+
+    @pytest.mark.parametrize("eps, delta, bits", [
+        (1.0, 1e-6, "0x1.1e35e5aba0000p-6"),
+        (8.0, 1e-5, "0x1.0c9430a94d800p+0"),
+        (3000.0, 1e-9, "0x1.3da197032c916p+11"),
+        (0.001, 0.5, "0x1.82fdd2f1a9fbep-22"),
+    ])
+    def test_moderate_epsilon_bits_pinned(self, eps, delta, bits):
+        assert rho_from_epsilon(eps, delta).hex() == bits
+
     def test_noise_scale_formula(self):
         rho = rho_from_epsilon(1.0, 1e-6)
         assert abs(gaussian_noise_scale(rho, 3) - math.sqrt(3 / (2 * rho))) < 1e-15

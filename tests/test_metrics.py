@@ -8,11 +8,10 @@ from scipy.stats import rankdata
 
 from genensemble.bregman import DomainError
 from genensemble.data import FeatureMatrix
-from genensemble.metrics import (DUAL_LOG_PROB, EnsemblePredictor, MetricSpec, _auc,
-                                 _midranks, clamp_probs, combine_predictions, ensemble_predict,
-                                 evaluate, read_long_csv, score_predictions,
-                                 write_long_csv)
-from genensemble.predictors import PredictorSpec, train
+from genensemble.metrics import (DUAL_LOG_PROB, METRIC_KINDS, PROB_SUM_TOL, MetricSpec, _auc,
+                                 _midranks, check_averaging, clamp_probs, combine_predictions,
+                                 read_long_csv, score_predictions, write_long_csv)
+from genensemble.predictors import PredictorSpec, predict_batch, train
 
 
 def stack(*vectors):
@@ -35,11 +34,8 @@ class TestCombination:
                                    [0.3, 0.7], atol=1e-12)
 
     def test_dual_log_prob_regression_rejected(self):
-        fm = FeatureMatrix(x=np.array([[1.0], [2.0]]), y=np.array([1.0, 2.0]),
-                           task="regression")
-        model = train(PredictorSpec("mean", "regression"), fm)
         with pytest.raises(ValueError, match="classification"):
-            EnsemblePredictor(members=(model,), averaging="dual_log_prob")
+            check_averaging("dual_log_prob", "regression")
 
     def test_hard_zero_probabilities_are_clamped(self):
         out = combine_predictions(stack([1.0, 0.0], [0.0, 1.0]), "dual_log_prob")
@@ -168,6 +164,65 @@ class TestMetricValues:
                               "classification")
 
 
+@st.composite
+def scoring_inputs(draw):
+    """Arguments score_predictions accepts: finite regression values, or
+    classification rows on the simplex with both classes 0 and 1 among the
+    targets."""
+    kind, n = draw(st.sampled_from(METRIC_KINDS)), draw(st.integers(2, 6))
+    if kind == "mse":
+        values = st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n).map(np.asarray)
+        return draw(values), draw(values), MetricSpec(kind), "regression"
+    k = 2 if kind == "brier_binary" else draw(st.integers(2, 4))
+    preds = np.asarray(draw(st.lists(_probability_rows(k), min_size=n, max_size=n)))
+    y = np.asarray([0, 1] + draw(st.lists(st.integers(0, k - 1), min_size=n - 2,
+                                          max_size=n - 2)))
+    return preds, y, MetricSpec(kind), "classification"
+
+
+class TestScoringBoundary:
+    @pytest.mark.parametrize("preds, y, kind", [
+        ([np.nan, 1.0], [1.0, 1.0], "mse"),
+        ([[np.nan, 0.5], [0.5, 0.5]], [0, 1], "brier_binary"),
+        ([[0.2, 0.7], [0.5, 0.5]], [0, 1], "cross_entropy"),
+        ([[0.5, np.inf], [0.5, 0.5]], [0, 1], "one_minus_auc"),
+    ])
+    def test_invalid_predictions_rejected(self, preds, y, kind):
+        metric = MetricSpec(kind)
+        with pytest.raises(ValueError, match="finite|summing"):
+            score_predictions(np.array(preds), np.array(y), metric, metric.task)
+
+    def test_row_sum_within_tolerance_accepted(self):
+        preds = np.array([[0.5, 0.5 + PROB_SUM_TOL / 2], [0.5, 0.5]])
+        res = score_predictions(preds, np.array([0, 1]), MetricSpec("cross_entropy"),
+                                "classification")
+        assert np.isfinite(res.score)
+
+    @settings(max_examples=100, deadline=None)
+    @given(scoring_inputs())
+    def test_valid_predictions_get_a_finite_score(self, inputs):
+        assert np.isfinite(score_predictions(*inputs).score)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scoring_inputs(), st.data())
+    def test_any_invalid_entry_rejected(self, inputs, data):
+        preds, y, metric, task = inputs
+        faults = ("nan", "inf", "-inf") + (("negative", "off_sum") if preds.ndim == 2 else ())
+        fault = data.draw(st.sampled_from(faults))
+        bad = preds.copy()
+        i = data.draw(st.integers(0, len(bad) - 1))
+        at = (i,) if bad.ndim == 1 else (i, data.draw(st.integers(0, bad.shape[1] - 1)))
+        if fault == "negative":
+            bad[at] = -data.draw(st.floats(1e-12, 1.0))
+        elif fault == "off_sum":
+            bad[i] *= data.draw(st.floats(0.0, 1 - 10 * PROB_SUM_TOL) |
+                                st.floats(1 + 10 * PROB_SUM_TOL, 3.0))
+        else:
+            bad[at] = float(fault)
+        with pytest.raises(ValueError, match="finite|summing"):
+            score_predictions(bad, y, metric, task)
+
+
 class TestAuc:
     def test_perfect_and_reversed_ranking(self):
         y = np.array([0, 0, 1, 1])
@@ -228,37 +283,37 @@ class TestAuc:
 
 
 class TestEnsembleEvaluate:
-    def _toy_ensemble(self, averaging="mean"):
+    def _toy_members(self):
+        """Predictions of three kNN members on their own training set, stacked
+        along axis 0, and that set."""
         rng = np.random.default_rng(8)
         x = rng.normal(size=(40, 2))
         y = (x[:, 0] + 0.3 * rng.normal(size=40) > 0).astype(int)
         fm = FeatureMatrix(x=x, y=y, task="classification", n_classes=2)
-        members = tuple(train(PredictorSpec("knn", "classification", k=k), fm)
-                        for k in (1, 3, 5))
-        return EnsemblePredictor(members=members, averaging=averaging), fm
+        members = np.asarray([predict_batch(train(PredictorSpec("knn", "classification", k=k),
+                                                  fm), fm.x)
+                              for k in (1, 3, 5)])
+        return members, fm
 
     def test_jensen_bound_for_convex_losses(self):
+        member_preds, fm = self._toy_members()
         for averaging in ("mean", "dual_log_prob"):
-            ens, fm = self._toy_ensemble(averaging)
+            combined = combine_predictions(member_preds, averaging)
             for kind in ("brier_binary", "brier_multiclass", "cross_entropy"):
                 metric = MetricSpec(kind)
-                whole = evaluate(ens, fm, metric).score
-                members = [evaluate(EnsemblePredictor((m,), "mean"), fm, metric).score
-                           for m in ens.members]
+                whole = score_predictions(combined, fm.y, metric, fm.task).score
+                members = [score_predictions(p, fm.y, metric, fm.task).score
+                           for p in member_preds]
                 assert whole <= np.mean(members) + 1e-12
 
     def test_per_point_loss_bounds(self):
-        ens, fm = self._toy_ensemble()
-        binary = evaluate(ens, fm, MetricSpec("brier_binary")).per_point
-        multi = evaluate(ens, fm, MetricSpec("brier_multiclass")).per_point
+        member_preds, fm = self._toy_members()
+        combined = combine_predictions(member_preds, "mean")
+        binary = score_predictions(combined, fm.y, MetricSpec("brier_binary"), fm.task).per_point
+        multi = score_predictions(combined, fm.y, MetricSpec("brier_multiclass"),
+                                  fm.task).per_point
         assert np.all((binary >= 0) & (binary <= 1))
         assert np.all((multi >= 0) & (multi <= 2))
-
-    def test_ensemble_predict_single_row(self):
-        ens, fm = self._toy_ensemble()
-        out = ensemble_predict(ens, fm.x[0])
-        assert out.shape == (2,)
-        assert out.sum() == pytest.approx(1.0)
 
     def test_std_error_matches_definition(self):
         res = score_predictions(np.array([3.0, 1.0, 2.0]), np.array([1.0, 1.0, 1.0]),

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genensemble.data import FeatureMatrix
-from genensemble.metrics import DUAL_LOG_PROB, MEAN, MetricSpec, combine_predictions
+from genensemble.metrics import (DUAL_LOG_PROB, MEAN, PROB_SUM_TOL, MetricSpec,
+                                 combine_predictions)
 from genensemble.predictors import (_KINDS, _KNN_CELLS, KINDS, PredictorSpec, _grow_tree,
                                     _sq_distances, _tree_predict_rows,
-                                    parse_predictor, predict, predict_batch, train,
+                                    parse_predictor, predict_batch, train,
                                     train_forest_curve)
 from genensemble.rng import child_rng
 
@@ -45,8 +46,8 @@ class TestCart:
         model = train(PredictorSpec("cart", "regression"), reg_matrix(x, y))
         assert model.state.feature[0] == 0
         assert model.state.threshold[0] == 1.5
-        assert predict(model, [1.49]) == 0.0
-        assert predict(model, [1.51]) == 1.0
+        assert predict_batch(model, [[1.49]])[0] == 0.0
+        assert predict_batch(model, [[1.51]])[0] == 1.0
 
     @pytest.mark.parametrize("below, above", [
         (np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)),
@@ -248,27 +249,27 @@ class TestKnn:
         x = np.array([[0.0], [1.0], [5.0]])
         y = np.array([3.0, 7.0, 9.0])
         model = train(PredictorSpec("knn", "regression", k=1), reg_matrix(x, y))
-        assert predict(model, [1.0]) == 7.0
+        assert predict_batch(model, [[1.0]])[0] == 7.0
 
     def test_five_nn_class_frequencies(self):
         x = np.arange(5.0)[:, None]
         y = np.array([1, 1, 1, 0, 0])
         model = train(PredictorSpec("knn", "classification", k=5), clf_matrix(x, y))
-        np.testing.assert_allclose(predict(model, [2.0]), [0.4, 0.6])
+        np.testing.assert_allclose(predict_batch(model, [[2.0]])[0], [0.4, 0.6])
 
     def test_tie_break_lowest_row_index(self):
         x = np.array([[1.0], [-1.0], [1.0]])      # rows 0 and 2 tie at any query
         y = np.array([10.0, 20.0, 30.0])
         model = train(PredictorSpec("knn", "regression", k=1), reg_matrix(x, y))
-        assert predict(model, [0.0]) == 10.0
+        assert predict_batch(model, [[0.0]])[0] == 10.0
         model2 = train(PredictorSpec("knn", "regression", k=2), reg_matrix(x, y))
-        assert predict(model2, [1.0]) == 20.0     # ties at distance 0: rows 0 then 2
+        assert predict_batch(model2, [[1.0]])[0] == 20.0     # ties at distance 0: rows 0 then 2
 
     def test_k_above_n_averages_all_rows(self):
         x = np.array([[0.0], [1.0], [2.0]])
         model = train(PredictorSpec("knn", "classification", k=5),
                       clf_matrix(x, np.array([0, 1, 1])))
-        np.testing.assert_allclose(predict(model, [0.5]), [1 / 3, 2 / 3])
+        np.testing.assert_allclose(predict_batch(model, [[0.5]])[0], [1 / 3, 2 / 3])
 
 
 class TestLinearModels:
@@ -319,7 +320,7 @@ class TestLogistic:
         y = (x[:, 0] > 0).astype(int)
         model = train(PredictorSpec("logistic", "classification"), clf_matrix(x, y))
         probs = predict_batch(model, rng.normal(size=(10, 2)))
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=PROB_SUM_TOL)
         assert np.all(probs >= 0)
 
 
@@ -538,4 +539,4 @@ class TestProbabilityContract:
         for probs in (*members, combine_predictions(members, averaging)):
             assert probs.shape == (query.shape[0], data.n_classes)
             assert np.all(probs >= 0)
-            np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+            np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=PROB_SUM_TOL)
