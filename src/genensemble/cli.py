@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import hashlib
 import json
 import re
@@ -219,6 +220,15 @@ class _OutputTracker:
         return [p.name for p in self.written]
 
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    """Write rows under the comma-separated header; a field holding a comma,
+    such as a dataset label, is quoted so every row keeps the header's width."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header.split(","))
+        writer.writerows(rows)
+
+
 def _write_manifest(tracker: _OutputTracker, subcommand: str, seed: int,
                     config_raw: bytes) -> None:
     manifest = {
@@ -295,8 +305,7 @@ def _cmd_predict_curve(cfg, seed, tracker):
                                      "averaging", "metric"))
         groups.setdefault(key, {}).setdefault(row["m"], []).append(row["score"])
 
-    out_lines = ["dataset,generator,mode,predictor,averaging,metric,method,"
-                 "m,measured_mean,predicted"]
+    out_rows = []
     for key in sorted(groups):
         means = {m: sum(v) / len(v) for m, v in groups[key].items()}
         if method == "two_point":
@@ -309,11 +318,9 @@ def _cmd_predict_curve(cfg, seed, tracker):
             rule = fit_rule_regression(means)
         for m in sorted(set(targets) | set(means)):
             measured = repr(means[m]) if m in means else ""
-            predicted = repr(predict_mse(rule, m))
-            out_lines.append(",".join(str(v) for v in key) +
-                             f",{method},{m},{measured},{predicted}")
-    tracker.path("predictions.csv").write_text("\n".join(out_lines) + "\n",
-                                               encoding="utf-8")
+            out_rows.append(key + (method, m, measured, repr(predict_mse(rule, m))))
+    _write_csv(tracker.path("predictions.csv"), "dataset,generator,mode,predictor,averaging,"
+               "metric,method,m,measured_mean,predicted", out_rows)
     return EXIT_OK
 
 
@@ -332,8 +339,6 @@ def _cmd_decompose(cfg, seed, tracker):
             r_summary=_get(cfg, "decompose", "r_summary", convert=int),
         )
         process = get_process(pid)
-        if predictor not in ("builtin", process.builtin_predictor):
-            predictor = parse_predictor(predictor, process.schema.task)
         check_oracle_request(process, mode, predictor, m, rho)
     report = oracle_decompose(process, mode, predictor, m=m, mc=mc,
                               seed=child_seed(seed, "decompose"), rho=rho)
@@ -348,18 +353,17 @@ def _cmd_nested_var(cfg, seed, tracker):
     r_theta = _get_count(cfg, "nested_var", "r_theta", default=32, minimum=2)
     s_per = _get_count(cfg, "nested_var", "s_per_theta", default=5, minimum=2)
 
-    lines = ["dataset,predictor,point,mv,sdv"]
+    rows = []
     summary = {}
     for predictor in predictors:
         est = estimate_mv_sdv_nested(spec, data, predictor, test, r_theta, s_per,
                                      seed=child_seed(seed, "nested"))
         for i, (mv, sdv) in enumerate(zip(est.mv_per_point, est.sdv_per_point)):
-            lines.append(f"{label},{predictor.label},{i},{float(mv)!r},{float(sdv)!r}")
+            rows.append((label, predictor.label, i, repr(float(mv)), repr(float(sdv))))
         summary[predictor.label] = {"mv": est.mv, "sdv": est.sdv,
                                     "mv_se": est.mv_se, "sdv_se": est.sdv_se,
                                     "r_theta": r_theta, "s_per_theta": s_per}
-    tracker.path("nested_variance.csv").write_text("\n".join(lines) + "\n",
-                                                   encoding="utf-8")
+    _write_csv(tracker.path("nested_variance.csv"), "dataset,predictor,point,mv,sdv", rows)
     tracker.path("nested_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return EXIT_OK
@@ -372,14 +376,11 @@ def _cmd_forest_curve(cfg, seed, tracker):
     metrics = _metric_specs(cfg, "forest", task)
     fm_train = encode(data, data, False)
     fm_test = encode(data, test, False)
-    lines = ["dataset,metric,trees,score"]
     curves = train_forest_curve(fm_train, fm_test, t_max, metrics,
                                 seed=child_seed(seed, "forest"))
-    for metric, curve in zip(metrics, curves):
-        for t in sorted(curve):
-            lines.append(f"{label},{metric.kind},{t},{float(curve[t])!r}")
-    tracker.path("forest_curve.csv").write_text("\n".join(lines) + "\n",
-                                                encoding="utf-8")
+    rows = [(label, metric.kind, t, repr(float(curve[t])))
+            for metric, curve in zip(metrics, curves) for t in sorted(curve)]
+    _write_csv(tracker.path("forest_curve.csv"), "dataset,metric,trees,score", rows)
     return EXIT_OK
 
 

@@ -32,13 +32,15 @@ from . import bregman as brg
 from .data import Dataset, encode
 from .generators import GeneratorSpec, fit, generate_ensemble, sample
 from .metrics import MEAN, MetricSpec, check_averaging, long_rows, score_prefixes
-from .predictors import PredictorSpec, predict_batch, train
+from .predictors import PredictorSpec, parse_predictor, predict_batch, train
 from .processes import get_process
 from .rng import child_rng, child_seed
 
 IID = "iid"
 SHARED_SUMMARY = "shared_summary"
 CORRELATED = "correlated"
+# generator mode -> the terms it adds to the squared-error decomposition
+_MODE_TERMS = {IID: (), SHARED_SUMMARY: ("dpvar",), CORRELATED: ("cov",)}
 
 BOOTSTRAP_RESAMPLES = 400
 TERM_SE_MULTIPLE = 3.0
@@ -265,17 +267,16 @@ def _identity_gap(stats: dict, m: int, noise: float, mode: str):
     return stats["mse"] - total
 
 
-def _assemble(records: dict, mode: str, mc: MonteCarloConfig, f_value, idx=None) -> dict:
+def _assemble(records: dict, mode: str, mc: MonteCarloConfig, f_value, idx) -> dict:
     """Turn per-replicate records into (bias-corrected) term estimates.
 
     records holds arrays indexed by outer replicate along axis 0; idx selects
-    a bootstrap resample when given. Sample variances across replicates are
-    corrected for the within-replicate estimation noise so every estimator is
-    unbiased for its term.
+    the replicates, all of them or a bootstrap resample. Sample variances
+    across replicates are corrected for the within-replicate estimation noise
+    so every estimator is unbiased for its term.
     """
     def take(name):
-        arr = records[name]
-        return arr if idx is None else arr[idx]
+        return records[name][idx]
 
     out = {}
     mv = take("mv").mean(axis=0)
@@ -361,20 +362,26 @@ def _bootstrap_se(seed: int, r_real: int, statistic) -> dict[str, float]:
     return {name: float(np.std([d[name] for d in draws], ddof=1)) for name in draws[0]}
 
 
-def _collect(process, outputs, point_shape: tuple, mode, m, rho, mc: MonteCarloConfig,
-             seed: int) -> dict:
+def _estimates(seed: int, r_real: int, statistic) -> dict[str, TermEstimate]:
+    """Each named scalar of statistic(idx) on all r_real outer replicates,
+    with its bootstrap standard error."""
+    point = statistic(np.arange(r_real))
+    se = _bootstrap_se(seed, r_real, statistic)
+    return {name: TermEstimate(value=float(point[name]), std_error=se[name])
+            for name in point}
+
+
+def _collect(chain, reduce) -> dict:
     """Per-replicate statistics of the chain, indexed by outer replicate along
-    axis 0; outputs is as for _chain, with point shape point_shape.
+    axis 0. reduce maps one replicate's _Draws to its named statistics, so
+    each outer replicate is reduced once, over its whole block of draws."""
+    reps = [reduce(draws) for draws in chain]
+    return {name: np.array([rep[name] for rep in reps], dtype=np.float64) for name in reps[0]}
 
-    Each outer replicate is reduced once, over its whole block of draws.
-    """
-    names = ["mv", "sdv_raw", "b", "fbar", "mse"]
-    if mode == SHARED_SUMMARY:
-        names.append("dpv_raw")
-    if mode == CORRELATED:
-        names.append("cov_raw")
-    records = {key: np.empty((mc.r_real,) + point_shape) for key in names}
 
+def _squared_stats(process, point_shape: tuple, mode: str, mc: MonteCarloConfig):
+    """Reducer for _collect of the squared-error terms, with point shape
+    point_shape: spreads of the estimate chain and the direct error."""
     def spread(thetas, preds):
         """Within-draw variance, between-draw variance and mean of the
         predictions over r_syn datasets per draw, and the mean f_theta.
@@ -390,29 +397,29 @@ def _collect(process, outputs, point_shape: tuple, mode, m, rho, mc: MonteCarloC
         return preds.var(axis=axis + 1, ddof=1).mean(axis=axis), \
             a.var(axis=axis, ddof=1), a.mean(axis=axis), fbar
 
-    for r, draws in enumerate(_chain(process, outputs, mode, m, rho, mc, seed)):
+    def reduce(draws: _Draws) -> dict:
         if mode == SHARED_SUMMARY:
             mv, sdv_raw, c, fbar = spread(draws.thetas, draws.grid)
-            records["dpv_raw"][r] = c.var(axis=0, ddof=1)
+            out = {"dpv_raw": c.var(axis=0, ddof=1)}
             stats = (mv.mean(axis=0), sdv_raw.mean(axis=0), c.mean(axis=0),
                      fbar.mean(axis=0))
         else:
-            stats = spread(draws.thetas, draws.grid)
-        for key, value in zip(("mv", "sdv_raw", "b", "fbar"), stats):
-            records[key][r] = value
+            out, stats = {}, spread(draws.thetas, draws.grid)
+        out.update(zip(("mv", "sdv_raw", "b", "fbar"), stats))
         if mode == CORRELATED:
             g = draws.pair_preds.reshape(mc.r_theta, 2, -1)
             cov = [np.cov(g[:, 0, k], g[:, 1, k], ddof=1)[0, 1] for k in range(g.shape[2])]
-            records["cov_raw"][r] = np.reshape(cov, point_shape)
+            out["cov_raw"] = np.reshape(cov, point_shape)
         g_hat = draws.members.mean(axis=0)
         y = process.sample_y(draws.rng_direct, (mc.r_y,) + point_shape)
-        records["mse"][r] = ((y - g_hat) ** 2).mean(axis=0)
-    return records
+        out["mse"] = ((y - g_hat) ** 2).mean(axis=0)
+        return out
+    return reduce
 
 
 def _trained_outputs(process, predictor: PredictorSpec, test_points: np.ndarray,
                      seed: int):
-    """Grid-prediction callable for _collect that trains the predictor on one
+    """Grid-prediction callable for _chain that trains the predictor on one
     synthetic dataset per parameter draw and predicts at the test points.
 
     Slower than the built-in predictor; intended for small Monte Carlo counts.
@@ -433,12 +440,13 @@ def _trained_outputs(process, predictor: PredictorSpec, test_points: np.ndarray,
 
 
 def check_oracle_request(process, generator_mode: str, predictor: PredictorSpec | str,
-                         m: int, rho: float = 0.0) -> bool:
+                         m: int, rho: float = 0.0) -> PredictorSpec | None:
     """Raise ValueError unless oracle_decompose can run this request.
 
-    Returns whether the predictor is the process's built-in one.
+    Returns the resolved predictor: None for the process's built-in one,
+    otherwise the spec, parsed from spec syntax such as 'knn:3' if a string.
     """
-    if generator_mode not in (IID, SHARED_SUMMARY, CORRELATED):
+    if generator_mode not in _MODE_TERMS:
         raise ValueError(f"unknown generator mode {generator_mode!r}")
     if generator_mode == SHARED_SUMMARY and not process.has_summary:
         raise ValueError(f"process {process.id!r} has no summary sampler")
@@ -448,14 +456,15 @@ def check_oracle_request(process, generator_mode: str, predictor: PredictorSpec 
         raise ValueError("rho must lie in [0, 1]")
     if m < 1:
         raise ValueError("m must be >= 1")
-    builtin = isinstance(predictor, str) and predictor in ("builtin",
-                                                           process.builtin_predictor)
-    if not builtin:
-        if generator_mode == SHARED_SUMMARY:
-            raise ValueError("shared_summary oracle runs use the built-in predictor")
-        if process.schema.n_classes > 2:
-            raise ValueError("scalar decompositions need a binary classification task")
-    return builtin
+    if isinstance(predictor, str):
+        if predictor in ("builtin", process.builtin_predictor):
+            return None
+        predictor = parse_predictor(predictor, process.schema.task)
+    if generator_mode == SHARED_SUMMARY:
+        raise ValueError("shared_summary oracle runs use the built-in predictor")
+    if process.schema.n_classes > 2:
+        raise ValueError("scalar decompositions need a binary classification task")
+    return predictor
 
 
 def oracle_decompose(process, generator_mode: str = IID,
@@ -479,48 +488,34 @@ def oracle_decompose(process, generator_mode: str = IID,
     """
     if isinstance(process, str):
         process = get_process(process)
-    builtin = check_oracle_request(process, generator_mode, predictor, m, rho)
-    if builtin:
+    predictor = check_oracle_request(process, generator_mode, predictor, m, rho)
+    if predictor is None:
         def outputs(rng, thetas, tag, r):
             return process.predictor_outputs(rng, thetas)
         point_shape = ()
         n_x = 1 if test_points is None else len(test_points)
     else:
-        if isinstance(predictor, str):
-            predictor = PredictorSpec(predictor, process.schema.task)
         pts = np.atleast_2d(np.asarray(test_points if test_points is not None else [[0.0]],
                                        dtype=np.float64))
         outputs = _trained_outputs(process, predictor, pts, seed)
         n_x = pts.shape[0]
         point_shape = (n_x,)
-    records = _collect(process, outputs, point_shape, generator_mode, m, rho, mc, seed)
+    records = _collect(_chain(process, outputs, generator_mode, m, rho, mc, seed),
+                       _squared_stats(process, point_shape, generator_mode, mc))
 
     noise = process.noise_var()
     f_value = process.f()
-    stats = _assemble(records, generator_mode, mc, f_value)
-    gap = _identity_gap(stats, m, noise, generator_mode)
+    term_names = ("mse", "mv", "sdv", "rdv", "sdb", "mb") + _MODE_TERMS[generator_mode]
 
     def statistic(idx):
-        bs = _assemble(records, generator_mode, mc, f_value, idx=idx)
-        return {**{name: np.mean(bs[name]) for name in stats},
+        bs = _assemble(records, generator_mode, mc, f_value, idx)
+        return {**{name: np.mean(bs[name]) for name in term_names},
                 "gap": np.mean(_identity_gap(bs, m, noise, generator_mode))}
 
-    se = _bootstrap_se(seed, mc.r_real, statistic)
-
-    def estimate(name, value):
-        return TermEstimate(value=float(np.mean(value)), std_error=se[name])
-
-    term_names = ["mse", "mv", "sdv", "rdv", "sdb", "mb"]
-    if generator_mode == SHARED_SUMMARY:
-        term_names.append("dpvar")
-    if generator_mode == CORRELATED:
-        term_names.append("cov")
-    terms = {name: estimate(name, stats[name]) for name in term_names}
+    terms = _estimates(seed, mc.r_real, statistic)
+    gap = terms.pop("gap")
     terms["noise"] = TermEstimate(value=float(noise), std_error=0.0)
-
-    gap_mean = float(np.mean(gap))
-    gap_se = se["gap"]
-    if abs(gap_mean) > IDENTITY_SE_MULTIPLE * gap_se:
+    if abs(gap.value) > IDENTITY_SE_MULTIPLE * gap.std_error:
         status = "identity_flagged"
     elif any(terms[name].value < -TERM_SE_MULTIPLE * terms[name].std_error
              for name in ("mv", "sdv", "rdv", "dpvar") if name in terms):
@@ -528,13 +523,11 @@ def oracle_decompose(process, generator_mode: str = IID,
     else:
         status = "ok"
 
-    per_point = {}
-    for name in term_names:
-        vals = np.asarray(stats[name], dtype=np.float64)
-        per_point[name] = vals if point_shape else np.full(n_x, float(np.mean(vals)))
+    stats = _assemble(records, generator_mode, mc, f_value, np.arange(mc.r_real))
+    per_point = {name: np.broadcast_to(stats[name], (n_x,)) for name in term_names}
 
     config = {"process": process.id, "mode": generator_mode, "m": m, "rho": rho,
-              "predictor": "builtin" if builtin else predictor.label,
+              "predictor": "builtin" if predictor is None else predictor.label,
               "mc": {"r_real": mc.r_real, "r_theta": mc.r_theta, "r_syn": mc.r_syn,
                      "r_y": mc.r_y, "r_summary": mc.summaries},
               "seed": seed, "n_test_points": n_x}
@@ -543,9 +536,9 @@ def oracle_decompose(process, generator_mode: str = IID,
                 "identity_se_multiple": IDENTITY_SE_MULTIPLE,
                 "identity_coverage": _gauss_coverage(IDENTITY_SE_MULTIPLE),
                 "bootstrap_resamples": BOOTSTRAP_RESAMPLES}
-    return DecompositionReport(terms=terms, identity_gap=gap_mean, identity_gap_se=gap_se,
-                               status=status, config=config, coverage=coverage,
-                               per_point=per_point)
+    return DecompositionReport(terms=terms, identity_gap=gap.value,
+                               identity_gap_se=gap.std_error, status=status, config=config,
+                               coverage=coverage, per_point=per_point)
 
 
 # --------------------------------------------------------------------------
@@ -578,28 +571,19 @@ def _outcome_divergence(spec: brg.BregmanSpec, y_weights: np.ndarray, g) -> floa
     return float(y_weights @ np.array([brg.divergence(spec, y, g) for y in np.eye(2)]))
 
 
-def _collect_bregman(process, spec: brg.BregmanSpec, y_weights: np.ndarray, m: int,
-                     mc: MonteCarloConfig, seed: int):
-    """Per-replicate MV, SDV, mean dual prediction and ensemble error of the
-    i.i.d. chain with probability-vector predictions, indexed by outer
-    replicate along axis 0."""
-    def outputs(rng, thetas, tag, r):
-        return process.predictor_prob_outputs(rng, thetas)
-
-    mv_r = np.empty(mc.r_real)
-    sdv_r = np.empty(mc.r_real)
-    c_r_dual = np.empty((mc.r_real, 2))
-    err_r = np.empty(mc.r_real)
-    for r, draws in enumerate(_chain(process, outputs, IID, m, 0.0, mc, seed)):
+def _bregman_stats(spec: brg.BregmanSpec, y_weights: np.ndarray):
+    """Reducer for _collect of the i.i.d. chain with probability-vector
+    predictions: MV, SDV, mean dual prediction and ensemble error."""
+    def reduce(draws: _Draws) -> dict:
         probs = draws.grid                                       # (t, s, 2)
         duals = brg.dual(spec, probs)
         centers_t = brg.dual_inverse(spec, duals.mean(axis=1))   # E_{D_s|theta}[g]
-        mv_r[r] = brg.divergence(spec, centers_t[:, None, :], probs).mean(axis=1).mean()
-        center_r = brg.dual_inverse(spec, brg.dual(spec, centers_t).mean(axis=0))
-        sdv_r[r] = float(np.mean(brg.divergence(spec, center_r, centers_t)))
-        c_r_dual[r] = duals.reshape(-1, 2).mean(axis=0)
-        err_r[r] = _outcome_divergence(spec, y_weights, brg.dual_average(spec, draws.members))
-    return mv_r, sdv_r, c_r_dual, err_r
+        return {"mv": brg.divergence(spec, centers_t[:, None, :], probs).mean(axis=1).mean(),
+                "sdv": brg.central_prediction(spec, centers_t).gvar,
+                "c_dual": duals.reshape(-1, 2).mean(axis=0),
+                "error": _outcome_divergence(spec, y_weights,
+                                             brg.dual_average(spec, draws.members))}
+    return reduce
 
 
 def bregman_oracle_decompose(process, m: int = 1,
@@ -623,29 +607,27 @@ def bregman_oracle_decompose(process, m: int = 1,
     y_weights = np.array([1.0 - p0, p0])
     y_mean = brg.dual_inverse(spec, brg.dual(spec, y_weights))
     noise = _outcome_divergence(spec, y_weights, y_mean)
-    mv_r, sdv_r, c_r_dual, err_r = _collect_bregman(process, spec, y_weights, m, mc, seed)
+
+    def outputs(rng, thetas, tag, r):
+        return process.predictor_prob_outputs(rng, thetas)
+    records = _collect(_chain(process, outputs, IID, m, 0.0, mc, seed),
+                       _bregman_stats(spec, y_weights))
 
     def statistic(idx):
-        cd = c_r_dual[idx]
+        cd = records["c_dual"][idx]
         overall = brg.dual_inverse(spec, cd.mean(axis=0))
-        out = {"error": err_r[idx].mean(), "mv": mv_r[idx].mean(), "sdv": sdv_r[idx].mean(),
-               "rdv": float(np.mean(brg.divergence(spec, overall, brg.dual_inverse(spec, cd)))),
-               "bias": float(brg.divergence(spec, y_mean, overall))}
+        out = {name: records[name][idx].mean() for name in ("error", "mv", "sdv")}
+        out["rdv"] = float(np.mean(brg.divergence(spec, overall, brg.dual_inverse(spec, cd))))
+        out["bias"] = float(brg.divergence(spec, y_mean, overall))
         out["slack"] = out["mv"] + out["sdv"] + out["rdv"] + out["bias"] + noise - out["error"]
         return out
 
-    point = statistic(np.arange(mc.r_real))
-    se = _bootstrap_se(seed, mc.r_real, statistic)
-
-    def est(name):
-        return TermEstimate(value=float(point[name]), std_error=se[name])
-
+    est = _estimates(seed, mc.r_real, statistic)
+    slack = est.pop("slack")
     config = {"process": process.id, "m": m, "seed": seed,
               "mc": {"r_real": mc.r_real, "r_theta": mc.r_theta, "r_syn": mc.r_syn}}
-    return BregmanBoundReport(error=est("error"), mv=est("mv"), sdv=est("sdv"),
-                              rdv=est("rdv"), bias=est("bias"), noise=noise,
-                              bound_slack=float(point["slack"]), bound_slack_se=se["slack"],
-                              config=config)
+    return BregmanBoundReport(**est, noise=noise, bound_slack=slack.value,
+                              bound_slack_se=slack.std_error, config=config)
 
 
 # --------------------------------------------------------------------------

@@ -37,7 +37,6 @@ class PredictorSpec:
     lam: float = 1.0               # ridge / logistic penalty
     n_trees: int = 10              # bagged_trees
     max_iter: int = 1000           # logistic
-    standardize: bool | None = None  # None = kind default (trees: no, others: yes)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -52,8 +51,7 @@ class PredictorSpec:
 
     @property
     def wants_standardize(self) -> bool:
-        if self.standardize is not None:
-            return self.standardize
+        """Trees and the mean predictor take raw features; the others, standardized ones."""
         return self.kind not in ("cart", "bagged_trees", "mean")
 
     @property

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -288,6 +289,55 @@ repeats = 2
         # schema keys keep their case
         loaded = load_csv(data_path, schema)
         assert loaded.n == 30
+
+
+    def test_label_with_comma_keeps_row_width(self, tmp_path):
+        rng = np.random.default_rng(4)
+        lines = ["x,y"] + [f"{float(a)!r},{float(b)!r}" for a, b in rng.normal(size=(24, 2))]
+        data_path = tmp_path / "my,data.csv"
+        data_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, f"""\
+[experiment]
+seed = 3
+
+[data]
+source = csv
+path = {data_path}
+
+[schema]
+x = numeric feature
+y = numeric target
+
+[generator]
+kind = bootstrap
+
+[predictors]
+specs = knn:3
+
+[curve]
+m_values = 1, 2
+repeats = 2
+
+[predict_curve]
+curve_csv = {out / "curve.csv"}
+m_values = 4
+
+[nested_var]
+r_theta = 2
+s_per_theta = 2
+
+[forest]
+t_max = 2
+""")
+        for sub in ("curve", "predict-curve", "nested-var", "forest-curve"):
+            assert cli.main([sub, "--config", str(cfg), "--output", str(out)]) == 0
+        for name in ("curve.csv", "predictions.csv", "nested_variance.csv",
+                     "forest_curve.csv"):
+            with open(out / name, newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            assert rows and header[0] == "dataset"
+            assert all(len(row) == len(header) and row[0] == "my,data" for row in rows), name
 
 
 def test_generate_with_large_epsilon(tmp_path):

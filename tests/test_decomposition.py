@@ -13,6 +13,7 @@ from genensemble.data import (CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Dat
                               encode)
 from genensemble.decomposition import (CORRELATED, SHARED_SUMMARY, MonteCarloConfig,
                                        achieved_benefit, bregman_oracle_decompose,
+                                       check_oracle_request,
                                        estimate_mv_sdv_nested, fit_rule_regression,
                                        fit_rule_two_point, mse_curve, oracle_decompose,
                                        predict_mse)
@@ -332,6 +333,27 @@ class TestOracleDecompose:
             assert abs(b.value - g.value) <= 4.0 * math.hypot(b.std_error, g.std_error)
         assert generic.status == "ok"
 
+    def test_spec_syntax_predictor(self):
+        # the library reads spec syntax as the CLI's [decompose] predictor does
+        kwargs = dict(generator_mode="iid", m=2, test_points=[[0.0], [1.0]],
+                      mc=MonteCarloConfig(3, 3, 3, 20), seed=1)
+        knn3 = PredictorSpec("knn", "regression", k=3)
+        text = oracle_decompose("gaussian_toy", predictor="knn:3", **kwargs)
+        spec = oracle_decompose("gaussian_toy", predictor=knn3, **kwargs)
+        assert text.config["predictor"] == "knn3"
+        assert text.to_json() == spec.to_json()
+        with pytest.raises(ValueError, match="knn:x: k must be an integer"):
+            oracle_decompose("gaussian_toy", predictor="knn:x", **kwargs)
+
+    def test_check_oracle_request_resolves_predictor(self):
+        proc = get_process("gaussian_toy")
+        for builtin in ("builtin", proc.builtin_predictor):
+            assert check_oracle_request(proc, "iid", builtin, 1) is None
+        spec = PredictorSpec("cart", "regression")
+        assert check_oracle_request(proc, "iid", spec, 1) is spec
+        knn3 = PredictorSpec("knn", "regression", k=3)
+        assert check_oracle_request(proc, "iid", "knn:3", 1) == knn3
+
     def test_negative_variance_term_is_reported(self):
         # an ordinary fluctuation at tiny Monte Carlo counts keeps its report
         rep = oracle_decompose("gaussian_toy", "iid", m=1,
@@ -446,7 +468,20 @@ _WIDE_MC = MonteCarloConfig(10, 130, 9, 20, r_summary=9)
 class TestOracleMatchesPerSummaryReduction:
     def _both(self, monkeypatch, **kwargs):
         new = oracle_decompose(**kwargs).to_json()
-        monkeypatch.setattr(decomposition, "_collect", _collect_reference)
+        process, seed = get_process(kwargs["process"]), kwargs["seed"]
+        if "predictor" in kwargs:
+            points = np.asarray(kwargs["test_points"], dtype=np.float64)
+            outputs = decomposition._trained_outputs(process, kwargs["predictor"], points, seed)
+            point_shape = (len(points),)
+        else:
+            def outputs(rng, thetas, tag, r):
+                return process.predictor_outputs(rng, thetas)
+            point_shape = ()
+
+        def collect(chain, reduce):
+            return _collect_reference(process, outputs, point_shape, kwargs["generator_mode"],
+                                      kwargs["m"], kwargs["rho"], kwargs["mc"], seed)
+        monkeypatch.setattr(decomposition, "_collect", collect)
         return new, oracle_decompose(**kwargs).to_json()
 
     @pytest.mark.parametrize("mc, seed", [(_SMALL_MC, 0), (_BLOCK_MC, 7), (_WIDE_MC, 123)])
@@ -484,7 +519,13 @@ class TestOracleMatchesPerSummaryReduction:
             return json.dumps(dataclasses.asdict(rep), sort_keys=True)
 
         new = report()
-        monkeypatch.setattr(decomposition, "_collect_bregman", _collect_bregman_reference)
+        process = get_process("discrete_toy")
+        y_weights = np.array([1.0 - process.f(), process.f()])
+
+        def collect(chain, reduce):
+            return dict(zip(("mv", "sdv", "c_dual", "error"), _collect_bregman_reference(
+                process, brg.BregmanSpec(brg.NEGENTROPY, 2), y_weights, m, mc, seed)))
+        monkeypatch.setattr(decomposition, "_collect", collect)
         assert new == report()
 
 

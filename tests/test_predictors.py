@@ -504,7 +504,6 @@ class TestContracts:
         assert not PredictorSpec("bagged_trees", "regression").wants_standardize
         assert PredictorSpec("knn", "regression").wants_standardize
         assert PredictorSpec("ridge", "regression").wants_standardize
-        assert PredictorSpec("cart", "regression", standardize=True).wants_standardize
 
 
 CLASSIFIERS = [PredictorSpec("knn", "classification", k=1),
