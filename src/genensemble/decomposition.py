@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -43,6 +44,9 @@ CORRELATED = "correlated"
 _MODE_TERMS = {IID: (), SHARED_SUMMARY: ("dpvar",), CORRELATED: ("cov",)}
 
 BOOTSTRAP_RESAMPLES = 400
+# A block of bootstrap resamples gathers at most this many record values, and
+# always at least one resample.
+_BOOTSTRAP_CELLS = 1 << 13
 TERM_SE_MULTIPLE = 3.0
 IDENTITY_SE_MULTIPLE = 4.0
 
@@ -270,33 +274,36 @@ def _identity_gap(stats: dict, m: int, noise: float, mode: str):
 def _assemble(records: dict, mode: str, mc: MonteCarloConfig, f_value, idx) -> dict:
     """Turn per-replicate records into (bias-corrected) term estimates.
 
-    records holds arrays indexed by outer replicate along axis 0; idx selects
-    the replicates, all of them or a bootstrap resample. Sample variances
-    across replicates are corrected for the within-replicate estimation noise
-    so every estimator is unbiased for its term.
+    records holds arrays indexed by outer replicate along axis 0; each row of
+    the (rows, r_real) index block idx selects the replicates, all or a
+    bootstrap resample, for one row of every term. Variances across them are
+    corrected for within-replicate noise so every estimator is unbiased.
     """
     def take(name):
         return records[name][idx]
 
     out = {}
-    mv = take("mv").mean(axis=0)
-    sdv_raw = take("sdv_raw").mean(axis=0)
+    mv = take("mv").mean(axis=1)
+    sdv_raw = take("sdv_raw").mean(axis=1)
     out["mv"] = mv
     out["sdv"] = sdv_raw - mv / mc.r_syn
     b = take("b")
     if mode == SHARED_SUMMARY:
-        dpv_raw = take("dpv_raw").mean(axis=0)
+        dpv_raw = take("dpv_raw").mean(axis=1)
         out["dpvar"] = dpv_raw - sdv_raw / mc.r_theta
-        out["rdv"] = b.var(axis=0, ddof=1) - dpv_raw / mc.summaries
+        out["rdv"] = b.var(axis=1, ddof=1) - dpv_raw / mc.summaries
     else:
-        out["rdv"] = b.var(axis=0, ddof=1) - sdv_raw / mc.r_theta
+        out["rdv"] = b.var(axis=1, ddof=1) - sdv_raw / mc.r_theta
     if mode == CORRELATED:
-        out["cov"] = take("cov_raw").mean(axis=0)
-    fbar = take("fbar").mean(axis=0)
+        out["cov"] = take("cov_raw").mean(axis=1)
+    fbar = take("fbar").mean(axis=1)
     out["sdb"] = f_value - fbar
-    out["mb"] = fbar - b.mean(axis=0)
-    out["bias_sq"] = (out["sdb"] + out["mb"]) ** 2
-    out["mse"] = take("mse").mean(axis=0)
+    out["mb"] = fbar - b.mean(axis=1)
+    bias = out["sdb"] + out["mb"]
+    # numpy squares a scalar with pow() and an array by multiplication, one ulp
+    # apart for about 1 value in 1,000; a built-in bias keeps the scalar's bits.
+    out["bias_sq"] = np.float_power(bias, 2) if bias.ndim == 1 else bias ** 2
+    out["mse"] = take("mse").mean(axis=1)
     return out
 
 
@@ -353,21 +360,27 @@ def _chain(process, outputs, mode, m, rho, mc: MonteCarloConfig, seed: int):
                      rng_d)
 
 
-def _bootstrap_se(seed: int, r_real: int, statistic) -> dict[str, float]:
-    """Bootstrap standard error of each named scalar of statistic(idx), over
-    BOOTSTRAP_RESAMPLES resamples idx of the r_real outer replicates."""
+def _bootstrap_se(seed: int, r_real: int, statistic, width: int) -> dict[str, float]:
+    """Bootstrap standard error of each named statistic over BOOTSTRAP_RESAMPLES
+    resamples of the r_real outer replicates. statistic maps a (rows, r_real)
+    index block, one resample per row, to one value per row, gathering width
+    values of a record per index; blocks of at most _BOOTSTRAP_CELLS gathered
+    values draw the same resamples as one draw per row."""
     rng = child_rng(seed, "bootstrap")
-    draws = [statistic(rng.integers(0, r_real, size=r_real))
-             for _ in range(BOOTSTRAP_RESAMPLES)]
-    return {name: float(np.std([d[name] for d in draws], ddof=1)) for name in draws[0]}
+    rows = max(1, _BOOTSTRAP_CELLS // (r_real * width))
+    blocks = [statistic(rng.integers(0, r_real, size=(min(rows, BOOTSTRAP_RESAMPLES - start),
+                                                      r_real)))
+              for start in range(0, BOOTSTRAP_RESAMPLES, rows)]
+    return {name: float(np.std(np.concatenate([b[name] for b in blocks]), ddof=1))
+            for name in blocks[0]}
 
 
-def _estimates(seed: int, r_real: int, statistic) -> dict[str, TermEstimate]:
-    """Each named scalar of statistic(idx) on all r_real outer replicates,
-    with its bootstrap standard error."""
-    point = statistic(np.arange(r_real))
-    se = _bootstrap_se(seed, r_real, statistic)
-    return {name: TermEstimate(value=float(point[name]), std_error=se[name])
+def _estimates(seed: int, r_real: int, statistic, width: int = 1) -> dict[str, TermEstimate]:
+    """Each named statistic on all r_real outer replicates, with its
+    bootstrap standard error; see _bootstrap_se for width."""
+    point = statistic(np.arange(r_real)[None])
+    se = _bootstrap_se(seed, r_real, statistic, width)
+    return {name: TermEstimate(value=float(point[name][0]), std_error=se[name])
             for name in point}
 
 
@@ -439,6 +452,27 @@ def _trained_outputs(process, predictor: PredictorSpec, test_points: np.ndarray,
     return outputs
 
 
+def _check_m(m) -> None:
+    """Raise ValueError unless the ensemble size m is an integer >= 1."""
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+        raise ValueError(f"m must be an integer, got {m!r}")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+
+
+def _check_test_points(process, test_points) -> np.ndarray:
+    """The test points as a non-empty, finite (n, d) block, d the process's
+    feature count; one point at the origin if test_points is None."""
+    d = len(process.schema.feature_indices)
+    if test_points is None:
+        return np.zeros((1, d))
+    pts = np.asarray(test_points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] != d or not np.all(np.isfinite(pts)):
+        raise ValueError(f"test_points must be a non-empty, finite (n, {d}) block "
+                         f"for process {process.id!r}")
+    return pts
+
+
 def check_oracle_request(process, generator_mode: str, predictor: PredictorSpec | str,
                          m: int, rho: float = 0.0) -> PredictorSpec | None:
     """Raise ValueError unless oracle_decompose can run this request.
@@ -454,8 +488,7 @@ def check_oracle_request(process, generator_mode: str, predictor: PredictorSpec 
         raise ValueError(f"process {process.id!r} has no correlated sampler")
     if generator_mode == CORRELATED and not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_m(m)
     if isinstance(predictor, str):
         if predictor in ("builtin", process.builtin_predictor):
             return None
@@ -478,6 +511,11 @@ def oracle_decompose(process, generator_mode: str = IID,
     summary, adding the DPVAR term), or "correlated" (parameter draws with
     pairwise correlation rho, adding the COV term weighted by 1 - 1/m).
 
+    m is the ensemble size, a Python or numpy integer >= 1. test_points is a
+    non-empty, finite (n, d) block of feature values, d the process's feature
+    count (0 for discrete_toy), and defaults to one point at the origin; the
+    built-in predictors do not depend on it, so their per-point terms repeat.
+
     The direct error estimate comes from fresh draws of the full chain, so
     identity_gap = mse - (mv/m + sdv/m + (1-1/m) cov + rdv + dpvar + bias^2
     + noise) is an unbiased zero whose size is judged against its bootstrap
@@ -489,16 +527,14 @@ def oracle_decompose(process, generator_mode: str = IID,
     if isinstance(process, str):
         process = get_process(process)
     predictor = check_oracle_request(process, generator_mode, predictor, m, rho)
+    pts = _check_test_points(process, test_points)
+    n_x = pts.shape[0]
     if predictor is None:
         def outputs(rng, thetas, tag, r):
             return process.predictor_outputs(rng, thetas)
         point_shape = ()
-        n_x = 1 if test_points is None else len(test_points)
     else:
-        pts = np.atleast_2d(np.asarray(test_points if test_points is not None else [[0.0]],
-                                       dtype=np.float64))
         outputs = _trained_outputs(process, predictor, pts, seed)
-        n_x = pts.shape[0]
         point_shape = (n_x,)
     records = _collect(_chain(process, outputs, generator_mode, m, rho, mc, seed),
                        _squared_stats(process, point_shape, generator_mode, mc))
@@ -509,10 +545,11 @@ def oracle_decompose(process, generator_mode: str = IID,
 
     def statistic(idx):
         bs = _assemble(records, generator_mode, mc, f_value, idx)
-        return {**{name: np.mean(bs[name]) for name in term_names},
-                "gap": np.mean(_identity_gap(bs, m, noise, generator_mode))}
+        bs["gap"] = _identity_gap(bs, m, noise, generator_mode)
+        return {name: bs[name].reshape(len(idx), -1).mean(axis=1)
+                for name in term_names + ("gap",)}
 
-    terms = _estimates(seed, mc.r_real, statistic)
+    terms = _estimates(seed, mc.r_real, statistic, math.prod(point_shape))
     gap = terms.pop("gap")
     terms["noise"] = TermEstimate(value=float(noise), std_error=0.0)
     if abs(gap.value) > IDENTITY_SE_MULTIPLE * gap.std_error:
@@ -523,10 +560,10 @@ def oracle_decompose(process, generator_mode: str = IID,
     else:
         status = "ok"
 
-    stats = _assemble(records, generator_mode, mc, f_value, np.arange(mc.r_real))
-    per_point = {name: np.broadcast_to(stats[name], (n_x,)) for name in term_names}
+    stats = _assemble(records, generator_mode, mc, f_value, np.arange(mc.r_real)[None])
+    per_point = {name: np.broadcast_to(stats[name][0], (n_x,)) for name in term_names}
 
-    config = {"process": process.id, "mode": generator_mode, "m": m, "rho": rho,
+    config = {"process": process.id, "mode": generator_mode, "m": int(m), "rho": rho,
               "predictor": "builtin" if predictor is None else predictor.label,
               "mc": {"r_real": mc.r_real, "r_theta": mc.r_theta, "r_syn": mc.r_syn,
                      "r_y": mc.r_y, "r_summary": mc.summaries},
@@ -598,8 +635,7 @@ def bregman_oracle_decompose(process, m: int = 1,
     """
     if isinstance(process, str):
         process = get_process(process)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_m(m)
     if not hasattr(process, "predictor_prob_outputs"):
         raise ValueError(f"process {process.id!r} has no binary probability predictor")
     spec = brg.BregmanSpec(brg.NEGENTROPY, 2)
@@ -614,17 +650,18 @@ def bregman_oracle_decompose(process, m: int = 1,
                        _bregman_stats(spec, y_weights))
 
     def statistic(idx):
-        cd = records["c_dual"][idx]
-        overall = brg.dual_inverse(spec, cd.mean(axis=0))
-        out = {name: records[name][idx].mean() for name in ("error", "mv", "sdv")}
-        out["rdv"] = float(np.mean(brg.divergence(spec, overall, brg.dual_inverse(spec, cd))))
-        out["bias"] = float(brg.divergence(spec, y_mean, overall))
+        cd = records["c_dual"][idx]                              # (rows, r_real, 2)
+        overall = brg.dual_inverse(spec, cd.mean(axis=1))
+        out = {name: records[name][idx].mean(axis=1) for name in ("error", "mv", "sdv")}
+        centers = brg.dual_inverse(spec, cd)
+        out["rdv"] = brg.divergence(spec, overall[:, None], centers).mean(axis=1)
+        out["bias"] = brg.divergence(spec, y_mean, overall)
         out["slack"] = out["mv"] + out["sdv"] + out["rdv"] + out["bias"] + noise - out["error"]
         return out
 
     est = _estimates(seed, mc.r_real, statistic)
     slack = est.pop("slack")
-    config = {"process": process.id, "m": m, "seed": seed,
+    config = {"process": process.id, "m": int(m), "seed": seed,
               "mc": {"r_real": mc.r_real, "r_theta": mc.r_theta, "r_syn": mc.r_syn}}
     return BregmanBoundReport(**est, noise=noise, bound_slack=slack.value,
                               bound_slack_se=slack.std_error, config=config)

@@ -11,7 +11,9 @@ from genensemble import bregman as brg
 from genensemble import decomposition
 from genensemble.data import (CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Dataset, Schema,
                               encode)
-from genensemble.decomposition import (CORRELATED, SHARED_SUMMARY, MonteCarloConfig,
+from genensemble.decomposition import (BOOTSTRAP_RESAMPLES, CORRELATED, IDENTITY_SE_MULTIPLE,
+                                       SHARED_SUMMARY, TERM_SE_MULTIPLE, BregmanBoundReport,
+                                       DecompositionReport, MonteCarloConfig, TermEstimate,
                                        achieved_benefit, bregman_oracle_decompose,
                                        check_oracle_request,
                                        estimate_mv_sdv_nested, fit_rule_regression,
@@ -363,6 +365,42 @@ class TestOracleDecompose:
         assert abs(rep.identity_gap) <= 4.0 * rep.identity_gap_se
         assert rep.status == "term_negative"
 
+    @pytest.mark.parametrize("m", [2.5, 2.0, np.float64(3.0), "2", True, np.bool_(True)])
+    def test_non_integer_m_rejected(self, m):
+        mc = MonteCarloConfig(3, 2, 2, 4)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            check_oracle_request(get_process("gaussian_toy"), "iid", "builtin", m)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            oracle_decompose("gaussian_toy", "iid", m=m, mc=mc)
+
+    def test_numpy_integer_m_accepted(self):
+        mc = MonteCarloConfig(3, 2, 2, 4)
+        for m in (np.int64(2), np.int32(2)):
+            rep = oracle_decompose("gaussian_toy", "iid", m=m, mc=mc, seed=2)
+            assert rep.to_json() == oracle_decompose("gaussian_toy", "iid", m=2, mc=mc,
+                                                     seed=2).to_json()
+
+    @pytest.mark.parametrize("predictor", ["builtin", "knn:1"])
+    @pytest.mark.parametrize("points", [[], np.zeros((0, 1)), [[0.0, 1.0]], [0.0],
+                                        [[0.0], [np.nan]], [[np.inf]], [[[0.0]]]])
+    def test_malformed_test_points_rejected(self, predictor, points):
+        with pytest.raises(ValueError, match=r"test_points must be a non-empty, finite \(n, 1\)"):
+            oracle_decompose("gaussian_toy", "iid", predictor, test_points=points,
+                             mc=MonteCarloConfig(3, 2, 2, 4))
+
+    @pytest.mark.parametrize("process, width", [("gaussian_toy", 1), ("discrete_toy", 0)])
+    @pytest.mark.parametrize("predictor", ["builtin", "knn:1"])
+    def test_default_test_point_is_the_origin(self, process, width, predictor):
+        kwargs = dict(generator_mode="iid", predictor=predictor,
+                      mc=MonteCarloConfig(3, 2, 2, 4), seed=3)
+        rep = oracle_decompose(process, **kwargs)
+        assert rep.config["n_test_points"] == 1
+        assert all(len(v) == 1 for v in rep.per_point.values())
+        assert rep.to_json() == oracle_decompose(process, test_points=np.zeros((1, width)),
+                                                 **kwargs).to_json()
+        with pytest.raises(ValueError, match=rf"finite \(n, {width}\) block"):
+            oracle_decompose(process, test_points=np.zeros((1, width + 1)), **kwargs)
+
     def test_report_serializes(self):
         rep = oracle_decompose("gaussian_toy", "iid", m=1,
                                mc=MonteCarloConfig(20, 5, 3, 100), seed=0)
@@ -529,6 +567,253 @@ class TestOracleMatchesPerSummaryReduction:
         assert new == report()
 
 
+def _assemble_per_resample(records, mode, mc, f_value, idx):
+    """Term assembly for one replicate selection idx, a 1-D index array,
+    reducing along axis 0."""
+    def take(name):
+        return records[name][idx]
+
+    out = {}
+    mv = take("mv").mean(axis=0)
+    sdv_raw = take("sdv_raw").mean(axis=0)
+    out["mv"] = mv
+    out["sdv"] = sdv_raw - mv / mc.r_syn
+    b = take("b")
+    if mode == SHARED_SUMMARY:
+        dpv_raw = take("dpv_raw").mean(axis=0)
+        out["dpvar"] = dpv_raw - sdv_raw / mc.r_theta
+        out["rdv"] = b.var(axis=0, ddof=1) - dpv_raw / mc.summaries
+    else:
+        out["rdv"] = b.var(axis=0, ddof=1) - sdv_raw / mc.r_theta
+    if mode == CORRELATED:
+        out["cov"] = take("cov_raw").mean(axis=0)
+    fbar = take("fbar").mean(axis=0)
+    out["sdb"] = f_value - fbar
+    out["mb"] = fbar - b.mean(axis=0)
+    out["bias_sq"] = (out["sdb"] + out["mb"]) ** 2
+    out["mse"] = take("mse").mean(axis=0)
+    return out
+
+
+def _estimates_per_resample(seed, r_real, statistic):
+    """Point estimates and bootstrap standard errors with one statistic call
+    per resample."""
+    rng = child_rng(seed, "bootstrap")
+    draws = [statistic(rng.integers(0, r_real, size=r_real))
+             for _ in range(BOOTSTRAP_RESAMPLES)]
+    point = statistic(np.arange(r_real))
+    return {name: TermEstimate(value=float(point[name]),
+                               std_error=float(np.std([d[name] for d in draws], ddof=1)))
+            for name in point}
+
+
+def _oracle_reference(report, records, process, mode, m, mc, seed):
+    """report.to_json() rebuilt from the oracle's records with the
+    per-resample bootstrap."""
+    noise, f_value = process.noise_var(), process.f()
+    term_names = ("mse", "mv", "sdv", "rdv", "sdb", "mb") + decomposition._MODE_TERMS[mode]
+
+    def statistic(idx):
+        bs = _assemble_per_resample(records, mode, mc, f_value, idx)
+        return {**{name: np.mean(bs[name]) for name in term_names},
+                "gap": np.mean(decomposition._identity_gap(bs, m, noise, mode))}
+
+    terms = _estimates_per_resample(seed, mc.r_real, statistic)
+    gap = terms.pop("gap")
+    terms["noise"] = TermEstimate(value=float(noise), std_error=0.0)
+    if abs(gap.value) > IDENTITY_SE_MULTIPLE * gap.std_error:
+        status = "identity_flagged"
+    elif any(terms[name].value < -TERM_SE_MULTIPLE * terms[name].std_error
+             for name in ("mv", "sdv", "rdv", "dpvar") if name in terms):
+        status = "term_negative"
+    else:
+        status = "ok"
+    stats = _assemble_per_resample(records, mode, mc, f_value, np.arange(mc.r_real))
+    n_x = report.config["n_test_points"]
+    per_point = {name: np.broadcast_to(stats[name], (n_x,)) for name in term_names}
+    return DecompositionReport(terms=terms, identity_gap=gap.value,
+                               identity_gap_se=gap.std_error, status=status,
+                               config=report.config, coverage=report.coverage,
+                               per_point=per_point).to_json()
+
+
+def _bregman_json(report):
+    return json.dumps(dataclasses.asdict(report), sort_keys=True)
+
+
+def _bregman_reference(report, records, process, mc, seed):
+    """The Bregman report's JSON rebuilt from its records with the
+    per-resample bootstrap."""
+    spec = brg.BregmanSpec(brg.NEGENTROPY, 2)
+    y_weights = np.array([1.0 - process.f(), process.f()])
+    y_mean = brg.dual_inverse(spec, brg.dual(spec, y_weights))
+
+    def statistic(idx):
+        cd = records["c_dual"][idx]
+        overall = brg.dual_inverse(spec, cd.mean(axis=0))
+        out = {name: records[name][idx].mean() for name in ("error", "mv", "sdv")}
+        out["rdv"] = float(np.mean(brg.divergence(spec, overall, brg.dual_inverse(spec, cd))))
+        out["bias"] = float(brg.divergence(spec, y_mean, overall))
+        out["slack"] = (out["mv"] + out["sdv"] + out["rdv"] + out["bias"] + report.noise
+                        - out["error"])
+        return out
+
+    est = _estimates_per_resample(seed, mc.r_real, statistic)
+    slack = est.pop("slack")
+    return _bregman_json(BregmanBoundReport(**est, noise=report.noise,
+                                            bound_slack=slack.value,
+                                            bound_slack_se=slack.std_error,
+                                            config=report.config))
+
+
+def _with_records(monkeypatch, run):
+    """run() and the records its oracle collected."""
+    collected = []
+    collect = decomposition._collect
+
+    def capture(chain, reduce):
+        collected.append(collect(chain, reduce))
+        return collected[-1]
+    monkeypatch.setattr(decomposition, "_collect", capture)
+    return run(), collected[0]
+
+
+# r_real 37 splits into uneven blocks of rows; "all" puts every resample in
+# one block and 1 gives one resample per block
+_CELL_BOUNDS = ["default", 1, "all"]
+
+
+def _set_cells(monkeypatch, cells, r_real):
+    if cells != "default":
+        bound = BOOTSTRAP_RESAMPLES * r_real if cells == "all" else cells
+        monkeypatch.setattr(decomposition, "_BOOTSTRAP_CELLS", bound)
+
+
+class TestBootstrapMatchesPerResampleLoop:
+    """The blocked bootstrap gives the bytes of one statistic call per
+    resample, whatever the block size."""
+
+    @pytest.mark.parametrize("cells", _CELL_BOUNDS)
+    @pytest.mark.parametrize("mc, seed", [(_SMALL_MC, 0), (MonteCarloConfig(37, 5, 3, 30), 11),
+                                          (MonteCarloConfig(200, 2, 2, 4, r_summary=2), 5)])
+    @pytest.mark.parametrize("process, mode, rho", [
+        ("discrete_toy", "iid", 0.0),
+        ("discrete_toy", "shared_summary", 0.0),
+        ("gaussian_toy", "iid", 0.0),
+        ("gaussian_toy", "correlated", 0.5),
+    ])
+    def test_builtin_report_bytes(self, monkeypatch, process, mode, rho, mc, seed, cells):
+        _set_cells(monkeypatch, cells, mc.r_real)
+        process = get_process(process)
+        report, records = _with_records(monkeypatch, lambda: oracle_decompose(
+            process, mode, m=3, mc=mc, seed=seed, rho=rho))
+        assert report.to_json() == _oracle_reference(report, records, process, mode, 3, mc,
+                                                     seed)
+
+    @pytest.mark.parametrize("cells", _CELL_BOUNDS)
+    @pytest.mark.parametrize("mode, rho", [("iid", 0.0), ("correlated", 0.5)])
+    def test_trained_predictor_report_bytes(self, monkeypatch, mode, rho, cells):
+        # ten test points: the per-point mean takes numpy's pairwise sum
+        mc = MonteCarloConfig(5, 3, 2, 20)
+        _set_cells(monkeypatch, cells, mc.r_real)
+        process = get_process("gaussian_toy")
+        points = np.linspace(-2.0, 2.0, 10)[:, None]
+        report, records = _with_records(monkeypatch, lambda: oracle_decompose(
+            process, mode, "knn:1", m=2, test_points=points, mc=mc, seed=4, rho=rho))
+        assert report.config["n_test_points"] == 10
+        assert report.to_json() == _oracle_reference(report, records, process, mode, 2, mc, 4)
+
+    @pytest.mark.parametrize("cells", _CELL_BOUNDS)
+    @pytest.mark.parametrize("mc, seed", [(_SMALL_MC, 0), (MonteCarloConfig(37, 5, 3, 4), 11),
+                                          (MonteCarloConfig(300, 3, 2, 2), 5)])
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_bregman_report_bytes(self, monkeypatch, m, mc, seed, cells):
+        _set_cells(monkeypatch, cells, mc.r_real)
+        process = get_process("discrete_toy")
+        report, records = _with_records(monkeypatch, lambda: bregman_oracle_decompose(
+            process, m=m, mc=mc, seed=seed))
+        assert _bregman_json(report) == _bregman_reference(report, records, process, mc, seed)
+
+
+_RECORD_NAMES = ("mv", "sdv_raw", "b", "fbar", "mse", "dpv_raw", "cov_raw")
+
+
+def _assert_rows_match_per_resample(records, mode, mc, f_value, idx):
+    block = decomposition._assemble(records, mode, mc, f_value, idx)
+    for row, selection in enumerate(idx):
+        reference = _assemble_per_resample(records, mode, mc, f_value, selection)
+        assert set(block) == set(reference)
+        for name, value in reference.items():
+            assert np.asarray(block[name][row]).tobytes() == np.asarray(value).tobytes(), name
+
+
+class TestBootstrapBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), r_real=st.integers(2, 300),
+           n_points=st.sampled_from([0, 1, 9]),
+           mode=st.sampled_from(["iid", SHARED_SUMMARY, CORRELATED]))
+    def test_assemble_rows_match_per_resample(self, seed, r_real, n_points, mode):
+        # n_points 0 is the built-in predictor's scalar point shape
+        rng = np.random.default_rng(seed)
+        shape = (r_real,) if n_points == 0 else (r_real, n_points)
+        records = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3)
+                   for name in _RECORD_NAMES}
+        idx = rng.integers(0, r_real, size=(int(rng.integers(1, 50)), r_real))
+        _assert_rows_match_per_resample(records, mode, MonteCarloConfig(r_real, 3, 4, 5, 6),
+                                        0.3, idx)
+
+    @pytest.mark.parametrize("point_shape", [(), (1,)])
+    def test_bias_square_bits(self, point_shape):
+        # a bias whose square by pow() and by multiplication differ in the last
+        # bit with glibc: the scalar is squared as a scalar, the array as an array
+        records = {name: np.zeros((4,) + point_shape) for name in _RECORD_NAMES}
+        records["b"][:] = 0.29899614535390384
+        _assert_rows_match_per_resample(records, "iid", MonteCarloConfig(4, 3, 4, 5), 0.0,
+                                        np.array([[0, 1, 2, 3], [3, 3, 3, 3]]))
+
+    @pytest.mark.parametrize("r_real, width, calls", [
+        (2, 1, 2), (37, 1, 3), (200, 1, 11), (300, 1, 16), (9000, 1, 401),
+        (5, 10, 4), (100, 1000, 401)])
+    def test_statistic_calls_per_block(self, r_real, width, calls):
+        cells = decomposition._BOOTSTRAP_CELLS
+        rows = max(1, cells // (r_real * width))
+        assert calls == math.ceil(BOOTSTRAP_RESAMPLES / rows) + 1
+        values = np.arange(r_real, dtype=np.float64)
+        shapes = []
+
+        def statistic(idx):
+            shapes.append(idx.shape)
+            return {"mean": values[idx].mean(axis=1)}
+        decomposition._estimates(0, r_real, statistic, width)
+        assert len(shapes) == calls
+        assert shapes[0] == (1, r_real)
+        assert sum(rows for rows, _ in shapes[1:]) == BOOTSTRAP_RESAMPLES
+        assert all(rows * r * width <= max(cells, r * width) for rows, r in shapes)
+
+    @pytest.mark.parametrize("run, calls", [
+        (lambda: oracle_decompose("discrete_toy", "shared_summary", m=2,
+                                  mc=MonteCarloConfig(200, 2, 2, 2, r_summary=2)), 11),
+        (lambda: bregman_oracle_decompose("discrete_toy", m=2,
+                                          mc=MonteCarloConfig(300, 2, 2, 2)), 16),
+        # 10 test points gather 10 values per replicate index
+        (lambda: oracle_decompose("gaussian_toy", "iid", "knn:1", test_points=np.zeros((10, 1)),
+                                  mc=MonteCarloConfig(5, 2, 2, 2)), 4),
+    ])
+    def test_oracles_score_resamples_in_blocks(self, monkeypatch, run, calls):
+        counted = []
+        estimates = decomposition._estimates
+
+        def counting(seed, r_real, statistic, *width):
+            def wrapped(idx):
+                counted.append(idx.shape[0])
+                return statistic(idx)
+            return estimates(seed, r_real, wrapped, *width)
+        monkeypatch.setattr(decomposition, "_estimates", counting)
+        run()
+        assert len(counted) == calls
+        assert sum(counted) == BOOTSTRAP_RESAMPLES + 1
+
+
 _PROPERTY_MC = MonteCarloConfig(40, 8, 5, 200, r_summary=6)
 
 
@@ -575,6 +860,17 @@ class TestBregmanBound:
     def test_m_below_one_rejected(self, m):
         with pytest.raises(ValueError, match="m must be >= 1"):
             bregman_oracle_decompose("discrete_toy", m=m, mc=MonteCarloConfig(4, 2, 2, 2))
+
+    @pytest.mark.parametrize("m", [2.5, 2.0, True])
+    def test_non_integer_m_rejected(self, m):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            bregman_oracle_decompose("discrete_toy", m=m, mc=MonteCarloConfig(4, 2, 2, 2))
+
+    def test_numpy_integer_m_accepted(self):
+        mc = MonteCarloConfig(4, 2, 2, 2)
+        rep = bregman_oracle_decompose("discrete_toy", m=np.int64(3), mc=mc)
+        assert rep == bregman_oracle_decompose("discrete_toy", m=3, mc=mc)
+        assert type(rep.config["m"]) is int
 
     def test_process_without_probability_predictor_rejected(self):
         with pytest.raises(ValueError, match="gaussian_toy.*probability predictor"):
