@@ -9,24 +9,25 @@ any size.
 import numpy as np
 
 import genensemble as ge
-from genensemble.data import FeatureMatrix
-from genensemble.metrics import MetricSpec
+from genensemble.data import FEATURE, NUMERIC, TARGET, Column, Dataset, Schema
 from genensemble.rng import make_rng
 
 print(__doc__)
 
 rng = make_rng(2)
 n_train, n_test = 120, 400
-x = rng.uniform(-3, 3, size=(n_train, 1))
-y = np.sin(2 * x[:, 0]) + rng.normal(0, 0.4, size=n_train)
-xt = rng.uniform(-3, 3, size=(n_test, 1))
-yt = np.sin(2 * xt[:, 0]) + rng.normal(0, 0.4, size=n_test)
-train = FeatureMatrix(x=x, y=y, task="regression")
-test = FeatureMatrix(x=xt, y=yt, task="regression")
+x = rng.uniform(-3, 3, size=n_train)
+y = np.sin(2 * x) + rng.normal(0, 0.4, size=n_train)
+xt = rng.uniform(-3, 3, size=n_test)
+yt = np.sin(2 * xt) + rng.normal(0, 0.4, size=n_test)
+schema = Schema((Column("x", NUMERIC, FEATURE), Column("y", NUMERIC, TARGET)))
+train = Dataset(schema, np.column_stack([x, y]))
+test = Dataset(schema, np.column_stack([xt, yt]))
 
+# a forest of T trees is the bootstrap generator's ensemble of T CARTs
 t_max = 64
-[curve] = ge.train_forest_curve(train, test, t_max=t_max, metrics=[MetricSpec("mse")],
-                                seed=17)
+curve = ge.mse_curve(ge.GeneratorSpec("bootstrap"), train, "cart", test,
+                     range(1, t_max + 1), repeats=1, seed=17).means()
 
 rule = ge.fit_rule_two_point(curve[1], curve[2])
 print(f"single tree mse {curve[1]:.4f}, two trees {curve[2]:.4f} "

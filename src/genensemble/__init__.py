@@ -16,8 +16,7 @@ from .generators import (GeneratorParams, GeneratorSpec, PrivateSummary,
                          epsilon_from_rho, fit, fit_dp_summary, generate_ensemble,
                          rho_from_epsilon, sample, sample_params_from_summary)
 from .metrics import MetricSpec
-from .predictors import (PredictorSpec, TrainedModel, predict_batch, train,
-                         train_forest_curve)
+from .predictors import PredictorSpec, TrainedModel, predict_batch, train
 from .bregman import (BregmanSpec, CentralStats, central_prediction,
                       check_total_variance, divergence, dual, dual_average,
                       dual_inverse)

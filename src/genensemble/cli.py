@@ -24,14 +24,15 @@ from pathlib import Path
 
 from . import __version__
 from .data import (CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Schema,
-                   encode, load_csv, save_csv, train_test_split)
+                   load_csv, save_csv, train_test_split)
 from .decomposition import (MonteCarloConfig, check_oracle_request, curve_cells,
-                            curve_repeat, estimate_mv_sdv_nested, fit_rule_regression,
-                            fit_rule_two_point, oracle_decompose, predict_mse)
+                            curve_repeat, ensemble_members, estimate_mv_sdv_nested,
+                            fit_rule_regression, fit_rule_two_point, oracle_decompose,
+                            predict_mse)
 from .generators import GeneratorSpec, check_ensemble_request, generate_ensemble
-from .metrics import (MetricSpec, check_averaging, long_rows, read_long_csv,
-                      write_long_csv)
-from .predictors import PredictorSpec, parse_predictor, train_forest_curve
+from .metrics import (MEAN, MetricSpec, check_averaging, long_rows, read_long_csv,
+                      score_prefixes, write_long_csv)
+from .predictors import PredictorSpec, parse_predictor
 from .processes import get_process
 from .rng import child_seed, make_rng
 
@@ -374,12 +375,13 @@ def _cmd_forest_curve(cfg, seed, tracker):
     task = data.schema.task
     t_max = _get_count(cfg, "forest", "t_max", default=32, minimum=2)
     metrics = _metric_specs(cfg, "forest", task)
-    fm_train = encode(data, data, False)
-    fm_test = encode(data, test, False)
-    curves = train_forest_curve(fm_train, fm_test, t_max, metrics,
-                                seed=child_seed(seed, "forest"))
-    rows = [(label, metric.kind, t, repr(float(curve[t])))
-            for metric, curve in zip(metrics, curves) for t in sorted(curve)]
+    # a forest is a bootstrap ensemble of CARTs; the trees are grown once
+    block, y = ensemble_members(GeneratorSpec("bootstrap"), data, PredictorSpec("cart", task),
+                                test, t_max, child_seed(seed, "forest"))
+    rows = [(label, metric.kind, t, repr(float(result.score)))
+            for metric in metrics
+            for t, result in score_prefixes(block, y, range(1, t_max + 1), MEAN, metric,
+                                            task).items()]
     _write_csv(tracker.path("forest_curve.csv"), "dataset,metric,trees,score", rows)
     return EXIT_OK
 

@@ -122,7 +122,6 @@ class FeatureMatrix:
     y: np.ndarray                   # (n,) targets: floats or class indices
     task: str                       # "regression" | "classification"
     n_classes: int = 0
-    scaler: tuple[np.ndarray, np.ndarray] | None = None   # per-column (mean, stddev) fit on train
 
     @property
     def n(self) -> int:
@@ -235,15 +234,13 @@ def encode(train: Dataset, apply_to: Dataset, standardize: bool) -> FeatureMatri
         return np.hstack(blocks)
 
     x = expand(apply_to)
-    scaler = None
     if standardize:
         ref = expand(train)
         mean = ref.mean(axis=0) if ref.shape[0] else np.zeros(ref.shape[1])
         std = ref.std(axis=0) if ref.shape[0] else np.zeros(ref.shape[1])
         x = np.where(std > 0, (x - mean) / np.where(std > 0, std, 1.0), 0.0)
-        scaler = (mean, std)
 
     y = apply_to.target_values()
     if schema.task == "classification":
         y = y.astype(int)
-    return FeatureMatrix(x=x, y=y, task=schema.task, n_classes=schema.n_classes, scaler=scaler)
+    return FeatureMatrix(x=x, y=y, task=schema.task, n_classes=schema.n_classes)

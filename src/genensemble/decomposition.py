@@ -173,7 +173,7 @@ def estimate_mv_sdv_nested(generator: GeneratorSpec, data: Dataset,
     if test.n == 0:
         raise ValueError("the test set is empty")
     if isinstance(predictor, str):
-        predictor = PredictorSpec(predictor, data.schema.task)
+        predictor = parse_predictor(predictor, data.schema.task)
     n_rows = generator.n_synthetic if generator.n_synthetic is not None else data.n
 
     fits = [fit(generator, data, child_seed(seed, "fit", i)) for i in range(r_theta)]
@@ -486,7 +486,7 @@ def check_oracle_request(process, generator_mode: str, predictor: PredictorSpec 
         raise ValueError(f"process {process.id!r} has no summary sampler")
     if generator_mode == CORRELATED and not process.supports_correlated:
         raise ValueError(f"process {process.id!r} has no correlated sampler")
-    if generator_mode == CORRELATED and not 0.0 <= rho <= 1.0:
+    if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
     _check_m(m)
     if isinstance(predictor, str):
@@ -681,6 +681,20 @@ class CurveResult:
         return {m: mean for m, (mean, _) in self.aggregate.items()}
 
 
+def ensemble_members(generator: GeneratorSpec, data: Dataset, predictor: PredictorSpec,
+                     test: Dataset, m: int, rep_seed: int,
+                     mode: str = "independent") -> tuple[np.ndarray, np.ndarray]:
+    """Generate m synthetic datasets, train one model per dataset and predict
+    the test rows with each: the (m, n_test, ...) member block and the
+    encoded test targets. Pure in rep_seed.
+
+    A forest is the bootstrap generator with a CART predictor: member t is
+    the tree grown on bootstrap replicate t."""
+    datasets, _ = generate_ensemble(generator, data, m, mode, seed=rep_seed)
+    return _members(predictor, test, ((ds, child_seed(rep_seed, "train", i))
+                                      for i, ds in enumerate(datasets)))
+
+
 def curve_repeat(generator: GeneratorSpec, data: Dataset, predictor: PredictorSpec,
                  test: Dataset, m_values, averaging: str, metric: MetricSpec,
                  rep_seed: int, mode: str = "independent") -> dict[int, tuple]:
@@ -690,9 +704,8 @@ def curve_repeat(generator: GeneratorSpec, data: Dataset, predictor: PredictorSp
     check_averaging(averaging, predictor.task)
     if min(m_values) < 1:
         raise ValueError("m values must be >= 1")
-    datasets, _ = generate_ensemble(generator, data, max(m_values), mode, seed=rep_seed)
-    block, y_ref = _members(predictor, test, ((ds, child_seed(rep_seed, "train", i))
-                                             for i, ds in enumerate(datasets)))
+    block, y_ref = ensemble_members(generator, data, predictor, test, max(m_values),
+                                    rep_seed, mode)
     results = score_prefixes(block, y_ref, m_values, averaging, metric, predictor.task)
     return {m: (result.score, result.std_error) for m, result in results.items()}
 
@@ -726,7 +739,7 @@ def mse_curve(generator: GeneratorSpec, data: Dataset,
     members, so the curve within a repeat is driven by the same draws.
     """
     if isinstance(predictor, str):
-        predictor = PredictorSpec(predictor, data.schema.task)
+        predictor = parse_predictor(predictor, data.schema.task)
     per_repeat: dict[int, np.ndarray] = {}
     rows = []
     for labels, j, args in curve_cells(generator, data, [predictor], test, m_values, repeats,

@@ -16,7 +16,6 @@ import numpy as np
 
 from .bregman import softmax
 from .data import FeatureMatrix
-from .metrics import MEAN, score_prefixes
 from .rng import child_rng
 
 _BOTH = ("regression", "classification")
@@ -36,7 +35,6 @@ class PredictorSpec:
     k: int = 1                     # knn
     lam: float = 1.0               # ridge / logistic penalty
     n_trees: int = 10              # bagged_trees
-    max_iter: int = 1000           # logistic
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -350,9 +348,10 @@ def _fit_ridge(x, y, lam):
 # --- logistic -----------------------------------------------------------------
 
 _LOGISTIC_TOL = 1e-6       # gradient norm at which gradient descent stops
+_LOGISTIC_MAX_ITER = 1000  # gradient steps at most
 
 
-def _fit_logistic(x, y, n_classes, lam, max_iter):
+def _fit_logistic(x, y, n_classes, lam):
     """Full-batch gradient descent with Armijo backtracking on the L2-penalized
     multinomial cross entropy (weights penalized, intercepts free)."""
     n, d = x.shape
@@ -368,7 +367,7 @@ def _fit_logistic(x, y, n_classes, lam, max_iter):
         return float((lse - (logits * onehot).sum(axis=1)).sum() + 0.5 * lam * (w ** 2).sum())
 
     current = loss(w, b)
-    for _ in range(max_iter):
+    for _ in range(_LOGISTIC_MAX_ITER):
         p = softmax(x @ w + b)
         gw = x.T @ (p - onehot) + lam * w
         gb = (p - onehot).sum(axis=0)
@@ -412,7 +411,7 @@ def train(spec: PredictorSpec, data: FeatureMatrix, seed: int = 0) -> TrainedMod
         lam = spec.lam if spec.kind == "ridge" else 0.0
         state = _fit_ridge(x, y, lam)
     elif spec.kind == "logistic":
-        state = _fit_logistic(x, y, data.n_classes, spec.lam, spec.max_iter)
+        state = _fit_logistic(x, y, data.n_classes, spec.lam)
     elif spec.kind == "bagged_trees":
         trees = []
         for t in range(spec.n_trees):
@@ -434,11 +433,6 @@ def _feature_block(model: TrainedModel, x) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError("features must be finite")
     return x
-
-
-def _tree_members(trees, x) -> np.ndarray:
-    """Each tree's predictions for the rows of x, stacked along axis 0."""
-    return np.asarray([_tree_predict_rows(t, x) for t in trees])
 
 
 def predict_batch(model: TrainedModel, x: np.ndarray) -> np.ndarray:
@@ -477,22 +471,7 @@ def predict_batch(model: TrainedModel, x: np.ndarray) -> np.ndarray:
         return softmax(x @ w + b)
 
     if model.kind == "bagged_trees":
-        return _tree_members(model.state, x).mean(axis=0)
+        return np.asarray([_tree_predict_rows(t, x) for t in model.state]).mean(axis=0)
 
     raise ValueError(f"unknown predictor kind {model.kind!r}")
 
-
-def train_forest_curve(data: FeatureMatrix, test: FeatureMatrix, t_max: int,
-                       metrics, seed: int = 0) -> list[dict[int, float]]:
-    """Score a growing bagged-tree ensemble on a test set under each metric.
-
-    Trains t_max bootstrap trees once; entry T of the i-th result is metrics[i]
-    of the mean of the first T trees' predictions.
-    """
-    if t_max < 2:
-        raise ValueError("t_max must be >= 2")
-    model = train(PredictorSpec("bagged_trees", data.task, n_trees=t_max), data, seed)
-    member = _tree_members(model.state, _feature_block(model, test.x))
-    curves = (score_prefixes(member, test.y, range(1, t_max + 1), MEAN, metric, data.task)
-              for metric in metrics)
-    return [{t: result.score for t, result in curve.items()} for curve in curves]

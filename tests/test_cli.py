@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from genensemble import cli, predictors
+from genensemble import cli, decomposition
 from genensemble.data import (CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Schema, load_csv,
                               train_test_split)
 from genensemble.decomposition import mse_curve
@@ -234,16 +234,16 @@ class TestPipeline:
         cfg.write_text(cfg.read_text(encoding="utf-8").replace(
             "t_max = 3\nmetrics = brier_binary",
             "t_max = 3\nmetrics = brier_binary, cross_entropy"), encoding="utf-8")
-        real_train, calls = predictors.train, []
+        real_train, calls = decomposition.train, []
 
         def counting_train(spec, *args, **kwargs):
             calls.append(spec)
             return real_train(spec, *args, **kwargs)
 
-        monkeypatch.setattr(predictors, "train", counting_train)
+        monkeypatch.setattr(decomposition, "train", counting_train)
         assert cli.main(["forest-curve", "--config", str(cfg),
                          "--output", str(tmp_path / "out")]) == 0
-        assert len(calls) == 1 and calls[0].n_trees == 3
+        assert [spec.kind for spec in calls] == ["cart"] * 3
 
     def test_seed_override_changes_outputs(self, config, tmp_path):
         cfg, _ = config
@@ -491,6 +491,7 @@ class TestDecomposeValidation:
         ("process = gaussian_toy\nmode = iid", "process = discrete_toy\nmode = correlated",
          "no correlated sampler"),
         ("mode = iid", "mode = correlated\nrho = 1.5", "rho must lie in [0, 1]"),
+        ("mode = iid", "mode = iid\nrho = 1.5", "rho must lie in [0, 1]"),
         ("mode = iid", "mode = iid\npredictor = knn:x", "knn:x: k must be an integer"),
         ("mode = iid", "mode = iid\npredictor = cart:5", "cart:5: cart takes no argument"),
     ])

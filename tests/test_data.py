@@ -149,7 +149,6 @@ class TestEncode:
         data = Dataset(NUM_SCHEMA, np.array([[1.5, 0.0], [-2.0, 1.0]]))
         fm = encode(data, data, standardize=False)
         np.testing.assert_array_equal(fm.x[:, 0], [1.5, -2.0])
-        assert fm.scaler is None
 
     def test_constant_column_maps_to_zero(self):
         data = Dataset(NUM_SCHEMA, np.array([[5.0, 0.0], [5.0, 1.0]]))
@@ -162,8 +161,10 @@ class TestEncode:
         test_b = Dataset(NUM_SCHEMA, np.array([[-999.0, 5.0]]))
         fa = encode(train, test_a, standardize=True)
         fb = encode(train, test_b, standardize=True)
-        np.testing.assert_array_equal(fa.scaler[0], fb.scaler[0])
-        np.testing.assert_array_equal(fa.scaler[1], fb.scaler[1])
+        # both sides are z-scored with the train column's mean 2 and stddev
+        std = np.array([1.0, 2.0, 3.0]).std()
+        np.testing.assert_array_equal(fa.x[:, 0], (np.array([10.0]) - 2.0) / std)
+        np.testing.assert_array_equal(fb.x[:, 0], (np.array([-999.0]) - 2.0) / std)
 
     def test_target_never_scaled(self):
         data = Dataset(NUM_SCHEMA, np.array([[1.0, 100.0], [2.0, 200.0], [3.0, 300.0]]))

@@ -15,13 +15,14 @@ from genensemble.decomposition import (BOOTSTRAP_RESAMPLES, CORRELATED, IDENTITY
                                        SHARED_SUMMARY, TERM_SE_MULTIPLE, BregmanBoundReport,
                                        DecompositionReport, MonteCarloConfig, TermEstimate,
                                        achieved_benefit, bregman_oracle_decompose,
-                                       check_oracle_request,
+                                       check_oracle_request, ensemble_members,
                                        estimate_mv_sdv_nested, fit_rule_regression,
                                        fit_rule_two_point, mse_curve, oracle_decompose,
                                        predict_mse)
 from genensemble.generators import GeneratorSpec, fit, generate_ensemble, sample
-from genensemble.metrics import MetricSpec
-from genensemble.predictors import PredictorSpec, predict_batch, train
+from genensemble.metrics import MEAN, MetricSpec, score_predictions, score_prefixes
+from genensemble.predictors import (PredictorSpec, _grow_tree, _tree_predict_rows,
+                                    predict_batch, train)
 from genensemble.processes import get_process
 from genensemble.rng import child_rng, child_seed, make_rng
 
@@ -123,6 +124,17 @@ class TestNestedEstimator:
                                      r_theta=200, s_per_theta=5, seed=33)
         assert abs(est.mv - 0.01) <= 3.0 * est.mv_se
         assert abs(est.sdv - 0.04) <= 3.0 * est.sdv_se
+
+    def test_spec_syntax_predictor(self):
+        # a string predictor is read as the CLI reads [predictors] specs
+        data = _nested_data(0)
+        test = Dataset(data.schema, data.rows[:5])
+        kwargs = dict(r_theta=3, s_per_theta=2, seed=4)
+        text = estimate_mv_sdv_nested(GeneratorSpec("bootstrap"), data, "knn:3", test, **kwargs)
+        spec = estimate_mv_sdv_nested(GeneratorSpec("bootstrap"), data,
+                                      PredictorSpec("knn", "regression", k=3), test, **kwargs)
+        assert text.mv_per_point.tobytes() == spec.mv_per_point.tobytes()
+        assert text.sdv_per_point.tobytes() == spec.sdv_per_point.tobytes()
 
     def test_standard_error_halves_when_quadrupling_outer(self):
         proc = get_process("gaussian_toy")
@@ -355,6 +367,14 @@ class TestOracleDecompose:
         assert check_oracle_request(proc, "iid", spec, 1) is spec
         knn3 = PredictorSpec("knn", "regression", k=3)
         assert check_oracle_request(proc, "iid", "knn:3", 1) == knn3
+
+    @pytest.mark.parametrize("process, mode", [("gaussian_toy", "iid"),
+                                               ("discrete_toy", SHARED_SUMMARY),
+                                               ("gaussian_toy", CORRELATED)])
+    @pytest.mark.parametrize("rho", [7.5, -0.1, np.nan])
+    def test_rho_outside_unit_interval_rejected_in_every_mode(self, process, mode, rho):
+        with pytest.raises(ValueError, match=r"rho must lie in \[0, 1\]"):
+            oracle_decompose(process, mode, m=1, mc=MonteCarloConfig(3, 2, 2, 4), rho=rho)
 
     def test_negative_variance_term_is_reported(self):
         # an ordinary fluctuation at tiny Monte Carlo counts keeps its report
@@ -910,6 +930,17 @@ class TestMseCurve:
                                      MetricSpec("mse"), "regression").score
         assert res.means()[1] == pytest.approx(expected, abs=1e-12)
 
+    def test_spec_syntax_predictor(self):
+        # a string predictor is read as the CLI reads [predictors] specs
+        _, data, test = self._toy(9)
+        text = mse_curve(GeneratorSpec("bootstrap"), data, "knn:3", test, [1, 2],
+                         repeats=2, seed=6)
+        spec = mse_curve(GeneratorSpec("bootstrap"), data,
+                         PredictorSpec("knn", "regression", k=3), test, [1, 2],
+                         repeats=2, seed=6)
+        assert text.rows == spec.rows
+        assert {row["predictor"] for row in text.rows} == {"knn3"}
+
     def test_rows_cover_all_cells(self):
         _, data, test = self._toy(7)
         res = mse_curve(GeneratorSpec("bootstrap"), data, "cart", test, [1, 2],
@@ -921,18 +952,11 @@ class TestMseCurve:
     def test_forest_curve_follows_two_point_rule(self):
         # bagging is bootstrap synthetic data, so the scaling law predicts the
         # forest curve from its one- and two-tree scores
-        from genensemble.data import encode
-        from genensemble.predictors import train_forest_curve
-
         proc = get_process("gaussian_toy")
         test_ds = proc.sample_real_dataset(make_rng(72), 200)
-        curves = []
-        for rep in range(30):
-            data = proc.sample_real_dataset(make_rng(1000 + rep), 50)
-            fm_train = encode(data, data, False)
-            fm_test = encode(data, test_ds, False)
-            curves += train_forest_curve(fm_train, fm_test, t_max=8,
-                                         metrics=[MetricSpec("mse")], seed=rep)
+        curves = [_forest_curve(proc.sample_real_dataset(make_rng(1000 + rep), 50), test_ds,
+                                t_max=8, seed=rep)
+                  for rep in range(30)]
         for t in (4, 8):
             diffs = np.array([c[1] - 2.0 * (1 - 1 / t) * (c[1] - c[2]) - c[t]
                               for c in curves])
@@ -956,6 +980,92 @@ class TestMseCurve:
             se = diff.std(ddof=1) / math.sqrt(diff.size)
             assert abs(diff.mean()) <= 3.0 * se
             assert predict_mse(two, m) == pytest.approx(pred_r.mean(), abs=1e-12)
+
+
+def _xy_dataset(x, y, n_classes=0):
+    """Numeric features x with a regression target, or class indices y of
+    n_classes levels."""
+    x = np.asarray(x, dtype=float)
+    target = (Column("y", CATEGORICAL, TARGET, levels=tuple("abc"[:n_classes])) if n_classes
+              else Column("y", NUMERIC, TARGET))
+    schema = Schema(tuple(Column(f"x{j}", NUMERIC, FEATURE) for j in range(x.shape[1]))
+                    + (target,))
+    return Dataset(schema, np.column_stack([x, np.asarray(y, dtype=float)]))
+
+
+def _forest_curve(data, test, t_max, seed, metric="mse"):
+    """{trees: score} of the bootstrap ensemble of t_max CARTs."""
+    task = data.schema.task
+    block, y = ensemble_members(GeneratorSpec("bootstrap"), data, PredictorSpec("cart", task),
+                                test, t_max, seed)
+    curve = score_prefixes(block, y, range(1, t_max + 1), MEAN, MetricSpec(metric), task)
+    return {t: result.score for t, result in curve.items()}
+
+
+class TestForestCurve:
+    def test_first_point_is_single_tree_score(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(30, 1))
+        data = _xy_dataset(x, np.sin(x[:, 0]) + rng.normal(scale=0.2, size=30))
+        test = _xy_dataset(rng.normal(size=(20, 1)), rng.normal(size=20))
+        curve = _forest_curve(data, test, t_max=4, seed=5)
+        [ds], _ = generate_ensemble(GeneratorSpec("bootstrap"), data, 1, "independent", seed=5)
+        model = train(PredictorSpec("cart", "regression"), encode(ds, ds, False))
+        single = np.mean((predict_batch(model, encode(ds, test, False).x)
+                          - test.target_values()) ** 2)
+        assert curve[1] == pytest.approx(single)
+
+    @pytest.mark.parametrize("n_classes, metric", [(0, "mse"), (2, "brier_binary")])
+    def test_matches_running_mean_of_per_row_tree_predictions(self, n_classes, metric):
+        rng = np.random.default_rng(7)
+        x, x_test = rng.normal(size=(25, 2)), rng.normal(size=(15, 2))
+        if n_classes:
+            data, test = _xy_dataset(x, x[:, 0] > 0, 2), _xy_dataset(x_test, x_test[:, 1] > 0, 2)
+        else:
+            data, test = _xy_dataset(x, x[:, 0]), _xy_dataset(x_test, x_test[:, 1])
+        task, t_max = data.schema.task, 9
+        curve = _forest_curve(data, test, t_max, seed=2, metric=metric)
+        datasets, _ = generate_ensemble(GeneratorSpec("bootstrap"), data, t_max,
+                                        "independent", seed=2)
+        running = 0.0
+        for t, ds in enumerate(datasets, start=1):
+            fm, fm_test = encode(ds, ds, False), encode(ds, test, False)
+            tree = _grow_tree(fm.x, fm.y, task, fm.n_classes)
+            running = running + _tree_predict_rows(tree, fm_test.x)
+            expected = score_predictions(running / t, fm_test.y, MetricSpec(metric), task)
+            assert curve[t] == expected.score
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_test_features_rejected(self, bad):
+        data = _xy_dataset([[0.0], [1.0], [2.0], [3.0]], [0.0, 1.0, 2.0, 3.0])
+        test = _xy_dataset([[bad], [1.0]], [0.0, 1.0])
+        with pytest.raises(ValueError, match="features must be finite"):
+            _forest_curve(data, test, t_max=3, seed=0)
+
+    def test_degenerate_bootstrap_flat_curve(self):
+        data = _xy_dataset([[1.0]], [5.0])
+        test = _xy_dataset([[0.0], [2.0]], [5.0, 6.0])
+        assert len(set(_forest_curve(data, test, t_max=6, seed=0).values())) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_classes=st.sampled_from([0, 2, 3]), n=st.integers(1, 30), d=st.integers(1, 3),
+           t_max=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_members_are_trees_grown_alone(self, n_classes, n, d, t_max, seed):
+        # bagging is the bootstrap generator: member t is the tree grown alone
+        # on the rows that member t's sample stream draws
+        rng = np.random.default_rng(seed)
+        x, x_test = np.round(rng.normal(size=(n, d)), 1), rng.normal(size=(5, d))
+        y = rng.integers(0, n_classes, size=n) if n_classes else rng.normal(size=n)
+        data, test = _xy_dataset(x, y, n_classes), _xy_dataset(x_test, np.zeros(5), n_classes)
+        task = data.schema.task
+        block, _ = ensemble_members(GeneratorSpec("bootstrap"), data,
+                                    PredictorSpec("cart", task), test, t_max, seed)
+        assert len(block) == t_max
+        for t, member in enumerate(block):
+            idx = make_rng(child_seed(child_seed(seed, "member", t), "sample")).integers(
+                0, n, size=n)
+            tree = _grow_tree(x[idx], y[idx], task, n_classes)
+            assert member.tobytes() == _tree_predict_rows(tree, x_test).tobytes()
 
 
 class TestCurveRepeatValidation:

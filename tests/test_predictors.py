@@ -4,12 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genensemble.data import FeatureMatrix
-from genensemble.metrics import (DUAL_LOG_PROB, MEAN, PROB_SUM_TOL, MetricSpec,
+from genensemble.metrics import (DUAL_LOG_PROB, MEAN, PROB_SUM_TOL,
                                  combine_predictions)
 from genensemble.predictors import (_KINDS, _KNN_CELLS, KINDS, PredictorSpec, _grow_tree,
                                     _sq_distances, _tree_predict_rows,
-                                    parse_predictor, predict_batch, train,
-                                    train_forest_curve)
+                                    parse_predictor, predict_batch, train)
 from genensemble.rng import child_rng
 
 
@@ -351,53 +350,8 @@ class TestBaggedTrees:
         np.testing.assert_array_equal(predict_batch(a, grid), predict_batch(b, grid))
 
 
-class TestForestCurve:
-    def test_first_point_is_single_tree_score(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(30, 1))
-        y = np.sin(x[:, 0]) + rng.normal(scale=0.2, size=30)
-        fm = reg_matrix(x, y)
-        test = reg_matrix(rng.normal(size=(20, 1)), rng.normal(size=20))
-        [curve] = train_forest_curve(fm, test, t_max=4, metrics=[MetricSpec("mse")], seed=5)
-        model = train(PredictorSpec("bagged_trees", "regression", n_trees=1), fm, seed=5)
-        single = np.mean((predict_batch(model, test.x) - test.y) ** 2)
-        assert curve[1] == pytest.approx(single)
-
-    @pytest.mark.parametrize("task, metric", [("regression", "mse"),
-                                              ("classification", "brier_binary")])
-    def test_matches_running_mean_of_per_row_tree_predictions(self, task, metric):
-        from genensemble.metrics import score_predictions
-        rng = np.random.default_rng(7)
-        x, x_test = rng.normal(size=(25, 2)), rng.normal(size=(15, 2))
-        if task == "regression":
-            fm, test = reg_matrix(x, x[:, 0]), reg_matrix(x_test, x_test[:, 1])
-        else:
-            fm, test = clf_matrix(x, x[:, 0] > 0), clf_matrix(x_test, x_test[:, 1] > 0)
-        t_max = 9
-        [curve] = train_forest_curve(fm, test, t_max, [MetricSpec(metric)], seed=2)
-        model = train(PredictorSpec("bagged_trees", task, n_trees=t_max), fm, seed=2)
-        running = 0.0
-        for t, tree in enumerate(model.state, start=1):
-            running = running + _tree_predict_rows(tree, test.x)
-            expected = score_predictions(running / t, test.y, MetricSpec(metric), task)
-            assert curve[t] == expected.score
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_test_features_rejected(self, bad):
-        fm = reg_matrix([[0.0], [1.0], [2.0], [3.0]], [0.0, 1.0, 2.0, 3.0])
-        test = reg_matrix([[bad], [1.0]], [0.0, 1.0])
-        with pytest.raises(ValueError, match="features must be finite"):
-            train_forest_curve(fm, test, t_max=3, metrics=[MetricSpec("mse")], seed=0)
-
-    def test_degenerate_bootstrap_flat_curve(self):
-        fm = reg_matrix([[1.0]], [5.0])
-        test = reg_matrix([[0.0], [2.0]], [5.0, 6.0])
-        [curve] = train_forest_curve(fm, test, t_max=6, metrics=[MetricSpec("mse")], seed=0)
-        assert len(set(curve.values())) == 1
-
-
 # every kind on each task it supports
-SPECS = [PredictorSpec(kind, task, k=2, n_trees=2, max_iter=20)
+SPECS = [PredictorSpec(kind, task, k=2, n_trees=2)
          for kind, (_, _, tasks) in _KINDS.items() for task in tasks]
 
 
@@ -509,7 +463,7 @@ class TestContracts:
 CLASSIFIERS = [PredictorSpec("knn", "classification", k=1),
                PredictorSpec("knn", "classification", k=4),
                PredictorSpec("cart", "classification"),
-               PredictorSpec("logistic", "classification", max_iter=50),
+               PredictorSpec("logistic", "classification"),
                PredictorSpec("bagged_trees", "classification", n_trees=3),
                PredictorSpec("mean", "classification")]
 
