@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import hashlib
 import json
 import re
@@ -24,14 +23,14 @@ from pathlib import Path
 
 from . import __version__
 from .data import (CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Schema,
-                   load_csv, save_csv, train_test_split)
+                   load_csv, save_csv, train_test_split, write_csv)
 from .decomposition import (MonteCarloConfig, check_oracle_request, curve_cells,
                             curve_repeat, ensemble_members, estimate_mv_sdv_nested,
                             fit_rule_regression, fit_rule_two_point, oracle_decompose,
                             predict_mse)
 from .generators import GeneratorSpec, check_ensemble_request, generate_ensemble
-from .metrics import (MEAN, MetricSpec, check_averaging, long_rows, read_long_csv,
-                      score_prefixes, write_long_csv)
+from .metrics import (LABEL_COLUMNS, MEAN, MetricSpec, check_averaging, long_rows,
+                      read_long_csv, score_prefixes, write_long_csv)
 from .predictors import PredictorSpec, parse_predictor
 from .processes import get_process
 from .rng import child_seed, make_rng
@@ -213,6 +212,11 @@ class _OutputTracker:
         self.written.append(p)
         return p
 
+    def write_json(self, name: str, obj) -> None:
+        """Write obj as JSON: indent 2, sorted keys and a final newline."""
+        self.path(name).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
+                                   encoding="utf-8")
+
     def cleanup(self):
         for p in self.written:
             p.unlink(missing_ok=True)
@@ -221,27 +225,15 @@ class _OutputTracker:
         return [p.name for p in self.written]
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    """Write rows under the comma-separated header; a field holding a comma,
-    such as a dataset label, is quoted so every row keeps the header's width."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header.split(","))
-        writer.writerows(rows)
-
-
 def _write_manifest(tracker: _OutputTracker, subcommand: str, seed: int,
                     config_raw: bytes) -> None:
-    manifest = {
+    tracker.write_json("manifest.json", {
         "subcommand": subcommand,
         "seed": seed,
         "config_sha256": hashlib.sha256(config_raw).hexdigest(),
         "version": __version__,
         "outputs": tracker.names(),
-    }
-    path = tracker.path("manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    })
 
 
 # --- subcommands -------------------------------------------------------------
@@ -254,9 +246,7 @@ def _cmd_generate(cfg, seed, tracker):
                                          seed=child_seed(seed, "generate"))
     for i, ds in enumerate(datasets):
         save_csv(ds, tracker.path(f"synthetic_{i:03d}.csv"))
-    tracker.path("provenance.json").write_text(
-        json.dumps(record.to_json_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    tracker.write_json("provenance.json", record.to_json_dict())
     return EXIT_OK
 
 
@@ -302,8 +292,7 @@ def _cmd_predict_curve(cfg, seed, tracker):
     rows = read_long_csv(curve_path)
     groups: dict[tuple, dict[int, list[float]]] = {}
     for row in rows:
-        key = tuple(row[c] for c in ("dataset", "generator", "mode", "predictor",
-                                     "averaging", "metric"))
+        key = tuple(row[c] for c in LABEL_COLUMNS)
         groups.setdefault(key, {}).setdefault(row["m"], []).append(row["score"])
 
     out_rows = []
@@ -320,8 +309,8 @@ def _cmd_predict_curve(cfg, seed, tracker):
         for m in sorted(set(targets) | set(means)):
             measured = repr(means[m]) if m in means else ""
             out_rows.append(key + (method, m, measured, repr(predict_mse(rule, m))))
-    _write_csv(tracker.path("predictions.csv"), "dataset,generator,mode,predictor,averaging,"
-               "metric,method,m,measured_mean,predicted", out_rows)
+    write_csv(tracker.path("predictions.csv"),
+              LABEL_COLUMNS + ("method", "m", "measured_mean", "predicted"), out_rows)
     return EXIT_OK
 
 
@@ -343,7 +332,7 @@ def _cmd_decompose(cfg, seed, tracker):
         check_oracle_request(process, mode, predictor, m, rho)
     report = oracle_decompose(process, mode, predictor, m=m, mc=mc,
                               seed=child_seed(seed, "decompose"), rho=rho)
-    tracker.path("report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+    tracker.write_json("report.json", report.to_json_dict())
     return EXIT_OK if report.status == "ok" else EXIT_FLAGGED
 
 
@@ -364,9 +353,9 @@ def _cmd_nested_var(cfg, seed, tracker):
         summary[predictor.label] = {"mv": est.mv, "sdv": est.sdv,
                                     "mv_se": est.mv_se, "sdv_se": est.sdv_se,
                                     "r_theta": r_theta, "s_per_theta": s_per}
-    _write_csv(tracker.path("nested_variance.csv"), "dataset,predictor,point,mv,sdv", rows)
-    tracker.path("nested_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_csv(tracker.path("nested_variance.csv"), ("dataset", "predictor", "point", "mv", "sdv"),
+              rows)
+    tracker.write_json("nested_summary.json", summary)
     return EXIT_OK
 
 
@@ -382,7 +371,7 @@ def _cmd_forest_curve(cfg, seed, tracker):
             for metric in metrics
             for t, result in score_prefixes(block, y, range(1, t_max + 1), MEAN, metric,
                                             task).items()]
-    _write_csv(tracker.path("forest_curve.csv"), "dataset,metric,trees,score", rows)
+    write_csv(tracker.path("forest_curve.csv"), ("dataset", "metric", "trees", "score"), rows)
     return EXIT_OK
 
 

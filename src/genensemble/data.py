@@ -175,18 +175,25 @@ def load_csv(path, schema: Schema) -> Dataset:
 def format_cell(value: float, col: Column) -> str:
     if col.kind == CATEGORICAL:
         return col.levels[int(value)]
-    if math.isnan(value):
-        return "nan"
     return repr(float(value))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the header and rows in the csv module's default dialect, which
+    every CSV file of the library uses: CRLF line ends, and a field holding a
+    comma, such as a dataset label, is quoted so every row keeps the header's
+    width."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def save_csv(dataset: Dataset, path) -> None:
     """Write a dataset back out; numeric cells use shortest round-trip decimals."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(dataset.schema.names)
-        for row in dataset.rows:
-            writer.writerow([format_cell(v, c) for v, c in zip(row, dataset.schema.columns)])
+    columns = dataset.schema.columns
+    write_csv(path, dataset.schema.names,
+              ([format_cell(v, c) for v, c in zip(row, columns)] for row in dataset.rows))
 
 
 def train_test_split(data: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

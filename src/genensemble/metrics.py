@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bregman import NEGENTROPY, BregmanSpec, clamp_probs, dual_average
+from .data import write_csv
 
 MEAN = "mean"
 DUAL_LOG_PROB = "dual_log_prob"
@@ -22,8 +23,9 @@ METRIC_KINDS = ("mse", "brier_binary", "brier_multiclass", "cross_entropy",
 
 PROB_SUM_TOL = 1e-9   # how far a classification row's sum may stray from 1
 
-LONG_COLUMNS = ("dataset", "generator", "mode", "predictor", "averaging",
-                "metric", "m", "repeat", "score", "std_error")
+# the labels of a curve, which group its rows, and its long-format columns
+LABEL_COLUMNS = ("dataset", "generator", "mode", "predictor", "averaging", "metric")
+LONG_COLUMNS = LABEL_COLUMNS + ("m", "repeat", "score", "std_error")
 
 
 @dataclass(frozen=True)
@@ -157,16 +159,13 @@ def long_rows(labels: dict, repeat: int, scores: dict[int, tuple]) -> list[dict]
 
 
 def write_long_csv(path, rows: list[dict]) -> None:
-    """Write metric results in the fixed long format."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=LONG_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            out = dict(row)
-            se = out.get("std_error")
-            out["std_error"] = "" if se is None else repr(float(se))
-            out["score"] = repr(float(out["score"]))
-            writer.writerow(out)
+    """Write metric results in the fixed long format; a std_error of None
+    is an empty cell."""
+    def cells(row):
+        se = row["std_error"]
+        return [row[c] for c in LONG_COLUMNS[:-2]] + [repr(float(row["score"])),
+                                                       "" if se is None else repr(float(se))]
+    write_csv(path, LONG_COLUMNS, map(cells, rows))
 
 
 def read_long_csv(path) -> list[dict]:

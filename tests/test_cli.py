@@ -245,6 +245,18 @@ class TestPipeline:
                          "--output", str(tmp_path / "out")]) == 0
         assert [spec.kind for spec in calls] == ["cart"] * 3
 
+    def test_every_csv_ends_its_lines_with_crlf(self, config):
+        cfg, out = config
+        for sub in ("generate", "curve", "predict-curve", "nested-var", "forest-curve"):
+            assert cli.main([sub, "--config", str(cfg), "--output", str(out)]) == 0
+        names = sorted(p.name for p in out.glob("*.csv"))
+        assert names == ["curve.csv", "forest_curve.csv", "nested_variance.csv",
+                         "predictions.csv", "synthetic_000.csv", "synthetic_001.csv",
+                         "synthetic_002.csv"]
+        for name in names:
+            raw = (out / name).read_bytes()
+            assert raw.endswith(b"\r\n") and raw.count(b"\n") == raw.count(b"\r\n"), name
+
     def test_seed_override_changes_outputs(self, config, tmp_path):
         cfg, _ = config
         a, b = tmp_path / "s1", tmp_path / "s2"
