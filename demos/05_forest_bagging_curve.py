@@ -24,17 +24,31 @@ schema = Schema((Column("x", NUMERIC, FEATURE), Column("y", NUMERIC, TARGET)))
 train = Dataset(schema, np.column_stack([x, y]))
 test = Dataset(schema, np.column_stack([xt, yt]))
 
-# a forest of T trees is the bootstrap generator's ensemble of T CARTs
-t_max = 64
-curve = ge.mse_curve(ge.GeneratorSpec("bootstrap"), train, "cart", test,
-                     range(1, t_max + 1), repeats=1, seed=17).means()
+# a forest of T trees is the bootstrap generator's ensemble of T CARTs; every
+# repeat grows a fresh forest, so each number below carries a standard error
+t_max, repeats = 64, 16
+result = ge.mse_curve(ge.GeneratorSpec("bootstrap"), train, "cart", test,
+                      range(1, t_max + 1), repeats=repeats, seed=17)
+curve = result.means()
+
+
+def two_point(t):
+    """Mean and standard error over repeats of the prediction at t trees made
+    from each repeat's own errors at 1 and 2 trees."""
+    per_repeat = np.array([ge.predict_mse(ge.fit_rule_two_point(a, b), t)
+                           for a, b in zip(result.per_repeat[1], result.per_repeat[2])])
+    return per_repeat.mean(), per_repeat.std(ddof=1) / np.sqrt(repeats)
+
 
 rule = ge.fit_rule_two_point(curve[1], curve[2])
+print(f"{repeats} forests of up to {t_max} trees")
 print(f"single tree mse {curve[1]:.4f}, two trees {curve[2]:.4f} "
       f"-> maximal benefit {rule.mv_plus_sdv:.4f}")
-print(f"{'trees':>6} {'measured':>10} {'predicted':>10}")
+print(f"{'trees':>6} {'measured':>16} {'predicted':>16}")
 for t in (1, 2, 4, 8, 16, 32, 64):
-    print(f"{t:>6} {curve[t]:>10.4f} {ge.predict_mse(rule, t):>10.4f}")
+    measured, measured_se = result.aggregate[t]
+    predicted, predicted_se = two_point(t)
+    print(f"{t:>6} {measured:>8.4f} ± {measured_se:.4f} {predicted:>8.4f} ± {predicted_se:.4f}")
 
 fit = ge.fit_rule_regression(curve)
 print(f"\nfit of the whole curve against 1 - 1/T: R^2 = {fit.r_squared:.4f}")

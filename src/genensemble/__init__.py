@@ -25,4 +25,4 @@ from .decomposition import (DecompositionReport, MonteCarloConfig, RuleOfThumbFi
                             estimate_mv_sdv_nested, fit_rule_regression,
                             fit_rule_two_point, mse_curve, oracle_decompose,
                             predict_mse)
-from .processes import available_processes, get_process
+from .processes import get_process

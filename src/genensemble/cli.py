@@ -289,7 +289,8 @@ def _cmd_predict_curve(cfg, seed, tracker):
         raise ConfigError("[predict_curve] method must be two_point or regression")
     targets = _get_m_values(cfg, "predict_curve")
 
-    rows = read_long_csv(curve_path)
+    with _config_errors("[predict_curve] curve_csv"):
+        rows = read_long_csv(curve_path)
     groups: dict[tuple, dict[int, list[float]]] = {}
     for row in rows:
         key = tuple(row[c] for c in LABEL_COLUMNS)

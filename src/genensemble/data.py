@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,19 @@ class SchemaError(ValueError):
 
 class ParseError(ValueError):
     pass
+
+
+def check_count(value, name: str, minimum: int = 1) -> int:
+    """value as an int; ValueError unless it is an integer >= minimum.
+
+    Python and numpy integers are counts; bool, float and str are not, even
+    when they hold a whole number.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return int(value)
 
 
 @dataclass(frozen=True)

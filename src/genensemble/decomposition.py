@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import bregman as brg
-from .data import Dataset, encode
+from .data import Dataset, check_count, encode
 from .generators import GeneratorSpec, fit, generate_ensemble, sample
 from .metrics import MEAN, MetricSpec, check_averaging, long_rows, score_prefixes
 from .predictors import PredictorSpec, parse_predictor, predict_batch, train
@@ -100,15 +99,13 @@ def fit_rule_regression(points: dict[int, float]) -> RuleOfThumbFit:
 
 def predict_mse(rule: RuleOfThumbFit, m: int) -> float:
     """Predicted error with an ensemble of m synthetic datasets."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = check_count(m, "m")
     return rule.mse1 - (1.0 - 1.0 / m) * rule.mv_plus_sdv
 
 
 def achieved_benefit(rule: RuleOfThumbFit, m: int) -> float:
     """Error reduction at m datasets: a 1 - 1/m fraction of the maximal benefit."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = check_count(m, "m")
     return (1.0 - 1.0 / m) * rule.mv_plus_sdv
 
 
@@ -168,8 +165,8 @@ def estimate_mv_sdv_nested(generator: GeneratorSpec, data: Dataset,
     which is exposed as an experimental variant (the scalar theory does not
     cover it directly).
     """
-    if r_theta < 2 or s_per_theta < 2:
-        raise ValueError("r_theta and s_per_theta must be >= 2")
+    r_theta = check_count(r_theta, "r_theta", minimum=2)
+    s_per_theta = check_count(s_per_theta, "s_per_theta", minimum=2)
     if test.n == 0:
         raise ValueError("the test set is empty")
     if isinstance(predictor, str):
@@ -210,11 +207,10 @@ class MonteCarloConfig:
     r_summary: int | None = None     # defaults to r_theta in shared-summary mode
 
     def __post_init__(self):
-        counts = [self.r_real, self.r_theta, self.r_syn, self.r_y]
-        if self.r_summary is not None:
-            counts.append(self.r_summary)
-        if any(c < 2 for c in counts):
-            raise ValueError("all Monte Carlo counts must be >= 2")
+        """Every count must be an integer >= 2; numpy integers are stored as int."""
+        optional = ("r_summary",) if self.r_summary is not None else ()
+        for name in ("r_real", "r_theta", "r_syn", "r_y") + optional:
+            object.__setattr__(self, name, check_count(getattr(self, name), name, minimum=2))
 
     @property
     def summaries(self) -> int:
@@ -452,14 +448,6 @@ def _trained_outputs(process, predictor: PredictorSpec, test_points: np.ndarray,
     return outputs
 
 
-def _check_m(m) -> None:
-    """Raise ValueError unless the ensemble size m is an integer >= 1."""
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
-        raise ValueError(f"m must be an integer, got {m!r}")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-
-
 def _check_test_points(process, test_points) -> np.ndarray:
     """The test points as a non-empty, finite (n, d) block, d the process's
     feature count; one point at the origin if test_points is None."""
@@ -488,7 +476,7 @@ def check_oracle_request(process, generator_mode: str, predictor: PredictorSpec 
         raise ValueError(f"process {process.id!r} has no correlated sampler")
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
-    _check_m(m)
+    check_count(m, "m")
     if isinstance(predictor, str):
         if predictor in ("builtin", process.builtin_predictor):
             return None
@@ -635,7 +623,7 @@ def bregman_oracle_decompose(process, m: int = 1,
     """
     if isinstance(process, str):
         process = get_process(process)
-    _check_m(m)
+    m = check_count(m, "m")
     if not hasattr(process, "predictor_prob_outputs"):
         raise ValueError(f"process {process.id!r} has no binary probability predictor")
     spec = brg.BregmanSpec(brg.NEGENTROPY, 2)
@@ -661,7 +649,7 @@ def bregman_oracle_decompose(process, m: int = 1,
 
     est = _estimates(seed, mc.r_real, statistic)
     slack = est.pop("slack")
-    config = {"process": process.id, "m": int(m), "seed": seed,
+    config = {"process": process.id, "m": m, "seed": seed,
               "mc": {"r_real": mc.r_real, "r_theta": mc.r_theta, "r_syn": mc.r_syn}}
     return BregmanBoundReport(**est, noise=noise, bound_slack=slack.value,
                               bound_slack_se=slack.std_error, config=config)
@@ -702,8 +690,8 @@ def curve_repeat(generator: GeneratorSpec, data: Dataset, predictor: PredictorSp
     dataset, score the nested ensemble prefixes. Pure in rep_seed, so repeats
     may run in any order or in parallel."""
     check_averaging(averaging, predictor.task)
-    if min(m_values) < 1:
-        raise ValueError("m values must be >= 1")
+    for m in m_values:
+        check_count(m, "m values")
     block, y_ref = ensemble_members(generator, data, predictor, test, max(m_values),
                                     rep_seed, mode)
     results = score_prefixes(block, y_ref, m_values, averaging, metric, predictor.task)
@@ -716,9 +704,8 @@ def curve_cells(generator: GeneratorSpec, data: Dataset, predictors, test: Datas
     """Every cell of a curve grid in curve.csv row order, one per predictor,
     metric, averaging and repeat: (labels, repeat, curve_repeat arguments).
     The repeat seed depends only on the repeat, so cells are independent."""
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    m_values = sorted(set(int(m) for m in m_values))
+    repeats = check_count(repeats, "repeats")
+    m_values = sorted(set(check_count(m, "m values") for m in m_values))
     return [({"dataset": dataset_label, "generator": generator.kind, "mode": mode,
               "predictor": predictor.label, "averaging": averaging, "metric": metric.kind},
              j, (generator, data, predictor, test, m_values, averaging, metric,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CATEGORICAL, NUMERIC, Dataset, Schema
+from .data import CATEGORICAL, NUMERIC, Dataset, Schema, check_count
 from .rng import child_seed, make_rng
 
 BOOTSTRAP = "bootstrap"
@@ -41,8 +41,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in (BOOTSTRAP, GAUSSIAN_PPD, NOISY_MARGINAL_DP, TRUTH_PROCESS):
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.n_synthetic is not None and self.n_synthetic < 1:
-            raise ValueError("n_synthetic must be >= 1")
+        if self.n_synthetic is not None:
+            object.__setattr__(self, "n_synthetic", check_count(self.n_synthetic, "n_synthetic"))
         if self.kind == NOISY_MARGINAL_DP:
             if self.epsilon is None or self.delta is None:
                 raise ValueError("noisy_marginal_dp needs epsilon and delta")
@@ -244,8 +244,7 @@ def fit(spec: GeneratorSpec, data: Dataset, seed: int) -> GeneratorParams:
 
 def sample(params: GeneratorParams, n_rows: int, seed: int) -> Dataset:
     """Draw one synthetic dataset from fitted generator parameters."""
-    if n_rows < 1:
-        raise ValueError("n_rows must be >= 1")
+    n_rows = check_count(n_rows, "n_rows")
     rng = make_rng(seed)
     if params.kind == BOOTSTRAP:
         if params.identity:
@@ -295,14 +294,15 @@ class EnsembleProvenance:
         return out
 
 
-def check_ensemble_request(spec: GeneratorSpec, m: int, mode: str) -> None:
-    """Raise ValueError unless generate_ensemble can make m datasets in this mode."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+def check_ensemble_request(spec: GeneratorSpec, m: int, mode: str) -> int:
+    """m as an int; raises ValueError unless generate_ensemble can make m
+    datasets in this mode."""
+    m = check_count(m, "m")
     if mode not in (INDEPENDENT, SHARED_SUMMARY, SPLIT_BUDGET):
         raise ValueError(f"unknown ensemble mode {mode!r}")
     if mode in (SHARED_SUMMARY, SPLIT_BUDGET) and spec.kind != NOISY_MARGINAL_DP:
         raise ValueError(f"mode {mode!r} requires kind={NOISY_MARGINAL_DP}")
+    return m
 
 
 def generate_ensemble(spec: GeneratorSpec, data: Dataset, m: int, mode: str,
@@ -317,7 +317,7 @@ def generate_ensemble(spec: GeneratorSpec, data: Dataset, m: int, mode: str,
     For the DP generator the record holds one rho per release and their sum,
     the composed zCDP spend (zCDP composes additively).
     """
-    check_ensemble_request(spec, m, mode)
+    m = check_ensemble_request(spec, m, mode)
     n_rows = spec.n_synthetic if spec.n_synthetic is not None else data.n
 
     member_seeds = tuple(child_seed(seed, "member", i) for i in range(m))

@@ -8,6 +8,7 @@ appropriate for cross entropy).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,12 +170,32 @@ def write_long_csv(path, rows: list[dict]) -> None:
 
 
 def read_long_csv(path) -> list[dict]:
+    """Rows of a long-format file, as write_long_csv writes them.
+
+    Raises ValueError unless the header is LONG_COLUMNS and every row has
+    its width, an integer m >= 1, an integer repeat, a finite score and a
+    finite or empty std_error.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != list(LONG_COLUMNS):
+            raise ValueError(f"{path}: the header must be {','.join(LONG_COLUMNS)}")
         rows = []
-        for row in csv.DictReader(fh):
-            row["m"] = int(row["m"])
-            row["repeat"] = int(row["repeat"])
-            row["score"] = float(row["score"])
-            row["std_error"] = float(row["std_error"]) if row["std_error"] else None
+        for record in reader:
+            where = f"{path}, line {reader.line_num}"
+            if len(record) != len(LONG_COLUMNS):
+                raise ValueError(f"{where}: {len(record)} cells, expected {len(LONG_COLUMNS)}")
+            row = dict(zip(LONG_COLUMNS, record))
+            try:
+                row["m"], row["repeat"] = int(row["m"]), int(row["repeat"])
+                row["score"] = float(row["score"])
+                row["std_error"] = float(row["std_error"]) if row["std_error"] else None
+            except ValueError:
+                raise ValueError(f"{where}: m and repeat must be integers, score and "
+                                 "std_error numbers") from None
+            if row["m"] < 1:
+                raise ValueError(f"{where}: m must be >= 1")
+            if not math.isfinite(row["score"]) or not math.isfinite(row["std_error"] or 0.0):
+                raise ValueError(f"{where}: score and std_error must be finite")
             rows.append(row)
         return rows

@@ -10,12 +10,13 @@ induce the same partition can score a few ulps apart.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bregman import softmax
-from .data import FeatureMatrix
+from .data import FeatureMatrix, check_count
 from .rng import child_rng
 
 _BOTH = ("regression", "classification")
@@ -42,8 +43,7 @@ class PredictorSpec:
         if self.task not in _KINDS[self.kind][2]:
             raise ValueError(f"{self.kind} supports {' and '.join(_KINDS[self.kind][2])} only")
         for option in ("k", "n_trees"):
-            if getattr(self, option) < 1:
-                raise ValueError(f"{option} must be >= 1")
+            object.__setattr__(self, option, check_count(getattr(self, option), option))
         if not 0.0 <= self.lam < np.inf:
             raise ValueError("lam must be finite and >= 0")
 
@@ -120,6 +120,13 @@ def _node_value(y, n_classes, task):
     return np.bincount(y, minlength=n_classes) / y.size
 
 
+# The split search scales a band's centred regression targets by the power of
+# two that brings the largest into [0.5, 1) unless it already lies within
+# [2**-_TARGET_EXP, 2**_TARGET_EXP], where sums of their squares cannot
+# overflow and the largest square is a normal float; ordinary targets keep
+# their bits.
+_TARGET_EXP = 256
+
 # A level's padded (nodes x widest node) blocks may hold this many cells, or
 # twice the level's rows if more; beyond that the nodes go in size bands.
 _BLOCK_CELLS = 4096
@@ -147,9 +154,11 @@ def _band_splits(xo, yo, node, counts, task, n_classes):
     The rows of node i lie contiguously in xo, yo (node[p] == i), in their
     original order. Regression sums are sequential and the targets are
     centred at the node mean before they are squared, so a large target
-    offset does not cancel. Features are scanned in ascending order with
-    strict improvement, and argmin picks the lowest midpoint, which is the
-    tie-break contract.
+    offset does not cancel. Centred targets too large or too small to square
+    are scaled by a power of two, which is exact and so keeps the order of
+    the scores; node values are not scaled. Features are scanned in
+    ascending order with strict improvement, and argmin picks the lowest
+    midpoint, which is the tie-break contract.
     """
     k, width = counts.size, int(counts.max())
     n_rows = counts[:, None]
@@ -159,6 +168,9 @@ def _band_splits(xo, yo, node, counts, task, n_classes):
         last = cell[starts + counts - 1]      # block cell of each node's last row
         mean = _prefix_sums(yo, cell, (k, width)).reshape(-1)[last] / counts
         targets = yo - mean[node]
+        top = float(np.abs(targets).max())
+        if top > 0 and not 2.0 ** -_TARGET_EXP <= top <= 2.0 ** _TARGET_EXP:
+            targets = np.ldexp(targets, -math.frexp(top)[1])
         impurity = _prefix_sums(targets * targets, cell, (k, width))[:, -1] / counts
         value = mean
         impure = np.maximum.reduceat(yo, starts) != np.minimum.reduceat(yo, starts)
@@ -396,8 +408,12 @@ def train(spec: PredictorSpec, data: FeatureMatrix, seed: int = 0) -> TrainedMod
         raise ValueError(f"predictor task {spec.task!r} does not match data task {data.task!r}")
     if not np.isfinite(data.x).all():
         raise ValueError("training features must be finite")
-    if data.task == "regression" and not np.isfinite(data.y).all():
-        raise ValueError("regression targets must be finite")
+    if data.task == "regression":
+        if not np.isfinite(data.y).all():
+            raise ValueError("regression targets must be finite")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(data.y.mean()):
+                raise ValueError("the mean of the regression targets overflows")
     fingerprint = (data.d, data.task, data.n_classes)
     x, y = data.x, data.y
 

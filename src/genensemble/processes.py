@@ -204,7 +204,3 @@ def get_process(process_id: str, **options):
         raise ValueError(f"unknown truth process {process_id!r}; "
                          f"available: {sorted(_REGISTRY)}") from None
     return cls(**options)
-
-
-def available_processes() -> list[str]:
-    return sorted(_REGISTRY)

@@ -14,7 +14,7 @@ from genensemble.data import (CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Sch
                               train_test_split)
 from genensemble.decomposition import mse_curve
 from genensemble.generators import GeneratorSpec
-from genensemble.metrics import MetricSpec, read_long_csv, write_long_csv
+from genensemble.metrics import LONG_COLUMNS, MetricSpec, read_long_csv, write_long_csv
 from genensemble.predictors import parse_predictor
 from genensemble.rng import child_seed
 
@@ -413,6 +413,32 @@ method = two_point
         assert cli.main(["predict-curve", "--config", str(cfg),
                          "--output", str(out)]) == 1
         assert "m=1 and m=2" in capsys.readouterr().err
+        assert not (out / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("header, row, message", [
+        (None, "d,b,i,cart,mean,mse,1,0,nan,0.1", "score and std_error must be finite"),
+        (None, "d,b,i,cart,mean,mse,1,0,inf,0.1", "score and std_error must be finite"),
+        (None, "d,b,i,cart,mean,mse,1,0,2.0,-inf", "score and std_error must be finite"),
+        (None, "d,b,i,cart,mean,mse,1,0,2.0,nan", "score and std_error must be finite"),
+        (None, "d,b,i,cart,mean,mse,x,0,2.0,0.1", "m and repeat must be integers"),
+        (None, "d,b,i,cart,mean,mse,1.5,0,2.0,0.1", "m and repeat must be integers"),
+        (None, "d,b,i,cart,mean,mse,0,0,2.0,0.1", "m must be >= 1"),
+        (None, "d,b,i,cart,mean,mse,1,x,2.0,0.1", "m and repeat must be integers"),
+        (None, "d,b,i,cart,mean,mse,1,0,2.0", "9 cells, expected 10"),
+        ("dataset,generator,mode,predictor,averaging,metric,m,score,std_error",
+         "d,b,i,cart,mean,mse,1,2.0,0.1", "the header must be dataset,"),
+    ])
+    def test_predict_curve_refuses_a_bad_curve_csv(self, tmp_path, header, row, message,
+                                                   capsys):
+        header = header or ",".join(LONG_COLUMNS)
+        good = "d,b,i,cart,mean,mse,2,0,1.5,0.1"
+        curve = tmp_path / "curve.csv"
+        curve.write_text(f"{header}\n{good}\n{row}\n", encoding="utf-8")
+        cfg = write_config(tmp_path, f"[predict_curve]\ncurve_csv = {curve}\nm_values = 4\n")
+        out = tmp_path / "o"
+        assert cli.main(["predict-curve", "--config", str(cfg), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: [predict_curve] curve_csv: " in err and message in err
         assert not (out / "predictions.csv").exists()
 
     def test_identity_flag_maps_to_exit_3(self, config, monkeypatch):

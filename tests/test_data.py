@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from genensemble.data import (CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Dataset,
-                              ParseError, Schema, SchemaError, encode, load_csv,
-                              save_csv, train_test_split)
+                              ParseError, Schema, SchemaError, check_count, encode,
+                              load_csv, save_csv, train_test_split)
 
 NUM_SCHEMA = Schema((Column("x", NUMERIC, FEATURE), Column("y", NUMERIC, TARGET)))
 
@@ -12,6 +12,23 @@ def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
+    def test_integers_are_stored_as_int(self, value):
+        count = check_count(value, "k")
+        assert count == 3 and type(count) is int
+
+    @pytest.mark.parametrize("value", [3.0, np.float64(3.0), "3", True, np.bool_(True), None])
+    def test_non_integers_rejected(self, value):
+        with pytest.raises(ValueError, match="^k must be an integer, got "):
+            check_count(value, "k")
+
+    def test_below_minimum_rejected(self):
+        assert check_count(2, "r", minimum=2) == 2
+        with pytest.raises(ValueError, match="^r must be >= 2$"):
+            check_count(1, "r", minimum=2)
 
 
 class TestSchema:

@@ -1078,3 +1078,66 @@ class TestCurveRepeatValidation:
             curve_repeat(GeneratorSpec("bootstrap"), data,
                          PredictorSpec("mean", "regression"), data, m_values, "mean",
                          MetricSpec("mse"), rep_seed=0)
+
+
+class TestCountRule:
+    """Every public count is a Python or numpy integer, stored as int."""
+
+    def _toy(self):
+        proc = get_process("gaussian_toy")
+        return (proc.sample_real_dataset(make_rng(0), 20),
+                proc.sample_real_dataset(make_rng(1), 10))
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: MonteCarloConfig(10.0, 5, 3, 10), "r_real must be an integer"),
+        (lambda: MonteCarloConfig(10, 5, 3, 10, r_summary=True),
+         "r_summary must be an integer"),
+        (lambda: PredictorSpec("knn", "regression", k=2.5), "k must be an integer"),
+        (lambda: PredictorSpec("bagged_trees", "regression", n_trees="3"),
+         "n_trees must be an integer"),
+        (lambda: GeneratorSpec("bootstrap", n_synthetic=30.0),
+         "n_synthetic must be an integer"),
+    ])
+    def test_non_integer_count_rejected_by_spec(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_non_integer_count_rejected_by_library_call(self):
+        data, test = self._toy()
+        gen = GeneratorSpec("bootstrap")
+        with pytest.raises(ValueError, match="m values must be an integer, got 1.5"):
+            mse_curve(gen, data, "mean", test, [1.5, 2, 2.9], repeats=1)
+        with pytest.raises(ValueError, match="repeats must be an integer"):
+            mse_curve(gen, data, "mean", test, [1, 2], repeats=2.0)
+        with pytest.raises(ValueError, match="r_theta must be an integer"):
+            estimate_mv_sdv_nested(gen, data, "mean", test, r_theta=4.0, s_per_theta=2)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            generate_ensemble(gen, data, 2.0, "independent")
+        with pytest.raises(ValueError, match="n_rows must be an integer"):
+            sample(fit(gen, data, 0), 3.0, 0)
+        rule = fit_rule_two_point(2.0, 1.5)
+        for rule_of_thumb in (predict_mse, achieved_benefit):
+            with pytest.raises(ValueError, match="m must be an integer"):
+                rule_of_thumb(rule, 2.5)
+
+    def test_numpy_counts_make_json_outputs(self):
+        data, test = self._toy()
+        mc = MonteCarloConfig(np.int64(3), np.int64(2), np.int64(2), np.int64(4),
+                              r_summary=np.int64(2))
+        assert all(type(getattr(mc, f.name)) is int for f in dataclasses.fields(mc))
+        report = oracle_decompose("gaussian_toy", "iid", m=np.int64(2), mc=mc)
+        assert json.loads(report.to_json())["config"]["mc"]["r_real"] == 3
+        bregman = bregman_oracle_decompose("discrete_toy", m=np.int64(2), mc=mc)
+        assert json.loads(json.dumps(dataclasses.asdict(bregman)))["config"]["m"] == 2
+
+        gen = GeneratorSpec("bootstrap", n_synthetic=np.int64(15))
+        _, record = generate_ensemble(gen, data, np.int64(2), "independent")
+        assert json.loads(json.dumps(record.to_json_dict()))["n_rows"] == 15
+
+        spec = PredictorSpec("knn", "regression", k=np.int64(3))
+        assert type(spec.k) is int and spec.label == "knn3"
+        curve = mse_curve(gen, data, spec, test, np.array([1, 2]), repeats=np.int64(2))
+        assert [row["m"] for row in json.loads(json.dumps(curve.rows))] == [1, 2, 1, 2]
+        est = estimate_mv_sdv_nested(gen, data, spec, test, r_theta=np.int64(2),
+                                     s_per_theta=np.int64(2))
+        assert type(est.r_theta) is int and type(est.s_per_theta) is int

@@ -77,14 +77,28 @@ class TestCart:
         rest = data.draw(st.lists(st.integers(-2, 2), min_size=n * (d - 1),
                                   max_size=n * (d - 1)))
         x = np.column_stack([first, np.reshape(rest, (n, d - 1))])
-        # targets on a 1e-6 grid in [-1, 1], so squared spreads do not underflow
+        # targets on a 1e-6 grid in [-1, 1], times a scale whose squares may
+        # overflow or underflow
         base = np.asarray(data.draw(st.lists(st.integers(-10**6, 10**6), min_size=n,
                                              max_size=n))) * 1e-6
-        a = data.draw(st.floats(1e-3, 1e3))
+        a = data.draw(st.floats(1e-3, 1e3) |
+                      st.sampled_from([1e-300, 1e-200, 1e160, 1e200, 1e300]))
         b = data.draw(st.floats(-1e8, 1e8))
         y = a * base + b
         model = train(PredictorSpec("cart", "regression"), reg_matrix(x, y))
         assert np.max(np.abs(predict_batch(model, x) - y)) <= 1e-9 * np.max(np.abs(y))
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300, 1e-200, 1e-300, 5e-324])
+    def test_interpolates_huge_and_tiny_targets(self, scale):
+        x = np.array([[0.0], [1.0], [2.0], [3.0]])
+        y = scale * np.array([0.0, 1.0, 2.0, 3.0])
+        model = train(PredictorSpec("cart", "regression"), reg_matrix(x, y))
+        assert list(predict_batch(model, x)) == list(y)
+
+    def test_targets_whose_mean_overflows_rejected(self):
+        big = np.finfo(np.float64).max
+        with pytest.raises(ValueError, match="mean of the regression targets overflows"):
+            train(PredictorSpec("cart", "regression"), reg_matrix([[0.0], [1.0]], [big, big]))
 
     def test_constant_features_give_leaf(self):
         x = np.ones((5, 2))
