@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import make_rng
-
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 FEATURE = "feature"
@@ -41,6 +39,19 @@ def check_count(value, name: str, minimum: int = 1) -> int:
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
     return int(value)
+
+
+def check_seed(value, name: str = "seed") -> int:
+    """value as an int; ValueError unless it is a Python or numpy integer.
+
+    Any integer is a seed, taken modulo 2**64 by the rng module; bool, float
+    and str are not, even when they hold a whole number.
+    """
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -220,7 +231,8 @@ def train_test_split(data: Dataset, test_fraction: float, seed: int) -> tuple[Da
         side = "test" if n_test == 0 else "train"
         raise ValueError(f"test_fraction {test_fraction} of {data.n} rows leaves the "
                          f"{side} set empty")
-    perm = make_rng(seed).permutation(data.n)
+    from .rng import make_rng          # rng imports this module for check_seed
+    perm = make_rng(check_seed(seed)).permutation(data.n)
     test_idx = np.sort(perm[:n_test])
     train_idx = np.sort(perm[n_test:])
     return (Dataset(data.schema, data.rows[train_idx]),

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bregman as brg
-from .data import Dataset, check_count, encode
+from .data import Dataset, check_count, check_seed, encode
 from .generators import GeneratorSpec, fit, generate_ensemble, sample
 from .metrics import MEAN, MetricSpec, check_averaging, long_rows, score_prefixes
 from .predictors import PredictorSpec, parse_predictor, predict_batch, train
@@ -167,6 +167,7 @@ def estimate_mv_sdv_nested(generator: GeneratorSpec, data: Dataset,
     """
     r_theta = check_count(r_theta, "r_theta", minimum=2)
     s_per_theta = check_count(s_per_theta, "s_per_theta", minimum=2)
+    seed = check_seed(seed)
     if test.n == 0:
         raise ValueError("the test set is empty")
     if isinstance(predictor, str):
@@ -515,6 +516,7 @@ def oracle_decompose(process, generator_mode: str = IID,
     if isinstance(process, str):
         process = get_process(process)
     predictor = check_oracle_request(process, generator_mode, predictor, m, rho)
+    seed = check_seed(seed)
     pts = _check_test_points(process, test_points)
     n_x = pts.shape[0]
     if predictor is None:
@@ -624,6 +626,7 @@ def bregman_oracle_decompose(process, m: int = 1,
     if isinstance(process, str):
         process = get_process(process)
     m = check_count(m, "m")
+    seed = check_seed(seed)
     if not hasattr(process, "predictor_prob_outputs"):
         raise ValueError(f"process {process.id!r} has no binary probability predictor")
     spec = brg.BregmanSpec(brg.NEGENTROPY, 2)
@@ -678,6 +681,7 @@ def ensemble_members(generator: GeneratorSpec, data: Dataset, predictor: Predict
 
     A forest is the bootstrap generator with a CART predictor: member t is
     the tree grown on bootstrap replicate t."""
+    rep_seed = check_seed(rep_seed, "rep_seed")
     datasets, _ = generate_ensemble(generator, data, m, mode, seed=rep_seed)
     return _members(predictor, test, ((ds, child_seed(rep_seed, "train", i))
                                       for i, ds in enumerate(datasets)))
@@ -705,6 +709,7 @@ def curve_cells(generator: GeneratorSpec, data: Dataset, predictors, test: Datas
     metric, averaging and repeat: (labels, repeat, curve_repeat arguments).
     The repeat seed depends only on the repeat, so cells are independent."""
     repeats = check_count(repeats, "repeats")
+    seed = check_seed(seed)
     m_values = sorted(set(check_count(m, "m values") for m in m_values))
     return [({"dataset": dataset_label, "generator": generator.kind, "mode": mode,
               "predictor": predictor.label, "averaging": averaging, "metric": metric.kind},

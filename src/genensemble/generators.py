@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CATEGORICAL, NUMERIC, Dataset, Schema, check_count
+from .data import CATEGORICAL, NUMERIC, Dataset, Schema, check_count, check_seed
 from .rng import child_seed, make_rng
 
 BOOTSTRAP = "bootstrap"
@@ -153,7 +153,7 @@ def _marginal_counts(data: Dataset) -> list[np.ndarray]:
 
 def _summary_digest(counts, seed: int) -> str:
     h = hashlib.blake2b(digest_size=8)
-    h.update(seed.to_bytes(8, "little", signed=False))
+    h.update((seed % 2**64).to_bytes(8, "little"))
     for c in counts:
         h.update(np.asarray(c, dtype=np.float64).tobytes())
     return h.hexdigest()
@@ -173,6 +173,7 @@ def _dp_summary_with_rho(data: Dataset, rho: float, epsilon: float, delta: float
 
 def fit_dp_summary(data: Dataset, epsilon: float, delta: float, seed: int) -> PrivateSummary:
     """Release noisy per-column marginal counts under (epsilon, delta)-DP."""
+    seed = check_seed(seed)
     if data.n < 1:
         raise ValueError("cannot summarize an empty dataset")
     rho = rho_from_epsilon(epsilon, delta)
@@ -186,7 +187,7 @@ def sample_params_from_summary(summary: PrivateSummary, seed: int) -> GeneratorP
     vector is drawn from Dirichlet(n_public * projected + 1), so repeated
     calls are i.i.d. given the summary.
     """
-    rng = make_rng(seed)
+    rng = make_rng(check_seed(seed))
     probs = []
     for c in summary.counts:
         proj = project_to_simplex(c)
@@ -221,6 +222,7 @@ def _fit_gaussian_ppd(data: Dataset, seed: int) -> GeneratorParams:
 
 def fit(spec: GeneratorSpec, data: Dataset, seed: int) -> GeneratorParams:
     """Draw one set of generator parameters given the training data."""
+    seed = check_seed(seed)
     if data.n < 1:
         raise ValueError("cannot fit a generator on an empty dataset")
     if spec.kind == BOOTSTRAP:
@@ -245,7 +247,7 @@ def fit(spec: GeneratorSpec, data: Dataset, seed: int) -> GeneratorParams:
 def sample(params: GeneratorParams, n_rows: int, seed: int) -> Dataset:
     """Draw one synthetic dataset from fitted generator parameters."""
     n_rows = check_count(n_rows, "n_rows")
-    rng = make_rng(seed)
+    rng = make_rng(check_seed(seed))
     if params.kind == BOOTSTRAP:
         if params.identity:
             return params.data
@@ -318,6 +320,7 @@ def generate_ensemble(spec: GeneratorSpec, data: Dataset, m: int, mode: str,
     the composed zCDP spend (zCDP composes additively).
     """
     m = check_ensemble_request(spec, m, mode)
+    seed = check_seed(seed)
     n_rows = spec.n_synthetic if spec.n_synthetic is not None else data.n
 
     member_seeds = tuple(child_seed(seed, "member", i) for i in range(m))

@@ -7,6 +7,17 @@ midpoint threshold among splits with equal computed scores, and every model
 is a pure function of (spec, data, seed). Candidate splits that tie only in
 exact arithmetic are ordered by the rounding of their sums: two features that
 induce the same partition can score a few ulps apart.
+
+kNN filters, then refines. A filter value from one BLAS matrix product (a
+squared distance less the row's constant ||x||^2) and the exact per-row sum
+are both within 8 (d + 3) (u (||x||^2 + max ||t||^2) + the smallest
+subnormal) of the true value (Higham's gamma_n bounds, any summation order,
+with or without FMA), so every training row within twice that of the k-th
+smallest filter value is a candidate, as are NaN and inf filter values, and
+no neighbour is lost. Only the candidates' exact distances, reduced along the
+contiguous feature axis as a per-row loop reduces them, decide the order, so
+the output bits do not depend on BLAS or its threads. A candidate distance
+that overflows is refused.
 """
 from __future__ import annotations
 
@@ -16,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bregman import softmax
-from .data import FeatureMatrix, check_count
+from .data import FeatureMatrix, check_count, check_seed
 from .rng import child_rng
 
 _BOTH = ("regression", "classification")
@@ -126,6 +137,11 @@ def _node_value(y, n_classes, task):
 # overflow and the largest square is a normal float; ordinary targets keep
 # their bits.
 _TARGET_EXP = 256
+# Where a node's regression targets could sum past 2**_SUM_EXP, the node's
+# targets are scaled down by a power of two until they cannot, which also
+# keeps its centred targets below twice that; its value is scaled back. Only
+# trees with a target of at least 2**(_SUM_EXP - bit_length(n)) check this.
+_SUM_EXP = 1022
 
 # A level's padded (nodes x widest node) blocks may hold this many cells, or
 # twice the level's rows if more; beyond that the nodes go in size bands.
@@ -256,14 +272,20 @@ def _grow_tree(x, y, task, n_classes):
     Nodes are numbered level by level, so the r-th split node (from 0) has
     children 2r + 1 and 2r + 2.
     """
+    huge = (task == "regression"
+            and np.abs(y).max() >= 2.0 ** (_SUM_EXP - y.size.bit_length()))
     levels = []                      # (feature, threshold, value) per level
     rows = np.arange(y.size)
     node = np.zeros(y.size, dtype=np.intp)
     counts = np.array([y.size])
     while rows.size:
-        value, feature, threshold = _level_splits(x[rows], y[rows], node, counts,
-                                                  task, n_classes)
-        levels.append((feature, threshold, value))
+        yo = y[rows]
+        if huge:
+            top = np.maximum.reduceat(np.abs(yo), counts.cumsum() - counts)
+            shift = np.maximum(np.frexp(top)[1] + np.frexp(counts)[1] - _SUM_EXP, 0)
+            yo = np.ldexp(yo, -shift[node])
+        value, feature, threshold = _level_splits(x[rows], yo, node, counts, task, n_classes)
+        levels.append((feature, threshold, np.ldexp(value, shift) if huge else value))
         split = feature >= 0
         rank = split.cumsum() - 1    # index of a split node among the level's splits
         keep = split[node]
@@ -300,43 +322,45 @@ def _tree_predict_rows(tree, x):
 
 # --- kNN ---------------------------------------------------------------------
 
-# A (test rows x train rows x features) block of squared differences holds at
-# most this many cells, and always at least one test row.
+# The refine step gathers at most this many (candidate x feature) cells at a
+# time, and always at least one candidate.
 _KNN_CELLS = 1 << 16
 
 
-def _sq_distances(x, tx):
-    """Squared Euclidean distance from each row of x to each row of tx.
+def _candidates(x, tx, k):
+    """Rows, columns and exact squared distances of the candidates for each
+    row's k <= len(tx) nearest, rows ascending, then columns. The filter
+    value ||t||^2 - 2 x.t omits the row's constant ||x||^2."""
+    d = tx.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        tt = (tx * tx).sum(axis=1)
+        fast = (-2.0 * x) @ tx.T
+        fast += tt
+        kth = np.partition(fast, k - 1, axis=1)[:, k - 1:k]
+        # unit roundoff 2**-53; the smallest subnormal 2**-1074
+        slack = 8.0 * (d + 3) * (2.0**-53 * ((x * x).sum(axis=1) + tt.max()) + 2.0**-1074)
+        keep = ~(fast > kth + 2.0 * slack[:, None])
+        rows, cols = np.divmod(np.flatnonzero(keep), tx.shape[0])
+        exact, step = np.empty(rows.size), max(1, _KNN_CELLS // max(1, d))
+        for start in range(0, rows.size, step):
+            at = slice(start, start + step)
+            exact[at] = ((tx[cols[at]] - x[rows[at]]) ** 2).sum(axis=1)
+    if np.isinf(exact).any():
+        raise ValueError("squared distances between the features overflow; rescale them")
+    return rows, cols, exact
 
-    Each block is reduced along its contiguous feature axis, as
-    ((tx - row) ** 2).sum(axis=1) reduces for a single row, so the bits are
-    those of a per-row loop.
-    """
-    n_train, d = tx.shape
-    step = max(1, _KNN_CELLS // max(1, n_train * d))
-    dist = np.empty((x.shape[0], n_train))
-    for start in range(0, x.shape[0], step):
-        block = x[start:start + step, None, :]
-        dist[start:start + step] = ((tx - block) ** 2).sum(axis=2)
-    return dist
 
-
-def _nearest(dist, k):
-    """Column indices of each row's min(k, columns) smallest distances.
-
-    Each row lists them in stable-argsort order: by distance, equal distances
-    by lowest column. Only the candidates up to the row's k-th smallest value
-    are sorted. A NaN distance would drop out of the candidates.
-    """
-    n, n_train = dist.shape
-    k = min(k, n_train)
-    kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
-    rows, cols = np.nonzero(dist <= kth)     # rows ascending, then columns
+def _nearest(x, tx, k):
+    """Column indices of each row's min(k, columns) nearest rows of tx, in
+    stable-argsort order of the exact squared distances: equal distances by
+    lowest column."""
+    k = min(k, tx.shape[0])
+    rows, cols, exact = _candidates(x, tx, k)
     # stable, so equal distances keep the column order; rows stay as they are
-    cols = cols[np.lexsort((dist[rows, cols], rows))]
-    counts = np.bincount(rows, minlength=n)
+    cols = cols[np.lexsort((exact, rows))]
+    counts = np.bincount(rows, minlength=x.shape[0])
     rank = np.arange(rows.size) - (counts.cumsum() - counts)[rows]
-    return cols[rank < k].reshape(n, k)
+    return cols[rank < k].reshape(x.shape[0], k)
 
 
 # --- ridge / linear ----------------------------------------------------------
@@ -402,6 +426,7 @@ def _fit_logistic(x, y, n_classes, lam):
 
 def train(spec: PredictorSpec, data: FeatureMatrix, seed: int = 0) -> TrainedModel:
     """Fit a model; deterministic given (spec, data, seed)."""
+    seed = check_seed(seed)
     if data.n < 1:
         raise ValueError("cannot train on empty data")
     if spec.task != data.task:
@@ -411,7 +436,7 @@ def train(spec: PredictorSpec, data: FeatureMatrix, seed: int = 0) -> TrainedMod
     if data.task == "regression":
         if not np.isfinite(data.y).all():
             raise ValueError("regression targets must be finite")
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             if not np.isfinite(data.y.mean()):
                 raise ValueError("the mean of the regression targets overflows")
     fingerprint = (data.d, data.task, data.n_classes)
@@ -467,7 +492,7 @@ def predict_batch(model: TrainedModel, x: np.ndarray) -> np.ndarray:
 
     if model.kind == "knn":
         tx, ty, k = model.state
-        nearest = _nearest(_sq_distances(x, tx), k)
+        nearest = _nearest(x, tx, k)
         if model.task == "regression":
             return ty[nearest].mean(axis=1)
         n = x.shape[0]

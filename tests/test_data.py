@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from genensemble.data import (CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Dataset,
-                              ParseError, Schema, SchemaError, check_count, encode,
-                              load_csv, save_csv, train_test_split)
+                              ParseError, Schema, SchemaError, check_count, check_seed,
+                              encode, load_csv, save_csv, train_test_split)
+from genensemble.generators import GeneratorSpec, fit_dp_summary, generate_ensemble
+from genensemble.predictors import PredictorSpec, train
+from genensemble.rng import child_rng, child_seed, make_rng
 
 NUM_SCHEMA = Schema((Column("x", NUMERIC, FEATURE), Column("y", NUMERIC, TARGET)))
 
@@ -29,6 +32,50 @@ class TestCheckCount:
         assert check_count(2, "r", minimum=2) == 2
         with pytest.raises(ValueError, match="^r must be >= 2$"):
             check_count(1, "r", minimum=2)
+
+
+class TestCheckSeed:
+    @pytest.mark.parametrize("value", [3, -3, 2**70, np.int64(3), np.uint64(2**64 - 1)])
+    def test_integers_are_stored_as_int(self, value):
+        seed = check_seed(value)
+        assert seed == int(value) and type(seed) is int
+
+    @pytest.mark.parametrize("value", [3.0, np.float64(3.0), "3", True, np.bool_(True), None])
+    def test_non_integers_rejected(self, value):
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            check_seed(value)
+
+    def test_rng_takes_numpy_seeds_modulo_2_64(self):
+        # np.int64 parents used to overflow in child_seed's masking
+        assert child_seed(np.int64(3), "x", np.int64(2)) == child_seed(3, "x", 2)
+        assert child_seed(np.uint64(2**64 - 1), "x") == child_seed(-1, "x")
+        assert make_rng(np.int32(7)).random() == make_rng(7 + 2**64).random()
+        assert child_rng(np.int64(3), "x").random() == child_rng(3, "x").random()
+
+    @pytest.mark.parametrize("call", [lambda s: child_seed(s, "x"), make_rng,
+                                      lambda s: child_seed(1, "x", s)])
+    def test_rng_refuses_bool_seeds(self, call):
+        # True used to be taken as seed 1
+        with pytest.raises(ValueError, match="must be an integer, got True"):
+            call(True)
+
+    def test_public_seed_parameters(self):
+        data = Dataset(Schema((Column("c", CATEGORICAL, FEATURE, ("a", "b")),
+                               Column("y", CATEGORICAL, TARGET, ("0", "1")))),
+                       np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0]]))
+        spec = GeneratorSpec("noisy_marginal_dp", epsilon=1.0, delta=1e-6)
+        datasets, record = generate_ensemble(spec, data, 2, "independent", seed=np.int64(5))
+        want, _ = generate_ensemble(spec, data, 2, "independent", seed=5)
+        assert [d.rows.tobytes() for d in datasets] == [d.rows.tobytes() for d in want]
+        assert type(record.seed) is int
+        # the summary digest takes any integer seed, as the draws do
+        assert fit_dp_summary(data, 1.0, 1e-6, -1).summary_id == \
+            fit_dp_summary(data, 1.0, 1e-6, 2**64 - 1).summary_id
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            train_test_split(data, 0.5, 1.0)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            train(PredictorSpec("mean", "classification"),
+                  encode(data, data, standardize=False), seed=True)
 
 
 class TestSchema:

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from genensemble.data import FeatureMatrix
 from genensemble.metrics import (DUAL_LOG_PROB, MEAN, PROB_SUM_TOL,
                                  combine_predictions)
-from genensemble.predictors import (_KINDS, _KNN_CELLS, KINDS, PredictorSpec, _grow_tree,
-                                    _sq_distances, _tree_predict_rows,
-                                    parse_predictor, predict_batch, train)
+from genensemble.predictors import (_KINDS, _KNN_CELLS, KINDS, PredictorSpec, _candidates,
+                                    _grow_tree, _tree_predict_rows, parse_predictor,
+                                    predict_batch, train)
 from genensemble.rng import child_rng
 
 
@@ -92,6 +92,16 @@ class TestCart:
     def test_interpolates_huge_and_tiny_targets(self, scale):
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = scale * np.array([0.0, 1.0, 2.0, 3.0])
+        model = train(PredictorSpec("cart", "regression"), reg_matrix(x, y))
+        assert list(predict_batch(model, x)) == list(y)
+
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3], [3, 1, 2, 0]])
+    def test_interpolates_targets_at_the_float_limit(self, order):
+        # y = [M, -M, M, -M]: centring M at a child mean of -M/3 overflowed,
+        # and so did the prefix sum of a child [M, M]
+        big = np.finfo(np.float64).max
+        x = np.array(order, dtype=float)[:, None]
+        y = np.array([big, -big, big, -big])
         model = train(PredictorSpec("cart", "regression"), reg_matrix(x, y))
         assert list(predict_batch(model, x)) == list(y)
 
@@ -210,12 +220,30 @@ def _knn_reference(tx, ty, k, task, n_classes, x):
     return np.asarray(out)
 
 
+def _assert_filter_sound(tx, k, query):
+    """Every column within a row's k-th smallest per-row distance is a
+    candidate, and each candidate's exact distance has the per-row bits."""
+    dist = np.asarray([((tx - row) ** 2).sum(axis=1) for row in query])
+    rows, cols, exact = _candidates(query, tx, min(k, tx.shape[0]))
+    candidate = np.zeros(dist.shape, dtype=bool)
+    candidate[rows, cols] = True
+    kth = np.sort(dist, axis=1)[:, min(k, tx.shape[0]) - 1][:, None]
+    assert candidate[dist <= kth].all()
+    assert exact.tobytes() == dist[rows, cols].tobytes()
+    return rows.size
+
+
+def _knn_model(task, tx, ty, k, n_classes=0):
+    fm = reg_matrix(tx, ty) if task == "regression" else clf_matrix(tx, ty, n_classes)
+    return train(PredictorSpec("knn", task, k=k), fm)
+
+
 class TestKnnReference:
     @settings(max_examples=50, deadline=None)
     @given(data=st.data(), task=st.sampled_from(["regression", "classification"]))
-    @pytest.mark.parametrize("one_row_blocks", [False, True])
-    def test_batched_matches_per_row_loop_bytes(self, data, task, one_row_blocks):
-        if one_row_blocks:
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_batched_matches_per_row_loop_bytes(self, data, task, wide):
+        if wide:
             # d above numpy's 128-element pairwise block; n_train * d > _KNN_CELLS
             d = data.draw(st.integers(129, 200))
             n_train = _KNN_CELLS // d + data.draw(st.integers(1, 40))
@@ -238,23 +266,47 @@ class TestKnnReference:
         if style == "standardised":
             std = x.std(axis=0)
             x = np.where(std > 0, (x - x.mean(axis=0)) / np.where(std > 0, std, 1.0), 0.0)
+        # an exact power-of-two scale: at 2**-520 the squares are subnormal,
+        # at 2**500 the distances come within a few powers of two of overflow
+        x = x * data.draw(st.sampled_from([1.0, 2.0 ** -520, 2.0 ** 500]))
         tx, query = x[:n_train], x[n_train:]
         if data.draw(st.booleans()):
             tx = tx[rng.integers(0, n_train, size=n_train)]
             query = np.vstack([query, tx[:3]])
         if task == "regression":
             n_classes, ty = 0, rng.normal(size=n_train)
-            fm = reg_matrix(tx, ty)
         else:
             n_classes = data.draw(st.integers(2, 5))
             ty = rng.integers(0, n_classes, size=n_train)
-            fm = clf_matrix(tx, ty, n_classes)
-        dist = np.asarray([((tx - row) ** 2).sum(axis=1) for row in query])
-        assert _sq_distances(query, tx).tobytes() == dist.tobytes()
-        got = predict_batch(train(PredictorSpec("knn", task, k=k), fm), query)
+        _assert_filter_sound(tx, k, query)
+        got = predict_batch(_knn_model(task, tx, ty, k, n_classes), query)
         want = _knn_reference(tx, ty, k, task, n_classes, query)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_refine_in_several_chunks(self, task):
+        # two distinct training rows: every row ties with half the others, so
+        # each query has about 300 candidates of 150 features
+        rng = np.random.default_rng(3)
+        d, n_train, k = 150, 600, 5
+        tx = rng.normal(size=(2, d))[rng.integers(0, 2, size=n_train)]
+        query = rng.normal(size=(4, d))
+        assert _assert_filter_sound(tx, k, query) * d > 2 * _KNN_CELLS
+        ty = rng.normal(size=n_train) if task == "regression" else rng.integers(0, 3, n_train)
+        got = predict_batch(_knn_model(task, tx, ty, k, 3), query)
+        assert got.tobytes() == _knn_reference(tx, ty, k, task, 3, query).tobytes()
+
+    def test_overflowing_candidate_distance_refused(self):
+        # the nearest row is row 2; ranking the overflowed squares chose row 0
+        model = _knn_model("regression", [[1e200], [-1e200], [3e200]], [1.0, 2.0, 3.0], 1)
+        with pytest.raises(ValueError, match="squared distances between the features overflow"):
+            predict_batch(model, [[2.9e200]])
+
+    def test_overflow_outside_the_candidates_allowed(self):
+        # (9e153 + 9e153) ** 2 overflows, but row 1 is no candidate
+        model = _knn_model("regression", [[0.0], [-9e153]], [1.0, 2.0], 1)
+        assert predict_batch(model, [[9e153]])[0] == 1.0
 
 
 class TestKnn:
