@@ -25,12 +25,11 @@ from . import __version__
 from .data import (CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Schema,
                    load_csv, save_csv, train_test_split, write_csv)
 from .decomposition import (MonteCarloConfig, check_oracle_request, curve_cells,
-                            curve_repeat, ensemble_members, estimate_mv_sdv_nested,
-                            fit_rule_regression, fit_rule_two_point, oracle_decompose,
-                            predict_mse)
+                            curve_repeat, estimate_mv_sdv_nested, fit_rule_regression,
+                            fit_rule_two_point, oracle_decompose, predict_mse)
 from .generators import GeneratorSpec, check_ensemble_request, generate_ensemble
-from .metrics import (LABEL_COLUMNS, MEAN, MetricSpec, check_averaging, long_rows,
-                      read_long_csv, score_prefixes, write_long_csv)
+from .metrics import (LABEL_COLUMNS, MetricSpec, check_averaging, long_rows, read_long_csv,
+                      write_long_csv)
 from .predictors import PredictorSpec, parse_predictor
 from .processes import get_process
 from .rng import child_seed, make_rng
@@ -191,10 +190,11 @@ def _predictor_specs(cfg, task: str) -> list[PredictorSpec]:
     return specs
 
 
-def _metric_specs(cfg, section: str, task: str) -> list[MetricSpec]:
+def _metric_specs(cfg, task: str) -> list[MetricSpec]:
+    """The [curve] metrics, each of which must suit the task."""
     default = "mse" if task == "regression" else "brier_binary"
-    specs = _get_list(cfg, section, "metrics", MetricSpec, default=default)
-    with _config_errors(f"[{section}] metrics"):
+    specs = _get_list(cfg, "curve", "metrics", MetricSpec, default=default)
+    with _config_errors("[curve] metrics"):
         for spec in specs:
             spec.check_task(task)
     return specs
@@ -254,7 +254,7 @@ def _cmd_curve(cfg, seed, tracker, jobs=1):
     data, test, label = _load_data(cfg, seed)
     task = data.schema.task
     predictors = _predictor_specs(cfg, task)
-    metrics = _metric_specs(cfg, "curve", task)
+    metrics = _metric_specs(cfg, task)
     m_values = _get_m_values(cfg, "curve")
     spec, mode = _ensemble_request(cfg, max(m_values))
     repeats = _get_count(cfg, "curve", "repeats", default=3)
@@ -360,29 +360,12 @@ def _cmd_nested_var(cfg, seed, tracker):
     return EXIT_OK
 
 
-def _cmd_forest_curve(cfg, seed, tracker):
-    data, test, label = _load_data(cfg, seed)
-    task = data.schema.task
-    t_max = _get_count(cfg, "forest", "t_max", default=32, minimum=2)
-    metrics = _metric_specs(cfg, "forest", task)
-    # a forest is a bootstrap ensemble of CARTs; the trees are grown once
-    block, y = ensemble_members(GeneratorSpec("bootstrap"), data, PredictorSpec("cart", task),
-                                test, t_max, child_seed(seed, "forest"))
-    rows = [(label, metric.kind, t, repr(float(result.score)))
-            for metric in metrics
-            for t, result in score_prefixes(block, y, range(1, t_max + 1), MEAN, metric,
-                                            task).items()]
-    write_csv(tracker.path("forest_curve.csv"), ("dataset", "metric", "trees", "score"), rows)
-    return EXIT_OK
-
-
 _SUBCOMMANDS = {
     "generate": _cmd_generate,
     "curve": _cmd_curve,
     "predict-curve": _cmd_predict_curve,
     "decompose": _cmd_decompose,
     "nested-var": _cmd_nested_var,
-    "forest-curve": _cmd_forest_curve,
 }
 
 

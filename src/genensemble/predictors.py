@@ -16,12 +16,11 @@ with or without FMA), so every training row within twice that of the k-th
 smallest filter value is a candidate, as are NaN and inf filter values, and
 no neighbour is lost. Only the candidates' exact distances, reduced along the
 contiguous feature axis as a per-row loop reduces them, decide the order, so
-the output bits do not depend on BLAS or its threads. A candidate distance
-that overflows is refused.
+the output bits do not depend on BLAS or its threads. A chosen neighbour's
+distance that overflows is refused.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,11 +130,11 @@ def _node_value(y, n_classes, task):
     return np.bincount(y, minlength=n_classes) / y.size
 
 
-# The split search scales a band's centred regression targets by the power of
-# two that brings the largest into [0.5, 1) unless it already lies within
+# Unless a band's largest centred regression target lies within
 # [2**-_TARGET_EXP, 2**_TARGET_EXP], where sums of their squares cannot
-# overflow and the largest square is a normal float; ordinary targets keep
-# their bits.
+# overflow and the largest square is a normal float, the split search scales
+# each node's centred targets by the power of two that brings the node's
+# largest into [0.5, 1); ordinary targets keep their bits.
 _TARGET_EXP = 256
 # Where a node's regression targets could sum past 2**_SUM_EXP, the node's
 # targets are scaled down by a power of two until they cannot, which also
@@ -171,10 +170,10 @@ def _band_splits(xo, yo, node, counts, task, n_classes):
     original order. Regression sums are sequential and the targets are
     centred at the node mean before they are squared, so a large target
     offset does not cancel. Centred targets too large or too small to square
-    are scaled by a power of two, which is exact and so keeps the order of
-    the scores; node values are not scaled. Features are scanned in
-    ascending order with strict improvement, and argmin picks the lowest
-    midpoint, which is the tie-break contract.
+    are scaled node by node by a power of two, which is exact and so keeps
+    the order of each node's scores; node values are not scaled. Features
+    are scanned in ascending order with strict improvement, and argmin picks
+    the lowest midpoint, which is the tie-break contract.
     """
     k, width = counts.size, int(counts.max())
     n_rows = counts[:, None]
@@ -186,7 +185,8 @@ def _band_splits(xo, yo, node, counts, task, n_classes):
         targets = yo - mean[node]
         top = float(np.abs(targets).max())
         if top > 0 and not 2.0 ** -_TARGET_EXP <= top <= 2.0 ** _TARGET_EXP:
-            targets = np.ldexp(targets, -math.frexp(top)[1])
+            node_top = np.maximum.reduceat(np.abs(targets), starts)
+            targets = np.ldexp(targets, -np.frexp(node_top)[1][node])
         impurity = _prefix_sums(targets * targets, cell, (k, width))[:, -1] / counts
         value = mean
         impure = np.maximum.reduceat(yo, starts) != np.minimum.reduceat(yo, starts)
@@ -345,22 +345,23 @@ def _candidates(x, tx, k):
         for start in range(0, rows.size, step):
             at = slice(start, start + step)
             exact[at] = ((tx[cols[at]] - x[rows[at]]) ** 2).sum(axis=1)
-    if np.isinf(exact).any():
-        raise ValueError("squared distances between the features overflow; rescale them")
     return rows, cols, exact
 
 
 def _nearest(x, tx, k):
     """Column indices of each row's min(k, columns) nearest rows of tx, in
     stable-argsort order of the exact squared distances: equal distances by
-    lowest column."""
+    lowest column. A chosen distance that overflows is refused; one that only
+    a farther candidate has is not."""
     k = min(k, tx.shape[0])
     rows, cols, exact = _candidates(x, tx, k)
     # stable, so equal distances keep the column order; rows stay as they are
-    cols = cols[np.lexsort((exact, rows))]
+    order = np.lexsort((exact, rows))
     counts = np.bincount(rows, minlength=x.shape[0])
-    rank = np.arange(rows.size) - (counts.cumsum() - counts)[rows]
-    return cols[rank < k].reshape(x.shape[0], k)
+    chosen = order[np.arange(rows.size) - (counts.cumsum() - counts)[rows] < k]
+    if np.isinf(exact[chosen]).any():
+        raise ValueError("squared distances between the features overflow; rescale them")
+    return cols[chosen].reshape(x.shape[0], k)
 
 
 # --- ridge / linear ----------------------------------------------------------

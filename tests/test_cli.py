@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,10 +13,11 @@ import pytest
 from genensemble import cli, decomposition
 from genensemble.data import (CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Schema, load_csv,
                               train_test_split)
-from genensemble.decomposition import mse_curve
+from genensemble.decomposition import ensemble_members, mse_curve
 from genensemble.generators import GeneratorSpec
-from genensemble.metrics import LONG_COLUMNS, MetricSpec, read_long_csv, write_long_csv
-from genensemble.predictors import parse_predictor
+from genensemble.metrics import (LONG_COLUMNS, MEAN, MetricSpec, read_long_csv, score_prefixes,
+                                 write_long_csv)
+from genensemble.predictors import PredictorSpec, parse_predictor
 from genensemble.rng import child_seed
 
 PROCESS_CONFIG = """\
@@ -58,10 +60,6 @@ r_y = 100
 [nested_var]
 r_theta = 4
 s_per_theta = 3
-
-[forest]
-t_max = 4
-metrics = mse
 """
 
 
@@ -90,10 +88,6 @@ m_values = 1, 2, 4
 repeats = 2
 metrics = cross_entropy, brier_binary
 averaging = mean, dual_log_prob
-
-[forest]
-t_max = 3
-metrics = brier_binary
 """
 
 
@@ -201,58 +195,19 @@ class TestPipeline:
         assert report["status"] == "ok"
         assert set(report["terms"]) >= {"mse", "mv", "sdv", "rdv", "noise"}
 
-    def test_nested_var_and_forest(self, config):
+    def test_nested_var(self, config):
         cfg, out = config
         assert cli.main(["nested-var", "--config", str(cfg), "--output", str(out)]) == 0
         summary = json.loads((out / "nested_summary.json").read_text())
         assert "cart" in summary and "mv" in summary["cart"]
-        assert cli.main(["forest-curve", "--config", str(cfg),
-                         "--output", str(out)]) == 0
-        lines = (out / "forest_curve.csv").read_text().strip().splitlines()
-        assert len(lines) == 1 + 4
-
-    def test_forest_curve_writes_every_metric(self, tmp_path):
-        cfg = classification_config(tmp_path)
-        text = cfg.read_text(encoding="utf-8")
-
-        def run(metrics):
-            cfg.write_text(text.replace("t_max = 3\nmetrics = brier_binary",
-                                        f"t_max = 3\nmetrics = {metrics}"), encoding="utf-8")
-            out = tmp_path / metrics.replace(", ", "-")
-            assert cli.main(["forest-curve", "--config", str(cfg), "--output", str(out)]) == 0
-            return (out / "forest_curve.csv").read_text().splitlines()
-
-        both = run("brier_binary, cross_entropy")
-        assert [line.split(",")[1] for line in both[1:]] == (["brier_binary"] * 3 +
-                                                              ["cross_entropy"] * 3)
-        # each metric scores the trees its one-metric run scores
-        assert both[:4] == run("brier_binary")
-        assert both[4:] == run("cross_entropy")[1:]
-
-    def test_forest_curve_trains_once_for_every_metric(self, tmp_path, monkeypatch):
-        cfg = classification_config(tmp_path)
-        cfg.write_text(cfg.read_text(encoding="utf-8").replace(
-            "t_max = 3\nmetrics = brier_binary",
-            "t_max = 3\nmetrics = brier_binary, cross_entropy"), encoding="utf-8")
-        real_train, calls = decomposition.train, []
-
-        def counting_train(spec, *args, **kwargs):
-            calls.append(spec)
-            return real_train(spec, *args, **kwargs)
-
-        monkeypatch.setattr(decomposition, "train", counting_train)
-        assert cli.main(["forest-curve", "--config", str(cfg),
-                         "--output", str(tmp_path / "out")]) == 0
-        assert [spec.kind for spec in calls] == ["cart"] * 3
 
     def test_every_csv_ends_its_lines_with_crlf(self, config):
         cfg, out = config
-        for sub in ("generate", "curve", "predict-curve", "nested-var", "forest-curve"):
+        for sub in ("generate", "curve", "predict-curve", "nested-var"):
             assert cli.main([sub, "--config", str(cfg), "--output", str(out)]) == 0
         names = sorted(p.name for p in out.glob("*.csv"))
-        assert names == ["curve.csv", "forest_curve.csv", "nested_variance.csv",
-                         "predictions.csv", "synthetic_000.csv", "synthetic_001.csv",
-                         "synthetic_002.csv"]
+        assert names == ["curve.csv", "nested_variance.csv", "predictions.csv",
+                         "synthetic_000.csv", "synthetic_001.csv", "synthetic_002.csv"]
         for name in names:
             raw = (out / name).read_bytes()
             assert raw.endswith(b"\r\n") and raw.count(b"\n") == raw.count(b"\r\n"), name
@@ -338,14 +293,10 @@ m_values = 4
 [nested_var]
 r_theta = 2
 s_per_theta = 2
-
-[forest]
-t_max = 2
 """)
-        for sub in ("curve", "predict-curve", "nested-var", "forest-curve"):
+        for sub in ("curve", "predict-curve", "nested-var"):
             assert cli.main([sub, "--config", str(cfg), "--output", str(out)]) == 0
-        for name in ("curve.csv", "predictions.csv", "nested_variance.csv",
-                     "forest_curve.csv"):
+        for name in ("curve.csv", "predictions.csv", "nested_variance.csv"):
             with open(out / name, newline="", encoding="utf-8") as fh:
                 header, *rows = csv.reader(fh)
             assert rows and header[0] == "dataset"
@@ -564,18 +515,12 @@ class TestCurveValidation:
         (classification_config, "curve", "metrics = cross_entropy, brier_binary",
          "metrics = cross_entropy, mse",
          "[curve] metrics: metric 'mse' is incompatible with task 'classification'"),
-        (classification_config, "forest-curve", "metrics = brier_binary",
-         "metrics = mse",
-         "[forest] metrics: metric 'mse' is incompatible with task 'classification'"),
         (process_config, "curve", "repeats = 2\nmetrics = mse",
          "repeats = 2\nmetrics = mse\naveraging = dual_log_prob",
          "[curve] averaging: dual_log_prob averaging requires a classification task"),
         (process_config, "curve", "repeats = 2\nmetrics = mse",
          "repeats = 2\nmetrics = brier_binary",
          "[curve] metrics: metric 'brier_binary' is incompatible with task 'regression'"),
-        (process_config, "forest-curve", "t_max = 4\nmetrics = mse",
-         "t_max = 4\nmetrics = cross_entropy",
-         "[forest] metrics: metric 'cross_entropy' is incompatible with task 'regression'"),
         (classification_config, "curve", "specs = knn:3, cart", "specs = ridge:1.0",
          "[predictors] specs: ridge:1.0: ridge supports regression only"),
         (classification_config, "curve", "specs = knn:3, cart", "specs = knn:3, linear",
@@ -601,8 +546,6 @@ class TestCurveValidation:
          "[predictors] specs: two specs share the label 'ridge0.123457'"),
         (process_config, "nested-var", "r_theta = 4\ns_per_theta = 3",
          "r_theta = 1\ns_per_theta = 3", "[nested_var] r_theta must be >= 2"),
-        (process_config, "forest-curve", "t_max = 4", "t_max = 1",
-         "[forest] t_max must be >= 2"),
         (process_config, "generate", "mode = independent\nm = 3",
          "mode = independent\nm = 0", "[generator]: m must be >= 1"),
         (process_config, "generate", "mode = independent", "mode = bogus",
@@ -624,21 +567,17 @@ class TestCurveValidation:
         (process_config, "curve", "n_test = 30", "n_test = 0", "[data] n_test must be >= 1"),
         (process_config, "nested-var", "n_test = 30", "n_test = 0",
          "[data] n_test must be >= 1"),
-        (process_config, "forest-curve", "n_test = 30", "n_test = 0",
-         "[data] n_test must be >= 1"),
         (process_config, "nested-var", "n = 40", "n = 0", "[data] n must be >= 1"),
         (process_config, "curve", "specs = cart, ridge:1.0", "specs = ,",
          "[predictors] specs lists no item"),
-    ], ids=["bogus-averaging", "mse-on-classification", "forest-mse-on-classification",
-            "dual-on-regression", "brier-on-regression", "forest-cross-entropy-on-regression",
-            "ridge-on-classification", "linear-on-classification", "logistic-on-regression",
-            "ridge-nan", "ridge-inf", "ridge-negative", "knn-zero", "bagged-zero",
-            "duplicate-label", "labels-equal-under-g", "nested-r-theta-one", "forest-t-max-one",
+    ], ids=["bogus-averaging", "mse-on-classification", "dual-on-regression",
+            "brier-on-regression", "ridge-on-classification", "linear-on-classification",
+            "logistic-on-regression", "ridge-nan", "ridge-inf", "ridge-negative", "knn-zero",
+            "bagged-zero", "duplicate-label", "labels-equal-under-g", "nested-r-theta-one",
             "generate-m-zero", "bogus-mode", "shared-summary-without-dp",
             "split-budget-without-dp", "test-fraction-above-one", "test-fraction-empty-test",
             "identity-not-boolean", "r-real-not-int", "unknown-process", "curve-n-test-zero",
-            "nested-n-test-zero", "forest-n-test-zero", "nested-n-zero",
-            "no-specs"])
+            "nested-n-test-zero", "nested-n-zero", "no-specs"])
     def test_bad_option_is_a_config_error(self, tmp_path, make_config, subcommand, old, new,
                                           message, capsys):
         cfg = make_config(tmp_path)
@@ -704,14 +643,70 @@ class TestCurveMatchesLibrary:
         assert (out / "curve.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes about 1 s to import, which every CLI run would pay;
-    # only a Gaussian-PPD fit loads it
+class TestForestCurve:
+    def test_bootstrap_cart_curve_feeds_predict_curve(self, tmp_path):
+        # a forest curve is a curve run: bootstrap generator, cart, one repeat
+        out = tmp_path / "out"
+        text = PROCESS_CONFIG.format(curve_csv=out / "curve.csv")
+        for old, new in [("specs = cart, ridge:1.0", "specs = cart"),
+                         ("m_values = 1, 2, 4\nrepeats = 2", "m_values = 1 2 4\nrepeats = 1")]:
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        cfg = write_config(tmp_path, text)
+        assert cli.main(["curve", "--config", str(cfg), "--output", str(out)]) == 0
+        # tree t of the forest grows on the repeat-0 bootstrap stream
+        data, test, _ = cli._load_data(cli._read_config(str(cfg))[0], 42)
+        block, y = ensemble_members(GeneratorSpec("bootstrap"), data,
+                                    PredictorSpec("cart", "regression"), test, 4,
+                                    child_seed(42, "repeat", 0))
+        trees = score_prefixes(block, y, [1, 2, 4], MEAN, MetricSpec("mse"), "regression")
+        rows = read_long_csv(out / "curve.csv")
+        assert [(row["predictor"], row["m"], row["repeat"], row["score"]) for row in rows] == [
+            ("cart", t, 0, result.score) for t, result in trees.items()]
+        assert cli.main(["predict-curve", "--config", str(cfg), "--output", str(out)]) == 0
+        with open(out / "predictions.csv", newline="", encoding="utf-8") as fh:
+            header, *predicted = csv.reader(fh)
+        assert [row[header.index("m")] for row in predicted] == ["1", "2", "4", "8"]
+
+
+def test_readme_config_runs_curve_and_predict_curve(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```ini\n(\[experiment\].*?)```", readme, re.DOTALL).group(1)
+    cfg = write_config(tmp_path, block)
+    monkeypatch.chdir(tmp_path)              # the block reads out/curve.csv
+    for sub in ("curve", "predict-curve"):
+        assert cli.main([sub, "--config", str(cfg), "--output", "out"]) == 0
+    assert (tmp_path / "out" / "predictions.csv").exists()
+
+
+def _run_module(*args):
+    """python args... with src/ on the path: the completed process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = ("import sys, genensemble, genensemble.cli; "
-             "print('scipy.stats' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about 1 s to import, which every CLI run would pay;
+    # only a Gaussian-PPD fit loads it
+    out = _run_module("-c", "import sys, genensemble, genensemble.cli; "
+                            "print('scipy.stats' in sys.modules)")
+    assert out.returncode == 0 and out.stdout.strip() == "False"
+
+
+def test_entrypoint_exit_codes(tmp_path):
+    curve = tmp_path / "curve.csv"
+    curve.write_text(",".join(LONG_COLUMNS) + "\n"
+                     "d,b,i,cart,mean,mse,1,0,2.0,0.1\nd,b,i,cart,mean,mse,2,0,1.5,0.1\n",
+                     encoding="utf-8")
+    cfg = write_config(tmp_path, f"[predict_curve]\ncurve_csv = {curve}\nm_values = 4\n")
+
+    def run(sub, config):
+        return _run_module("-m", "genensemble.cli", sub, "--config", config,
+                           "--output", str(tmp_path / "out"))
+
+    assert run("predict-curve", str(cfg)).returncode == 0
+    assert run("curve", str(tmp_path / "missing.cfg")).returncode == 1
+    removed = run("forest-curve", str(cfg))
+    assert removed.returncode == 2 and "invalid choice: 'forest-curve'" in removed.stderr

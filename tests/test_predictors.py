@@ -105,6 +105,15 @@ class TestCart:
         model = train(PredictorSpec("cart", "regression"), reg_matrix(x, y))
         assert list(predict_batch(model, x)) == list(y)
 
+    def test_interpolates_tiny_targets_beside_huge_ones(self):
+        # the node [1, 5e-324, 5e-324] shares a band with the node holding M;
+        # scaled by M's power of two its centred squares vanished
+        big = np.finfo(np.float64).max
+        x = np.array([[2.0], [1.0], [0.0], [3.0], [4.0]])
+        y = np.array([1.0, 5e-324, 5e-324, big, -1e-320])
+        model = train(PredictorSpec("cart", "regression"), reg_matrix(x, y))
+        assert list(predict_batch(model, x)) == list(y)
+
     def test_targets_whose_mean_overflows_rejected(self):
         big = np.finfo(np.float64).max
         with pytest.raises(ValueError, match="mean of the regression targets overflows"):
@@ -307,6 +316,16 @@ class TestKnnReference:
         # (9e153 + 9e153) ** 2 overflows, but row 1 is no candidate
         model = _knn_model("regression", [[0.0], [-9e153]], [1.0, 2.0], 1)
         assert predict_batch(model, [[9e153]])[0] == 1.0
+
+    @pytest.mark.parametrize("k, want", [(1, 1.0), (2, 1.5), (3, None)])
+    def test_only_a_chosen_overflowing_distance_refused(self, k, want):
+        # 1e155 ** 2 overflows, so every row is a candidate; only k = 3 chooses it
+        model = _knn_model("regression", [[0.0], [1.0], [1e155]], [1.0, 2.0, 3.0], k)
+        if want is None:
+            with pytest.raises(ValueError, match="squared distances between the features"):
+                predict_batch(model, [[0.0]])
+        else:
+            assert predict_batch(model, [[0.0]])[0] == want
 
 
 class TestKnn:
