@@ -15,6 +15,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -159,12 +160,15 @@ def _load_data(cfg, seed: int) -> tuple[Dataset, Dataset | None, str]:
 
 def _generator_spec(cfg) -> GeneratorSpec:
     kind = _get(cfg, "generator", "kind", required=True)
+    epsilon = _get(cfg, "generator", "epsilon", convert=float)
+    if epsilon is not None and not math.isfinite(epsilon):
+        raise ConfigError("[generator] epsilon must be finite")
     with _config_errors("[generator]"):
         return GeneratorSpec(
             kind=kind,
             n_synthetic=_get(cfg, "generator", "n_synthetic", convert=int),
             identity=_get(cfg, "generator", "identity", default=False, convert=bool),
-            epsilon=_get(cfg, "generator", "epsilon", convert=float),
+            epsilon=epsilon,
             delta=_get(cfg, "generator", "delta", convert=float),
             process=_get(cfg, "generator", "process"),
         )
@@ -213,9 +217,9 @@ class _OutputTracker:
         return p
 
     def write_json(self, name: str, obj) -> None:
-        """Write obj as JSON: indent 2, sorted keys and a final newline."""
-        self.path(name).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
-                                   encoding="utf-8")
+        """Write obj as JSON: indent 2, sorted keys, a final newline, no NaN or inf."""
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+        self.path(name).write_text(text + "\n", encoding="utf-8")
 
     def cleanup(self):
         for p in self.written:

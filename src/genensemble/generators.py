@@ -43,6 +43,8 @@ class GeneratorSpec:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.n_synthetic is not None:
             object.__setattr__(self, "n_synthetic", check_count(self.n_synthetic, "n_synthetic"))
+        if self.identity and (self.kind != BOOTSTRAP or self.n_synthetic is not None):
+            raise ValueError("identity needs the bootstrap generator and no n_synthetic")
         if self.kind == NOISY_MARGINAL_DP:
             if self.epsilon is None or self.delta is None:
                 raise ValueError("noisy_marginal_dp needs epsilon and delta")

@@ -130,17 +130,17 @@ def _node_value(y, n_classes, task):
     return np.bincount(y, minlength=n_classes) / y.size
 
 
-# Unless a band's largest centred regression target lies within
-# [2**-_TARGET_EXP, 2**_TARGET_EXP], where sums of their squares cannot
-# overflow and the largest square is a normal float, the split search scales
-# each node's centred targets by the power of two that brings the node's
-# largest into [0.5, 1); ordinary targets keep their bits.
+# A regression node whose largest |target| is nonzero and outside
+# [2**-_TARGET_EXP, 2**_TARGET_EXP] has its targets scaled by the power of two
+# that brings that largest into [0.5, 1), and its value scaled back. Inside the
+# range sums and sums of squared centred targets cannot overflow, and an impure
+# node's largest centred square is a normal float.
 _TARGET_EXP = 256
-# Where a node's regression targets could sum past 2**_SUM_EXP, the node's
-# targets are scaled down by a power of two until they cannot, which also
-# keeps its centred targets below twice that; its value is scaled back. Only
-# trees with a target of at least 2**(_SUM_EXP - bit_length(n)) check this.
-_SUM_EXP = 1022
+
+
+def _out_of_range(magnitude):
+    return (magnitude > 0) & ((magnitude < 2.0 ** -_TARGET_EXP) | (magnitude > 2.0 ** _TARGET_EXP))
+
 
 # A level's padded (nodes x widest node) blocks may hold this many cells, or
 # twice the level's rows if more; beyond that the nodes go in size bands.
@@ -169,11 +169,9 @@ def _band_splits(xo, yo, node, counts, task, n_classes):
     The rows of node i lie contiguously in xo, yo (node[p] == i), in their
     original order. Regression sums are sequential and the targets are
     centred at the node mean before they are squared, so a large target
-    offset does not cancel. Centred targets too large or too small to square
-    are scaled node by node by a power of two, which is exact and so keeps
-    the order of each node's scores; node values are not scaled. Features
-    are scanned in ascending order with strict improvement, and argmin picks
-    the lowest midpoint, which is the tie-break contract.
+    offset does not cancel. Features are scanned in ascending order with
+    strict improvement, and argmin picks the lowest midpoint, which is the
+    tie-break contract.
     """
     k, width = counts.size, int(counts.max())
     n_rows = counts[:, None]
@@ -183,10 +181,6 @@ def _band_splits(xo, yo, node, counts, task, n_classes):
         last = cell[starts + counts - 1]      # block cell of each node's last row
         mean = _prefix_sums(yo, cell, (k, width)).reshape(-1)[last] / counts
         targets = yo - mean[node]
-        top = float(np.abs(targets).max())
-        if top > 0 and not 2.0 ** -_TARGET_EXP <= top <= 2.0 ** _TARGET_EXP:
-            node_top = np.maximum.reduceat(np.abs(targets), starts)
-            targets = np.ldexp(targets, -np.frexp(node_top)[1][node])
         impurity = _prefix_sums(targets * targets, cell, (k, width))[:, -1] / counts
         value = mean
         impure = np.maximum.reduceat(yo, starts) != np.minimum.reduceat(yo, starts)
@@ -272,20 +266,19 @@ def _grow_tree(x, y, task, n_classes):
     Nodes are numbered level by level, so the r-th split node (from 0) has
     children 2r + 1 and 2r + 2.
     """
-    huge = (task == "regression"
-            and np.abs(y).max() >= 2.0 ** (_SUM_EXP - y.size.bit_length()))
+    scale = task == "regression" and _out_of_range(np.abs(y)).any()
     levels = []                      # (feature, threshold, value) per level
     rows = np.arange(y.size)
     node = np.zeros(y.size, dtype=np.intp)
     counts = np.array([y.size])
     while rows.size:
-        yo = y[rows]
-        if huge:
+        yo = y[rows]                 # raw each level: a node scales on its own
+        if scale:
             top = np.maximum.reduceat(np.abs(yo), counts.cumsum() - counts)
-            shift = np.maximum(np.frexp(top)[1] + np.frexp(counts)[1] - _SUM_EXP, 0)
-            yo = np.ldexp(yo, -shift[node])
+            shift = np.where(_out_of_range(top), -np.frexp(top)[1], 0)
+            yo = np.ldexp(yo, shift[node])
         value, feature, threshold = _level_splits(x[rows], yo, node, counts, task, n_classes)
-        levels.append((feature, threshold, np.ldexp(value, shift) if huge else value))
+        levels.append((feature, threshold, np.ldexp(value, -shift) if scale else value))
         split = feature >= 0
         rank = split.cumsum() - 1    # index of a split node among the level's splits
         keep = split[node]

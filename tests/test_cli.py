@@ -303,7 +303,8 @@ s_per_theta = 2
             assert all(len(row) == len(header) and row[0] == "my,data" for row in rows), name
 
 
-def test_generate_with_large_epsilon(tmp_path):
+def dp_config(tmp_path, epsilon):
+    """A generate config for the DP generator on a small categorical CSV."""
     rng = np.random.default_rng(3)
     lines = ["a,y"] + [f"l{a},{('no', 'yes')[t]}" for a, t in rng.integers(0, 2, size=(20, 2))]
     data_path = tmp_path / "cat.csv"
@@ -323,13 +324,28 @@ y = categorical(no|yes) target
 
 [generator]
 kind = noisy_marginal_dp
-epsilon = 1e6
+epsilon = {epsilon}
 delta = 1e-6
 m = 2
 """)
+    return cfg
+
+
+def test_generate_with_large_epsilon(tmp_path):
     out = tmp_path / "out"
-    assert cli.main(["generate", "--config", str(cfg), "--output", str(out)]) == 0
+    assert cli.main(["generate", "--config", str(dp_config(tmp_path, "1e6")),
+                     "--output", str(out)]) == 0
     assert (out / "synthetic_001.csv").exists()
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "-inf", "nan"])
+def test_generate_refuses_a_non_finite_epsilon(tmp_path, epsilon, capsys):
+    # an infinite budget wrote Infinity, which is not JSON, into provenance.json
+    out = tmp_path / "out"
+    assert cli.main(["generate", "--config", str(dp_config(tmp_path, epsilon)),
+                     "--output", str(out)]) == 1
+    assert "config error: [generator] epsilon must be finite" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 class TestValidation:
@@ -405,6 +421,15 @@ method = two_point
         assert cli.main(["decompose", "--config", str(cfg),
                          "--output", str(out)]) == 3
         assert (out / "report.json").exists()
+
+    def test_nan_in_a_json_output_is_a_runtime_failure(self, config, monkeypatch, capsys):
+        cfg, out = config
+        from genensemble.generators import EnsembleProvenance
+        monkeypatch.setattr(EnsembleProvenance, "to_json_dict",
+                            lambda self: {"rho_total": float("nan")})
+        assert cli.main(["generate", "--config", str(cfg), "--output", str(out)]) == 2
+        assert "not JSON compliant" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
     def test_runtime_failure_cleans_partial_outputs(self, config, monkeypatch):
         cfg, out = config
@@ -560,6 +585,9 @@ class TestCurveValidation:
          "[data]: test_fraction 0.01 of 40 rows leaves the test set empty"),
         (process_config, "generate", "mode = independent", "mode = independent\nidentity = maybe",
          "[generator] identity = 'maybe' is not a valid boolean"),
+        (process_config, "curve", "mode = independent",
+         "mode = independent\nidentity = true\nn_synthetic = 5",
+         "[generator]: identity needs the bootstrap generator and no n_synthetic"),
         (process_config, "decompose", "r_real = 30", "r_real = x",
          "[decompose] r_real = 'x' is not a valid int"),
         (process_config, "curve", "process = gaussian_toy\nn = 40", "process = nope\nn = 40",
@@ -576,8 +604,9 @@ class TestCurveValidation:
             "bagged-zero", "duplicate-label", "labels-equal-under-g", "nested-r-theta-one",
             "generate-m-zero", "bogus-mode", "shared-summary-without-dp",
             "split-budget-without-dp", "test-fraction-above-one", "test-fraction-empty-test",
-            "identity-not-boolean", "r-real-not-int", "unknown-process", "curve-n-test-zero",
-            "nested-n-test-zero", "nested-n-zero", "no-specs"])
+            "identity-not-boolean", "identity-with-n-synthetic", "r-real-not-int",
+            "unknown-process", "curve-n-test-zero", "nested-n-test-zero", "nested-n-zero",
+            "no-specs"])
     def test_bad_option_is_a_config_error(self, tmp_path, make_config, subcommand, old, new,
                                           message, capsys):
         cfg = make_config(tmp_path)

@@ -209,6 +209,16 @@ class TestSummaryPosterior:
         assert abs(draws.mean() - 0.75) <= max(4.0 * se, 1e-6)
 
 
+class TestGeneratorSpec:
+    @pytest.mark.parametrize("kind, n_synthetic", [("bootstrap", 5), ("gaussian_ppd", None)])
+    def test_identity_refused_where_it_would_be_ignored_or_misreported(self, kind,
+                                                                       n_synthetic):
+        # identity datasets hold every training row, whatever n_synthetic says,
+        # and only the bootstrap generator reads the flag
+        with pytest.raises(ValueError, match="identity needs the bootstrap generator"):
+            GeneratorSpec(kind, identity=True, n_synthetic=n_synthetic)
+
+
 class TestGenerateEnsemble:
     def test_independent_bootstrap(self):
         data = Dataset(NUM_SCHEMA, np.arange(20.0).reshape(10, 2))

@@ -12,6 +12,12 @@ from genensemble.predictors import (_KINDS, _KNN_CELLS, KINDS, PredictorSpec, _c
 from genensemble.rng import child_rng
 
 
+_BIG = np.finfo(np.float64).max
+# targets at the float limit, beyond the squaring range, ordinary and subnormal
+_EXTREME = [_BIG, -_BIG, _BIG / 3, -0.7 * _BIG, -3e307, 1e300, 1.0, 2.5, 0.0, 5e-324,
+            -1e-320, -1e-300]
+
+
 def reg_matrix(x, y):
     return FeatureMatrix(x=np.asarray(x, dtype=float), y=np.asarray(y, dtype=float),
                          task="regression")
@@ -105,14 +111,32 @@ class TestCart:
         model = train(PredictorSpec("cart", "regression"), reg_matrix(x, y))
         assert list(predict_batch(model, x)) == list(y)
 
-    def test_interpolates_tiny_targets_beside_huge_ones(self):
+    @pytest.mark.parametrize("x, y", [
         # the node [1, 5e-324, 5e-324] shares a band with the node holding M;
         # scaled by M's power of two its centred squares vanished
-        big = np.finfo(np.float64).max
-        x = np.array([[2.0], [1.0], [0.0], [3.0], [4.0]])
-        y = np.array([1.0, 5e-324, 5e-324, big, -1e-320])
+        ([2.0, 1.0, 0.0, 3.0, 4.0], [1.0, 5e-324, 5e-324, _BIG, -1e-320]),
+        # [0, 5e-324] shares a band with ordinary targets, which kept it unscaled
+        ([0.0, 1.0, 2.0, 3.0], [1.0, 2.5, 0.0, 5e-324]),
+        # [-1e-300, 5e-324] shared a node with -1.26e308 and underflowed
+        ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0.0, -1e-300, 5e-324, -1.26e308, 2.5, -1e-300])],
+        ids=["band", "ordinary", "underflow"])
+    def test_interpolates_tiny_targets_beside_huge_ones(self, x, y):
+        x, y = np.array(x)[:, None], np.array(y)
         model = train(PredictorSpec("cart", "regression"), reg_matrix(x, y))
-        assert list(predict_batch(model, x)) == list(y)
+        assert predict_batch(model, x).tobytes() == y.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_distinct_extreme_targets_interpolate_or_are_refused(self, data):
+        y = np.array(data.draw(st.lists(st.sampled_from(_EXTREME), min_size=2,
+                                        max_size=len(_EXTREME), unique=True)))
+        x = np.array(data.draw(st.permutations(range(y.size))), dtype=float)[:, None]
+        try:
+            model = train(PredictorSpec("cart", "regression"), reg_matrix(x, y))
+        except ValueError as exc:
+            assert "mean of the regression targets overflows" in str(exc)
+            return
+        assert predict_batch(model, x).tobytes() == y.tobytes()
 
     def test_targets_whose_mean_overflows_rejected(self):
         big = np.finfo(np.float64).max
