@@ -54,4 +54,13 @@ fit = ge.fit_rule_regression(curve)
 print(f"\nfit of the whole curve against 1 - 1/T: R^2 = {fit.r_squared:.4f}")
 print(f"predicted floor (T -> infinity): {fit.mse1 - fit.max_benefit:.4f}; "
       f"measured at T = {t_max}: {curve[t_max]:.4f}")
+
+# the bagged_trees predictor is the same forest as one model: its trees grow
+# together, each on its own bootstrap draw of the training rows
+forest = ge.train(ge.PredictorSpec("bagged_trees", "regression", n_trees=t_max),
+                  ge.encode(train, train, False), seed=17)
+scored = ge.encode(train, test, False)
+forest_mse = np.mean((ge.predict_batch(forest, scored.x) - scored.y) ** 2)
+print(f"one bagged_trees:{t_max} model: test mse {forest_mse:.4f} "
+      f"(the curve's T = {t_max}: {curve[t_max]:.4f})")
 print("\nTwo trees already deliver half of everything a full forest will.")

@@ -18,6 +18,9 @@ no neighbour is lost. Only the candidates' exact distances, reduced along the
 contiguous feature axis as a per-row loop reduces them, decide the order, so
 the output bits do not depend on BLAS or its threads. A chosen neighbour's
 distance that overflows is refused.
+
+A bagged_trees forest is one CART grown from T roots, its bootstrap draws; a
+forest whose mean prediction overflows is refused.
 """
 from __future__ import annotations
 
@@ -111,11 +114,11 @@ class TrainedModel:
 
 @dataclass(frozen=True)
 class _Tree:
-    """A grown CART as flat node arrays, the root at node 0.
-
-    At a leaf, feature, left and right are -1 and threshold is 0. value holds
-    every node's mean target (regression) or class frequencies
-    (classification, one row each).
+    """Grown CARTs as flat node arrays, roots at nodes 0 to T - 1: one for a
+    cart, one per bootstrap draw for a bagged_trees forest. At a leaf, feature,
+    left and right are -1 and threshold is 0. value holds every node's mean
+    target (regression) or class frequencies (classification, one row each).
+    Predictions average the trees, so a cart leaf of -0.0 predicts +0.0.
     """
     feature: np.ndarray
     threshold: np.ndarray
@@ -258,19 +261,20 @@ def _level_splits(xo, yo, node, counts, task, n_classes):
     return value, feature, threshold
 
 
-def _grow_tree(x, y, task, n_classes):
-    """Grow a CART one level at a time until every leaf is pure or unsplittable.
-
-    The rows of each open node of a level lie contiguously in `rows`, in
-    their original order; a split node's rows move on, left child first.
-    Nodes are numbered level by level, so the r-th split node (from 0) has
-    children 2r + 1 and 2r + 2.
+def _grow_tree(x, y, task, n_classes, roots=None):
+    """Grow a CART from each root index array idx (by default one root of every
+    row) until every leaf is pure or unsplittable; tree idx is the CART grown
+    alone on x[idx], y[idx]. All trees grow a level at a time: the rows of each
+    open node lie contiguously in `rows`, in their original order, and a split
+    node's rows move on, left child first. Roots are nodes 0 to T - 1; the r-th
+    split node (from 0) has children T + 2r and T + 2r + 1.
     """
+    roots = [np.arange(y.size)] if roots is None else roots
     scale = task == "regression" and _out_of_range(np.abs(y)).any()
     levels = []                      # (feature, threshold, value) per level
-    rows = np.arange(y.size)
-    node = np.zeros(y.size, dtype=np.intp)
-    counts = np.array([y.size])
+    rows = np.concatenate(roots)
+    counts = np.array([root.size for root in roots])
+    node = np.repeat(np.arange(counts.size), counts)
     while rows.size:
         yo = y[rows]                 # raw each level: a node scales on its own
         if scale:
@@ -290,27 +294,26 @@ def _grow_tree(x, y, task, n_classes):
         counts = np.bincount(node, minlength=2 * np.count_nonzero(split))
     feature, threshold, value = (np.concatenate(arrays) for arrays in zip(*levels))
     split = feature >= 0
-    left = np.where(split, 2 * split.cumsum() - 1, -1)
+    left = np.where(split, len(roots) - 2 + 2 * split.cumsum(), -1)
     return _Tree(feature, threshold, left, np.where(split, left + 1, -1), value)
 
 
 def _tree_predict_rows(tree, x):
-    """Leaf value of each row of x: (n,) for regression, (n, K) probabilities.
-
-    All rows descend together, one level per step; a row that has reached
-    its leaf stays there.
+    """Leaf value of every (tree, row) pair, (T, n) for regression or (T, n, K)
+    probabilities, T = nodes - 2 * splits. All pairs descend together, one
+    level per step; a pair that has reached its leaf stays there.
     """
     leaf = tree.feature < 0
     here = np.arange(leaf.size)
     left, right = np.where(leaf, here, tree.left), np.where(leaf, here, tree.right)
-    rows = np.arange(x.shape[0])
-    node = np.zeros(x.shape[0], dtype=np.intp)
+    n_roots, n = 2 * np.count_nonzero(leaf) - leaf.size, x.shape[0]
+    node, rows = np.divmod(np.arange(n_roots * n), n)
     feature = tree.feature[node]
     while np.count_nonzero(feature >= 0):
         go_left = x[rows, feature] <= tree.threshold[node]
         node = np.where(go_left, left[node], right[node])
         feature = tree.feature[node]
-    return tree.value[node]
+    return tree.value[node].reshape((n_roots, n) + tree.value.shape[1:])
 
 
 # --- kNN ---------------------------------------------------------------------
@@ -440,20 +443,15 @@ def train(spec: PredictorSpec, data: FeatureMatrix, seed: int = 0) -> TrainedMod
         state = _node_value(y, data.n_classes, data.task)
     elif spec.kind == "knn":
         state = (x.copy(), y.copy(), spec.k)
-    elif spec.kind == "cart":
-        state = _grow_tree(x, y, data.task, data.n_classes)
+    elif spec.kind in ("cart", "bagged_trees"):
+        draws = [child_rng(seed, "tree", t).integers(0, data.n, size=data.n)
+                 for t in range(spec.n_trees)] if spec.kind == "bagged_trees" else None
+        state = _grow_tree(x, y, data.task, data.n_classes, draws)
     elif spec.kind in ("ridge", "linear"):
         lam = spec.lam if spec.kind == "ridge" else 0.0
         state = _fit_ridge(x, y, lam)
     elif spec.kind == "logistic":
         state = _fit_logistic(x, y, data.n_classes, spec.lam)
-    elif spec.kind == "bagged_trees":
-        trees = []
-        for t in range(spec.n_trees):
-            rng = child_rng(seed, "tree", t)
-            idx = rng.integers(0, data.n, size=data.n)
-            trees.append(_grow_tree(x[idx], y[idx], data.task, data.n_classes))
-        state = trees
     else:
         raise ValueError(f"unknown predictor kind {spec.kind!r}")
     return TrainedModel(kind=spec.kind, task=spec.task, fingerprint=fingerprint, state=state)
@@ -494,8 +492,12 @@ def predict_batch(model: TrainedModel, x: np.ndarray) -> np.ndarray:
         counts = np.bincount(labels.reshape(-1), minlength=n * n_classes)
         return counts.reshape(n, n_classes) / nearest.shape[1]
 
-    if model.kind == "cart":
-        return _tree_predict_rows(model.state, x)
+    if model.kind in ("cart", "bagged_trees"):
+        with np.errstate(over="ignore"):
+            mean = _tree_predict_rows(model.state, x).mean(axis=0)
+        if not np.isfinite(mean).all():
+            raise ValueError("the mean of the trees' predictions overflows")
+        return mean
 
     if model.kind in ("ridge", "linear"):
         coef, intercept = model.state
@@ -504,9 +506,6 @@ def predict_batch(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     if model.kind == "logistic":
         w, b = model.state
         return softmax(x @ w + b)
-
-    if model.kind == "bagged_trees":
-        return np.asarray([_tree_predict_rows(t, x) for t in model.state]).mean(axis=0)
 
     raise ValueError(f"unknown predictor kind {model.kind!r}")
 

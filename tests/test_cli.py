@@ -671,6 +671,22 @@ class TestCurveMatchesLibrary:
         write_long_csv(tmp_path / "library.csv", rows)
         assert (out / "curve.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
 
+    def test_bagged_trees_curve_is_the_library_curve(self, tmp_path):
+        text = PROCESS_CONFIG.format(curve_csv=tmp_path / "out" / "curve.csv")
+        assert text.count("specs = cart, ridge:1.0") == 1
+        cfg = write_config(tmp_path, text.replace("specs = cart, ridge:1.0",
+                                                  "specs = bagged_trees:3"))
+        out = tmp_path / "out"
+        assert cli.main(["curve", "--config", str(cfg), "--output", str(out)]) == 0
+        assert cli.main(["nested-var", "--config", str(cfg), "--output", str(out)]) == 0
+        assert list(json.loads((out / "nested_summary.json").read_text())) == ["bagged3"]
+
+        data, test, label = cli._load_data(cli._read_config(str(cfg))[0], 42)
+        curve = mse_curve(GeneratorSpec("bootstrap"), data, "bagged_trees:3", test,
+                          [1, 2, 4], 2, seed=42, dataset_label=label)
+        write_long_csv(tmp_path / "library.csv", curve.rows)
+        assert (out / "curve.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+
 
 class TestForestCurve:
     def test_bootstrap_cart_curve_feeds_predict_curve(self, tmp_path):

@@ -1031,7 +1031,7 @@ class TestForestCurve:
         for t, ds in enumerate(datasets, start=1):
             fm, fm_test = encode(ds, ds, False), encode(ds, test, False)
             tree = _grow_tree(fm.x, fm.y, task, fm.n_classes)
-            running = running + _tree_predict_rows(tree, fm_test.x)
+            running = running + _tree_predict_rows(tree, fm_test.x)[0]
             expected = score_predictions(running / t, fm_test.y, MetricSpec(metric), task)
             assert curve[t] == expected.score
 
@@ -1065,7 +1065,7 @@ class TestForestCurve:
             idx = make_rng(child_seed(child_seed(seed, "member", t), "sample")).integers(
                 0, n, size=n)
             tree = _grow_tree(x[idx], y[idx], task, n_classes)
-            assert member.tobytes() == _tree_predict_rows(tree, x_test).tobytes()
+            assert member.tobytes() == (_tree_predict_rows(tree, x_test)[0] + 0.0).tobytes()
 
 
 class TestCurveRepeatValidation:

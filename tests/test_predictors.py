@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genensemble import predictors
 from genensemble.data import FeatureMatrix
 from genensemble.metrics import (DUAL_LOG_PROB, MEAN, PROB_SUM_TOL,
                                  combine_predictions)
@@ -163,9 +166,15 @@ def reference_tree(x, y, task, n_classes):
     (feature, threshold, left subtree, right subtree)."""
     n = y.size
     if task == "regression":
-        value = np.cumsum(y)[-1] / n
-        targets = y - value
+        # the range rule: a node whose largest |target| lies outside
+        # [2**-256, 2**256] splits on targets scaled into [0.5, 1)
+        top = np.max(np.abs(y))
+        shift = -np.frexp(top)[1] if top > 0 and not 2.0**-256 <= top <= 2.0**256 else 0
+        scaled = np.ldexp(y, shift)
+        value = np.cumsum(scaled)[-1] / n
+        targets = scaled - value
         impurity = np.cumsum(targets * targets)[-1] / n
+        value = np.ldexp(value, -shift)
     else:
         value = np.bincount(y, minlength=n_classes) / n
         impurity = 1.0 - np.sum(value ** 2)
@@ -200,6 +209,13 @@ def reference_tree(x, y, task, n_classes):
             reference_tree(x[~mask], y[~mask], task, n_classes))
 
 
+def reference_predict(reference, row):
+    while isinstance(reference, tuple):
+        feature, threshold, left, right = reference
+        reference = left if row[feature] <= threshold else right
+    return reference
+
+
 def assert_same_tree(reference, tree, node=0):
     """Node by node in preorder, comparing thresholds and values bit for bit."""
     if not isinstance(reference, tuple):
@@ -219,7 +235,6 @@ class TestCartReference:
     def test_matches_recursive_reference_bit_for_bit(self, task, block_cells,
                                                      monkeypatch):
         # block_cells 0 puts every level through the node-size bands
-        from genensemble import predictors
         monkeypatch.setattr(predictors, "_BLOCK_CELLS", block_cells)
         rng = np.random.default_rng(11)
         for trial in range(60):
@@ -443,10 +458,61 @@ class TestBaggedTrees:
         idx = child_rng(seed, "tree", 0).integers(0, 25, size=25)
         manual = _grow_tree(x[idx], y[idx], "regression", 0)
         grid = rng.normal(size=(40, 2))
-        bag_tree = bag.state[0]
-        manual_preds = list(_tree_predict_rows(manual, grid))
-        bag_preds = list(_tree_predict_rows(bag_tree, grid))
+        manual_preds = list(_tree_predict_rows(manual, grid)[0])
+        bag_preds = list(_tree_predict_rows(bag.state, grid)[0])
         assert manual_preds == bag_preds
+
+    @pytest.mark.parametrize("block_cells", [4096, 0])
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_forest_is_the_trees_grown_on_their_draws(self, task, block_cells, data):
+        # tree t is the reference CART on draw t's rows, and the forest predicts
+        # the mean of its trees' predictions, or refuses a mean that overflows
+        n, d = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 3))
+        n_trees, seed = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 2**32 - 1))
+        x = np.reshape(data.draw(st.lists(st.integers(-2, 2), min_size=n * d,
+                                          max_size=n * d)), (n, d)).astype(float)
+        if task == "regression":
+            y = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), float)
+            extreme = data.draw(st.lists(st.sampled_from(_EXTREME), max_size=n))
+            y[:len(extreme)] = extreme
+            fm, n_classes = reg_matrix(x, y), 0
+        else:
+            n_classes = data.draw(st.integers(2, 4))
+            y = np.array(data.draw(st.lists(st.integers(0, n_classes - 1), min_size=n,
+                                            max_size=n)))
+            fm = clf_matrix(x, y, n_classes)
+        with mock.patch.object(predictors, "_BLOCK_CELLS", block_cells):
+            try:
+                model = train(PredictorSpec("bagged_trees", task, n_trees=n_trees), fm, seed)
+            except ValueError as exc:
+                assert "mean of the regression targets overflows" in str(exc)
+                return
+        grid = np.vstack([x, x + 0.5])
+        refs = []
+        for t in range(n_trees):
+            idx = child_rng(seed, "tree", t).integers(0, n, size=n)
+            refs.append(reference_tree(x[idx], y[idx], task, n_classes))
+            assert_same_tree(refs[-1], model.state, node=t)
+        with np.errstate(over="ignore"):
+            expected = np.asarray([[reference_predict(ref, row) for row in grid]
+                                   for ref in refs]).mean(axis=0)
+        if np.isfinite(expected).all():
+            assert predict_batch(model, grid).tobytes() == expected.tobytes()
+        else:
+            with pytest.raises(ValueError, match="mean of the trees' predictions overflows"):
+                predict_batch(model, grid)
+
+    def test_forest_mean_that_overflows_is_refused(self):
+        big = np.finfo(np.float64).max
+        fm = reg_matrix([[0.0], [1.0], [2.0]], [big, -big, 0.0])
+        cart = train(PredictorSpec("cart", "regression"), fm)
+        assert list(predict_batch(cart, fm.x)) == [big, -big, 0.0]
+        for n_trees in (2, 10):
+            bag = train(PredictorSpec("bagged_trees", "regression", n_trees=n_trees), fm, 0)
+            with pytest.raises(ValueError, match="mean of the trees' predictions overflows"):
+                predict_batch(bag, fm.x)
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
