@@ -1,23 +1,23 @@
 """Estimators and Monte Carlo oracles for the error decompositions.
 
-Three layers live here:
+Five sections live here:
 
-* The rule-of-thumb machinery: an ensemble over m synthetic datasets removes
-  a (1 - 1/m) fraction of the maximal benefit MV + SDV, so the whole error
-  curve is predictable from measurements at one and two datasets (or from a
+* Rule of thumb: an ensemble over m synthetic datasets removes a (1 - 1/m)
+  fraction of the maximal benefit MV + SDV, so the whole error curve is
+  predictable from the errors at one and two datasets (or from a
   least-squares fit over several m).
-
-* The nested MV/SDV estimator: draw generator parameters several times, draw
-  several synthetic datasets per parameter draw, train the predictor on
-  each, and read the two variance components off the within/between split of
-  the prediction spread.
-
-* Verification oracles on fully specified truth processes: every term of the
-  squared-error decomposition (including the DP-summary and correlated
-  variants) is estimated by nested Monte Carlo from its own definition,
-  the total error is estimated independently from fresh draws, and the gap
-  between the two must vanish within Monte Carlo error. Standard errors come
-  from a nonparametric bootstrap over the outermost replication level.
+* Nested MV/SDV estimation: draw generator parameters several times, several
+  synthetic datasets per draw, train the predictor on each, and read the two
+  variance components off the within/between split of the prediction spread.
+* Oracle decomposition on truth processes: every term of the squared-error
+  decomposition (including the DP-summary and correlated variants) is
+  estimated by nested Monte Carlo from its own definition, the total error
+  is estimated independently from fresh draws, and the gap between the two
+  must vanish within Monte Carlo error. Standard errors come from a
+  nonparametric bootstrap over the outermost replication level.
+* Bregman bound on a truth process: the same chain with probability-vector
+  predictions checks the bound for dual-averaged ensembles.
+* Error curves over m: score the nested prefixes of one ensemble.
 """
 from __future__ import annotations
 
@@ -306,8 +306,8 @@ def _assemble(records: dict, mode: str, mc: MonteCarloConfig, f_value, idx) -> d
 
 class _Draws(NamedTuple):
     """The draws of one outer replicate of the chain."""
-    thetas: np.ndarray       # (r_theta,), or (summaries, r_theta) in shared-summary mode
-    grid: np.ndarray         # thetas.shape + (r_syn,) + point shape
+    thetas: np.ndarray       # (blocks, r_theta): one block per summary release, else one
+    grid: np.ndarray         # (blocks, r_theta, r_syn) + point shape
     pair_preds: np.ndarray | None  # (r_theta, 2) + point shape, correlated mode only
     members: np.ndarray      # (m,) + point shape: the direct ensemble's members
     rng_direct: np.random.Generator   # the direct chain's generator, for its outcomes
@@ -319,42 +319,39 @@ def _chain(process, outputs, mode, m, rho, mc: MonteCarloConfig, seed: int):
 
     outputs(rng, thetas, tag, r) returns one prediction per parameter draw in
     the array thetas, each made from its own synthetic dataset, with shape
-    thetas.shape + point shape. The estimate chain predicts from r_syn
-    synthetic datasets per parameter draw; the direct chain, from fresh draws
-    of everything, predicts once for each of the m ensemble members.
+    thetas.shape + point shape. The estimate chain draws its parameters in
+    blocks of r_theta, one per summary release in shared-summary mode and one
+    otherwise, and predicts from r_syn synthetic datasets per draw (shapes in
+    _Draws); the direct chain, from fresh draws of everything, predicts once
+    for each of the m ensemble members.
     """
-    def grid(rng, thetas, r):
-        return outputs(rng, np.repeat(thetas[:, None], mc.r_syn, axis=1), "grid", r)
+    def thetas(rng, real, size, correlated=False):
+        """One block of size parameter draws for the mode."""
+        if mode == SHARED_SUMMARY:
+            return process.sample_theta_from_summary(rng, process.sample_summary(rng, real),
+                                                     size)
+        if correlated:
+            return process.sample_theta_correlated(rng, real, 1, size, rho)[0]
+        return process.sample_theta(rng, real, size)
 
+    blocks = mc.summaries if mode == SHARED_SUMMARY else 1
     for r in range(mc.r_real):
         rng = child_rng(seed, "estimate", r)
         real = process.sample_real(rng)
-        if mode == SHARED_SUMMARY:
-            thetas, preds = np.empty((mc.summaries, mc.r_theta)), []
-            for s in range(mc.summaries):
-                summary = process.sample_summary(rng, real)
-                thetas[s] = process.sample_theta_from_summary(rng, summary, mc.r_theta)
-                preds.append(grid(rng, thetas[s], r))
-            preds = np.stack(preds)
-        else:
-            thetas = process.sample_theta(rng, real, mc.r_theta)
-            preds = grid(rng, thetas, r)
+        block_thetas, preds = np.empty((blocks, mc.r_theta)), []
+        for k in range(blocks):
+            block_thetas[k] = thetas(rng, real, mc.r_theta)
+            preds.append(outputs(rng, np.repeat(block_thetas[k][:, None], mc.r_syn, axis=1),
+                                 "grid", r))
         pair_preds = None
         if mode == CORRELATED:
             pairs = process.sample_theta_correlated(rng, real, mc.r_theta, 2, rho)
             pair_preds = outputs(rng, pairs, "covgrid", r)
 
         rng_d = child_rng(seed, "direct", r)
-        real_d = process.sample_real(rng_d)
-        if mode == SHARED_SUMMARY:
-            summary_d = process.sample_summary(rng_d, real_d)
-            thetas_d = process.sample_theta_from_summary(rng_d, summary_d, m)
-        elif mode == CORRELATED:
-            thetas_d = process.sample_theta_correlated(rng_d, real_d, 1, m, rho)[0]
-        else:
-            thetas_d = process.sample_theta(rng_d, real_d, m)
-        yield _Draws(thetas, preds, pair_preds, outputs(rng_d, thetas_d, "directgrid", r),
-                     rng_d)
+        thetas_d = thetas(rng_d, process.sample_real(rng_d), m, mode == CORRELATED)
+        yield _Draws(block_thetas, np.stack(preds), pair_preds,
+                     outputs(rng_d, thetas_d, "directgrid", r), rng_d)
 
 
 def _bootstrap_se(seed: int, r_real: int, statistic, width: int) -> dict[str, float]:
@@ -391,31 +388,18 @@ def _collect(chain, reduce) -> dict:
 
 def _squared_stats(process, point_shape: tuple, mode: str, mc: MonteCarloConfig):
     """Reducer for _collect of the squared-error terms, with point shape
-    point_shape: spreads of the estimate chain and the direct error."""
-    def spread(thetas, preds):
-        """Within-draw variance, between-draw variance and mean of the
-        predictions over r_syn datasets per draw, and the mean f_theta.
-
-        thetas has shape lead + (r_theta,) and preds lead + (r_theta, r_syn)
-        + point_shape; each statistic has shape lead + point_shape.
-        """
-        axis = thetas.ndim - 1
-        a = preds.mean(axis=axis + 1)
-        fbar = process.f_theta(thetas).mean(axis=axis)
-        fbar = np.broadcast_to(fbar.reshape(fbar.shape + (1,) * len(point_shape)),
-                               thetas.shape[:axis] + point_shape)
-        return preds.var(axis=axis + 1, ddof=1).mean(axis=axis), \
-            a.var(axis=axis, ddof=1), a.mean(axis=axis), fbar
-
+    point_shape: spreads of the estimate chain and the direct error. Each
+    statistic is reduced per parameter block, then averaged over the blocks;
+    dpv_raw is the variance of the block means."""
     def reduce(draws: _Draws) -> dict:
+        a = draws.grid.mean(axis=2)                  # (blocks, r_theta) + point_shape
+        per_block = {"mv": draws.grid.var(axis=2, ddof=1).mean(axis=1),
+                     "sdv_raw": a.var(axis=1, ddof=1), "b": a.mean(axis=1)}
+        out = {name: stat.mean(axis=0) for name, stat in per_block.items()}
+        out["fbar"] = np.broadcast_to(process.f_theta(draws.thetas).mean(axis=1).mean(axis=0),
+                                      point_shape)
         if mode == SHARED_SUMMARY:
-            mv, sdv_raw, c, fbar = spread(draws.thetas, draws.grid)
-            out = {"dpv_raw": c.var(axis=0, ddof=1)}
-            stats = (mv.mean(axis=0), sdv_raw.mean(axis=0), c.mean(axis=0),
-                     fbar.mean(axis=0))
-        else:
-            out, stats = {}, spread(draws.thetas, draws.grid)
-        out.update(zip(("mv", "sdv_raw", "b", "fbar"), stats))
+            out["dpv_raw"] = per_block["b"].var(axis=0, ddof=1)
         if mode == CORRELATED:
             g = draws.pair_preds.reshape(mc.r_theta, 2, -1)
             cov = [np.cov(g[:, 0, k], g[:, 1, k], ddof=1)[0, 1] for k in range(g.shape[2])]
@@ -602,7 +586,7 @@ def _bregman_stats(spec: brg.BregmanSpec, y_weights: np.ndarray):
     """Reducer for _collect of the i.i.d. chain with probability-vector
     predictions: MV, SDV, mean dual prediction and ensemble error."""
     def reduce(draws: _Draws) -> dict:
-        probs = draws.grid                                       # (t, s, 2)
+        probs = draws.grid[0]                                    # (t, s, 2)
         duals = brg.dual(spec, probs)
         centers_t = brg.dual_inverse(spec, duals.mean(axis=1))   # E_{D_s|theta}[g]
         return {"mv": brg.divergence(spec, centers_t[:, None, :], probs).mean(axis=1).mean(),

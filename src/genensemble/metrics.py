@@ -56,10 +56,15 @@ def check_averaging(averaging: str, task: str) -> None:
 
 
 def combine_predictions(member_preds: np.ndarray, averaging: str) -> np.ndarray:
-    """Combine member predictions stacked along axis 0."""
+    """Combine member predictions stacked along axis 0; a member mean that is
+    not finite, as when their sum overflows, raises ValueError."""
     member_preds = np.asarray(member_preds, dtype=np.float64)
     if averaging == MEAN:
-        return member_preds.mean(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            combined = member_preds.mean(axis=0)
+        if not np.isfinite(combined).all():
+            raise ValueError("the mean of the member predictions is not finite")
+        return combined
     if averaging == DUAL_LOG_PROB:
         return dual_average(BregmanSpec(NEGENTROPY, member_preds.shape[-1]), member_preds)
     raise ValueError(f"unknown averaging {averaging!r}")
@@ -97,11 +102,13 @@ def _auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return (rank_sum_pos - pos.size * (pos.size + 1) / 2.0) / (pos.size * neg.size)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def score_predictions(preds: np.ndarray, y: np.ndarray, metric: MetricSpec,
                       task: str) -> EvalResult:
     """Score raw predictions: (n,) values for regression, (n, K) probabilities
     for classification, n the number of targets. Other shapes, non-finite
-    values and classification rows off the probability simplex raise ValueError."""
+    values or scores (an overflow is no warning) and classification rows off
+    the probability simplex raise ValueError."""
     preds = np.asarray(preds, dtype=np.float64)
     y = np.asarray(y)
     metric.check_task(task)
@@ -140,8 +147,11 @@ def score_predictions(preds: np.ndarray, y: np.ndarray, metric: MetricSpec,
         raise ValueError(f"unknown metric {metric.kind!r}")
 
     n = per_point.size
+    score = float(per_point.mean())
     se = float(per_point.std(ddof=1) / np.sqrt(n)) if n > 1 else None
-    return EvalResult(score=float(per_point.mean()), per_point=per_point, std_error=se)
+    if not math.isfinite(score) or not math.isfinite(0.0 if se is None else se):
+        raise ValueError(f"the {metric.kind} score or its standard error is not finite")
+    return EvalResult(score=score, per_point=per_point, std_error=se)
 
 
 def score_prefixes(member_preds: np.ndarray, y: np.ndarray, m_values, averaging: str,

@@ -50,13 +50,13 @@ class GaussianMeanProcess:
                               Column("y", NUMERIC, TARGET)))
 
     # exact quantities -----------------------------------------------------
-    def f(self, x=None) -> float:
+    def f(self) -> float:
         return self.mu0
 
-    def f_theta(self, thetas, x=None):
+    def f_theta(self, thetas):
         return np.asarray(thetas, dtype=np.float64)
 
-    def noise_var(self, x=None) -> float:
+    def noise_var(self) -> float:
         return self.noise_sd ** 2
 
     @property
@@ -67,7 +67,7 @@ class GaussianMeanProcess:
                 "rdv": rdv, "sdb": 0.0, "mb": 0.0,
                 "noise": self.noise_sd ** 2}
 
-    def sample_y(self, rng, size, x=None):
+    def sample_y(self, rng, size):
         return rng.normal(self.mu0, self.noise_sd, size=size)
 
     # sampling chain on sufficient statistics ------------------------------
@@ -139,16 +139,16 @@ class DiscreteBernoulliProcess:
         self.schema = Schema((Column("y", CATEGORICAL, TARGET, levels=("0", "1")),))
 
     # exact quantities -----------------------------------------------------
-    def f(self, x=None) -> float:
+    def f(self) -> float:
         return self.p0
 
-    def f_theta(self, thetas, x=None):
+    def f_theta(self, thetas):
         return np.asarray(thetas, dtype=np.float64)
 
-    def noise_var(self, x=None) -> float:
+    def noise_var(self) -> float:
         return self.p0 * (1.0 - self.p0)
 
-    def sample_y(self, rng, size, x=None):
+    def sample_y(self, rng, size):
         return (rng.random(size) < self.p0).astype(np.float64)
 
     # sampling chain on sufficient statistics ------------------------------

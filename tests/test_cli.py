@@ -431,6 +431,38 @@ method = two_point
         assert "not JSON compliant" in capsys.readouterr().err
         assert not any(out.iterdir())
 
+    def test_overflowing_score_fails_without_curve_csv(self, tmp_path, capsys):
+        # targets 0 and 1e155: a test point predicted off by 1e155 has an
+        # overflowing squared error
+        rng = np.random.default_rng(0)
+        lines = ["x,y"] + [f"{float(a)!r},{float(b)!r}" for a, b in
+                           zip(rng.normal(size=30), np.where(rng.random(30) < 0.5, 0.0, 1e155))]
+        data_path = tmp_path / "big.csv"
+        data_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = write_config(tmp_path, f"""\
+[data]
+source = csv
+path = {data_path}
+
+[schema]
+x = numeric feature
+y = numeric target
+
+[generator]
+kind = bootstrap
+
+[predictors]
+specs = cart
+
+[curve]
+m_values = 1, 2
+repeats = 1
+""")
+        out = tmp_path / "out"
+        assert cli.main(["curve", "--config", str(cfg), "--output", str(out)]) == 2
+        assert "not finite" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_runtime_failure_cleans_partial_outputs(self, config, monkeypatch):
         cfg, out = config
 

@@ -517,10 +517,12 @@ def _collect_bregman_reference(process, spec, y_weights, m, mc, seed):
 
 
 # counts below numpy's 8-element unrolled sum, within its 128-element block,
-# and past it (r_theta 130), so every summation path is compared
+# and past it (r_theta 130), so every summation path is compared; _PAIR_MC
+# has the fewest summary blocks, so dpv_raw's ddof = 1 variance runs over two
 _SMALL_MC = MonteCarloConfig(6, 4, 3, 20, r_summary=3)
 _BLOCK_MC = MonteCarloConfig(12, 9, 10, 50, r_summary=11)
 _WIDE_MC = MonteCarloConfig(10, 130, 9, 20, r_summary=9)
+_PAIR_MC = MonteCarloConfig(5, 6, 2, 10, r_summary=2)
 
 
 class TestOracleMatchesPerSummaryReduction:
@@ -542,7 +544,8 @@ class TestOracleMatchesPerSummaryReduction:
         monkeypatch.setattr(decomposition, "_collect", collect)
         return new, oracle_decompose(**kwargs).to_json()
 
-    @pytest.mark.parametrize("mc, seed", [(_SMALL_MC, 0), (_BLOCK_MC, 7), (_WIDE_MC, 123)])
+    @pytest.mark.parametrize("mc, seed", [(_SMALL_MC, 0), (_BLOCK_MC, 7), (_WIDE_MC, 123),
+                                          (_PAIR_MC, 3)])
     @pytest.mark.parametrize("m", [1, 2, 8])
     @pytest.mark.parametrize("process, mode, rho", [
         ("discrete_toy", "iid", 0.0),
@@ -557,15 +560,20 @@ class TestOracleMatchesPerSummaryReduction:
                               mc=mc, seed=seed, rho=rho)
         assert new == old
 
+    @pytest.mark.parametrize("points", [
+        # three points: point_shape (3,) reduces along a non-trailing axis
+        pytest.param([[-1.0], [0.0], [1.5]], id="three"),
+        # ten points: the per-point mean takes numpy's pairwise sum
+        pytest.param(np.linspace(-2.0, 2.0, 10)[:, None], id="ten"),
+    ])
     @pytest.mark.parametrize("m", [1, 2, 8])
     @pytest.mark.parametrize("seed", [0, 5])
     @pytest.mark.parametrize("mode, rho", [("iid", 0.0), ("correlated", 0.0),
                                            ("correlated", 0.5), ("correlated", 1.0)])
-    def test_trained_predictor_report_bytes(self, monkeypatch, mode, rho, seed, m):
-        # three test points: point_shape (3,) reduces along a non-trailing axis
+    def test_trained_predictor_report_bytes(self, monkeypatch, mode, rho, seed, m, points):
         new, old = self._both(monkeypatch, process="gaussian_toy", generator_mode=mode,
                               predictor=PredictorSpec("knn", "regression", k=3), m=m,
-                              test_points=[[-1.0], [0.0], [1.5]],
+                              test_points=points,
                               mc=MonteCarloConfig(3, 3, 3, 20), seed=seed, rho=rho)
         assert new == old
 

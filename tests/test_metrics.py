@@ -8,9 +8,10 @@ from scipy.stats import rankdata
 
 from genensemble.bregman import DomainError
 from genensemble.data import FeatureMatrix
-from genensemble.metrics import (DUAL_LOG_PROB, METRIC_KINDS, PROB_SUM_TOL, MetricSpec, _auc,
-                                 _midranks, check_averaging, clamp_probs, combine_predictions,
-                                 read_long_csv, score_predictions, write_long_csv)
+from genensemble.metrics import (DUAL_LOG_PROB, MEAN, METRIC_KINDS, PROB_SUM_TOL, MetricSpec,
+                                 _auc, _midranks, check_averaging, clamp_probs,
+                                 combine_predictions, read_long_csv, score_predictions,
+                                 score_prefixes, write_long_csv)
 from genensemble.predictors import PredictorSpec, predict_batch, train
 
 
@@ -221,6 +222,39 @@ class TestScoringBoundary:
             bad[at] = float(fault)
         with pytest.raises(ValueError, match="finite|summing"):
             score_predictions(bad, y, metric, task)
+
+
+_MAX = np.finfo(np.float64).max
+
+
+class TestOverflowRefused:
+    """Finite inputs whose member mean, squared error or standard error
+    overflows are refused with ValueError; the suite's warnings-as-errors
+    filter fails any RuntimeWarning that escapes."""
+
+    def test_member_mean_overflow_refused(self):
+        with pytest.raises(ValueError, match="mean of the member predictions"):
+            combine_predictions([[_MAX, 0.0], [_MAX, 0.0]], MEAN)
+
+    def test_squared_error_overflow_refused(self):
+        with pytest.raises(ValueError, match="mse score or its standard error"):
+            score_prefixes(np.array([[_MAX, 0.0], [_MAX, 0.0]]), np.zeros(2), [1], MEAN,
+                           MetricSpec("mse"), "regression")
+
+    def test_standard_error_overflow_refused(self):
+        # the score 5e299 is finite, the spread of [1e300, 0] squared is not
+        with pytest.raises(ValueError, match="mse score or its standard error"):
+            score_predictions(np.array([1e150, 0.0]), np.zeros(2), MetricSpec("mse"),
+                              "regression")
+
+    def test_single_target_keeps_no_standard_error(self):
+        res = score_predictions(np.array([2.0 ** 510]), np.zeros(1), MetricSpec("mse"),
+                                "regression")
+        assert res.score == 2.0 ** 1020 and res.std_error is None
+
+    def test_largest_finite_members_still_combine(self):
+        out = combine_predictions([[_MAX, -_MAX], [-_MAX / 2, 0.0]], MEAN)
+        assert np.isfinite(out).all()
 
 
 class TestAuc:
