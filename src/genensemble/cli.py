@@ -20,6 +20,7 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -326,13 +327,10 @@ def _cmd_decompose(cfg, seed, tracker):
     rho = _get(cfg, "decompose", "rho", default=0.0, convert=float)
     predictor = _get(cfg, "decompose", "predictor", default="builtin")
     with _config_errors("[decompose]"):
-        mc = MonteCarloConfig(
-            r_real=_get(cfg, "decompose", "r_real", default=100, convert=int),
-            r_theta=_get(cfg, "decompose", "r_theta", default=20, convert=int),
-            r_syn=_get(cfg, "decompose", "r_syn", default=10, convert=int),
-            r_y=_get(cfg, "decompose", "r_y", default=1000, convert=int),
-            r_summary=_get(cfg, "decompose", "r_summary", convert=int),
-        )
+        # an absent count keeps MonteCarloConfig's default
+        mc = MonteCarloConfig(**{f.name: _get(cfg, "decompose", f.name, convert=int)
+                                 for f in fields(MonteCarloConfig)
+                                 if cfg.has_option("decompose", f.name)})
         process = get_process(pid)
         check_oracle_request(process, mode, predictor, m, rho)
     report = oracle_decompose(process, mode, predictor, m=m, mc=mc,

@@ -48,7 +48,7 @@ class GeneratorSpec:
         if self.kind == NOISY_MARGINAL_DP:
             if self.epsilon is None or self.delta is None:
                 raise ValueError("noisy_marginal_dp needs epsilon and delta")
-            _check_privacy_params(self.epsilon, self.delta)
+            rho_from_epsilon(self.epsilon, self.delta)
         if self.kind == TRUTH_PROCESS and not self.process:
             raise ValueError("truth_process generator needs a process id")
 
@@ -89,38 +89,38 @@ class PrivateSummary:
             raise ValueError("rho must be positive")
 
 
-def _check_privacy_params(epsilon: float, delta: float) -> None:
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-
-
 def epsilon_from_rho(rho: float, delta: float) -> float:
     """Standard zCDP-to-approximate-DP conversion (Bun & Steinke 2016, Prop. 1.3).
 
     rho-zCDP implies (rho + 2 sqrt(rho log(1/delta)), delta)-DP. The bound is
-    not tight; Canonne, Kamath & Steinke (2020) give a sharper one.
+    not tight; Canonne, Kamath & Steinke (2020) give a sharper one. The square
+    root is taken factor by factor, since rho * log(1/delta) can underflow.
     """
-    return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
+    return rho + 2.0 * math.sqrt(rho) * math.sqrt(-math.log(delta))
 
 
 def rho_from_epsilon(epsilon: float, delta: float) -> float:
-    """Invert the conversion by bisection to 1e-12 absolute precision, or to
-    adjacent floats where those lie further apart (rho of 2**13 and above)."""
-    _check_privacy_params(epsilon, delta)
+    """The largest float rho whose spend epsilon_from_rho(rho, delta) is at most epsilon.
+
+    Raises ValueError when no positive rho fits, as for epsilon = 5e-324.
+    """
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
     if math.isinf(epsilon):
         return math.inf
-    lo, hi = 0.0, epsilon            # epsilon_from_rho(rho) >= rho, so rho <= epsilon
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if epsilon_from_rho(mid, delta) < epsilon:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # exact inverse, free of cancellation; then a few steps mend its rounding
+    log_inv = -math.log(delta)
+    root = epsilon / (math.sqrt(log_inv + epsilon) + math.sqrt(log_inv))
+    rho = root * root
+    while epsilon_from_rho(rho, delta) > epsilon:
+        rho = math.nextafter(rho, 0.0)
+    while epsilon_from_rho(math.nextafter(rho, math.inf), delta) <= epsilon:
+        rho = math.nextafter(rho, math.inf)
+    if rho == 0:
+        raise ValueError(f"epsilon = {epsilon!r} buys no positive rho at delta = {delta!r}")
+    return rho
 
 
 def gaussian_noise_scale(rho: float, n_columns: int) -> float:

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -303,7 +304,7 @@ s_per_theta = 2
             assert all(len(row) == len(header) and row[0] == "my,data" for row in rows), name
 
 
-def dp_config(tmp_path, epsilon):
+def dp_config(tmp_path, epsilon, delta="1e-6", mode="independent"):
     """A generate config for the DP generator on a small categorical CSV."""
     rng = np.random.default_rng(3)
     lines = ["a,y"] + [f"l{a},{('no', 'yes')[t]}" for a, t in rng.integers(0, 2, size=(20, 2))]
@@ -325,7 +326,8 @@ y = categorical(no|yes) target
 [generator]
 kind = noisy_marginal_dp
 epsilon = {epsilon}
-delta = 1e-6
+delta = {delta}
+mode = {mode}
 m = 2
 """)
     return cfg
@@ -346,6 +348,25 @@ def test_generate_refuses_a_non_finite_epsilon(tmp_path, epsilon, capsys):
                      "--output", str(out)]) == 1
     assert "config error: [generator] epsilon must be finite" in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+def test_generate_refuses_an_epsilon_that_buys_no_rho(tmp_path, capsys):
+    # rho came out 0 and the noise scale divided by it (exit 2)
+    out = tmp_path / "out"
+    assert cli.main(["generate", "--config", str(dp_config(tmp_path, "5e-324")),
+                     "--output", str(out)]) == 1
+    assert ("config error: [generator]: epsilon = 5e-324 buys no positive rho"
+            in capsys.readouterr().err)
+    assert not any(out.iterdir())
+
+
+def test_generate_with_a_subnormal_delta(tmp_path):
+    # log(1 / delta) overflowed to inf, which provenance.json could not hold (exit 2)
+    out = tmp_path / "out"
+    cfg = dp_config(tmp_path, "1", delta="1e-310", mode="split_budget")
+    assert cli.main(["generate", "--config", str(cfg), "--output", str(out)]) == 0
+    prov = json.loads((out / "provenance.json").read_text())
+    assert math.isfinite(prov["epsilon_total"]) and prov["epsilon_total"] <= 1.0
 
 
 class TestValidation:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from genensemble.generators import (EnsembleProvenance, GeneratorSpec, PrivateSu
                                     gaussian_noise_scale, generate_ensemble,
                                     project_to_simplex, rho_from_epsilon, sample,
                                     sample_params_from_summary)
+from genensemble.processes import get_process
 from genensemble.rng import child_seed
 
 NUM_SCHEMA = Schema((Column("x", NUMERIC, FEATURE), Column("y", NUMERIC, TARGET)))
@@ -107,13 +109,43 @@ class TestPrivacyAccounting:
         assert epsilon_from_rho(rho, 1e-6) == eps
 
     @pytest.mark.parametrize("eps, delta, bits", [
-        (1.0, 1e-6, "0x1.1e35e5aba0000p-6"),
-        (8.0, 1e-5, "0x1.0c9430a94d800p+0"),
-        (3000.0, 1e-9, "0x1.3da197032c916p+11"),
-        (0.001, 0.5, "0x1.82fdd2f1a9fbep-22"),
+        (1.0, 1e-6, "0x1.1e35e5ab8a6b0p-6"),
+        (8.0, 1e-5, "0x1.0c9430a94dc74p+0"),
+        (3000.0, 1e-9, "0x1.3da197032c917p+11"),
+        (0.001, 0.5, "0x1.82fdcc240c509p-22"),
     ])
     def test_moderate_epsilon_bits_pinned(self, eps, delta, bits):
         assert rho_from_epsilon(eps, delta).hex() == bits
+
+    @settings(max_examples=150, deadline=None)
+    @given(eps=st.one_of(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+                         st.sampled_from([5e-324, 1e-170, 1e-6, sys.float_info.max])),
+           delta=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                           st.just(1e-310)))
+    def test_rho_is_the_largest_float_within_budget(self, eps, delta):
+        if epsilon_from_rho(5e-324, delta) > eps:
+            with pytest.raises(ValueError, match="epsilon"):
+                rho_from_epsilon(eps, delta)
+            return
+        rho = rho_from_epsilon(eps, delta)
+        assert rho > 0
+        assert (epsilon_from_rho(rho, delta) <= eps
+                < epsilon_from_rho(math.nextafter(rho, math.inf), delta))
+
+    def test_small_epsilon_does_not_overspend(self):
+        # bisecting to 1e-12 absolute gave rho = 4.77e-13 here, a spend of 5.1e-6
+        assert epsilon_from_rho(rho_from_epsilon(1e-6, 1e-6), 1e-6) <= 1e-6
+
+    def test_epsilon_that_buys_no_rho_is_refused(self):
+        # rho = 0 used to reach gaussian_noise_scale and divide by zero
+        data = cat_dataset([[0, 1], [1, 0]])
+        with pytest.raises(ValueError, match="epsilon"):
+            fit_dp_summary(data, 5e-324, 1e-6, 0)
+        with pytest.raises(ValueError, match="epsilon"):
+            generate_ensemble(GeneratorSpec("noisy_marginal_dp", epsilon=5e-324, delta=1e-6),
+                              data, 2, "shared_summary")
+        with pytest.raises(ValueError, match="epsilon"):
+            get_process("discrete_toy", epsilon=5e-324)
 
     def test_noise_scale_formula(self):
         rho = rho_from_epsilon(1.0, 1e-6)
