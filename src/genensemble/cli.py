@@ -18,7 +18,6 @@ import json
 import math
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
@@ -273,6 +272,7 @@ def _cmd_curve(cfg, seed, tracker, jobs=1):
     columns = zip(*(args for _, _, args in cells))
     workers = min(jobs, len(cells))     # a pool forks every worker on first submit
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor   # loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(curve_repeat, *columns))
     else:

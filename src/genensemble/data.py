@@ -11,6 +11,7 @@ import csv
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -113,6 +114,16 @@ class Schema:
     def n_classes(self) -> int:
         return len(self.target.levels) if self.target.kind == CATEGORICAL else 0
 
+    @cached_property
+    def _feature_layout(self):
+        """encode's layout: numeric sources and their output columns, categorical
+        sources and the first output column of their one-hot blocks, width."""
+        src = np.array(self.feature_indices, dtype=np.intp)
+        levels = np.array([len(self.columns[j].levels) for j in src], dtype=np.intp)
+        widths, cat = np.maximum(levels, 1), levels > 0
+        starts = np.cumsum(widths) - widths
+        return src[~cat], starts[~cat], src[cat], starts[cat], int(widths.sum())
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -125,11 +136,13 @@ class Dataset:
             raise SchemaError(
                 f"rows shape {rows.shape} does not match schema width {len(self.schema.columns)}"
             )
-        for j, col in enumerate(self.schema.columns):
-            if col.kind == CATEGORICAL and rows.shape[0]:
-                vals = rows[:, j]
-                if not np.all((vals == np.floor(vals)) & (vals >= 0) & (vals < len(col.levels))):
-                    raise SchemaError(f"column {col.name!r} holds an invalid level index")
+        cat = [j for j, c in enumerate(self.schema.columns) if c.kind == CATEGORICAL]
+        if cat and rows.shape[0]:
+            vals, levels = rows[:, cat], [len(self.schema.columns[j].levels) for j in cat]
+            ok = ((vals == np.floor(vals)) & (vals >= 0) & (vals < levels)).all(axis=0)
+            if not ok.all():
+                bad = self.schema.columns[cat[ok.argmin()]]
+                raise SchemaError(f"column {bad.name!r} holds an invalid level index")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 
@@ -249,22 +262,16 @@ def encode(train: Dataset, apply_to: Dataset, standardize: bool) -> FeatureMatri
     if train.schema != apply_to.schema:
         raise SchemaError("train and apply_to must share a schema")
     schema = train.schema
+    num_src, num_dst, cat_src, cat_dst, width = schema._feature_layout
 
     def expand(ds: Dataset) -> np.ndarray:
-        blocks = []
-        for j in schema.feature_indices:
-            col = schema.columns[j]
-            vals = ds.rows[:, j]
-            if col.kind == NUMERIC:
-                blocks.append(vals[:, None])
-            else:
-                onehot = np.zeros((ds.n, len(col.levels)))
-                if ds.n:
-                    onehot[np.arange(ds.n), vals.astype(int)] = 1.0
-                blocks.append(onehot)
-        if not blocks:
-            return np.zeros((ds.n, 0))
-        return np.hstack(blocks)
+        # C order, as hstack gave: the scaler then sums column means row by row
+        if not cat_src.size:
+            return ds.rows.take(num_src, axis=1)
+        x = np.zeros((ds.n, width))
+        x[:, num_dst] = ds.rows[:, num_src]
+        x[np.arange(ds.n)[:, None], cat_dst + ds.rows[:, cat_src].astype(np.intp)] = 1.0
+        return x
 
     x = expand(apply_to)
     if standardize:

@@ -48,7 +48,7 @@ class GeneratorSpec:
         if self.kind == NOISY_MARGINAL_DP:
             if self.epsilon is None or self.delta is None:
                 raise ValueError("noisy_marginal_dp needs epsilon and delta")
-            rho_from_epsilon(self.epsilon, self.delta)
+            gaussian_noise_scale(rho_from_epsilon(self.epsilon, self.delta), 1)
         if self.kind == TRUTH_PROCESS and not self.process:
             raise ValueError("truth_process generator needs a process id")
 
@@ -68,9 +68,10 @@ class GeneratorParams:
 
     def __post_init__(self):
         if self.probs is not None:
-            for p in self.probs:
-                if np.any(np.asarray(p) < 0) or abs(float(np.sum(p)) - 1.0) > 1e-12:
-                    raise ValueError("probability vectors must be non-negative and sum to 1")
+            flat = np.concatenate(self.probs)
+            sums = _prefix_sums(flat, list(map(len, self.probs)))[:, -1]
+            if np.any(flat < 0) or not np.all(abs(sums - 1.0) <= 1e-12):   # NaN fails
+                raise ValueError("probability vectors must be non-negative and sum to 1")
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,10 @@ def gaussian_noise_scale(rho: float, n_columns: int) -> float:
     """
     if math.isinf(rho):
         return 0.0
-    return math.sqrt(n_columns / (2.0 * rho))
+    sigma = math.sqrt(0.5 * n_columns / rho)    # 2 * rho would overflow for huge rho
+    if math.isinf(sigma):
+        raise ValueError(f"rho = {rho!r} is too small for a finite noise scale")
+    return sigma
 
 
 def project_to_simplex(counts: np.ndarray) -> np.ndarray:
@@ -143,34 +147,37 @@ def project_to_simplex(counts: np.ndarray) -> np.ndarray:
     return clipped / total
 
 
-def _marginal_counts(data: Dataset) -> list[np.ndarray]:
-    out = []
-    for j, col in enumerate(data.schema.columns):
+def _prefix_sums(flat: np.ndarray, sizes) -> np.ndarray:
+    """Prefix sums of the runs of flat, sizes[j] long, as rows of a zero-padded
+    block: the bits of each run's own cumsum, then its total repeated."""
+    sizes = np.asarray(sizes)
+    block = np.zeros((sizes.size, sizes.max()))
+    block[np.arange(block.shape[1]) < sizes[:, None]] = flat
+    return np.add.accumulate(block, axis=1)
+
+
+def _marginal_counts(data: Dataset) -> tuple[list[int], np.ndarray]:
+    """The number of levels of each column, and all level counts in column order."""
+    for col in data.schema.columns:
         if col.kind != CATEGORICAL:
             raise ValueError(f"column {col.name!r} is not categorical; discretize upstream")
-        out.append(np.bincount(data.rows[:, j].astype(int),
-                               minlength=len(col.levels)).astype(np.float64))
-    return out
-
-
-def _summary_digest(counts, seed: int) -> str:
-    h = hashlib.blake2b(digest_size=8)
-    h.update((seed % 2**64).to_bytes(8, "little"))
-    for c in counts:
-        h.update(np.asarray(c, dtype=np.float64).tobytes())
-    return h.hexdigest()
+    sizes = [len(col.levels) for col in data.schema.columns]
+    cells = data.rows.astype(np.intp) + (np.cumsum(sizes) - sizes)
+    return sizes, np.bincount(cells.ravel(), minlength=sum(sizes)).astype(np.float64)
 
 
 def _dp_summary_with_rho(data: Dataset, rho: float, epsilon: float, delta: float,
-                         seed: int) -> PrivateSummary:
-    exact = _marginal_counts(data)
-    sigma = gaussian_noise_scale(rho, len(exact))
-    rng = make_rng(seed)
-    noisy = tuple(c + rng.normal(0.0, sigma, size=c.shape) if sigma > 0 else c.copy()
-                  for c in exact)
-    return PrivateSummary(counts=noisy, n_public=data.n, epsilon=epsilon, delta=delta,
-                          rho=rho, sigma=sigma, schema=data.schema,
-                          summary_id=_summary_digest(noisy, seed))
+                         seed: int, marginals=None) -> PrivateSummary:
+    """One release; marginals is _marginal_counts(data) when the caller has it.
+    One normal draw over all cells is the stream of one draw per column."""
+    sizes, exact = marginals or _marginal_counts(data)
+    sigma = gaussian_noise_scale(rho, len(sizes))
+    noisy = (exact + make_rng(seed).normal(0.0, sigma, size=exact.size) if sigma > 0
+             else exact.copy())
+    digest = hashlib.blake2b((seed % 2**64).to_bytes(8, "little") + noisy.tobytes(), digest_size=8)
+    return PrivateSummary(counts=tuple(np.split(noisy, np.cumsum(sizes[:-1]))),
+                          n_public=data.n, epsilon=epsilon, delta=delta, rho=rho, sigma=sigma,
+                          schema=data.schema, summary_id=digest.hexdigest())
 
 
 def fit_dp_summary(data: Dataset, epsilon: float, delta: float, seed: int) -> PrivateSummary:
@@ -187,15 +194,17 @@ def sample_params_from_summary(summary: PrivateSummary, seed: int) -> GeneratorP
 
     Noisy counts are projected to the simplex, then each column's probability
     vector is drawn from Dirichlet(n_public * projected + 1), so repeated
-    calls are i.i.d. given the summary.
+    calls are i.i.d. given the summary. One gamma draw, each column normalised
+    by its sequential sum, is numpy's Generator.dirichlet bit for bit while
+    max(alpha) >= 0.1, and here alpha >= 1.
     """
     rng = make_rng(check_seed(seed))
-    probs = []
-    for c in summary.counts:
-        proj = project_to_simplex(c)
-        alpha = summary.n_public * proj + DIRICHLET_SMOOTHING
-        probs.append(rng.dirichlet(alpha))
-    return GeneratorParams(kind=NOISY_MARGINAL_DP, probs=tuple(probs),
+    sizes = [c.size for c in summary.counts]
+    proj = np.concatenate([project_to_simplex(c) for c in summary.counts])
+    gamma = rng.standard_gamma(summary.n_public * proj + DIRICHLET_SMOOTHING)
+    probs = gamma * np.repeat(1.0 / _prefix_sums(gamma, sizes)[:, -1], sizes)
+    return GeneratorParams(kind=NOISY_MARGINAL_DP,
+                           probs=tuple(np.split(probs, np.cumsum(sizes[:-1]))),
                            schema=summary.schema, summary_id=summary.summary_id)
 
 
@@ -260,9 +269,12 @@ def sample(params: GeneratorParams, n_rows: int, seed: int) -> Dataset:
                                        method="cholesky")
         return Dataset(params.schema, rows)
     if params.kind == NOISY_MARGINAL_DP:
-        cols = [rng.choice(len(p), size=n_rows, p=p).astype(np.float64)
-                for p in params.probs]
-        return Dataset(params.schema, np.column_stack(cols))
+        # Generator.choice bit for bit: cdf = cumsum / its last entry, and a level is
+        # the count of cdf entries <= u < 1 (the last and the padded entries are 1.0)
+        cdf = _prefix_sums(np.concatenate(params.probs), list(map(len, params.probs)))
+        cdf /= cdf[:, -1:]
+        levels = (cdf.T[:, :, None] <= rng.random((len(cdf), n_rows))).sum(axis=0, dtype=float)
+        return Dataset(params.schema, np.ascontiguousarray(levels.T))
     if params.kind == TRUTH_PROCESS:
         from .processes import get_process
         process = get_process(params.process)
@@ -339,12 +351,13 @@ def generate_ensemble(spec: GeneratorSpec, data: Dataset, m: int, mode: str,
     elif mode == SPLIT_BUDGET:
         rho_i = rho_full / m
         eps_i = epsilon_from_rho(rho_i, spec.delta)
+        marginals = _marginal_counts(data)
 
     for ms in member_seeds:
         # only the way params are drawn depends on the mode
         if mode == SPLIT_BUDGET:
             summary = _dp_summary_with_rho(data, rho_i, eps_i, spec.delta,
-                                           child_seed(ms, "summary"))
+                                           child_seed(ms, "summary"), marginals)
             rho_members.append(summary.rho)
         if mode == INDEPENDENT:
             params = fit(spec, data, child_seed(ms, "fit"))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -180,7 +181,8 @@ class TestPipeline:
             def map(self, fn, *columns):
                 return map(fn, *columns)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        # cli imports the pool from concurrent.futures only when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         cfg = process_config(tmp_path)     # 2 predictors x 2 repeats = 4 cells
         a, b = tmp_path / "serial", tmp_path / "capped"
         assert cli.main(["curve", "--config", str(cfg), "--output", str(a)]) == 0
@@ -357,6 +359,17 @@ def test_generate_refuses_an_epsilon_that_buys_no_rho(tmp_path, capsys):
                      "--output", str(out)]) == 1
     assert ("config error: [generator]: epsilon = 5e-324 buys no positive rho"
             in capsys.readouterr().err)
+    assert not any(out.iterdir())
+
+
+def test_generate_refuses_an_epsilon_whose_noise_scale_overflows(tmp_path, capsys):
+    # rho was a positive subnormal, sigma inf and the counts +-inf (exit 2,
+    # "Probabilities contain NaN")
+    out = tmp_path / "out"
+    assert cli.main(["generate", "--config", str(dp_config(tmp_path, "1e-155")),
+                     "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: [generator]: rho = " in err and "finite noise scale" in err
     assert not any(out.iterdir())
 
 
@@ -790,6 +803,14 @@ def test_import_leaves_scipy_stats_unloaded():
     # only a Gaussian-PPD fit loads it
     out = _run_module("-c", "import sys, genensemble, genensemble.cli; "
                             "print('scipy.stats' in sys.modules)")
+    assert out.returncode == 0 and out.stdout.strip() == "False"
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # the process pool loads multiprocessing, about 1.6 MiB and 10 ms, which
+    # only curve --jobs > 1 needs
+    out = _run_module("-c", "import sys, genensemble, genensemble.cli; "
+                            "print('multiprocessing' in sys.modules)")
     assert out.returncode == 0 and out.stdout.strip() == "False"
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genensemble.data import (CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Dataset,
                               ParseError, Schema, SchemaError, check_count, check_seed,
@@ -98,6 +100,18 @@ class TestSchema:
                          Column("y", NUMERIC, TARGET)))
         with pytest.raises(SchemaError):
             Dataset(schema, np.array([[2.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [3.0, -1.0, 0.5, np.nan, np.inf])
+    def test_message_names_the_first_bad_column(self, bad):
+        schema = Schema((Column("x", NUMERIC, FEATURE),
+                         Column("a", CATEGORICAL, FEATURE, levels=("u", "v")),
+                         Column("b", CATEGORICAL, FEATURE, levels=("u", "v", "w")),
+                         Column("y", CATEGORICAL, TARGET, levels=("n", "p"))))
+        Dataset(schema, np.array([[7.5, 1.0, 2.0, 0.0], [-3.0, 0.0, 0.0, 1.0]]))
+        with pytest.raises(SchemaError, match="column 'b' holds an invalid level index"):
+            Dataset(schema, np.array([[7.5, 1.0, 2.0, 0.0], [-3.0, 0.0, bad, bad]]))
+        with pytest.raises(SchemaError, match="column 'a'"):
+            Dataset(schema, np.array([[7.5, 1.0, 2.0, 0.0], [-3.0, bad, bad, bad]]))
 
 
 class TestLoadCsv:
@@ -250,3 +264,72 @@ class TestEncode:
         b = Dataset(other, np.array([[1.0, 2.0]]))
         with pytest.raises(SchemaError):
             encode(a, b, standardize=False)
+
+
+def _encode_reference(train, apply_to, standardize):
+    """encode as it was: one block per feature column, joined by hstack."""
+    schema = train.schema
+
+    def expand(ds):
+        blocks = []
+        for j in schema.feature_indices:
+            col = schema.columns[j]
+            vals = ds.rows[:, j]
+            if col.kind == NUMERIC:
+                blocks.append(vals[:, None])
+            else:
+                onehot = np.zeros((ds.n, len(col.levels)))
+                if ds.n:
+                    onehot[np.arange(ds.n), vals.astype(int)] = 1.0
+                blocks.append(onehot)
+        if not blocks:
+            return np.zeros((ds.n, 0))
+        return np.hstack(blocks)
+
+    x = expand(apply_to)
+    if standardize:
+        ref = expand(train)
+        mean = ref.mean(axis=0) if ref.shape[0] else np.zeros(ref.shape[1])
+        std = ref.std(axis=0) if ref.shape[0] else np.zeros(ref.shape[1])
+        x = np.where(std > 0, (x - mean) / np.where(std > 0, std, 1.0), 0.0)
+    y = apply_to.target_values()
+    if schema.task == "classification":
+        y = y.astype(int)
+    return x, y
+
+
+@st.composite
+def mixed_dataset_pairs(draw):
+    """Two datasets of one schema: 0-8 features and a target, each numeric or
+    categorical with 1-20 levels; numeric cells at scales 1e-3 to 1e3, some
+    columns constant."""
+    kinds = draw(st.lists(st.just(0) | st.integers(1, 20), min_size=1, max_size=9))   # 0: numeric
+    columns = tuple(Column(f"c{j}", CATEGORICAL if k else NUMERIC,
+                           TARGET if j == len(kinds) - 1 else FEATURE,
+                           levels=tuple(f"l{v}" for v in range(k)))
+                    for j, k in enumerate(kinds))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def rows(n):
+        cols = [rng.integers(0, k, size=n).astype(float) if k
+                else np.round(rng.normal(size=n), draw(st.integers(0, 3)))
+                * 10.0 ** draw(st.integers(-3, 3)) for k in kinds]
+        return np.column_stack(cols).reshape(n, len(kinds))
+
+    schema = Schema(columns)
+    return (Dataset(schema, rows(draw(st.integers(0, 12)))),
+            Dataset(schema, rows(draw(st.integers(0, 12)))))
+
+
+class TestEncodeMatchesPerColumnReference:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pair=mixed_dataset_pairs(), standardize=st.booleans())
+    def test_bytes(self, pair, standardize):
+        train, apply_to = pair
+        for a, b in ((train, train), (train, apply_to)):
+            fm = encode(a, b, standardize)
+            x, y = _encode_reference(a, b, standardize)
+            # the layout matters too: column means of a C-ordered block are
+            # summed row by row, those of an F-ordered one pairwise
+            assert fm.x.flags.c_contiguous and fm.x.shape == x.shape
+            assert fm.x.tobytes() == x.tobytes() and fm.y.tobytes() == y.tobytes()

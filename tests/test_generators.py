@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 
@@ -9,14 +10,14 @@ from scipy import stats
 
 from genensemble.data import (CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Dataset,
                               Schema)
-from genensemble.generators import (EnsembleProvenance, GeneratorSpec, PrivateSummary,
-                                    _dp_summary_with_rho, check_ensemble_request,
-                                    epsilon_from_rho, fit, fit_dp_summary,
+from genensemble.generators import (DIRICHLET_SMOOTHING, EnsembleProvenance, GeneratorParams,
+                                    GeneratorSpec, PrivateSummary, _dp_summary_with_rho,
+                                    check_ensemble_request, epsilon_from_rho, fit, fit_dp_summary,
                                     gaussian_noise_scale, generate_ensemble,
                                     project_to_simplex, rho_from_epsilon, sample,
                                     sample_params_from_summary)
 from genensemble.processes import get_process
-from genensemble.rng import child_seed
+from genensemble.rng import child_seed, make_rng
 
 NUM_SCHEMA = Schema((Column("x", NUMERIC, FEATURE), Column("y", NUMERIC, TARGET)))
 CAT_SCHEMA = Schema((Column("a", CATEGORICAL, FEATURE, levels=("l0", "l1")),
@@ -430,3 +431,111 @@ class TestGenerateEnsembleMatchesReference:
             [ds.rows.tobytes() for ds in ref_datasets]
         assert record.to_json_dict() == ref_record.to_json_dict()
         assert record == ref_record
+
+
+# The per-column DP chain that the one-draw-per-stream code replaced: one
+# bincount and one normal draw per column in the release, one dirichlet per
+# column in the posterior draw, one choice per column in the sample.
+
+def _dp_summary_reference(data, rho, epsilon, delta, seed):
+    exact = [np.bincount(data.rows[:, j].astype(int), minlength=len(col.levels)).astype(float)
+             for j, col in enumerate(data.schema.columns)]
+    sigma = 0.0 if math.isinf(rho) else math.sqrt(len(exact) / (2.0 * rho))
+    rng = make_rng(seed)
+    noisy = tuple(c + rng.normal(0.0, sigma, size=c.shape) if sigma > 0 else c.copy()
+                  for c in exact)
+    h = hashlib.blake2b(digest_size=8)
+    h.update((seed % 2**64).to_bytes(8, "little"))
+    for c in noisy:
+        h.update(c.tobytes())
+    return PrivateSummary(counts=noisy, n_public=data.n, epsilon=epsilon, delta=delta,
+                          rho=rho, sigma=sigma, schema=data.schema, summary_id=h.hexdigest())
+
+
+def _sample_params_reference(summary, seed):
+    rng = make_rng(seed)
+    return [rng.dirichlet(summary.n_public * project_to_simplex(c) + DIRICHLET_SMOOTHING)
+            for c in summary.counts]
+
+
+def _sample_reference(params, n_rows, seed):
+    rng = make_rng(seed)
+    return np.column_stack([rng.choice(len(p), size=n_rows, p=p).astype(np.float64)
+                            for p in params.probs])
+
+
+@st.composite
+def categorical_datasets(draw):
+    """1-8 categorical columns of 1-20 levels; the levels above a column's
+    `used` count never occur, so counts and exact frequencies hold zeros."""
+    levels = draw(st.lists(st.integers(1, 20), min_size=1, max_size=8))
+    used = [draw(st.integers(1, k)) for k in levels]
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = tuple(Column(f"c{j}", CATEGORICAL, TARGET if j == 0 else FEATURE,
+                           levels=tuple(f"l{v}" for v in range(k)))
+                    for j, k in enumerate(levels))
+    rows = np.column_stack([rng.integers(0, u, size=n) for u in used]).astype(float)
+    return Dataset(Schema(columns), rows)
+
+
+class TestDpDrawsMatchPerColumnReference:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=categorical_datasets(),
+           epsilon=st.one_of(st.floats(1e-3, 50.0), st.just(math.inf)),
+           n_rows=st.integers(1, 40), seed=st.integers(0, 2**64 - 1))
+    def test_release_posterior_and_sample_bytes(self, data, epsilon, n_rows, seed):
+        rho = rho_from_epsilon(epsilon, 1e-6)
+        summary = _dp_summary_with_rho(data, rho, epsilon, 1e-6, seed)
+        ref = _dp_summary_reference(data, rho, epsilon, 1e-6, seed)
+        assert [c.tobytes() for c in summary.counts] == [c.tobytes() for c in ref.counts]
+        assert (summary.sigma, summary.summary_id) == (ref.sigma, ref.summary_id)
+
+        theta_seed, sample_seed = child_seed(seed, "theta"), child_seed(seed, "sample")
+        params = sample_params_from_summary(summary, theta_seed)
+        assert [p.tobytes() for p in params.probs] == \
+            [p.tobytes() for p in _sample_params_reference(summary, theta_seed)]
+        assert sample(params, n_rows, sample_seed).rows.tobytes() == \
+            _sample_reference(params, n_rows, sample_seed).tobytes()
+
+        # sigma = 0: the exact frequencies, zero for every level that never occurs
+        exact = fit(GeneratorSpec("noisy_marginal_dp", epsilon=math.inf, delta=1e-6), data, seed)
+        assert sample(exact, n_rows, sample_seed).rows.tobytes() == \
+            _sample_reference(exact, n_rows, sample_seed).tobytes()
+
+
+class TestGeneratorParamsCheck:
+    @pytest.mark.parametrize("p", [[0.5, 0.6], [1.5, -0.5], [np.nan, 1.0], [0.5, np.inf]])
+    def test_off_simplex_vector_refused(self, p):
+        # choice used to refuse a NaN vector at sampling time; the one-draw
+        # sample would turn it into levels, so the parameters refuse it
+        with pytest.raises(ValueError, match="non-negative and sum to 1"):
+            GeneratorParams(kind="noisy_marginal_dp", probs=(np.array([0.25, 0.75]), np.array(p)))
+
+    def test_vectors_of_any_length_accepted(self):
+        probs = tuple(np.full(k, 1.0 / k) for k in (1, 3, 8, 20))
+        assert GeneratorParams(kind="noisy_marginal_dp", probs=probs).probs is probs
+
+
+class TestNoiseScaleRange:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rho=st.floats(1e-300, 1e300), n_columns=st.integers(1, 10_000))
+    def test_bits_of_the_old_formula_at_ordinary_rho(self, rho, n_columns):
+        assert gaussian_noise_scale(rho, n_columns) == math.sqrt(n_columns / (2.0 * rho))
+
+    def test_huge_rho_gives_a_positive_scale(self):
+        # 2 * rho overflowed to inf and the scale came back 0
+        sigma = gaussian_noise_scale(rho_from_epsilon(sys.float_info.max, 1e-6), 7)
+        assert 0.0 < sigma < 1e-153
+
+    def test_overflowing_scale_refused(self):
+        rho = rho_from_epsilon(1e-155, 1e-6)
+        assert 0.0 < rho < sys.float_info.min            # a positive subnormal
+        with pytest.raises(ValueError, match="rho"):
+            gaussian_noise_scale(rho, 1)
+        with pytest.raises(ValueError, match="rho"):
+            GeneratorSpec("noisy_marginal_dp", epsilon=1e-155, delta=1e-6)
+        with pytest.raises(ValueError, match="rho"):
+            fit_dp_summary(cat_dataset([[0, 1], [1, 0]]), 1e-155, 1e-6, 0)
+        with pytest.raises(ValueError, match="rho"):
+            get_process("discrete_toy", epsilon=1e-155)
