@@ -174,12 +174,12 @@ def _generator_spec(cfg) -> GeneratorSpec:
         )
 
 
-def _ensemble_request(cfg, m: int) -> tuple[GeneratorSpec, str]:
-    """The [generator] spec and mode, checked for an ensemble of m datasets."""
+def _ensemble_request(cfg, m: int, data: Dataset) -> tuple[GeneratorSpec, str]:
+    """The [generator] spec and mode, checked for m datasets generated from data."""
     spec = _generator_spec(cfg)
     mode = _get(cfg, "generator", "mode", default="independent")
     with _config_errors("[generator]"):
-        check_ensemble_request(spec, m, mode)
+        check_ensemble_request(spec, m, mode, len(data.schema.columns))
     return spec, mode
 
 
@@ -245,7 +245,7 @@ def _write_manifest(tracker: _OutputTracker, subcommand: str, seed: int,
 def _cmd_generate(cfg, seed, tracker):
     data, _, _ = _load_data(cfg, seed)
     m = _get(cfg, "generator", "m", default=1, convert=int)
-    spec, mode = _ensemble_request(cfg, m)
+    spec, mode = _ensemble_request(cfg, m, data)
     datasets, record = generate_ensemble(spec, data, m, mode,
                                          seed=child_seed(seed, "generate"))
     for i, ds in enumerate(datasets):
@@ -260,7 +260,7 @@ def _cmd_curve(cfg, seed, tracker, jobs=1):
     predictors = _predictor_specs(cfg, task)
     metrics = _metric_specs(cfg, task)
     m_values = _get_m_values(cfg, "curve")
-    spec, mode = _ensemble_request(cfg, max(m_values))
+    spec, mode = _ensemble_request(cfg, max(m_values), data)
     repeats = _get_count(cfg, "curve", "repeats", default=3)
     averagings = _get_list(cfg, "curve", "averaging", str, default="mean")
     with _config_errors("[curve] averaging"):

@@ -153,6 +153,23 @@ class Dataset:
     def target_values(self) -> np.ndarray:
         return self.rows[:, self.schema.target_index]
 
+    @cached_property
+    def _features(self) -> np.ndarray:
+        """encode's read-only expansion: numeric features, then one-hot blocks."""
+        num_src, num_dst, cat_src, cat_dst, width = self.schema._feature_layout
+        # C order, as hstack gave: the scaler then sums column means row by row
+        x = np.zeros((self.n, width))
+        x[:, num_dst] = self.rows[:, num_src]
+        x[np.arange(self.n)[:, None], cat_dst + self.rows[:, cat_src].astype(np.intp)] = 1.0
+        x.setflags(write=False)
+        return x
+
+    @cached_property
+    def _scaler(self) -> tuple[np.ndarray, np.ndarray]:
+        """encode's scaler: each feature column's mean and population stddev."""
+        x = self._features
+        return (x.mean(axis=0), x.std(axis=0)) if self.n else (np.zeros(x.shape[1]),) * 2
+
 
 @dataclass(frozen=True)
 class FeatureMatrix:
@@ -256,30 +273,17 @@ def encode(train: Dataset, apply_to: Dataset, standardize: bool) -> FeatureMatri
     """One-hot encode categorical features; optionally z-score with train statistics.
 
     The scaler (per-column mean and population stddev) is fit on the train
-    rows only and applied to apply_to; constant columns map to 0. The target
-    is never scaled; a categorical target becomes a class-index vector.
+    rows only and applied to apply_to; constant columns map to 0. A dataset
+    keeps its expansion (read-only: x when not standardized) and scaler. The
+    target is never scaled; a categorical target becomes a class-index vector.
     """
     if train.schema != apply_to.schema:
         raise SchemaError("train and apply_to must share a schema")
     schema = train.schema
-    num_src, num_dst, cat_src, cat_dst, width = schema._feature_layout
-
-    def expand(ds: Dataset) -> np.ndarray:
-        # C order, as hstack gave: the scaler then sums column means row by row
-        if not cat_src.size:
-            return ds.rows.take(num_src, axis=1)
-        x = np.zeros((ds.n, width))
-        x[:, num_dst] = ds.rows[:, num_src]
-        x[np.arange(ds.n)[:, None], cat_dst + ds.rows[:, cat_src].astype(np.intp)] = 1.0
-        return x
-
-    x = expand(apply_to)
+    x = apply_to._features
     if standardize:
-        ref = expand(train)
-        mean = ref.mean(axis=0) if ref.shape[0] else np.zeros(ref.shape[1])
-        std = ref.std(axis=0) if ref.shape[0] else np.zeros(ref.shape[1])
+        mean, std = train._scaler
         x = np.where(std > 0, (x - mean) / np.where(std > 0, std, 1.0), 0.0)
-
     y = apply_to.target_values()
     if schema.task == "classification":
         y = y.astype(int)

@@ -660,15 +660,15 @@ def ensemble_members(generator: GeneratorSpec, data: Dataset, predictor: Predict
                      test: Dataset, m: int, rep_seed: int,
                      mode: str = "independent") -> tuple[np.ndarray, np.ndarray]:
     """Generate m synthetic datasets, train one model per dataset and predict
-    the test rows with each: the (m, n_test, ...) member block and the
-    encoded test targets. Pure in rep_seed.
+    the test rows with each: the (m, n_test, ...) member block and the encoded
+    test targets. Pure in rep_seed; each dataset and its kept encoding go once used.
 
     A forest is the bootstrap generator with a CART predictor: member t is
     the tree grown on bootstrap replicate t."""
     rep_seed = check_seed(rep_seed, "rep_seed")
     datasets, _ = generate_ensemble(generator, data, m, mode, seed=rep_seed)
-    return _members(predictor, test, ((ds, child_seed(rep_seed, "train", i))
-                                      for i, ds in enumerate(datasets)))
+    return _members(predictor, test, ((datasets.pop(0), child_seed(rep_seed, "train", i))
+                                      for i in range(len(datasets))))
 
 
 def curve_repeat(generator: GeneratorSpec, data: Dataset, predictor: PredictorSpec,

@@ -310,14 +310,17 @@ class EnsembleProvenance:
         return out
 
 
-def check_ensemble_request(spec: GeneratorSpec, m: int, mode: str) -> int:
+def check_ensemble_request(spec: GeneratorSpec, m: int, mode: str, n_columns: int) -> int:
     """m as an int; raises ValueError unless generate_ensemble can make m
-    datasets in this mode."""
+    datasets in this mode from data of n_columns columns."""
     m = check_count(m, "m")
     if mode not in (INDEPENDENT, SHARED_SUMMARY, SPLIT_BUDGET):
         raise ValueError(f"unknown ensemble mode {mode!r}")
     if mode in (SHARED_SUMMARY, SPLIT_BUDGET) and spec.kind != NOISY_MARGINAL_DP:
         raise ValueError(f"mode {mode!r} requires kind={NOISY_MARGINAL_DP}")
+    if spec.kind == NOISY_MARGINAL_DP:
+        rho = rho_from_epsilon(spec.epsilon, spec.delta)
+        gaussian_noise_scale(rho / m if mode == SPLIT_BUDGET else rho, n_columns)
     return m
 
 
@@ -333,7 +336,7 @@ def generate_ensemble(spec: GeneratorSpec, data: Dataset, m: int, mode: str,
     For the DP generator the record holds one rho per release and their sum,
     the composed zCDP spend (zCDP composes additively).
     """
-    m = check_ensemble_request(spec, m, mode)
+    m = check_ensemble_request(spec, m, mode, len(data.schema.columns))
     seed = check_seed(seed)
     n_rows = spec.n_synthetic if spec.n_synthetic is not None else data.n
 

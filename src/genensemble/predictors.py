@@ -8,16 +8,16 @@ is a pure function of (spec, data, seed). Candidate splits that tie only in
 exact arithmetic are ordered by the rounding of their sums: two features that
 induce the same partition can score a few ulps apart.
 
-kNN filters, then refines. A filter value from one BLAS matrix product (a
-squared distance less the row's constant ||x||^2) and the exact per-row sum
-are both within 8 (d + 3) (u (||x||^2 + max ||t||^2) + the smallest
-subnormal) of the true value (Higham's gamma_n bounds, any summation order,
-with or without FMA), so every training row within twice that of the k-th
-smallest filter value is a candidate, as are NaN and inf filter values, and
-no neighbour is lost. Only the candidates' exact distances, reduced along the
-contiguous feature axis as a per-row loop reduces them, decide the order, so
-the output bits do not depend on BLAS or its threads. A chosen neighbour's
-distance that overflows is refused.
+kNN filters, then refines, a block of test rows at a time. A filter value from
+a BLAS product (a squared distance less the row's constant ||x||^2) and the
+exact per-row sum are both within 8 (d + 3) (u (||x||^2 + max ||t||^2) + the
+smallest subnormal) of the true value (Higham's gamma_n bounds, any summation
+order, with or without FMA), so every training row within twice that of the
+k-th smallest filter value is a candidate, as are NaN and inf filter values,
+and no neighbour is lost. Only the candidates' exact distances, reduced along
+the contiguous feature axis as a per-row loop reduces them, decide the order,
+so the output bits do not depend on BLAS, its threads or the blocks. A chosen
+neighbour's distance that overflows is refused.
 
 A bagged_trees forest is one CART grown from T roots, its bootstrap draws; a
 forest whose mean prediction overflows is refused.
@@ -318,25 +318,28 @@ def _tree_predict_rows(tree, x):
 
 # --- kNN ---------------------------------------------------------------------
 
-# The refine step gathers at most this many (candidate x feature) cells at a
-# time, and always at least one candidate.
-_KNN_CELLS = 1 << 16
+# Cells per kNN filter block (test row x training row) and refine gather (candidate x
+# feature), at least one: 32 KiB, so live temporaries stay under malloc's 128 KiB trim.
+_KNN_CELLS = 1 << 12
 
 
 def _candidates(x, tx, k):
     """Rows, columns and exact squared distances of the candidates for each
     row's k <= len(tx) nearest, rows ascending, then columns. The filter
     value ||t||^2 - 2 x.t omits the row's constant ||x||^2."""
-    d = tx.shape[1]
+    n_train, d = tx.shape
+    keep = [np.empty(0, dtype=np.intp)]      # flat (row, column) indices
     with np.errstate(over="ignore", invalid="ignore"):
         tt = (tx * tx).sum(axis=1)
-        fast = (-2.0 * x) @ tx.T
-        fast += tt
-        kth = np.partition(fast, k - 1, axis=1)[:, k - 1:k]
         # unit roundoff 2**-53; the smallest subnormal 2**-1074
         slack = 8.0 * (d + 3) * (2.0**-53 * ((x * x).sum(axis=1) + tt.max()) + 2.0**-1074)
-        keep = ~(fast > kth + 2.0 * slack[:, None])
-        rows, cols = np.divmod(np.flatnonzero(keep), tx.shape[0])
+        block = max(1, _KNN_CELLS // n_train)
+        for first in range(0, x.shape[0], block):
+            at = slice(first, first + block)
+            fast = (-2.0 * x[at]) @ tx.T + tt
+            bound = np.partition(fast, k - 1, axis=1)[:, k - 1:k] + 2.0 * slack[at, None]
+            keep.append(np.flatnonzero(~(fast > bound)) + first * n_train)
+        rows, cols = np.divmod(np.concatenate(keep), n_train)
         exact, step = np.empty(rows.size), max(1, _KNN_CELLS // max(1, d))
         for start in range(0, rows.size, step):
             at = slice(start, start + step)

@@ -8,11 +8,12 @@ individual terms and 4 for the decomposition identity gap.
 import math
 
 import numpy as np
+from exact_bagged_nn import expected_mse
 
 import genensemble as ge
 from genensemble.bregman import (NEGENTROPY, BregmanSpec, check_total_variance, dual,
                                  dual_average, dual_inverse)
-from genensemble.decomposition import achieved_benefit
+from genensemble.decomposition import TERM_SE_MULTIPLE, achieved_benefit
 from genensemble.metrics import MetricSpec, score_predictions
 from genensemble.processes import get_process
 from genensemble.rng import make_rng
@@ -108,9 +109,17 @@ def test_05_error_curve_follows_one_minus_one_over_m():
         diff = per_repeat_pred - curve.per_repeat[m]
         se = diff.std(ddof=1) / math.sqrt(diff.size)
         checks.append(abs(diff.mean()) <= 3.0 * se)
+
+    # a 1-D CART grown to pure leaves predicts the nearest training x, so each
+    # m has an exact E[MSE(m) | data]: bagged 1-NN with s = 60 draws
+    real, scored = ge.encode(data, data, False), ge.encode(data, test, False)
+    for m, scores in curve.per_repeat.items():
+        exact = expected_mse(real.x, real.y, scored.x, scored.y, 60, m)
+        se = scores.std(ddof=1) / math.sqrt(scores.size)
+        checks.append(abs(scores.mean() - exact) <= TERM_SE_MULTIPLE * se)
     ok = all(checks)
-    assert report(5, "bootstrap+tree curve follows the 1-1/m law (R^2 and "
-                     "two-point prediction)", ok)
+    assert report(5, "bootstrap+tree curve follows the 1-1/m law (R^2, "
+                     "two-point prediction and exact bagged 1-NN values)", ok)
 
 
 def test_06_variance_spectrum_ordering():

@@ -306,7 +306,7 @@ s_per_theta = 2
             assert all(len(row) == len(header) and row[0] == "my,data" for row in rows), name
 
 
-def dp_config(tmp_path, epsilon, delta="1e-6", mode="independent"):
+def dp_config(tmp_path, epsilon, delta="1e-6", mode="independent", m=2):
     """A generate config for the DP generator on a small categorical CSV."""
     rng = np.random.default_rng(3)
     lines = ["a,y"] + [f"l{a},{('no', 'yes')[t]}" for a, t in rng.integers(0, 2, size=(20, 2))]
@@ -330,7 +330,7 @@ kind = noisy_marginal_dp
 epsilon = {epsilon}
 delta = {delta}
 mode = {mode}
-m = 2
+m = {m}
 """)
     return cfg
 
@@ -371,6 +371,21 @@ def test_generate_refuses_an_epsilon_whose_noise_scale_overflows(tmp_path, capsy
     err = capsys.readouterr().err
     assert "config error: [generator]: rho = " in err and "finite noise scale" in err
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("mode, status", [("independent", 0), ("split_budget", 1)])
+def test_generate_checks_the_noise_scale_of_each_release(tmp_path, capsys, mode, status):
+    # a split-budget release spends rho / 4 over both columns, and its noise
+    # scale overflowed only when drawn (exit 2); at the full rho it is finite
+    out = tmp_path / "out"
+    cfg = dp_config(tmp_path, "1e-153", mode=mode, m=4)
+    assert cli.main(["generate", "--config", str(cfg), "--output", str(out)]) == status
+    if status:
+        err = capsys.readouterr().err
+        assert "config error: [generator]: rho = " in err and "finite noise scale" in err
+        assert not any(out.iterdir())
+    else:
+        assert (out / "synthetic_003.csv").exists()
 
 
 def test_generate_with_a_subnormal_delta(tmp_path):

@@ -298,12 +298,16 @@ def _encode_reference(train, apply_to, standardize):
     return x, y
 
 
+# column kinds, the target last: 0 is numeric, k > 0 categorical with k levels
+ANY_KINDS = st.lists(st.just(0) | st.integers(1, 20), min_size=1, max_size=9)
+
+
 @st.composite
-def mixed_dataset_pairs(draw):
+def mixed_dataset_pairs(draw, kinds=ANY_KINDS):
     """Two datasets of one schema: 0-8 features and a target, each numeric or
     categorical with 1-20 levels; numeric cells at scales 1e-3 to 1e3, some
     columns constant."""
-    kinds = draw(st.lists(st.just(0) | st.integers(1, 20), min_size=1, max_size=9))   # 0: numeric
+    kinds = draw(kinds)
     columns = tuple(Column(f"c{j}", CATEGORICAL if k else NUMERIC,
                            TARGET if j == len(kinds) - 1 else FEATURE,
                            levels=tuple(f"l{v}" for v in range(k)))
@@ -333,3 +337,61 @@ class TestEncodeMatchesPerColumnReference:
             # summed row by row, those of an F-ordered one pairwise
             assert fm.x.flags.c_contiguous and fm.x.shape == x.shape
             assert fm.x.tobytes() == x.tobytes() and fm.y.tobytes() == y.tobytes()
+
+
+def _encode_expand_twice(train, apply_to, standardize):
+    """encode before a dataset kept its encoding: apply_to is expanded, and
+    train expanded again to fit the scaler."""
+    schema = train.schema
+    num_src, num_dst, cat_src, cat_dst, width = schema._feature_layout
+
+    def expand(ds):
+        if not cat_src.size:
+            return ds.rows.take(num_src, axis=1)
+        x = np.zeros((ds.n, width))
+        x[:, num_dst] = ds.rows[:, num_src]
+        x[np.arange(ds.n)[:, None], cat_dst + ds.rows[:, cat_src].astype(np.intp)] = 1.0
+        return x
+
+    x = expand(apply_to)
+    if standardize:
+        ref = expand(train)
+        mean = ref.mean(axis=0) if ref.shape[0] else np.zeros(ref.shape[1])
+        std = ref.std(axis=0) if ref.shape[0] else np.zeros(ref.shape[1])
+        x = np.where(std > 0, (x - mean) / np.where(std > 0, std, 1.0), 0.0)
+    y = apply_to.target_values()
+    if schema.task == "classification":
+        y = y.astype(int)
+    return x, y
+
+
+FEATURE_KINDS = {
+    "numeric": st.lists(st.just(0), min_size=2, max_size=6),
+    "categorical": st.lists(st.integers(1, 20), min_size=2, max_size=6),
+    "mixed": st.lists(st.just(0) | st.integers(1, 20), min_size=3, max_size=7).filter(
+        lambda kinds: 0 in kinds[:-1] and any(kinds[:-1])),
+}
+
+
+class TestEncodeKeepsOneEncodingPerDataset:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), style=st.sampled_from(sorted(FEATURE_KINDS)),
+           standardize=st.booleans())
+    def test_bytes_match_expand_twice(self, data, style, standardize):
+        synthetic, test = data.draw(mixed_dataset_pairs(FEATURE_KINDS[style]))
+        # a member's two calls, then again from the kept encodings
+        for _ in range(2):
+            for a, b in ((synthetic, synthetic), (synthetic, test)):
+                fm = encode(a, b, standardize)
+                x, y = _encode_expand_twice(a, b, standardize)
+                assert fm.x.flags.c_contiguous and fm.x.shape == x.shape
+                assert fm.x.tobytes() == x.tobytes() and fm.y.tobytes() == y.tobytes()
+                # the kept expansion is shared, so no caller may write to it
+                assert fm.x.flags.writeable == standardize
+
+    def test_unstandardised_x_cannot_be_written(self):
+        data = Dataset(NUM_SCHEMA, np.array([[1.5, 0.0], [-2.0, 1.0]]))
+        x = encode(data, data, standardize=False).x
+        with pytest.raises(ValueError, match="read-only"):
+            x[0, 0] = 7.0
+        assert encode(data, data, standardize=False).x[0, 0] == 1.5

@@ -356,7 +356,7 @@ class TestGenerateEnsemble:
 
 def _generate_ensemble_reference(spec, data, m, mode, seed=0):
     """generate_ensemble with one member loop per mode."""
-    check_ensemble_request(spec, m, mode)
+    check_ensemble_request(spec, m, mode, len(data.schema.columns))
     n_rows = spec.n_synthetic if spec.n_synthetic is not None else data.n
 
     member_seeds = tuple(child_seed(seed, "member", i) for i in range(m))
@@ -539,3 +539,19 @@ class TestNoiseScaleRange:
             fit_dp_summary(cat_dataset([[0, 1], [1, 0]]), 1e-155, 1e-6, 0)
         with pytest.raises(ValueError, match="rho"):
             get_process("discrete_toy", epsilon=1e-155)
+
+    def test_ensemble_request_checks_each_release(self):
+        # each split-budget release spends rho / m over every column; that
+        # noise scale overflowed only when drawn, not in the request check
+        spec = GeneratorSpec("noisy_marginal_dp", epsilon=1e-153, delta=1e-6)
+        data = cat_dataset([[0, 1], [1, 0], [1, 1], [0, 0]])
+        for mode in ("independent", "shared_summary"):
+            assert check_ensemble_request(spec, 4, mode, 2) == 4
+            assert len(generate_ensemble(spec, data, 4, mode, seed=1)[0]) == 4
+        with pytest.raises(ValueError, match="finite noise scale"):
+            check_ensemble_request(spec, 4, "split_budget", 2)
+        with pytest.raises(ValueError, match="finite noise scale"):
+            generate_ensemble(spec, data, 4, "split_budget", seed=1)
+        # one release at the full rho, but over enough columns
+        with pytest.raises(ValueError, match="finite noise scale"):
+            check_ensemble_request(spec, 1, "independent", 10)

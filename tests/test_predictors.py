@@ -1,12 +1,15 @@
+import itertools
 from unittest import mock
 
 import numpy as np
 import pytest
+from exact_bagged_nn import bagged_1nn_moments
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genensemble import predictors
-from genensemble.data import FeatureMatrix
+from genensemble.data import (FEATURE, NUMERIC, TARGET, Column, Dataset, FeatureMatrix, Schema,
+                              encode)
 from genensemble.metrics import (DUAL_LOG_PROB, MEAN, PROB_SUM_TOL,
                                  combine_predictions)
 from genensemble.predictors import (_KINDS, _KNN_CELLS, KINDS, PredictorSpec, _candidates,
@@ -265,13 +268,14 @@ def _knn_reference(tx, ty, k, task, n_classes, x):
             out.append(ty[nearest].mean())
         else:
             out.append(np.bincount(ty[nearest], minlength=n_classes) / nearest.size)
-    return np.asarray(out)
+    return np.asarray(out, dtype=np.float64).reshape(
+        (len(x), n_classes) if task == "classification" else len(x))
 
 
 def _assert_filter_sound(tx, k, query):
     """Every column within a row's k-th smallest per-row distance is a
     candidate, and each candidate's exact distance has the per-row bits."""
-    dist = np.asarray([((tx - row) ** 2).sum(axis=1) for row in query])
+    dist = np.asarray([((tx - row) ** 2).sum(axis=1) for row in query]).reshape(len(query), len(tx))
     rows, cols, exact = _candidates(query, tx, min(k, tx.shape[0]))
     candidate = np.zeros(dist.shape, dtype=bool)
     candidate[rows, cols] = True
@@ -332,6 +336,34 @@ class TestKnnReference:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), task=st.sampled_from(["regression", "classification"]),
+           height=st.sampled_from(["empty", "one", "blocks"]))
+    def test_row_blocks_match_per_row_loop_bytes(self, data, task, height):
+        # 12 to 40 test rows per filter block; "blocks" spans 3 or 4 blocks,
+        # the last one partial
+        n_train = data.draw(st.integers(_KNN_CELLS // 40, _KNN_CELLS // 12))
+        block = _KNN_CELLS // n_train
+        n = {"empty": 0, "one": 1,
+             "blocks": data.draw(st.integers(2, 3)) * block + data.draw(st.integers(1, block - 1))
+             }[height]
+        d = data.draw(st.integers(1, 6))
+        k = data.draw(st.integers(1, 12))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # few distinct integer rows: many distance ties across the blocks
+        x = rng.integers(-2, 3, size=(n_train + n, d)) / data.draw(st.sampled_from([1.0, 3.0]))
+        tx, query = x[:n_train], x[n_train:]
+        if task == "regression":
+            n_classes, ty = 0, rng.normal(size=n_train)
+        else:
+            n_classes = data.draw(st.integers(2, 5))
+            ty = rng.integers(0, n_classes, size=n_train)
+        _assert_filter_sound(tx, k, query)
+        got = predict_batch(_knn_model(task, tx, ty, k, n_classes), query)
+        want = _knn_reference(tx, ty, k, task, n_classes, query)
+        assert got.shape == want.shape and got.shape[0] == n
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("task", ["regression", "classification"])
     def test_refine_in_several_chunks(self, task):
         # two distinct training rows: every row ties with half the others, so
@@ -365,6 +397,32 @@ class TestKnnReference:
                 predict_batch(model, [[0.0]])
         else:
             assert predict_batch(model, [[0.0]])[0] == want
+
+
+class TestExactBaggedNearestNeighbour:
+    @settings(max_examples=25, deadline=None)
+    @given(xs=st.lists(st.integers(-8, 8), min_size=1, max_size=4, unique=True),
+           ys=st.lists(st.floats(-100, 100), min_size=4, max_size=4),
+           points=st.lists(st.integers(-10, 9), min_size=1, max_size=3))
+    def test_every_bootstrap_tuple_matches_the_closed_form(self, xs, ys, points):
+        # n distinct integer rows; a test point j + 1/4 is never equidistant
+        # from two of them, nor on a CART midpoint
+        n = len(xs)
+        schema = Schema((Column("x", NUMERIC, FEATURE), Column("y", NUMERIC, TARGET)))
+        real = np.column_stack([xs, ys[:n]]).astype(float)
+        test = Dataset(schema, np.column_stack([np.add(points, 0.25), np.zeros(len(points))]))
+        mu, v = bagged_1nn_moments(real[:, :1], real[:, 1], test.rows[:, :1], n)
+        scale = 1.0 + np.abs(real[:, 1]).max()
+        for spec in (PredictorSpec("knn", "regression", k=1), PredictorSpec("cart", "regression")):
+            # every one of the n**n equally likely bootstrap index tuples, s = n
+            preds = []
+            for draw in itertools.product(range(n), repeat=n):
+                ds = Dataset(schema, real[list(draw)])
+                model = train(spec, encode(ds, ds, spec.wants_standardize))
+                preds.append(predict_batch(model, encode(ds, test, spec.wants_standardize).x))
+            preds = np.asarray(preds)
+            np.testing.assert_allclose(preds.mean(axis=0), mu, rtol=0, atol=1e-13 * scale)
+            np.testing.assert_allclose(preds.var(axis=0), v, rtol=0, atol=1e-12 * scale ** 2)
 
 
 class TestKnn:
