@@ -158,28 +158,22 @@ def _load_data(cfg, seed: int) -> tuple[Dataset, Dataset | None, str]:
     raise ConfigError(f"[data] source must be csv or process, got {source!r}")
 
 
-def _generator_spec(cfg) -> GeneratorSpec:
-    kind = _get(cfg, "generator", "kind", required=True)
+def _ensemble_request(cfg, m: int, data: Dataset) -> tuple[GeneratorSpec, str]:
+    """The [generator] spec and mode, checked for m datasets generated from data."""
     epsilon = _get(cfg, "generator", "epsilon", convert=float)
     if epsilon is not None and not math.isfinite(epsilon):
         raise ConfigError("[generator] epsilon must be finite")
+    mode = _get(cfg, "generator", "mode", default="independent")
     with _config_errors("[generator]"):
-        return GeneratorSpec(
-            kind=kind,
+        spec = GeneratorSpec(
+            kind=_get(cfg, "generator", "kind", required=True),
             n_synthetic=_get(cfg, "generator", "n_synthetic", convert=int),
             identity=_get(cfg, "generator", "identity", default=False, convert=bool),
             epsilon=epsilon,
             delta=_get(cfg, "generator", "delta", convert=float),
             process=_get(cfg, "generator", "process"),
         )
-
-
-def _ensemble_request(cfg, m: int, data: Dataset) -> tuple[GeneratorSpec, str]:
-    """The [generator] spec and mode, checked for m datasets generated from data."""
-    spec = _generator_spec(cfg)
-    mode = _get(cfg, "generator", "mode", default="independent")
-    with _config_errors("[generator]"):
-        check_ensemble_request(spec, m, mode, len(data.schema.columns))
+        check_ensemble_request(spec, m, mode, data)
     return spec, mode
 
 
@@ -341,7 +335,9 @@ def _cmd_decompose(cfg, seed, tracker):
 
 def _cmd_nested_var(cfg, seed, tracker):
     data, test, label = _load_data(cfg, seed)
-    spec = _generator_spec(cfg)
+    spec, mode = _ensemble_request(cfg, 1, data)
+    if mode != "independent":
+        raise ConfigError(f"[generator] mode: nested-var draws independent fits, not {mode!r}")
     predictors = _predictor_specs(cfg, data.schema.task)
     r_theta = _get_count(cfg, "nested_var", "r_theta", default=32, minimum=2)
     s_per = _get_count(cfg, "nested_var", "s_per_theta", default=5, minimum=2)

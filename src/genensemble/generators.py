@@ -45,6 +45,10 @@ class GeneratorSpec:
             object.__setattr__(self, "n_synthetic", check_count(self.n_synthetic, "n_synthetic"))
         if self.identity and (self.kind != BOOTSTRAP or self.n_synthetic is not None):
             raise ValueError("identity needs the bootstrap generator and no n_synthetic")
+        if self.kind != NOISY_MARGINAL_DP and (self.epsilon, self.delta) != (None, None):
+            raise ValueError(f"epsilon and delta need kind={NOISY_MARGINAL_DP}")
+        if self.kind != TRUTH_PROCESS and self.process is not None:
+            raise ValueError(f"process needs kind={TRUTH_PROCESS}")
         if self.kind == NOISY_MARGINAL_DP:
             if self.epsilon is None or self.delta is None:
                 raise ValueError("noisy_marginal_dp needs epsilon and delta")
@@ -158,9 +162,6 @@ def _prefix_sums(flat: np.ndarray, sizes) -> np.ndarray:
 
 def _marginal_counts(data: Dataset) -> tuple[list[int], np.ndarray]:
     """The number of levels of each column, and all level counts in column order."""
-    for col in data.schema.columns:
-        if col.kind != CATEGORICAL:
-            raise ValueError(f"column {col.name!r} is not categorical; discretize upstream")
     sizes = [len(col.levels) for col in data.schema.columns]
     cells = data.rows.astype(np.intp) + (np.cumsum(sizes) - sizes)
     return sizes, np.bincount(cells.ravel(), minlength=sum(sizes)).astype(np.float64)
@@ -183,10 +184,9 @@ def _dp_summary_with_rho(data: Dataset, rho: float, epsilon: float, delta: float
 def fit_dp_summary(data: Dataset, epsilon: float, delta: float, seed: int) -> PrivateSummary:
     """Release noisy per-column marginal counts under (epsilon, delta)-DP."""
     seed = check_seed(seed)
-    if data.n < 1:
-        raise ValueError("cannot summarize an empty dataset")
-    rho = rho_from_epsilon(epsilon, delta)
-    return _dp_summary_with_rho(data, rho, epsilon, delta, seed)
+    check_ensemble_request(GeneratorSpec(NOISY_MARGINAL_DP, epsilon=epsilon, delta=delta),
+                           1, INDEPENDENT, data)
+    return _dp_summary_with_rho(data, rho_from_epsilon(epsilon, delta), epsilon, delta, seed)
 
 
 def sample_params_from_summary(summary: PrivateSummary, seed: int) -> GeneratorParams:
@@ -209,9 +209,6 @@ def sample_params_from_summary(summary: PrivateSummary, seed: int) -> GeneratorP
 
 
 def _fit_gaussian_ppd(data: Dataset, seed: int) -> GeneratorParams:
-    for col in data.schema.columns:
-        if col.kind != NUMERIC:
-            raise ValueError(f"gaussian_ppd cannot model categorical column {col.name!r}")
     x = data.rows
     n, d = x.shape
     xbar = x.mean(axis=0)
@@ -234,8 +231,7 @@ def _fit_gaussian_ppd(data: Dataset, seed: int) -> GeneratorParams:
 def fit(spec: GeneratorSpec, data: Dataset, seed: int) -> GeneratorParams:
     """Draw one set of generator parameters given the training data."""
     seed = check_seed(seed)
-    if data.n < 1:
-        raise ValueError("cannot fit a generator on an empty dataset")
+    check_ensemble_request(spec, 1, INDEPENDENT, data)
     if spec.kind == BOOTSTRAP:
         return GeneratorParams(kind=BOOTSTRAP, data=data, identity=spec.identity,
                                schema=data.schema)
@@ -310,17 +306,28 @@ class EnsembleProvenance:
         return out
 
 
-def check_ensemble_request(spec: GeneratorSpec, m: int, mode: str, n_columns: int) -> int:
+def check_ensemble_request(spec: GeneratorSpec, m: int, mode: str, data: Dataset) -> int:
     """m as an int; raises ValueError unless generate_ensemble can make m
-    datasets in this mode from data of n_columns columns."""
+    datasets in this mode from data; fit and fit_dp_summary check one dataset here."""
     m = check_count(m, "m")
     if mode not in (INDEPENDENT, SHARED_SUMMARY, SPLIT_BUDGET):
         raise ValueError(f"unknown ensemble mode {mode!r}")
     if mode in (SHARED_SUMMARY, SPLIT_BUDGET) and spec.kind != NOISY_MARGINAL_DP:
         raise ValueError(f"mode {mode!r} requires kind={NOISY_MARGINAL_DP}")
+    if data.n < 1:
+        raise ValueError("cannot fit a generator on an empty dataset")
+    want = {NOISY_MARGINAL_DP: CATEGORICAL, GAUSSIAN_PPD: NUMERIC}.get(spec.kind)
+    for col in data.schema.columns:
+        if want not in (None, col.kind):
+            raise ValueError(f"{spec.kind} models {want} columns; {col.name!r} is {col.kind}")
+    if spec.kind == TRUTH_PROCESS:
+        from .processes import get_process
+        if get_process(spec.process).schema != data.schema:
+            raise ValueError(f"truth process {spec.process!r} does not model the data's "
+                             f"columns {data.schema.names}")
     if spec.kind == NOISY_MARGINAL_DP:
         rho = rho_from_epsilon(spec.epsilon, spec.delta)
-        gaussian_noise_scale(rho / m if mode == SPLIT_BUDGET else rho, n_columns)
+        gaussian_noise_scale(rho / m if mode == SPLIT_BUDGET else rho, len(data.schema.columns))
     return m
 
 
@@ -336,7 +343,7 @@ def generate_ensemble(spec: GeneratorSpec, data: Dataset, m: int, mode: str,
     For the DP generator the record holds one rho per release and their sum,
     the composed zCDP spend (zCDP composes additively).
     """
-    m = check_ensemble_request(spec, m, mode, len(data.schema.columns))
+    m = check_ensemble_request(spec, m, mode, data)
     seed = check_seed(seed)
     n_rows = spec.n_synthetic if spec.n_synthetic is not None else data.n
 

@@ -17,7 +17,7 @@ k-th smallest filter value is a candidate, as are NaN and inf filter values,
 and no neighbour is lost. Only the candidates' exact distances, reduced along
 the contiguous feature axis as a per-row loop reduces them, decide the order,
 so the output bits do not depend on BLAS, its threads or the blocks. A chosen
-neighbour's distance that overflows is refused.
+neighbour's distance, or a regression mean of their targets, that overflows is refused.
 
 A bagged_trees forest is one CART grown from T roots, its bootstrap draws; a
 forest whose mean prediction overflows is refused.
@@ -471,6 +471,15 @@ def _feature_block(model: TrainedModel, x) -> np.ndarray:
     return x
 
 
+def _finite_mean(values: np.ndarray, axis: int, what: str) -> np.ndarray:
+    """values.mean(axis), refused where it overflows."""
+    with np.errstate(over="ignore"):
+        mean = values.mean(axis=axis)
+    if not np.isfinite(mean).all():
+        raise ValueError(f"the mean of the {what} overflows")
+    return mean
+
+
 def predict_batch(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     """Predict for an (n, d) feature block.
 
@@ -489,18 +498,14 @@ def predict_batch(model: TrainedModel, x: np.ndarray) -> np.ndarray:
         tx, ty, k = model.state
         nearest = _nearest(x, tx, k)
         if model.task == "regression":
-            return ty[nearest].mean(axis=1)
+            return _finite_mean(ty[nearest], 1, "neighbours' targets")
         n = x.shape[0]
         labels = np.arange(n)[:, None] * n_classes + ty[nearest]
         counts = np.bincount(labels.reshape(-1), minlength=n * n_classes)
         return counts.reshape(n, n_classes) / nearest.shape[1]
 
     if model.kind in ("cart", "bagged_trees"):
-        with np.errstate(over="ignore"):
-            mean = _tree_predict_rows(model.state, x).mean(axis=0)
-        if not np.isfinite(mean).all():
-            raise ValueError("the mean of the trees' predictions overflows")
-        return mean
+        return _finite_mean(_tree_predict_rows(model.state, x), 0, "trees' predictions")
 
     if model.kind in ("ridge", "linear"):
         coef, intercept = model.state

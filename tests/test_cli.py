@@ -15,10 +15,11 @@ import pytest
 from genensemble import cli, decomposition
 from genensemble.data import (CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Schema, load_csv,
                               train_test_split)
-from genensemble.decomposition import ensemble_members, mse_curve
+from genensemble.decomposition import (ensemble_members, fit_rule_regression, mse_curve,
+                                       predict_mse)
 from genensemble.generators import GeneratorSpec
-from genensemble.metrics import (LONG_COLUMNS, MEAN, MetricSpec, read_long_csv, score_prefixes,
-                                 write_long_csv)
+from genensemble.metrics import (LABEL_COLUMNS, LONG_COLUMNS, MEAN, MetricSpec, read_long_csv,
+                                 score_prefixes, write_long_csv)
 from genensemble.predictors import PredictorSpec, parse_predictor
 from genensemble.rng import child_seed
 
@@ -397,6 +398,117 @@ def test_generate_with_a_subnormal_delta(tmp_path):
     assert math.isfinite(prov["epsilon_total"]) and prov["epsilon_total"] <= 1.0
 
 
+def generator_config(tmp_path, generator, categorical=False):
+    """A config for every subcommand that reads [generator], on an 8-row CSV
+    of two columns a, b: both numeric, or both categorical."""
+    if categorical:
+        lines = ["a,b"] + [f"l{i % 2},l{i // 4}" for i in range(8)]
+        schema = "a = categorical(l0|l1) feature\nb = categorical(l0|l1) target"
+    else:
+        lines = ["a,b"] + [f"{i},{i * i}" for i in range(8)]
+        schema = "a = numeric feature\nb = numeric target"
+    data_path = tmp_path / "ab.csv"
+    data_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return write_config(tmp_path, f"""\
+[data]
+source = csv
+path = {data_path}
+
+[schema]
+{schema}
+
+[generator]
+{generator}
+
+[predictors]
+specs = mean
+
+[curve]
+m_values = 1 2
+repeats = 1
+
+[nested_var]
+r_theta = 2
+s_per_theta = 2
+""")
+
+
+class TestGeneratorRequest:
+    @pytest.mark.parametrize("subcommand", ["generate", "curve", "nested-var"])
+    @pytest.mark.parametrize("generator, categorical, message", [
+        ("kind = noisy_marginal_dp\nepsilon = 1\ndelta = 1e-6", False,
+         "noisy_marginal_dp models categorical columns; 'a' is numeric"),
+        ("kind = gaussian_ppd", True, "gaussian_ppd models numeric columns; 'a' is categorical"),
+        ("kind = truth_process\nprocess = gaussian_toy", False,
+         "truth process 'gaussian_toy' does not model the data's columns ['a', 'b']"),
+        ("kind = truth_process\nprocess = bogus", False, "unknown truth process 'bogus'"),
+        ("kind = noisy_marginal_dp\nepsilon = 5e-154\ndelta = 1e-6", True, "finite noise scale"),
+        ("kind = bootstrap\nmode = shared_summary", False,
+         "mode 'shared_summary' requires kind=noisy_marginal_dp"),
+        ("kind = bootstrap\nepsilon = 1\ndelta = 1e-6", False,
+         "epsilon and delta need kind=noisy_marginal_dp"),
+    ], ids=["dp-on-numeric", "ppd-on-categorical", "process-on-other-columns",
+            "unknown-process", "noise-scale-over-two-columns", "shared-summary-without-dp",
+            "budget-without-dp"])
+    def test_generator_that_cannot_serve_the_data_is_a_config_error(
+            self, tmp_path, generator, categorical, message, subcommand, capsys):
+        # each surfaced at the first fit (exit 2), or not at all: nested-var
+        # ignored the mode, generate wrote gaussian_toy's x, y columns for a
+        # CSV of a, b, and curve dropped the budget of a bootstrap generator
+        cfg = generator_config(tmp_path, generator, categorical)
+        out = tmp_path / "out"
+        assert cli.main([subcommand, "--config", str(cfg), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [generator]: ") and message in err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("mode", ["shared_summary", "split_budget"])
+    def test_nested_var_refuses_a_mode_other_than_independent(self, tmp_path, mode, capsys):
+        # nested-var draws independent fits, and ran them whatever the mode said
+        cfg = generator_config(tmp_path, f"kind = noisy_marginal_dp\nepsilon = 1\n"
+                                         f"delta = 1e-6\nmode = {mode}", categorical=True)
+        out = tmp_path / "out"
+        assert cli.main(["generate", "--config", str(cfg), "--output", str(out)]) == 0
+        assert cli.main(["nested-var", "--config", str(cfg), "--output", str(tmp_path / "nv")]) == 1
+        assert (f"config error: [generator] mode: nested-var draws independent fits, "
+                f"not {mode!r}") in capsys.readouterr().err
+        assert not any((tmp_path / "nv").iterdir())
+
+    def test_truth_process_curve_on_its_own_data(self, tmp_path):
+        # the discrete process's real and test sets, fitted and sampled by
+        # the truth_process generator of the same process: the library curve
+        cfg = write_config(tmp_path, """\
+[experiment]
+seed = 7
+
+[data]
+source = process
+process = discrete_toy
+n = 30
+n_test = 20
+
+[generator]
+kind = truth_process
+process = discrete_toy
+
+[predictors]
+specs = mean
+
+[curve]
+m_values = 1 2 4
+repeats = 2
+""")
+        out = tmp_path / "out"
+        assert cli.main(["curve", "--config", str(cfg), "--output", str(out)]) == 0
+        data, test, label = cli._load_data(cli._read_config(str(cfg))[0], 7)
+        assert (data.n, test.n, label) == (30, 20, "discrete_toy")
+        curve = mse_curve(GeneratorSpec("truth_process", process="discrete_toy"), data, "mean",
+                          test, [1, 2, 4], 2, metric=MetricSpec("brier_binary"), seed=7,
+                          dataset_label=label)
+        write_long_csv(tmp_path / "library.csv", curve.rows)
+        assert (out / "curve.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+
+
 class TestValidation:
     def test_missing_config_file(self, capsys):
         assert cli.main(["curve", "--config", "/nonexistent.cfg"]) == 1
@@ -429,6 +541,43 @@ method = two_point
         assert cli.main(["predict-curve", "--config", str(cfg),
                          "--output", str(out)]) == 1
         assert "m=1 and m=2" in capsys.readouterr().err
+        assert not (out / "predictions.csv").exists()
+
+    def test_predict_curve_regression_fits_the_group_means(self, tmp_path):
+        curve = tmp_path / "curve.csv"
+        rows = [("cart", 1, 0, 2.0), ("cart", 1, 1, 2.5), ("cart", 2, 0, 1.5),
+                ("cart", 4, 0, 1.25), ("knn5", 1, 0, 3.0), ("knn5", 3, 0, 1.0)]
+        write_long_csv(curve, [dict(zip(LONG_COLUMNS, ("d", "g", "i", label, "mean", "mse", m, j,
+                                                       score, 0.1)))
+                               for label, m, j, score in rows])
+        cfg = write_config(tmp_path, f"""\
+[predict_curve]
+curve_csv = {curve}
+m_values = 8
+method = regression
+""")
+        out = tmp_path / "o"
+        assert cli.main(["predict-curve", "--config", str(cfg), "--output", str(out)]) == 0
+        with open(out / "predictions.csv", newline="", encoding="utf-8") as fh:
+            header, *predicted = csv.reader(fh)
+        assert header == list(LABEL_COLUMNS) + ["method", "m", "measured_mean", "predicted"]
+        for label, means in [("cart", {1: 2.25, 2: 1.5, 4: 1.25}), ("knn5", {1: 3.0, 3: 1.0})]:
+            rule = fit_rule_regression(means)
+            assert [row[6:] for row in predicted if row[3] == label] == [
+                ["regression", str(m), repr(means[m]) if m in means else "",
+                 repr(predict_mse(rule, m))] for m in sorted({8} | set(means))]
+
+    def test_predict_curve_regression_needs_two_m_values_per_group(self, tmp_path, capsys):
+        curve = tmp_path / "curve.csv"
+        write_long_csv(curve, [dict(zip(LONG_COLUMNS, ("d", "g", "i", label, "mean", "mse", m, 0,
+                                                       1.0, 0.1)))
+                               for label, m in [("cart", 1), ("cart", 2), ("knn5", 2)]])
+        cfg = write_config(tmp_path, f"[predict_curve]\ncurve_csv = {curve}\nm_values = 4\n"
+                                     f"method = regression\n")
+        out = tmp_path / "o"
+        assert cli.main(["predict-curve", "--config", str(cfg), "--output", str(out)]) == 1
+        assert ("config error: regression prediction needs at least two m values"
+                in capsys.readouterr().err)
         assert not (out / "predictions.csv").exists()
 
     @pytest.mark.parametrize("header, row, message", [

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import sys
 
 import numpy as np
@@ -251,6 +252,68 @@ class TestGeneratorSpec:
         with pytest.raises(ValueError, match="identity needs the bootstrap generator"):
             GeneratorSpec(kind, identity=True, n_synthetic=n_synthetic)
 
+    @pytest.mark.parametrize("kind, options", [
+        ("bootstrap", {"epsilon": 1.0, "delta": 1e-6}),
+        ("gaussian_ppd", {"delta": 1e-6}),
+        ("truth_process", {"process": "gaussian_toy", "epsilon": 1.0}),
+    ])
+    def test_budget_refused_where_it_would_be_ignored(self, kind, options):
+        # a bootstrap ensemble with a budget failed to write its provenance,
+        # since only the DP generator spends one
+        with pytest.raises(ValueError, match="epsilon and delta need kind=noisy_marginal_dp"):
+            GeneratorSpec(kind, **options)
+
+    @pytest.mark.parametrize("kind, options", [
+        ("bootstrap", {}), ("noisy_marginal_dp", {"epsilon": 1.0, "delta": 1e-6})])
+    def test_process_refused_where_it_would_be_ignored(self, kind, options):
+        with pytest.raises(ValueError, match="process needs kind=truth_process"):
+            GeneratorSpec(kind, process="gaussian_toy", **options)
+
+
+class TestEnsembleRequest:
+    @pytest.mark.parametrize("mode", ["independent", "shared_summary", "split_budget"])
+    def test_empty_data_refused_in_every_mode(self, mode):
+        # split_budget drew its datasets from the noise alone
+        spec = GeneratorSpec("noisy_marginal_dp", n_synthetic=5, epsilon=1.0, delta=1e-6)
+        empty = cat_dataset(np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="empty dataset"):
+            check_ensemble_request(spec, 2, mode, empty)
+        with pytest.raises(ValueError, match="empty dataset"):
+            generate_ensemble(spec, empty, 2, mode)
+
+    @pytest.mark.parametrize("spec, data, message", [
+        (GeneratorSpec("noisy_marginal_dp", epsilon=1.0, delta=1e-6),
+         Dataset(NUM_SCHEMA, np.ones((3, 2))),
+         "noisy_marginal_dp models categorical columns; 'x' is numeric"),
+        (GeneratorSpec("gaussian_ppd"), cat_dataset([[0, 1]]),
+         "gaussian_ppd models numeric columns; 'a' is categorical"),
+        (GeneratorSpec("truth_process", process="gaussian_toy"),
+         Dataset(Schema((Column("a", NUMERIC, FEATURE), Column("b", NUMERIC, TARGET))),
+                 np.ones((3, 2))),
+         "truth process 'gaussian_toy' does not model the data's columns ['a', 'b']"),
+        (GeneratorSpec("truth_process", process="discrete_toy"),
+         Dataset(NUM_SCHEMA, np.ones((3, 2))),
+         "truth process 'discrete_toy' does not model the data's columns ['x', 'y']"),
+        (GeneratorSpec("truth_process", process="bogus"), Dataset(NUM_SCHEMA, np.ones((3, 2))),
+         "unknown truth process 'bogus'"),
+    ], ids=["dp-on-numeric", "ppd-on-categorical", "process-on-other-columns",
+            "process-on-gaussian-columns", "unknown-process"])
+    def test_generator_that_cannot_serve_the_data_refused(self, spec, data, message):
+        # each was found only by the first fit, or, for a truth process on
+        # other columns, not at all
+        for request in (lambda: check_ensemble_request(spec, 2, "independent", data),
+                        lambda: generate_ensemble(spec, data, 2, "independent"),
+                        lambda: fit(spec, data, 0)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                request()
+
+    def test_truth_process_on_its_own_columns_accepted(self):
+        spec = GeneratorSpec("truth_process", process="gaussian_toy")
+        data = Dataset(NUM_SCHEMA, np.arange(6.0).reshape(3, 2))
+        assert check_ensemble_request(spec, 2, "independent", data) == 2
+        datasets, _ = generate_ensemble(spec, data, 2, "independent", seed=3)
+        assert [ds.schema for ds in datasets] == [data.schema] * 2
+
 
 class TestGenerateEnsemble:
     def test_independent_bootstrap(self):
@@ -356,7 +419,7 @@ class TestGenerateEnsemble:
 
 def _generate_ensemble_reference(spec, data, m, mode, seed=0):
     """generate_ensemble with one member loop per mode."""
-    check_ensemble_request(spec, m, mode, len(data.schema.columns))
+    check_ensemble_request(spec, m, mode, data)
     n_rows = spec.n_synthetic if spec.n_synthetic is not None else data.n
 
     member_seeds = tuple(child_seed(seed, "member", i) for i in range(m))
@@ -546,12 +609,14 @@ class TestNoiseScaleRange:
         spec = GeneratorSpec("noisy_marginal_dp", epsilon=1e-153, delta=1e-6)
         data = cat_dataset([[0, 1], [1, 0], [1, 1], [0, 0]])
         for mode in ("independent", "shared_summary"):
-            assert check_ensemble_request(spec, 4, mode, 2) == 4
+            assert check_ensemble_request(spec, 4, mode, data) == 4
             assert len(generate_ensemble(spec, data, 4, mode, seed=1)[0]) == 4
         with pytest.raises(ValueError, match="finite noise scale"):
-            check_ensemble_request(spec, 4, "split_budget", 2)
+            check_ensemble_request(spec, 4, "split_budget", data)
         with pytest.raises(ValueError, match="finite noise scale"):
             generate_ensemble(spec, data, 4, "split_budget", seed=1)
         # one release at the full rho, but over enough columns
+        wide = Schema(tuple(Column(f"c{j}", CATEGORICAL, FEATURE if j else TARGET, levels=("0",))
+                            for j in range(10)))
         with pytest.raises(ValueError, match="finite noise scale"):
-            check_ensemble_request(spec, 1, "independent", 10)
+            check_ensemble_request(spec, 1, "independent", Dataset(wide, np.zeros((1, 10))))

@@ -452,6 +452,15 @@ class TestKnn:
                       clf_matrix(x, np.array([0, 1, 1])))
         np.testing.assert_allclose(predict_batch(model, [[0.5]])[0], [1 / 3, 2 / 3])
 
+    def test_neighbour_mean_that_overflows_refused(self):
+        # the targets' mean, 5.7e307, is finite; the two rows nearest 0.5 sum
+        # past the float limit, and the mean came back inf
+        fm = reg_matrix([[0.0], [5.0], [1.0]], [1.7e308, -1.7e308, 1.7e308])
+        model = train(PredictorSpec("knn", "regression", k=2), fm)
+        with pytest.raises(ValueError, match="mean of the neighbours' targets overflows"):
+            predict_batch(model, [[0.5]])
+        assert predict_batch(model, [[4.0]])[0] == 0.0
+
 
 class TestLinearModels:
     def test_ridge_zero_penalty_exact_line(self):
