@@ -163,7 +163,7 @@ def estimate_mv_sdv_nested(generator: GeneratorSpec, data: Dataset,
     Classification predictors contribute their positive-class probability;
     with more than two classes the per-class variances are summed instead,
     which is exposed as an experimental variant (the scalar theory does not
-    cover it directly).
+    cover it directly). A spread that overflows raises ValueError.
     """
     r_theta = check_count(r_theta, "r_theta", minimum=2)
     s_per_theta = check_count(s_per_theta, "s_per_theta", minimum=2)
@@ -181,14 +181,17 @@ def estimate_mv_sdv_nested(generator: GeneratorSpec, data: Dataset,
         for i, params in enumerate(fits) for j in range(s_per_theta)))
     preds = _components(block, predictor.task).reshape(r_theta, s_per_theta, test.n, -1)
 
-    within_var = preds.var(axis=1, ddof=1).sum(axis=-1)         # (r_theta, n_test)
-    mv_per_point = within_var.mean(axis=0)
-    between_var = preds.mean(axis=1).var(axis=0, ddof=1).sum(axis=-1)
-    sdv_per_point = between_var - mv_per_point / s_per_theta
-    mv = float(mv_per_point.mean())
-    sdv = float(sdv_per_point.mean())
-    mv_se = float(within_var.mean(axis=1).std(ddof=1) / math.sqrt(r_theta))
-    sdv_se = float(between_var.mean()) * math.sqrt(2.0 / (r_theta - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        within_var = preds.var(axis=1, ddof=1).sum(axis=-1)     # (r_theta, n_test)
+        mv_per_point = within_var.mean(axis=0)
+        between_var = preds.mean(axis=1).var(axis=0, ddof=1).sum(axis=-1)
+        sdv_per_point = between_var - mv_per_point / s_per_theta
+        mv = float(mv_per_point.mean())
+        sdv = float(sdv_per_point.mean())
+        mv_se = float(within_var.mean(axis=1).std(ddof=1) / math.sqrt(r_theta))
+        sdv_se = float(between_var.mean()) * math.sqrt(2.0 / (r_theta - 1))
+    if not np.isfinite([mv, sdv, mv_se, sdv_se]).all():     # a per-point NaN or inf too
+        raise ValueError("the nested MV/SDV estimate or its standard error is not finite")
     return NestedVarianceEstimate(mv_per_point=mv_per_point, sdv_per_point=sdv_per_point,
                                   mv=mv, sdv=sdv, mv_se=mv_se, sdv_se=sdv_se,
                                   r_theta=r_theta, s_per_theta=s_per_theta,
@@ -461,6 +464,8 @@ def check_oracle_request(process, generator_mode: str, predictor: PredictorSpec 
         raise ValueError(f"process {process.id!r} has no correlated sampler")
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
+    if rho != 0.0 and generator_mode != CORRELATED:
+        raise ValueError(f"rho applies to the correlated mode only, not {generator_mode!r}")
     check_count(m, "m")
     if isinstance(predictor, str):
         if predictor in ("builtin", process.builtin_predictor):
@@ -482,7 +487,8 @@ def oracle_decompose(process, generator_mode: str = IID,
     generator_mode selects the sampling structure: "iid" (parameters i.i.d.
     given the real data), "shared_summary" (parameters i.i.d. given one noisy
     summary, adding the DPVAR term), or "correlated" (parameter draws with
-    pairwise correlation rho, adding the COV term weighted by 1 - 1/m).
+    pairwise correlation rho, adding the COV term weighted by 1 - 1/m); the
+    other modes take no rho, so a nonzero one raises ValueError.
 
     m is the ensemble size, a Python or numpy integer >= 1. test_points is a
     non-empty, finite (n, d) block of feature values, d the process's feature

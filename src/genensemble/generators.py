@@ -316,6 +316,9 @@ def check_ensemble_request(spec: GeneratorSpec, m: int, mode: str, data: Dataset
         raise ValueError(f"mode {mode!r} requires kind={NOISY_MARGINAL_DP}")
     if data.n < 1:
         raise ValueError("cannot fit a generator on an empty dataset")
+    finite = np.isfinite(data.rows).all(axis=0)
+    if not finite.all():
+        raise ValueError(f"column {data.schema.columns[finite.argmin()].name!r} holds a NaN or inf")
     want = {NOISY_MARGINAL_DP: CATEGORICAL, GAUSSIAN_PPD: NUMERIC}.get(spec.kind)
     for col in data.schema.columns:
         if want not in (None, col.kind):

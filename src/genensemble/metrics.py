@@ -55,16 +55,24 @@ def check_averaging(averaging: str, task: str) -> None:
         raise ValueError("dual_log_prob averaging requires a classification task")
 
 
+def finite_mean(values: np.ndarray, axis: int, what: str) -> np.ndarray:
+    """values.mean(axis); an empty axis, or a mean that is not finite as when a
+    sum overflows, raises ValueError naming what, and no warning."""
+    if values.shape[axis] == 0:
+        raise ValueError(f"there are no {what} to average")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = values.mean(axis=axis)
+    if not np.isfinite(mean).all():
+        raise ValueError(f"the mean of the {what} overflows")
+    return mean
+
+
 def combine_predictions(member_preds: np.ndarray, averaging: str) -> np.ndarray:
-    """Combine member predictions stacked along axis 0; a member mean that is
-    not finite, as when their sum overflows, raises ValueError."""
+    """Combine member predictions stacked along axis 0; no members, or a member
+    mean that is not finite, raises ValueError."""
     member_preds = np.asarray(member_preds, dtype=np.float64)
     if averaging == MEAN:
-        with np.errstate(over="ignore", invalid="ignore"):
-            combined = member_preds.mean(axis=0)
-        if not np.isfinite(combined).all():
-            raise ValueError("the mean of the member predictions is not finite")
-        return combined
+        return finite_mean(member_preds, 0, "member predictions")
     if averaging == DUAL_LOG_PROB:
         return dual_average(BregmanSpec(NEGENTROPY, member_preds.shape[-1]), member_preds)
     raise ValueError(f"unknown averaging {averaging!r}")

@@ -30,6 +30,7 @@ import numpy as np
 
 from .bregman import softmax
 from .data import FeatureMatrix, check_count, check_seed
+from .metrics import finite_mean
 from .rng import child_rng
 
 _BOTH = ("regression", "classification")
@@ -436,9 +437,7 @@ def train(spec: PredictorSpec, data: FeatureMatrix, seed: int = 0) -> TrainedMod
     if data.task == "regression":
         if not np.isfinite(data.y).all():
             raise ValueError("regression targets must be finite")
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not np.isfinite(data.y.mean()):
-                raise ValueError("the mean of the regression targets overflows")
+        finite_mean(data.y, 0, "regression targets")
     fingerprint = (data.d, data.task, data.n_classes)
     x, y = data.x, data.y
 
@@ -471,15 +470,6 @@ def _feature_block(model: TrainedModel, x) -> np.ndarray:
     return x
 
 
-def _finite_mean(values: np.ndarray, axis: int, what: str) -> np.ndarray:
-    """values.mean(axis), refused where it overflows."""
-    with np.errstate(over="ignore"):
-        mean = values.mean(axis=axis)
-    if not np.isfinite(mean).all():
-        raise ValueError(f"the mean of the {what} overflows")
-    return mean
-
-
 def predict_batch(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     """Predict for an (n, d) feature block.
 
@@ -498,14 +488,14 @@ def predict_batch(model: TrainedModel, x: np.ndarray) -> np.ndarray:
         tx, ty, k = model.state
         nearest = _nearest(x, tx, k)
         if model.task == "regression":
-            return _finite_mean(ty[nearest], 1, "neighbours' targets")
+            return finite_mean(ty[nearest], 1, "neighbours' targets")
         n = x.shape[0]
         labels = np.arange(n)[:, None] * n_classes + ty[nearest]
         counts = np.bincount(labels.reshape(-1), minlength=n * n_classes)
         return counts.reshape(n, n_classes) / nearest.shape[1]
 
     if model.kind in ("cart", "bagged_trees"):
-        return _finite_mean(_tree_predict_rows(model.state, x), 0, "trees' predictions")
+        return finite_mean(_tree_predict_rows(model.state, x), 0, "trees' predictions")
 
     if model.kind in ("ridge", "linear"):
         coef, intercept = model.state

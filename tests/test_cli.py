@@ -398,6 +398,41 @@ def test_generate_with_a_subnormal_delta(tmp_path):
     assert math.isfinite(prov["epsilon_total"]) and prov["epsilon_total"] <= 1.0
 
 
+def test_nested_var_whose_spread_overflows_exits_2(tmp_path, capsys):
+    # targets of +-1e200 square past the float limit: three RuntimeWarnings, then
+    # an inf the JSON writer refused ("Out of range float values are not JSON compliant")
+    rng = np.random.default_rng(0)
+    lines = ["x,y"] + [f"{x!r},{y!r}" for x, y in zip(rng.normal(size=50).tolist(),
+                                                      rng.choice([-1e200, 1e200], 50).tolist())]
+    (tmp_path / "huge.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = write_config(tmp_path, f"""\
+[data]
+source = csv
+path = {tmp_path / "huge.csv"}
+test_fraction = 0.2
+
+[schema]
+x = numeric feature
+y = numeric target
+
+[generator]
+kind = bootstrap
+
+[predictors]
+specs = cart
+
+[nested_var]
+r_theta = 4
+s_per_theta = 3
+""")
+    out = tmp_path / "out"
+    assert cli.main(["nested-var", "--config", str(cfg), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "runtime failure: ValueError: the nested MV/SDV estimate" in err
+    assert "JSON" not in err
+    assert not any(out.iterdir())
+
+
 def generator_config(tmp_path, generator, categorical=False):
     """A config for every subcommand that reads [generator], on an 8-row CSV
     of two columns a, b: both numeric, or both categorical."""
@@ -736,6 +771,7 @@ class TestDecomposeValidation:
          "no correlated sampler"),
         ("mode = iid", "mode = correlated\nrho = 1.5", "rho must lie in [0, 1]"),
         ("mode = iid", "mode = iid\nrho = 1.5", "rho must lie in [0, 1]"),
+        ("mode = iid", "mode = iid\nrho = 0.5", "rho applies to the correlated mode only"),
         ("mode = iid", "mode = iid\npredictor = knn:x", "knn:x: k must be an integer"),
         ("mode = iid", "mode = iid\npredictor = cart:5", "cart:5: cart takes no argument"),
     ])

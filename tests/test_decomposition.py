@@ -167,6 +167,17 @@ class TestNestedEstimator:
             estimate_mv_sdv_nested(GeneratorSpec("bootstrap"), data, "mean", empty,
                                    r_theta=2, s_per_theta=2)
 
+    def test_spread_that_overflows_refused(self):
+        # targets of +-1e200 square past the float limit: mv came back inf,
+        # sdv and mv_se NaN and sdv_se inf, with RuntimeWarnings
+        proc = get_process("gaussian_toy")
+        rng = np.random.default_rng(0)
+        rows = np.column_stack([rng.normal(size=50), rng.choice([-1e200, 1e200], size=50)])
+        data, test = Dataset(proc.schema, rows[:40]), Dataset(proc.schema, rows[40:])
+        with pytest.raises(ValueError, match="nested MV/SDV estimate .* not finite"):
+            estimate_mv_sdv_nested(GeneratorSpec("bootstrap"), data, "cart", test,
+                                   r_theta=4, s_per_theta=3, seed=1)
+
     def test_multiclass_summed_variant_is_flagged(self):
         from genensemble.data import CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Schema
         schema = Schema((Column("x", NUMERIC, FEATURE),
@@ -375,6 +386,15 @@ class TestOracleDecompose:
     def test_rho_outside_unit_interval_rejected_in_every_mode(self, process, mode, rho):
         with pytest.raises(ValueError, match=r"rho must lie in \[0, 1\]"):
             oracle_decompose(process, mode, m=1, mc=MonteCarloConfig(3, 2, 2, 4), rho=rho)
+
+    @pytest.mark.parametrize("process, mode", [("gaussian_toy", "iid"),
+                                               ("discrete_toy", SHARED_SUMMARY)])
+    def test_rho_refused_unless_the_mode_is_correlated(self, process, mode):
+        # iid and shared_summary ignored rho and still recorded it in the report
+        with pytest.raises(ValueError, match=f"rho applies to the correlated mode only, "
+                                             f"not '{mode}'"):
+            oracle_decompose(process, mode, m=1, mc=MonteCarloConfig(3, 2, 2, 4), rho=0.5)
+        assert check_oracle_request(get_process(process), mode, "builtin", 1, 0.0) is None
 
     def test_negative_variance_term_is_reported(self):
         # an ordinary fluctuation at tiny Monte Carlo counts keeps its report
@@ -867,7 +887,9 @@ class TestIdentityGapProperty:
            seed=st.integers(0, 2**31 - 1))
     def test_gaussian_toy(self, mu0, noise_sd, tau, mode, rho, m, seed):
         proc = get_process("gaussian_toy", mu0=mu0, noise_sd=noise_sd, tau=tau)
-        rep = oracle_decompose(proc, mode, m=m, mc=_PROPERTY_MC, seed=seed, rho=rho)
+        # rho is refused in any mode but correlated
+        rep = oracle_decompose(proc, mode, m=m, mc=_PROPERTY_MC, seed=seed,
+                               rho=rho if mode == "correlated" else 0.0)
         assert rep.status == "ok", (rep.identity_gap, rep.identity_gap_se)
 
 

@@ -307,6 +307,19 @@ class TestEnsembleRequest:
             with pytest.raises(ValueError, match=re.escape(message)):
                 request()
 
+    @pytest.mark.parametrize("kind", ["bootstrap", "gaussian_ppd"])
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_refused(self, kind, cell):
+        # bootstrap copied the cell into its datasets, and gaussian_ppd failed
+        # inside its fit with numpy's "array must not contain infs or NaNs"
+        data = Dataset(NUM_SCHEMA, [[0.0, 1.0], [cell, 2.0], [1.0, 3.0]])
+        for request in (lambda: check_ensemble_request(GeneratorSpec(kind), 2, "independent",
+                                                       data),
+                        lambda: generate_ensemble(GeneratorSpec(kind), data, 2, "independent"),
+                        lambda: fit(GeneratorSpec(kind), data, 0)):
+            with pytest.raises(ValueError, match="column 'x' holds a NaN or inf"):
+                request()
+
     def test_truth_process_on_its_own_columns_accepted(self):
         spec = GeneratorSpec("truth_process", process="gaussian_toy")
         data = Dataset(NUM_SCHEMA, np.arange(6.0).reshape(3, 2))

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import rankdata
 
 from genensemble.bregman import DomainError
 from genensemble.data import FeatureMatrix
 from genensemble.metrics import (DUAL_LOG_PROB, MEAN, METRIC_KINDS, PROB_SUM_TOL, MetricSpec,
                                  _auc, _midranks, check_averaging, clamp_probs,
-                                 combine_predictions, read_long_csv, score_predictions,
-                                 score_prefixes, write_long_csv)
+                                 combine_predictions, finite_mean, read_long_csv,
+                                 score_predictions, score_prefixes, write_long_csv)
 from genensemble.predictors import PredictorSpec, predict_batch, train
 
 
@@ -255,6 +256,37 @@ class TestOverflowRefused:
     def test_largest_finite_members_still_combine(self):
         out = combine_predictions([[_MAX, -_MAX], [-_MAX / 2, 0.0]], MEAN)
         assert np.isfinite(out).all()
+
+    def test_empty_member_stack_refused(self):
+        # numpy warned "Mean of empty slice" and the mean came back NaN
+        with pytest.raises(ValueError, match="there are no member predictions to average"):
+            combine_predictions(np.empty((0, 3)), MEAN)
+        with pytest.raises(ValueError, match="there are no member predictions to average"):
+            score_prefixes(np.ones((2, 3)), np.zeros(3), [0], MEAN, MetricSpec("mse"),
+                           "regression")
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, min_side=0, max_side=12),
+                             elements=st.one_of(st.sampled_from([_MAX, -_MAX, _MAX / 2]),
+                                                st.floats(-_MAX, _MAX)),
+                             fill=st.nothing()),
+           axis=st.integers(0, 1))
+    @example(values=np.array([_MAX, _MAX, -_MAX, -_MAX] * 2), axis=0)   # pairwise inf - inf
+    def test_finite_mean_is_the_mean_or_refused(self, values, axis):
+        # finite values up to the largest float: values.mean(axis) bit for bit,
+        # or ValueError; the warnings-as-errors filter fails any warning
+        axis = min(axis, values.ndim - 1)
+        if values.shape[axis] == 0:
+            with pytest.raises(ValueError, match="there are no values to average"):
+                finite_mean(values, axis, "values")
+            return
+        with np.errstate(all="ignore"):
+            expected = values.mean(axis=axis)
+        if np.isfinite(expected).all():
+            assert finite_mean(values, axis, "values").tobytes() == expected.tobytes()
+        else:
+            with pytest.raises(ValueError, match="the mean of the values overflows"):
+                finite_mean(values, axis, "values")
 
 
 class TestAuc:

@@ -461,6 +461,15 @@ class TestKnn:
             predict_batch(model, [[0.5]])
         assert predict_batch(model, [[4.0]])[0] == 0.0
 
+    def test_neighbour_sum_of_inf_and_minus_inf_refused_without_warning(self):
+        # the targets' mean is 0; the 8 neighbours of 0 arrive as M, M, -M, -M, ...,
+        # numpy's pairwise sum added inf to -inf, and a RuntimeWarning escaped
+        big = 1.7e308
+        fm = reg_matrix([[1.0], [3.0], [2.0], [4.0], [5.0], [7.0], [6.0], [8.0]], [big, -big] * 4)
+        model = train(PredictorSpec("knn", "regression", k=8), fm)
+        with pytest.raises(ValueError, match="mean of the neighbours' targets overflows"):
+            predict_batch(model, [[0.0]])
+
 
 class TestLinearModels:
     def test_ridge_zero_penalty_exact_line(self):
@@ -580,6 +589,15 @@ class TestBaggedTrees:
             bag = train(PredictorSpec("bagged_trees", "regression", n_trees=n_trees), fm, 0)
             with pytest.raises(ValueError, match="mean of the trees' predictions overflows"):
                 predict_batch(bag, fm.x)
+
+    def test_forest_sum_of_inf_and_minus_inf_refused_without_warning(self):
+        # over one test row the trees' sum is pairwise: at seed 32 the 8 trees
+        # predict M, M, -M, M, -M, -M, M, M, and a RuntimeWarning escaped
+        big = 1.7e308
+        fm = reg_matrix([[0.0], [2.0], [1.0], [3.0]], [big, -big, big, -big])
+        bag = train(PredictorSpec("bagged_trees", "regression", n_trees=8), fm, 32)
+        with pytest.raises(ValueError, match="mean of the trees' predictions overflows"):
+            predict_batch(bag, [[0.4]])
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
