@@ -22,6 +22,8 @@ from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .data import (CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Schema,
                    load_csv, save_csv, train_test_split, write_csv)
@@ -29,8 +31,8 @@ from .decomposition import (MonteCarloConfig, check_oracle_request, curve_cells,
                             curve_repeat, estimate_mv_sdv_nested, fit_rule_regression,
                             fit_rule_two_point, oracle_decompose, predict_mse)
 from .generators import GeneratorSpec, check_ensemble_request, generate_ensemble
-from .metrics import (LABEL_COLUMNS, MetricSpec, check_averaging, long_rows, read_long_csv,
-                      write_long_csv)
+from .metrics import (LABEL_COLUMNS, MetricSpec, check_averaging, finite_mean, long_rows,
+                      read_long_csv, write_long_csv)
 from .predictors import PredictorSpec, parse_predictor
 from .processes import get_process
 from .rng import child_seed, make_rng
@@ -297,18 +299,20 @@ def _cmd_predict_curve(cfg, seed, tracker):
 
     out_rows = []
     for key in sorted(groups):
-        means = {m: sum(v) / len(v) for m, v in groups[key].items()}
-        if method == "two_point":
-            if 1 not in means or 2 not in means:
-                raise ConfigError("two_point prediction needs measurements at m=1 and m=2")
-            rule = fit_rule_two_point(means[1], means[2])
-        else:
-            if len(means) < 2:
-                raise ConfigError("regression prediction needs at least two m values")
-            rule = fit_rule_regression(means)
-        for m in sorted(set(targets) | set(means)):
-            measured = repr(means[m]) if m in means else ""
-            out_rows.append(key + (method, m, measured, repr(predict_mse(rule, m))))
+        with _config_errors("[predict_curve] curve_csv"):     # a mean or fit that overflows
+            means = {m: float(finite_mean(np.array(v), 0, f"scores at m = {m}"))
+                     for m, v in groups[key].items()}
+            if method == "two_point":
+                if 1 not in means or 2 not in means:
+                    raise ConfigError("two_point prediction needs measurements at m=1 and m=2")
+                rule = fit_rule_two_point(means[1], means[2])
+            else:
+                if len(means) < 2:
+                    raise ConfigError("regression prediction needs at least two m values")
+                rule = fit_rule_regression(means)
+            for m in sorted(set(targets) | set(means)):
+                measured = repr(means[m]) if m in means else ""
+                out_rows.append(key + (method, m, measured, repr(predict_mse(rule, m))))
     write_csv(tracker.path("predictions.csv"),
               LABEL_COLUMNS + ("method", "m", "measured_mean", "predicted"), out_rows)
     return EXIT_OK

@@ -31,7 +31,8 @@ import numpy as np
 from . import bregman as brg
 from .data import Dataset, check_count, check_seed, encode
 from .generators import GeneratorSpec, fit, generate_ensemble, sample
-from .metrics import MEAN, MetricSpec, check_averaging, long_rows, score_prefixes
+from .metrics import (MEAN, MetricSpec, check_averaging, finite_mean, long_rows,
+                      score_prefixes)
 from .predictors import PredictorSpec, parse_predictor, predict_batch, train
 from .processes import get_process
 from .rng import child_rng, child_seed
@@ -61,6 +62,10 @@ class RuleOfThumbFit:
     method: str                                  # "two_point" | "regression"
     r_squared: float | None = None
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.mse1, self.mv_plus_sdv, self.r_squared or 0.0))):
+            raise ValueError(f"the {self.method} rule-of-thumb fit is not finite")
+
     @property
     def max_benefit(self) -> float:
         """Limiting improvement as m grows without bound."""
@@ -71,36 +76,43 @@ def fit_rule_two_point(mse1: float, mse2: float) -> RuleOfThumbFit:
     """Estimate MV + SDV = 2 (MSE_1 - MSE_2) from errors at m = 1 and m = 2.
 
     A negative value diagnoses estimation noise (or a generator outside the
-    i.i.d. setting) and is returned as-is.
+    i.i.d. setting) and is returned as-is; one that is not finite, as when the
+    difference overflows, raises ValueError.
     """
-    return RuleOfThumbFit(mse1=float(mse1), mv_plus_sdv=float(2.0 * (mse1 - mse2)),
-                          method="two_point")
+    with np.errstate(over="ignore", invalid="ignore"):
+        benefit = 2.0 * (mse1 - mse2)
+    return RuleOfThumbFit(mse1=float(mse1), mv_plus_sdv=float(benefit), method="two_point")
 
 
 def fit_rule_regression(points: dict[int, float]) -> RuleOfThumbFit:
     """Least-squares fit of measured errors against 1 - 1/m.
 
     The negated slope estimates MV + SDV and the intercept estimates the
-    single-dataset error.
+    single-dataset error. A fit or R^2 that is not finite raises ValueError.
     """
     ms = sorted(points)
     if len(ms) < 2:
         raise ValueError("need at least 2 distinct m values")
     x = np.array([1.0 - 1.0 / m for m in ms])
     y = np.array([points[m] for m in ms])
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = intercept + slope * x
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope, intercept = np.polyfit(x, y, 1)
+        fitted = intercept + slope * x
+        ss_res = float(np.sum((y - fitted) ** 2))
+        ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return RuleOfThumbFit(mse1=float(intercept), mv_plus_sdv=float(-slope),
                           method="regression", r_squared=r2)
 
 
 def predict_mse(rule: RuleOfThumbFit, m: int) -> float:
-    """Predicted error with an ensemble of m synthetic datasets."""
+    """Predicted error with an ensemble of m synthetic datasets; one that is
+    not finite, as when the benefit term overflows, raises ValueError."""
     m = check_count(m, "m")
-    return rule.mse1 - (1.0 - 1.0 / m) * rule.mv_plus_sdv
+    predicted = rule.mse1 - (1.0 - 1.0 / m) * rule.mv_plus_sdv
+    if not math.isfinite(predicted):
+        raise ValueError(f"the predicted error at m = {m} is not finite")
+    return predicted
 
 
 def achieved_benefit(rule: RuleOfThumbFit, m: int) -> float:
@@ -208,7 +220,7 @@ class MonteCarloConfig:
     r_theta: int = 20
     r_syn: int = 10
     r_y: int = 1000
-    r_summary: int | None = None     # defaults to r_theta in shared-summary mode
+    r_summary: int | None = None     # shared-summary mode only; defaults to r_theta
 
     def __post_init__(self):
         """Every count must be an integer >= 2; numpy integers are stored as int."""
@@ -300,9 +312,7 @@ def _assemble(records: dict, mode: str, mc: MonteCarloConfig, f_value, idx) -> d
     out["sdb"] = f_value - fbar
     out["mb"] = fbar - b.mean(axis=1)
     bias = out["sdb"] + out["mb"]
-    # numpy squares a scalar with pow() and an array by multiplication, one ulp
-    # apart for about 1 value in 1,000; a built-in bias keeps the scalar's bits.
-    out["bias_sq"] = np.float_power(bias, 2) if bias.ndim == 1 else bias ** 2
+    out["bias_sq"] = bias * bias
     out["mse"] = take("mse").mean(axis=1)
     return out
 
@@ -393,7 +403,7 @@ def _squared_stats(process, point_shape: tuple, mode: str, mc: MonteCarloConfig)
     """Reducer for _collect of the squared-error terms, with point shape
     point_shape: spreads of the estimate chain and the direct error. Each
     statistic is reduced per parameter block, then averaged over the blocks;
-    dpv_raw is the variance of the block means."""
+    dpv_raw is the variance of the block means, and cov_raw sums in order."""
     def reduce(draws: _Draws) -> dict:
         a = draws.grid.mean(axis=2)                  # (blocks, r_theta) + point_shape
         per_block = {"mv": draws.grid.var(axis=2, ddof=1).mean(axis=1),
@@ -404,9 +414,8 @@ def _squared_stats(process, point_shape: tuple, mode: str, mc: MonteCarloConfig)
         if mode == SHARED_SUMMARY:
             out["dpv_raw"] = per_block["b"].var(axis=0, ddof=1)
         if mode == CORRELATED:
-            g = draws.pair_preds.reshape(mc.r_theta, 2, -1)
-            cov = [np.cov(g[:, 0, k], g[:, 1, k], ddof=1)[0, 1] for k in range(g.shape[2])]
-            out["cov_raw"] = np.reshape(cov, point_shape)
+            d = draws.pair_preds - np.add.accumulate(draws.pair_preds)[-1] / mc.r_theta
+            out["cov_raw"] = np.add.accumulate(d[:, 0] * d[:, 1])[-1] / (mc.r_theta - 1)
         g_hat = draws.members.mean(axis=0)
         y = process.sample_y(draws.rng_direct, (mc.r_y,) + point_shape)
         out["mse"] = ((y - g_hat) ** 2).mean(axis=0)
@@ -546,8 +555,10 @@ def oracle_decompose(process, generator_mode: str = IID,
     config = {"process": process.id, "mode": generator_mode, "m": int(m), "rho": rho,
               "predictor": "builtin" if predictor is None else predictor.label,
               "mc": {"r_real": mc.r_real, "r_theta": mc.r_theta, "r_syn": mc.r_syn,
-                     "r_y": mc.r_y, "r_summary": mc.summaries},
+                     "r_y": mc.r_y},
               "seed": seed, "n_test_points": n_x}
+    if generator_mode == SHARED_SUMMARY:       # the other modes draw no summary
+        config["mc"]["r_summary"] = mc.summaries
     coverage = {"term_se_multiple": TERM_SE_MULTIPLE,
                 "term_coverage": _gauss_coverage(TERM_SE_MULTIPLE),
                 "identity_se_multiple": IDENTITY_SE_MULTIPLE,
@@ -585,7 +596,8 @@ class BregmanBoundReport:
 def _outcome_divergence(spec: brg.BregmanSpec, y_weights: np.ndarray, g) -> float:
     """Expected divergence from the one-hot binary outcome, drawn with
     probabilities y_weights, to the prediction g."""
-    return float(y_weights @ np.array([brg.divergence(spec, y, g) for y in np.eye(2)]))
+    d0, d1 = (brg.divergence(spec, y, g) for y in np.eye(2))
+    return float(y_weights[0] * d0 + y_weights[1] * d1)
 
 
 def _bregman_stats(spec: brg.BregmanSpec, y_weights: np.ndarray):
@@ -677,15 +689,41 @@ def ensemble_members(generator: GeneratorSpec, data: Dataset, predictor: Predict
                                       for i in range(len(datasets))))
 
 
+def check_curve_request(data: Dataset, predictors, test: Dataset, m_values, averagings,
+                        metrics) -> list[int]:
+    """The m values, sorted and unique; raises ValueError, before any draw,
+    unless every cell of the curve grid can be scored: each metric and
+    averaging suits the data's task (brier_binary a binary one), each
+    predictor is for that task, there is an m value, and the test set is
+    non-empty with the data's columns."""
+    task = data.schema.task
+    for metric in metrics:
+        metric.check_task(task)
+        if metric.kind == "brier_binary" and data.schema.n_classes != 2:
+            raise ValueError("brier_binary needs a binary task")
+    for averaging in averagings:
+        check_averaging(averaging, task)
+    for predictor in predictors:
+        if predictor.task != task:
+            raise ValueError(f"predictor {predictor.label!r} is for {predictor.task}, "
+                             f"not the data's {task} task")
+    if test.schema != data.schema:
+        raise ValueError("the test set's columns are not the data's")
+    if test.n == 0:
+        raise ValueError("the test set is empty")
+    m_values = sorted(set(check_count(m, "m values") for m in m_values))
+    if not m_values:
+        raise ValueError("there are no m values")
+    return m_values
+
+
 def curve_repeat(generator: GeneratorSpec, data: Dataset, predictor: PredictorSpec,
                  test: Dataset, m_values, averaging: str, metric: MetricSpec,
                  rep_seed: int, mode: str = "independent") -> dict[int, tuple]:
     """One experiment repeat: generate max(m) datasets, train one model per
     dataset, score the nested ensemble prefixes. Pure in rep_seed, so repeats
     may run in any order or in parallel."""
-    check_averaging(averaging, predictor.task)
-    for m in m_values:
-        check_count(m, "m values")
+    check_curve_request(data, [predictor], test, m_values, [averaging], [metric])
     block, y_ref = ensemble_members(generator, data, predictor, test, max(m_values),
                                     rep_seed, mode)
     results = score_prefixes(block, y_ref, m_values, averaging, metric, predictor.task)
@@ -700,7 +738,7 @@ def curve_cells(generator: GeneratorSpec, data: Dataset, predictors, test: Datas
     The repeat seed depends only on the repeat, so cells are independent."""
     repeats = check_count(repeats, "repeats")
     seed = check_seed(seed)
-    m_values = sorted(set(check_count(m, "m values") for m in m_values))
+    m_values = check_curve_request(data, predictors, test, m_values, averagings, metrics)
     return [({"dataset": dataset_label, "generator": generator.kind, "mode": mode,
               "predictor": predictor.label, "averaging": averaging, "metric": metric.kind},
              j, (generator, data, predictor, test, m_values, averaging, metric,
@@ -733,6 +771,7 @@ def mse_curve(generator: GeneratorSpec, data: Dataset,
 
     aggregate = {}
     for m, scores in per_repeat.items():
+        mean = float(finite_mean(scores, 0, f"scores at m = {m}"))
         se = float(scores.std(ddof=1) / math.sqrt(repeats)) if repeats > 1 else None
-        aggregate[m] = (float(scores.mean()), se)
+        aggregate[m] = (mean, se)
     return CurveResult(rows=rows, per_repeat=per_repeat, aggregate=aggregate)

@@ -641,6 +641,29 @@ method = regression
         assert "config error: [predict_curve] curve_csv: " in err and message in err
         assert not (out / "predictions.csv").exists()
 
+    @pytest.mark.parametrize("scores, method, message", [
+        # the two m = 1 scores sum past the largest float
+        ([(1, 1.7e308), (1, 1.7e308), (2, 1.0)], "two_point",
+         "the mean of the scores at m = 1 overflows"),
+        # 2 (mse1 - mse2) overflows
+        ([(1, 1e308), (2, 1.0)], "two_point", "the two_point rule-of-thumb fit is not finite"),
+        ([(1, 1.7e308), (2, -1.7e308)], "regression",
+         "the regression rule-of-thumb fit is not finite"),
+    ])
+    def test_predict_curve_refuses_a_mean_or_fit_that_overflows(self, tmp_path, scores,
+                                                                method, message, capsys):
+        curve = tmp_path / "curve.csv"
+        write_long_csv(curve, [dict(zip(LONG_COLUMNS, ("d", "b", "i", "cart", "mean", "mse", m,
+                                                       j, score, None)))
+                               for j, (m, score) in enumerate(scores)])
+        cfg = write_config(tmp_path, f"[predict_curve]\ncurve_csv = {curve}\nm_values = 4\n"
+                                     f"method = {method}\n")
+        out = tmp_path / "o"
+        assert cli.main(["predict-curve", "--config", str(cfg), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: [predict_curve] curve_csv: {message}" in err
+        assert not (out / "predictions.csv").exists()
+
     def test_identity_flag_maps_to_exit_3(self, config, monkeypatch):
         cfg, out = config
         from genensemble.decomposition import oracle_decompose as real
@@ -936,6 +959,29 @@ class TestCurveMatchesLibrary:
                     rows.extend(curve.rows)
         write_long_csv(tmp_path / "library.csv", rows)
         assert (out / "curve.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+
+    def test_measured_means_are_the_library_means(self, tmp_path):
+        # nine repeats: numpy's mean of 8 or more scores is not their running sum / n
+        out = tmp_path / "out"
+        text = PROCESS_CONFIG.format(curve_csv=out / "curve.csv")
+        for old, new in [("specs = cart, ridge:1.0", "specs = ridge:1.0"),
+                         ("repeats = 2", "repeats = 9")]:
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        cfg = write_config(tmp_path, text)
+        for sub in ("curve", "predict-curve"):
+            assert cli.main([sub, "--config", str(cfg), "--output", str(out)]) == 0
+
+        data, test, label = cli._load_data(cli._read_config(str(cfg))[0], 42)
+        curve = mse_curve(GeneratorSpec("bootstrap"), data, "ridge:1.0", test, [1, 2, 4], 9,
+                          seed=42, dataset_label=label)
+        with open(out / "predictions.csv", newline="", encoding="utf-8") as fh:
+            measured = {int(row["m"]): row["measured_mean"] for row in csv.DictReader(fh)
+                        if row["measured_mean"]}
+        assert measured == {m: repr(mean) for m, mean in curve.means().items()}
+        running = {m: sum(map(float, scores)) / len(scores)
+                   for m, scores in curve.per_repeat.items()}
+        assert running != curve.means()
 
     def test_bagged_trees_curve_is_the_library_curve(self, tmp_path):
         text = PROCESS_CONFIG.format(curve_csv=tmp_path / "out" / "curve.csv")

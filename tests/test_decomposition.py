@@ -87,6 +87,24 @@ class TestRuleOfThumb:
             via_predictions = predict_mse(rule, 1) - predict_mse(rule, m)
             assert via_predictions == pytest.approx(frac * benefit, abs=1e-12)
 
+    @pytest.mark.parametrize("fit", [
+        lambda: fit_rule_two_point(1e308, 1.0),
+        lambda: fit_rule_two_point(np.float64(1e308), np.float64(-1e308)),
+        lambda: fit_rule_two_point(math.nan, 1.0),
+        lambda: fit_rule_regression({1: 1.7e308, 2: -1.7e308}),
+        lambda: fit_rule_regression({1: 1.0, 2: math.inf, 4: 0.5}),
+    ])
+    def test_a_fit_that_is_not_finite_raises(self, fit):
+        with pytest.raises(ValueError, match="rule-of-thumb fit is not finite"):
+            fit()
+
+    def test_a_prediction_that_is_not_finite_raises(self):
+        rule = decomposition.RuleOfThumbFit(mse1=-1.7e308, mv_plus_sdv=1.7e308,
+                                            method="two_point")
+        assert predict_mse(rule, 1) == -1.7e308
+        with pytest.raises(ValueError, match="predicted error at m = 4 is not finite"):
+            predict_mse(rule, 4)
+
     def test_max_benefit_is_limit(self):
         rule = fit_rule_two_point(9.37, 7.38)
         assert rule.mse1 - rule.max_benefit == pytest.approx(predict_mse(rule, 10 ** 9),
@@ -441,6 +459,18 @@ class TestOracleDecompose:
         with pytest.raises(ValueError, match=rf"finite \(n, {width}\) block"):
             oracle_decompose(process, test_points=np.zeros((1, width + 1)), **kwargs)
 
+    @pytest.mark.parametrize("mode, kwargs, recorded", [
+        ("iid", {}, False), ("correlated", {"rho": 0.5}, False),
+        ("shared_summary", {}, True)])
+    @pytest.mark.parametrize("r_summary", [None, 3])
+    def test_r_summary_is_recorded_only_where_used(self, mode, kwargs, recorded, r_summary):
+        process = "discrete_toy" if mode == "shared_summary" else "gaussian_toy"
+        mc = MonteCarloConfig(4, 3, 2, 5, r_summary=r_summary)
+        config = oracle_decompose(process, mode, mc=mc, **kwargs).config["mc"]
+        assert ("r_summary" in config) == recorded
+        if recorded:
+            assert config["r_summary"] == mc.summaries
+
     def test_report_serializes(self):
         rep = oracle_decompose("gaussian_toy", "iid", m=1,
                                mc=MonteCarloConfig(20, 5, 3, 100), seed=0)
@@ -448,6 +478,21 @@ class TestOracleDecompose:
         parsed = json.loads(rep.to_json())
         assert set(parsed["terms"]) >= {"mse", "mv", "sdv", "rdv", "noise"}
         assert parsed["coverage"]["identity_se_multiple"] == 4.0
+
+
+def _sequential_sum(values):
+    """The sum of values, added one at a time from the first."""
+    total = values[0]
+    for value in values[1:]:
+        total = total + value
+    return total
+
+
+def _sequential_cov(x, y):
+    """The ddof = 1 covariance of x and y, every sum taken one term at a time."""
+    dx = x - _sequential_sum(x) / len(x)
+    dy = y - _sequential_sum(y) / len(y)
+    return _sequential_sum(dx * dy) / (len(x) - 1)
 
 
 def _collect_reference(process, outputs, point_shape, mode, m, rho, mc, seed):
@@ -487,7 +532,7 @@ def _collect_reference(process, outputs, point_shape, mode, m, rho, mc, seed):
         if mode == CORRELATED:
             pairs = process.sample_theta_correlated(rng, real, mc.r_theta, 2, rho)
             g = outputs(rng, pairs, "covgrid", r).reshape(mc.r_theta, 2, -1)
-            cov = [np.cov(g[:, 0, k], g[:, 1, k], ddof=1)[0, 1] for k in range(g.shape[2])]
+            cov = [_sequential_cov(g[:, 0, k], g[:, 1, k]) for k in range(g.shape[2])]
             records["cov_raw"][r] = np.reshape(cov, point_shape)
 
         rng_d = child_rng(seed, "direct", r)
@@ -531,8 +576,8 @@ def _collect_bregman_reference(process, spec, y_weights, m, mc, seed):
         thetas_d = process.sample_theta(rng_d, real_d, m)
         member = process.predictor_prob_outputs(rng_d, thetas_d)
         g_hat = brg.dual_average(spec, member)
-        err_r[r] = float(y_weights @ np.array([brg.divergence(spec, y0, g_hat),
-                                               brg.divergence(spec, y1, g_hat)]))
+        err_r[r] = float(y_weights[0] * brg.divergence(spec, y0, g_hat)
+                         + y_weights[1] * brg.divergence(spec, y1, g_hat))
     return mv_r, sdv_r, c_r_dual, err_r
 
 
@@ -638,7 +683,8 @@ def _assemble_per_resample(records, mode, mc, f_value, idx):
     fbar = take("fbar").mean(axis=0)
     out["sdb"] = f_value - fbar
     out["mb"] = fbar - b.mean(axis=0)
-    out["bias_sq"] = (out["sdb"] + out["mb"]) ** 2
+    bias = out["sdb"] + out["mb"]
+    out["bias_sq"] = bias * bias
     out["mse"] = take("mse").mean(axis=0)
     return out
 
@@ -813,11 +859,20 @@ class TestBootstrapBlocks:
     @pytest.mark.parametrize("point_shape", [(), (1,)])
     def test_bias_square_bits(self, point_shape):
         # a bias whose square by pow() and by multiplication differ in the last
-        # bit with glibc: the scalar is squared as a scalar, the array as an array
+        # bit with glibc: both shapes are squared by multiplication
         records = {name: np.zeros((4,) + point_shape) for name in _RECORD_NAMES}
         records["b"][:] = 0.29899614535390384
         _assert_rows_match_per_resample(records, "iid", MonteCarloConfig(4, 3, 4, 5), 0.0,
                                         np.array([[0, 1, 2, 3], [3, 3, 3, 3]]))
+
+    @pytest.mark.parametrize("point_shape", [(), (1,)])
+    def test_bias_square_is_the_product(self, point_shape):
+        # pow() gives 0.08939869493649279 for this bias
+        records = {name: np.zeros((4,) + point_shape) for name in _RECORD_NAMES}
+        records["b"][:] = 0.29899614535390384
+        stats = decomposition._assemble(records, "iid", MonteCarloConfig(4, 3, 4, 5), 0.0,
+                                        np.arange(4)[None])
+        assert np.asarray(stats["bias_sq"]).ravel().tolist() == [0.0893986949364928]
 
     @pytest.mark.parametrize("r_real, width, calls", [
         (2, 1, 2), (37, 1, 3), (200, 1, 11), (300, 1, 16), (9000, 1, 401),
@@ -860,6 +915,41 @@ class TestBootstrapBlocks:
         run()
         assert len(counted) == calls
         assert sum(counted) == BOOTSTRAP_RESAMPLES + 1
+
+
+class TestOracleArithmetic:
+    """Each oracle statistic is built from products and in-order sums only,
+    so no platform pow() or BLAS dot chooses its last bits."""
+
+    @pytest.mark.parametrize("point_shape", [(), (40,)])
+    def test_cov_raw_sums_products_in_order(self, point_shape):
+        r_theta = 20
+        rng = np.random.default_rng(0)
+        pairs = rng.normal(size=(r_theta, 2) + point_shape)
+        draws = decomposition._Draws(np.zeros((1, r_theta)),
+                                     rng.normal(size=(1, r_theta, 2) + point_shape), pairs,
+                                     rng.normal(size=(2,) + point_shape), rng)
+        out = decomposition._squared_stats(get_process("gaussian_toy"), point_shape,
+                                           CORRELATED, MonteCarloConfig(2, r_theta, 2, 2))(draws)
+        g = pairs.reshape(r_theta, 2, -1)
+        expected = [_sequential_cov(g[:, 0, k], g[:, 1, k]) for k in range(g.shape[2])]
+        by_np_cov = [np.cov(g[:, 0, k], g[:, 1, k], ddof=1)[0, 1] for k in range(g.shape[2])]
+        assert np.shape(out["cov_raw"]) == point_shape
+        assert np.ravel(out["cov_raw"]).tolist() == expected
+        if point_shape:                     # np.cov's BLAS dot differs on some points
+            assert by_np_cov != expected
+
+    def test_outcome_divergence_adds_in_order(self):
+        spec = brg.BregmanSpec(brg.NEGENTROPY, 2)
+        rng = np.random.default_rng(1)
+        by_dot = []
+        for p, q in rng.uniform(size=(200, 2)):
+            weights, g = np.array([1.0 - p, p]), np.array([1.0 - q, q])
+            d0, d1 = (brg.divergence(spec, y, g) for y in np.eye(2))
+            value = decomposition._outcome_divergence(spec, weights, g)
+            assert value == float(weights[0] * d0 + weights[1] * d1)
+            by_dot.append(value == float(weights @ np.array([d0, d1])))
+        assert not all(by_dot)              # the BLAS dot differs on some pairs
 
 
 _PROPERTY_MC = MonteCarloConfig(40, 8, 5, 200, r_summary=6)
@@ -1108,6 +1198,47 @@ class TestCurveRepeatValidation:
             curve_repeat(GeneratorSpec("bootstrap"), data,
                          PredictorSpec("mean", "regression"), data, m_values, "mean",
                          MetricSpec("mse"), rep_seed=0)
+
+
+    @pytest.mark.parametrize("predictor, test_kind, averaging, metric, m_values, message", [
+        ("cart", "toy", "mean", "brier_binary", range(1, 17), "incompatible with task"),
+        ("cart", "toy", "mean", "one_minus_auc", range(1, 17), "incompatible with task"),
+        ("cart", "empty", "mean", "mse", range(1, 17), "the test set is empty"),
+        ("cart", "discrete", "mean", "mse", range(1, 17), "columns are not the data's"),
+        ("cart", "toy", "dual_log_prob", "mse", range(1, 17), "requires a classification"),
+        (PredictorSpec("knn", "classification", k=3), "toy", "mean", "mse", range(1, 17),
+         "'knn3' is for classification"),
+        ("cart", "toy", "mean", "mse", [], "there are no m values"),
+        ("cart", "three_classes", "mean", "brier_binary", range(1, 17),
+         "brier_binary needs a binary task"),
+    ])
+    def test_a_bad_curve_is_refused_before_any_draw(self, monkeypatch, predictor, test_kind,
+                                                    averaging, metric, m_values, message):
+        from genensemble.decomposition import curve_repeat
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return generate_ensemble(*args, **kwargs)
+        monkeypatch.setattr(decomposition, "generate_ensemble", counting)
+        toy = get_process("gaussian_toy")
+        data = toy.sample_real_dataset(make_rng(0), 20)
+        test = toy.sample_real_dataset(make_rng(1), 10)
+        if test_kind == "empty":
+            test = Dataset(data.schema, np.empty((0, 2)))
+        elif test_kind == "discrete":
+            test = get_process("discrete_toy").sample_real_dataset(make_rng(1), 10)
+        elif test_kind == "three_classes":
+            data = test = _xy_dataset(np.arange(6.0)[:, None], [0, 1, 2, 0, 1, 2], n_classes=3)
+        if isinstance(predictor, str):
+            predictor = PredictorSpec(predictor, data.schema.task)
+        with pytest.raises(ValueError, match=message):
+            mse_curve(GeneratorSpec("bootstrap"), data, predictor, test, m_values, 2,
+                      averaging, MetricSpec(metric))
+        with pytest.raises(ValueError, match=message):
+            curve_repeat(GeneratorSpec("bootstrap"), data, predictor, test, m_values,
+                         averaging, MetricSpec(metric), rep_seed=0)
+        assert calls == []
 
 
 class TestCountRule:
