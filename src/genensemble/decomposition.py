@@ -88,18 +88,20 @@ def fit_rule_regression(points: dict[int, float]) -> RuleOfThumbFit:
     """Least-squares fit of measured errors against 1 - 1/m.
 
     The negated slope estimates MV + SDV and the intercept estimates the
-    single-dataset error. A fit or R^2 that is not finite raises ValueError.
+    single-dataset error. R^2 squares the residuals after one exact power-of-two
+    scaling, so a huge curve fits too; a fit or R^2 that is not finite raises
+    ValueError.
     """
     ms = sorted(points)
     if len(ms) < 2:
         raise ValueError("need at least 2 distinct m values")
     x = np.array([1.0 - 1.0 / m for m in ms])
     y = np.array([points[m] for m in ms])
+    shift = -np.frexp(np.abs(y).max())[1]
     with np.errstate(over="ignore", invalid="ignore"):
         slope, intercept = np.polyfit(x, y, 1)
-        fitted = intercept + slope * x
-        ss_res = float(np.sum((y - fitted) ** 2))
-        ss_tot = float(np.sum((y - y.mean()) ** 2))
+        ss_res = float(np.sum(np.ldexp(y - (intercept + slope * x), shift) ** 2))
+        ss_tot = float(np.sum(np.ldexp(y - y.mean(), shift) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return RuleOfThumbFit(mse1=float(intercept), mv_plus_sdv=float(-slope),
                           method="regression", r_squared=r2)
@@ -135,7 +137,6 @@ class NestedVarianceEstimate:
     sdv_se: float
     r_theta: int
     s_per_theta: int
-    multiclass_experimental: bool = False
 
 
 def _members(predictor: PredictorSpec, test: Dataset, draws) -> tuple[np.ndarray, np.ndarray]:
@@ -161,6 +162,20 @@ def _components(block: np.ndarray, task: str) -> np.ndarray:
     return block[..., 1:2] if block.shape[-1] == 2 else block
 
 
+def _spreads(grid: np.ndarray) -> dict:
+    """Spreads of a (blocks, r_theta, r_syn) + point prediction grid, averaged
+    over its parameter blocks: mv, the mean within-draw variance; sdv_raw, the
+    variance of the draw means; b, their mean; and with more than one block
+    dpv_raw, the variance of the block means."""
+    a = grid.mean(axis=2)                            # (blocks, r_theta) + point shape
+    per_block = {"mv": grid.var(axis=2, ddof=1).mean(axis=1),
+                 "sdv_raw": a.var(axis=1, ddof=1), "b": a.mean(axis=1)}
+    out = {name: stat.mean(axis=0) for name, stat in per_block.items()}
+    if grid.shape[0] > 1:
+        out["dpv_raw"] = per_block["b"].var(axis=0, ddof=1)
+    return out
+
+
 def estimate_mv_sdv_nested(generator: GeneratorSpec, data: Dataset,
                            predictor: PredictorSpec | str, test: Dataset,
                            r_theta: int = 32, s_per_theta: int = 5,
@@ -172,10 +187,10 @@ def estimate_mv_sdv_nested(generator: GeneratorSpec, data: Dataset,
     the within-fit prediction variance. SDV is the variance across fits of
     the within-fit mean prediction minus MV / s_per_theta, the part of that
     spread due to averaging only s_per_theta datasets, so it is unbiased.
-    Classification predictors contribute their positive-class probability;
-    with more than two classes the per-class variances are summed instead,
-    which is exposed as an experimental variant (the scalar theory does not
-    cover it directly). A spread that overflows raises ValueError.
+    Binary predictors contribute their positive-class probability (the
+    brier_binary terms); multiclass ones sum the per-class spreads (the
+    brier_multiclass terms: squared error adds over class coordinates).
+    A spread that overflows raises ValueError.
     """
     r_theta = check_count(r_theta, "r_theta", minimum=2)
     s_per_theta = check_count(s_per_theta, "s_per_theta", minimum=2)
@@ -191,23 +206,21 @@ def estimate_mv_sdv_nested(generator: GeneratorSpec, data: Dataset,
         (sample(params, n_rows, child_seed(child_seed(seed, "synth", i), "rep", j)),
          child_seed(child_seed(seed, "train", i), "rep", j))
         for i, params in enumerate(fits) for j in range(s_per_theta)))
-    preds = _components(block, predictor.task).reshape(r_theta, s_per_theta, test.n, -1)
+    grid = _components(block, predictor.task).reshape(1, r_theta, s_per_theta, test.n, -1)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        within_var = preds.var(axis=1, ddof=1).sum(axis=-1)     # (r_theta, n_test)
-        mv_per_point = within_var.mean(axis=0)
-        between_var = preds.mean(axis=1).var(axis=0, ddof=1).sum(axis=-1)
+        spreads = _spreads(grid)                 # the oracle's, over one block of fits
+        mv_per_point, between_var = spreads["mv"].sum(axis=-1), spreads["sdv_raw"].sum(axis=-1)
         sdv_per_point = between_var - mv_per_point / s_per_theta
-        mv = float(mv_per_point.mean())
-        sdv = float(sdv_per_point.mean())
+        mv, sdv = float(mv_per_point.mean()), float(sdv_per_point.mean())
+        within_var = grid[0].var(axis=1, ddof=1).sum(axis=-1)   # (r_theta, n_test), for the SE
         mv_se = float(within_var.mean(axis=1).std(ddof=1) / math.sqrt(r_theta))
         sdv_se = float(between_var.mean()) * math.sqrt(2.0 / (r_theta - 1))
     if not np.isfinite([mv, sdv, mv_se, sdv_se]).all():     # a per-point NaN or inf too
         raise ValueError("the nested MV/SDV estimate or its standard error is not finite")
     return NestedVarianceEstimate(mv_per_point=mv_per_point, sdv_per_point=sdv_per_point,
                                   mv=mv, sdv=sdv, mv_se=mv_se, sdv_se=sdv_se,
-                                  r_theta=r_theta, s_per_theta=s_per_theta,
-                                  multiclass_experimental=preds.shape[-1] > 1)
+                                  r_theta=r_theta, s_per_theta=s_per_theta)
 
 
 # --------------------------------------------------------------------------
@@ -401,18 +414,12 @@ def _collect(chain, reduce) -> dict:
 
 def _squared_stats(process, point_shape: tuple, mode: str, mc: MonteCarloConfig):
     """Reducer for _collect of the squared-error terms, with point shape
-    point_shape: spreads of the estimate chain and the direct error. Each
-    statistic is reduced per parameter block, then averaged over the blocks;
-    dpv_raw is the variance of the block means, and cov_raw sums in order."""
+    point_shape: the estimate chain's _spreads, its mean f_theta, and the
+    direct error; cov_raw sums in order."""
     def reduce(draws: _Draws) -> dict:
-        a = draws.grid.mean(axis=2)                  # (blocks, r_theta) + point_shape
-        per_block = {"mv": draws.grid.var(axis=2, ddof=1).mean(axis=1),
-                     "sdv_raw": a.var(axis=1, ddof=1), "b": a.mean(axis=1)}
-        out = {name: stat.mean(axis=0) for name, stat in per_block.items()}
+        out = _spreads(draws.grid)
         out["fbar"] = np.broadcast_to(process.f_theta(draws.thetas).mean(axis=1).mean(axis=0),
                                       point_shape)
-        if mode == SHARED_SUMMARY:
-            out["dpv_raw"] = per_block["b"].var(axis=0, ddof=1)
         if mode == CORRELATED:
             d = draws.pair_preds - np.add.accumulate(draws.pair_preds)[-1] / mc.r_theta
             out["cov_raw"] = np.add.accumulate(d[:, 0] * d[:, 1])[-1] / (mc.r_theta - 1)
@@ -467,9 +474,9 @@ def check_oracle_request(process, generator_mode: str, predictor: PredictorSpec 
     """
     if generator_mode not in _MODE_TERMS:
         raise ValueError(f"unknown generator mode {generator_mode!r}")
-    if generator_mode == SHARED_SUMMARY and not process.has_summary:
+    if generator_mode == SHARED_SUMMARY and not hasattr(process, "sample_summary"):
         raise ValueError(f"process {process.id!r} has no summary sampler")
-    if generator_mode == CORRELATED and not process.supports_correlated:
+    if generator_mode == CORRELATED and not hasattr(process, "sample_theta_correlated"):
         raise ValueError(f"process {process.id!r} has no correlated sampler")
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")

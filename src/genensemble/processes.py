@@ -31,8 +31,6 @@ class GaussianMeanProcess:
     """
 
     id = "gaussian_toy"
-    has_summary = False
-    supports_correlated = True
     builtin_predictor = "mean"
 
     def __init__(self, mu0=0.0, noise_sd=1.0, tau=0.2, n_real=50, n_synth=100,
@@ -125,8 +123,6 @@ class DiscreteBernoulliProcess:
     """
 
     id = "discrete_toy"
-    has_summary = True
-    supports_correlated = False
     builtin_predictor = "freq"
 
     def __init__(self, p0=0.3, n_real=100, n_synth=100, epsilon=1.0, delta=1e-6):

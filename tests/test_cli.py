@@ -664,6 +664,24 @@ method = regression
         assert f"config error: [predict_curve] curve_csv: {message}" in err
         assert not (out / "predictions.csv").exists()
 
+    def test_predict_curve_regression_fits_a_huge_curve(self, tmp_path):
+        # R^2's squared deviations pass the float limit unless they are scaled first
+        means = {1: 1e160, 2: 0.6e160, 4: 0.3e160}
+        curve = tmp_path / "curve.csv"
+        write_long_csv(curve, [dict(zip(LONG_COLUMNS, ("d", "b", "i", "cart", "mean", "mse", m,
+                                                       0, score, None)))
+                               for m, score in means.items()])
+        cfg = write_config(tmp_path, f"[predict_curve]\ncurve_csv = {curve}\nm_values = 8\n"
+                                     f"method = regression\n")
+        out = tmp_path / "o"
+        assert cli.main(["predict-curve", "--config", str(cfg), "--output", str(out)]) == 0
+        with open(out / "predictions.csv", newline="", encoding="utf-8") as fh:
+            predicted = list(csv.reader(fh))[1:]
+        rule = fit_rule_regression(means)
+        assert [row[6:] for row in predicted] == [
+            ["regression", str(m), repr(means[m]) if m in means else "",
+             repr(predict_mse(rule, m))] for m in (1, 2, 4, 8)]
+
     def test_identity_flag_maps_to_exit_3(self, config, monkeypatch):
         cfg, out = config
         from genensemble.decomposition import oracle_decompose as real

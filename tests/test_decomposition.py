@@ -61,6 +61,28 @@ class TestRuleOfThumb:
         slope_se = sigma / math.sqrt(sxx)
         assert abs(rule.mv_plus_sdv - 4.0) <= 3.0 * slope_se
 
+    def test_regression_fits_a_curve_whose_squares_overflow(self):
+        # the squared deviations pass the float limit; the same curve fits at 1e150
+        huge = fit_rule_regression({1: 1e160, 2: 0.6e160, 4: 0.3e160})
+        small = fit_rule_regression({1: 1e150, 2: 0.6e150, 4: 0.3e150})
+        assert huge.r_squared == pytest.approx(small.r_squared, rel=1e-12)
+        assert huge.mv_plus_sdv == pytest.approx(small.mv_plus_sdv * 1e10, rel=1e-12)
+        assert huge.mse1 == pytest.approx(small.mse1 * 1e10, rel=1e-12)
+
+    @pytest.mark.parametrize("points", [
+        {1: 10.0, 2: 8.0, 4: 7.0, 8: 6.5}, {1: 9.37, 2: 7.38, 4: 6.6},
+        {1: 0.31, 2: 0.27, 3: 0.262, 8: 0.249}, {1: 2e-3, 2: 1.2e-3, 16: 0.9e-3},
+        {1: 130.0, 2: 71.5, 4: 40.25, 8: 27.0, 16: 19.75},
+    ])
+    def test_r_squared_keeps_the_bits_of_the_unscaled_formula(self, points):
+        ms = sorted(points)
+        x = np.array([1.0 - 1.0 / m for m in ms])
+        y = np.array([points[m] for m in ms])
+        slope, intercept = np.polyfit(x, y, 1)
+        fitted = intercept + slope * x
+        r2 = 1.0 - float(np.sum((y - fitted) ** 2)) / float(np.sum((y - y.mean()) ** 2))
+        assert fit_rule_regression(points).r_squared == r2
+
     def test_single_m_rejected(self):
         with pytest.raises(ValueError):
             fit_rule_regression({4: 1.0})
@@ -196,7 +218,7 @@ class TestNestedEstimator:
             estimate_mv_sdv_nested(GeneratorSpec("bootstrap"), data, "cart", test,
                                    r_theta=4, s_per_theta=3, seed=1)
 
-    def test_multiclass_summed_variant_is_flagged(self):
+    def test_multiclass_sums_the_class_spreads(self):
         from genensemble.data import CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Schema
         schema = Schema((Column("x", NUMERIC, FEATURE),
                          Column("y", CATEGORICAL, TARGET, levels=("a", "b", "c"))))
@@ -207,8 +229,8 @@ class TestNestedEstimator:
         est = estimate_mv_sdv_nested(GeneratorSpec("bootstrap"), data,
                                      PredictorSpec("knn", "classification", k=3),
                                      data, r_theta=3, s_per_theta=2, seed=1)
-        assert est.multiclass_experimental
-        assert est.mv >= 0.0
+        # ddof=1 variance of two probability vectors, summed over classes, is at most 1
+        assert np.all((est.mv_per_point >= 0.0) & (est.mv_per_point <= 1.0 + 1e-12))
 
     def test_binary_classification_uses_positive_class_probability(self):
         from genensemble.data import CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Schema
@@ -221,7 +243,6 @@ class TestNestedEstimator:
         est = estimate_mv_sdv_nested(GeneratorSpec("bootstrap"), data,
                                      PredictorSpec("knn", "classification", k=3),
                                      data, r_theta=3, s_per_theta=2, seed=1)
-        assert not est.multiclass_experimental
         # ddof=1 variance of two values in [0,1] is at most 1/2
         assert np.all(est.mv_per_point <= 0.5 + 1e-12)
 
@@ -258,8 +279,9 @@ def _nested_reference(generator, data, predictor, test, r_theta, s_per_theta, se
                 member = member[:, 1:2]
             preds.append(member)
     preds = np.reshape(preds, (r_theta, s_per_theta) + preds[0].shape)
-    within_var = preds.var(axis=1, ddof=1).sum(axis=-1)
-    mv_per_point = within_var.mean(axis=0)
+    within_var = preds.var(axis=1, ddof=1)
+    mv_per_point = within_var.mean(axis=0).sum(axis=-1)     # the class sum follows the mean
+    within_var = within_var.sum(axis=-1)
     between_var = preds.mean(axis=1).var(axis=0, ddof=1).sum(axis=-1)
     sdv_per_point = between_var - mv_per_point / s_per_theta
     return (mv_per_point, sdv_per_point, float(mv_per_point.mean()),
@@ -301,7 +323,6 @@ class TestNestedMatchesReference:
         assert est.mv_per_point.tobytes() == ref[0].tobytes()
         assert est.sdv_per_point.tobytes() == ref[1].tobytes()
         assert (est.mv, est.sdv, est.mv_se, est.sdv_se) == ref[2:]
-        assert est.multiclass_experimental == (n_classes == 3)
 
 
 class TestOracleDecompose:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from exact_parametric import (gaussian_ppd_expected_mse, gaussian_ppd_mv_sdv,
+from exact_parametric import (bootstrap_mean_mv, gaussian_ppd_expected_mse, gaussian_ppd_mv_sdv,
                               shared_summary_expected_brier)
 
 from genensemble.data import CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Dataset, Schema
@@ -38,6 +38,17 @@ def _categorical(n, seed):
     return Dataset(schema, np.column_stack([a, y]).astype(np.float64))
 
 
+def _three_level(n, seed):
+    """n rows of one 3-level feature and a 3-level target that depends on it."""
+    levels = ("l0", "l1", "l2")
+    schema = Schema((Column("a", CATEGORICAL, FEATURE, levels=levels),
+                     Column("y", CATEGORICAL, TARGET, levels=levels)))
+    rng = make_rng(seed)
+    a = rng.integers(0, 3, size=n)
+    y = (a + (rng.random(n) < 0.4)) % 3
+    return Dataset(schema, np.column_stack([a, y]).astype(np.float64))
+
+
 class TestGaussianPpdMean:
     data, test = _numeric(80, 1), _numeric(200, 2)
 
@@ -62,24 +73,39 @@ class TestGaussianPpdMean:
 
 
 class TestSharedSummaryMean:
-    data, test = _categorical(300, 3), _categorical(300, 4)
-
+    @pytest.mark.parametrize("metric, make, share", [
+        ("brier_binary", _categorical, 0.5),     # brier_binary is half the two-class sum
+        ("brier_multiclass", _three_level, 1.0),
+    ], ids=["binary", "three_level"])
     @pytest.mark.parametrize("n_synthetic", [300, 30])
-    def test_brier_curve_given_each_summary(self, n_synthetic):
+    def test_brier_curve_given_each_summary(self, n_synthetic, metric, make, share):
+        data, test = make(300, 3), make(300, 4)
         spec = GeneratorSpec("noisy_marginal_dp", n_synthetic=n_synthetic, epsilon=1.0,
                              delta=1e-6)
         repeats, seed = 300, 9
-        curve = mse_curve(spec, self.data, PredictorSpec("mean", "classification"), self.test,
-                          M_VALUES, repeats, metric=MetricSpec("brier_binary"), seed=seed,
+        curve = mse_curve(spec, data, PredictorSpec("mean", "classification"), test,
+                          M_VALUES, repeats, metric=MetricSpec(metric), seed=seed,
                           mode="shared_summary")
         # each repeat's ensemble draws from the summary its seed releases
-        target = self.data.schema.target_index
-        counts = [fit_dp_summary(self.data, 1.0, 1e-6,
+        target = data.schema.target_index
+        counts = [fit_dp_summary(data, 1.0, 1e-6,
                                  child_seed(child_seed(seed, "repeat", j), "summary")
                                  ).counts[target] for j in range(repeats)]
         for m, scores in curve.per_repeat.items():
-            exact = [shared_summary_expected_brier(c, self.data.n, self.test.target_values(),
-                                                   n_synthetic, m) for c in counts]
+            exact = [share * shared_summary_expected_brier(c, data.n, test.target_values(),
+                                                           n_synthetic, m) for c in counts]
             diff = scores - np.array(exact)
             se = diff.std(ddof=1) / math.sqrt(repeats)
             assert abs(diff.mean()) <= TERM_SE_MULTIPLE * se, m
+
+
+def test_bootstrap_nested_estimate_sums_the_classes():
+    """On a 3-level target the nested estimator's per-class sum is the exact
+    brier_multiclass MV, and SDV is 0."""
+    data, test = _three_level(300, 3), _three_level(300, 4)
+    est = estimate_mv_sdv_nested(GeneratorSpec("bootstrap", n_synthetic=300), data,
+                                 PredictorSpec("mean", "classification"), test,
+                                 r_theta=64, s_per_theta=5, seed=9)
+    mv = bootstrap_mean_mv(data.target_values(), 3, 300)
+    assert abs(est.mv - mv) <= TERM_SE_MULTIPLE * est.mv_se
+    assert abs(est.sdv) <= TERM_SE_MULTIPLE * est.sdv_se
