@@ -265,18 +265,20 @@ def _cmd_curve(cfg, seed, tracker, jobs=1):
 
     cells = curve_cells(spec, data, predictors, test, m_values, repeats, averagings,
                         metrics, seed, mode, label)
-    columns = zip(*(args for _, _, args in cells))
+    # run repeat by repeat (a stable sort), so a repeat's cells share its ensemble
+    order = sorted(range(len(cells)), key=lambda i: cells[i][1])
+    columns = zip(*(cells[i][2] for i in order))
     workers = min(jobs, len(cells))     # a pool forks every worker on first submit
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor   # loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(curve_repeat, *columns))
+            results = dict(zip(order, pool.map(curve_repeat, *columns)))
     else:
-        results = list(map(curve_repeat, *columns))
+        results = dict(zip(order, map(curve_repeat, *columns)))
 
     rows = []
-    for (labels, j, _), scores in zip(cells, results):
-        rows.extend(long_rows(labels, j, scores))
+    for i, (labels, j, _) in enumerate(cells):
+        rows.extend(long_rows(labels, j, results[i]))
     write_long_csv(tracker.path("curve.csv"), rows)
     return EXIT_OK
 

@@ -195,6 +195,8 @@ def estimate_mv_sdv_nested(generator: GeneratorSpec, data: Dataset,
     r_theta = check_count(r_theta, "r_theta", minimum=2)
     s_per_theta = check_count(s_per_theta, "s_per_theta", minimum=2)
     seed = check_seed(seed)
+    if test.schema != data.schema:
+        raise ValueError("the test set's columns are not the data's")
     if test.n == 0:
         raise ValueError("the test set is empty")
     if isinstance(predictor, str):
@@ -681,19 +683,30 @@ class CurveResult:
         return {m: mean for m, (mean, _) in self.aggregate.items()}
 
 
+_last_ensemble = (None, None, [])   # (key, data, datasets); data is held, so its id is not reused
+
+
 def ensemble_members(generator: GeneratorSpec, data: Dataset, predictor: PredictorSpec,
                      test: Dataset, m: int, rep_seed: int,
                      mode: str = "independent") -> tuple[np.ndarray, np.ndarray]:
     """Generate m synthetic datasets, train one model per dataset and predict
     the test rows with each: the (m, n_test, ...) member block and the encoded
-    test targets. Pure in rep_seed; each dataset and its kept encoding go once used.
+    test targets. Pure in rep_seed. The last ensemble is kept until the next
+    call, which serves its datasets and their kept encodings again for the
+    same generator, data object, m, mode and rep_seed.
 
     A forest is the bootstrap generator with a CART predictor: member t is
     the tree grown on bootstrap replicate t."""
+    global _last_ensemble
     rep_seed = check_seed(rep_seed, "rep_seed")
-    datasets, _ = generate_ensemble(generator, data, m, mode, seed=rep_seed)
-    return _members(predictor, test, ((datasets.pop(0), child_seed(rep_seed, "train", i))
-                                      for i in range(len(datasets))))
+    key = (generator, check_count(m, "m"), mode, rep_seed)
+    last = _last_ensemble           # read once and replaced whole: threads can only miss
+    if last[0] != key or last[1] is not data:
+        # rebinding last as well frees the old ensemble before a model is trained
+        datasets, _ = generate_ensemble(generator, data, m, mode, seed=rep_seed)
+        last = _last_ensemble = (key, data, datasets)
+    return _members(predictor, test, ((ds, child_seed(rep_seed, "train", i))
+                                      for i, ds in enumerate(last[2])))
 
 
 def check_curve_request(data: Dataset, predictors, test: Dataset, m_values, averagings,

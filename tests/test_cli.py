@@ -192,6 +192,23 @@ class TestPipeline:
         assert workers == [4]
         assert (a / "curve.csv").read_bytes() == (b / "curve.csv").read_bytes()
 
+    def test_serial_curve_generates_once_per_repeat(self, tmp_path, monkeypatch):
+        calls = []
+        generate = decomposition.generate_ensemble
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return generate(*args, **kwargs)
+        monkeypatch.setattr(decomposition, "generate_ensemble", counting)
+        cfg = classification_config(tmp_path)   # 2 predictors x 2 metrics x 2 averagings
+        cfg.write_text(cfg.read_text().replace("repeats = 2", "repeats = 3"))
+        a, b = tmp_path / "serial", tmp_path / "par"
+        assert cli.main(["curve", "--config", str(cfg), "--output", str(a)]) == 0
+        assert len(calls) == 3                  # one per repeat, not one per cell (24)
+        assert cli.main(["curve", "--config", str(cfg), "--output", str(b),
+                         "--jobs", "3"]) == 0
+        assert (a / "curve.csv").read_bytes() == (b / "curve.csv").read_bytes()
+
     def test_decompose_report(self, config):
         cfg, out = config
         assert cli.main(["decompose", "--config", str(cfg), "--output", str(out)]) == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 
@@ -206,6 +207,19 @@ class TestNestedEstimator:
         with pytest.raises(ValueError, match="empty"):
             estimate_mv_sdv_nested(GeneratorSpec("bootstrap"), data, "mean", empty,
                                    r_theta=2, s_per_theta=2)
+
+    def test_foreign_test_set_refused_before_any_fit(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return fit(*args, **kwargs)
+        monkeypatch.setattr(decomposition, "fit", counting)
+        data = get_process("gaussian_toy").sample_real_dataset(make_rng(0), 20)
+        test = _xy_dataset(np.zeros((5, 2)), np.zeros(5))     # x0, x1, y: not the data's x, y
+        with pytest.raises(ValueError, match="the test set's columns are not the data's"):
+            estimate_mv_sdv_nested(GeneratorSpec("gaussian_ppd"), data, "ridge:1", test, 32, 5)
+        assert calls == []
 
     def test_spread_that_overflows_refused(self):
         # targets of +-1e200 square past the float limit: mv came back inf,
@@ -1207,6 +1221,95 @@ class TestForestCurve:
                 0, n, size=n)
             tree = _grow_tree(x[idx], y[idx], task, n_classes)
             assert member.tobytes() == (_tree_predict_rows(tree, x_test)[0] + 0.0).tobytes()
+
+
+def _categorical_data(seed, n=30):
+    """n rows of two categorical features and a binary target: data every
+    generator and mode can serve."""
+    rng = make_rng(seed)
+    schema = Schema((Column("a", CATEGORICAL, FEATURE, levels=("l0", "l1", "l2")),
+                     Column("b", CATEGORICAL, FEATURE, levels=("l0", "l1")),
+                     Column("y", CATEGORICAL, TARGET, levels=("no", "yes"))))
+    return Dataset(schema, np.column_stack([rng.integers(0, k, size=n) for k in (3, 2, 2)]))
+
+
+def _fresh_members(generator, data, predictor, test, m, rep_seed, mode="independent"):
+    """ensemble_members computed from a new generate_ensemble call."""
+    datasets, _ = generate_ensemble(generator, data, m, mode, seed=rep_seed)
+    return decomposition._members(predictor, test, ((ds, child_seed(rep_seed, "train", i))
+                                                    for i, ds in enumerate(datasets)))
+
+
+_DP = GeneratorSpec("noisy_marginal_dp", epsilon=1.0, delta=1e-6)
+_KNN = PredictorSpec("knn", "classification", k=3)
+
+
+@functools.cache
+def _member_calls():
+    """A sequence of ensemble_members calls whose keys repeat, some of them
+    with another predictor, and the bytes of each call made in this order."""
+    data, other, test = _categorical_data(1), _categorical_data(2), _categorical_data(3, n=10)
+    cart = PredictorSpec("cart", "classification")
+    a = (_DP, data, _KNN, test, 3, 5, "independent")
+    b = (_DP, data, cart, test, 3, 5, "independent")          # a's ensemble, another predictor
+    c = (_DP, other, _KNN, test, 3, 5, "independent")
+    d = (_DP, data, _KNN, test, 2, 5, "split_budget")
+    e = (GeneratorSpec("bootstrap"), data, cart, test, 3, 6, "independent")
+    calls = (a, a, b, c, a, d, d, e, b, c)
+    return calls, [tuple(x.tobytes() for x in ensemble_members(*call)) for call in calls]
+
+
+class TestEnsembleMembersCache:
+    """ensemble_members keeps its last ensemble; a call serves it only for the
+    same generator, data object, m, mode and rep_seed."""
+
+    def test_no_entry_is_served_across_a_key_change(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return generate_ensemble(*args, **kwargs)
+        monkeypatch.setattr(decomposition, "generate_ensemble", counting)
+        data, test = _categorical_data(1), _categorical_data(3, n=10)
+        base = (_DP, data, 3, "independent", 5)
+        changes = [
+            (_DP, _categorical_data(2), 3, "independent", 5),     # same schema, other rows
+            (_DP, Dataset(data.schema, data.rows), 3, "independent", 5),   # equal, not the same
+            (GeneratorSpec("bootstrap"), data, 3, "independent", 5),
+            (GeneratorSpec("noisy_marginal_dp", epsilon=2.0, delta=1e-6), data, 3,
+             "independent", 5),
+            (_DP, data, 2, "independent", 5),
+            (_DP, data, 3, "shared_summary", 5),
+            (_DP, data, 3, "split_budget", 5),
+            (_DP, data, 3, "independent", 6),
+        ]
+
+        def generations(key):
+            """generate_ensemble calls made by one ensemble_members call, whose
+            bytes must be those of a fresh ensemble."""
+            generator, ds, m, mode, rep_seed = key
+            before = len(calls)
+            block, y = ensemble_members(generator, ds, _KNN, test, m, rep_seed, mode)
+            fresh_block, fresh_y = _fresh_members(generator, ds, _KNN, test, m, rep_seed, mode)
+            assert block.tobytes() == fresh_block.tobytes() and y.tobytes() == fresh_y.tobytes()
+            return len(calls) - before
+
+        assert generations(base) == 1 and generations(base) == 0
+        for change in changes:
+            assert generations(change) == 1 and generations(base) == 1
+
+    def test_a_hit_still_checks_m(self):
+        data, test = _categorical_data(1), _categorical_data(3, n=10)
+        ensemble_members(GeneratorSpec("bootstrap"), data, _KNN, test, 1, 0)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            ensemble_members(GeneratorSpec("bootstrap"), data, _KNN, test, True, 0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(order=st.permutations(range(10)))
+    def test_call_order_never_changes_a_block(self, order):
+        calls, expected = _member_calls()
+        for i in order:
+            assert tuple(x.tobytes() for x in ensemble_members(*calls[i])) == expected[i]
 
 
 class TestCurveRepeatValidation:
