@@ -373,6 +373,13 @@ _SUBCOMMANDS = {
 }
 
 
+def _jobs(text):
+    """--jobs as an int; a usage error unless it is an integer >= 1."""
+    if not re.fullmatch(r"\s*[+-]?\d+\s*", text) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="genensemble",
@@ -381,7 +388,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the config file")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_jobs, default=1,
                         help="parallel workers for curve, at most one per grid cell")
     parser.add_argument("--output", default=None, help="output directory")
     args = parser.parse_args(argv)
@@ -400,7 +407,7 @@ def main(argv=None) -> int:
     tracker = _OutputTracker(directory)
     try:
         if args.subcommand == "curve":
-            status = _cmd_curve(cfg, seed, tracker, jobs=max(1, args.jobs))
+            status = _cmd_curve(cfg, seed, tracker, jobs=args.jobs)
         else:
             status = _SUBCOMMANDS[args.subcommand](cfg, seed, tracker)
         _write_manifest(tracker, args.subcommand, seed, raw)

@@ -24,6 +24,7 @@ forest whose mean prediction overflows is refused.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -319,9 +320,20 @@ def _tree_predict_rows(tree, x):
 
 # --- kNN ---------------------------------------------------------------------
 
-# Cells per kNN filter block (test row x training row) and refine gather (candidate x
-# feature), at least one: 32 KiB, so live temporaries stay under malloc's 128 KiB trim.
-_KNN_CELLS = 1 << 12
+# Cells per kNN filter block (test row x training row, at least one row) and refine gather
+# (candidate x feature). A block goes in a per-thread workspace of two buffers of this many
+# floats that later calls reuse, or in fresh arrays if one row is wider: memory is O(block).
+_KNN_CELLS = 1 << 15
+_KNN_WORKSPACE = threading.local()
+
+
+def _workspace(slot, shape):
+    """An uninitialised float array: a view of workspace buffer `slot` if it fits."""
+    if shape[0] * shape[1] > _KNN_CELLS:
+        return np.empty(shape)
+    if not hasattr(_KNN_WORKSPACE, "buffers"):
+        _KNN_WORKSPACE.buffers = (np.empty(_KNN_CELLS), np.empty(_KNN_CELLS))
+    return _KNN_WORKSPACE.buffers[slot][:shape[0] * shape[1]].reshape(shape)
 
 
 def _candidates(x, tx, k):
@@ -337,8 +349,13 @@ def _candidates(x, tx, k):
         block = max(1, _KNN_CELLS // n_train)
         for first in range(0, x.shape[0], block):
             at = slice(first, first + block)
-            fast = (-2.0 * x[at]) @ tx.T + tt
-            bound = np.partition(fast, k - 1, axis=1)[:, k - 1:k] + 2.0 * slack[at, None]
+            xb = -2.0 * x[at]
+            fast = np.matmul(xb, tx.T, out=_workspace(0, (xb.shape[0], n_train)))
+            fast += tt
+            kth = _workspace(1, fast.shape)
+            np.copyto(kth, fast)
+            kth.partition(k - 1, axis=1)
+            bound = kth[:, k - 1:k] + 2.0 * slack[at, None]
             keep.append(np.flatnonzero(~(fast > bound)) + first * n_train)
         rows, cols = np.divmod(np.concatenate(keep), n_train)
         exact, step = np.empty(rows.size), max(1, _KNN_CELLS // max(1, d))

@@ -192,6 +192,21 @@ class TestPipeline:
         assert workers == [4]
         assert (a / "curve.csv").read_bytes() == (b / "curve.csv").read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two", "1.5"])
+    def test_jobs_below_one_or_not_an_integer_is_a_usage_error(self, jobs, tmp_path, monkeypatch, capsys):
+        # --jobs 0 and --jobs -3 ran serially without a word
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["curve", "--config", str(process_config(tmp_path)), "--output", str(out),
+                      "--jobs", jobs])
+        err = capsys.readouterr().err
+        assert exit_.value.code == 2
+        assert f"argument --jobs: must be an integer >= 1, got {jobs!r}" in err
+        assert not out.exists()
+
     def test_serial_curve_generates_once_per_repeat(self, tmp_path, monkeypatch):
         calls = []
         generate = decomposition.generate_ensemble

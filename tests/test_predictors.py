@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -397,6 +399,85 @@ class TestKnnReference:
                 predict_batch(model, [[0.0]])
         else:
             assert predict_batch(model, [[0.0]])[0] == want
+
+
+def _knn_case(seed, n, n_train, d, k, task):
+    """A kNN model on few distinct integer rows (many distance ties), its query
+    rows and the per-row reference prediction."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-2, 3, size=(n_train + n, d)) / 3.0
+    tx, query = x[:n_train], x[n_train:]
+    n_classes = 0 if task == "regression" else 3
+    ty = rng.normal(size=n_train) if task == "regression" else rng.integers(0, 3, n_train)
+    return (_knn_model(task, tx, ty, k, n_classes), query,
+            _knn_reference(tx, ty, k, task, n_classes, query))
+
+
+def _assert_workspace_bounded():
+    """The calling thread's kNN workspace, if it has one, is two buffers of
+    at most _KNN_CELLS floats each."""
+    buffers = getattr(predictors._KNN_WORKSPACE, "buffers", ())
+    assert len(buffers) in (0, 2) and all(b.size <= _KNN_CELLS for b in buffers)
+    return buffers
+
+
+class TestKnnWorkspace:
+    # (n, n_train, d, k, task): a call of several blocks, one of a single block,
+    # one whose single block fills the budget, and one row wider than the budget
+    SHAPES = [(300, 300, 8, 5, "regression"), (7, 1000, 3, 12, "classification"),
+              (_KNN_CELLS // 256, 256, 2, 1, "regression"),
+              (3, _KNN_CELLS + 3, 1, 4, "classification")]
+
+    def test_threads_predict_at_once_with_their_own_buffers(self):
+        cases = [_knn_case(seed, *shape) for seed, shape in enumerate(self.SHAPES)]
+        start, results, buffers = threading.Barrier(len(cases)), {}, {}
+
+        def work(i):
+            model, query, _ = cases[i]
+            start.wait()
+            results[i] = [predict_batch(model, query) for _ in range(5)]
+            buffers[i] = _assert_workspace_bounded()
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)         # switch threads between numpy calls
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i, (_, _, want) in enumerate(cases):
+            assert all(got.tobytes() == want.tobytes() for got in results[i])
+        # the wide row uses fresh arrays; each other thread allocated its own buffers
+        assert buffers[3] == ()
+        held = [id(b) for i in range(3) for b in buffers[i]]
+        assert len(set(held)) == 6
+
+    def test_reuse_after_a_change_of_shape_leaks_no_stale_values(self):
+        model, query, want = _knn_case(0, *self.SHAPES[2])
+        assert query.shape[0] * 256 == _KNN_CELLS
+        assert predict_batch(model, query).tobytes() == want.tobytes()
+        buffers = _assert_workspace_bounded()
+        # a stale +inf filter value would drop a neighbour, a stale -inf bound all of them
+        buffers[0].fill(np.inf)
+        buffers[1].fill(-np.inf)
+        model, query, want = _knn_case(1, 6, 40, 3, 4, "classification")
+        assert predict_batch(model, query).tobytes() == want.tobytes()
+        overflow = TestKnnReference()
+        overflow.test_overflowing_candidate_distance_refused()
+        overflow.test_overflow_outside_the_candidates_allowed()
+        for k, want in [(1, 1.0), (2, 1.5), (3, None)]:
+            overflow.test_only_a_chosen_overflowing_distance_refused(k, want)
+        assert _assert_workspace_bounded() is buffers
+
+    def test_row_wider_than_the_budget_uses_fresh_arrays(self):
+        model, query, want = _knn_case(2, *self.SHAPES[3])
+        _assert_workspace_bounded()
+        assert predict_batch(model, query).tobytes() == want.tobytes()
+        _assert_workspace_bounded()
 
 
 class TestExactBaggedNearestNeighbour:
