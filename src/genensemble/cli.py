@@ -28,11 +28,11 @@ from . import __version__
 from .data import (CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Schema,
                    load_csv, save_csv, train_test_split, write_csv)
 from .decomposition import (MonteCarloConfig, check_oracle_request, curve_cells,
-                            curve_repeat, estimate_mv_sdv_nested, fit_rule_regression,
-                            fit_rule_two_point, oracle_decompose, predict_mse)
+                            estimate_mv_sdv_nested, fit_rule_regression, fit_rule_two_point,
+                            oracle_decompose, predict_mse, run_cells)
 from .generators import GeneratorSpec, check_ensemble_request, generate_ensemble
-from .metrics import (LABEL_COLUMNS, MetricSpec, check_averaging, finite_mean, long_rows,
-                      read_long_csv, write_long_csv)
+from .metrics import (LABEL_COLUMNS, MetricSpec, finite_mean, long_rows, read_long_csv,
+                      write_long_csv)
 from .predictors import PredictorSpec, parse_predictor
 from .processes import get_process
 from .rng import child_seed, make_rng
@@ -190,16 +190,6 @@ def _predictor_specs(cfg, task: str) -> list[PredictorSpec]:
     return specs
 
 
-def _metric_specs(cfg, task: str) -> list[MetricSpec]:
-    """The [curve] metrics, each of which must suit the task."""
-    default = "mse" if task == "regression" else "brier_binary"
-    specs = _get_list(cfg, "curve", "metrics", MetricSpec, default=default)
-    with _config_errors("[curve] metrics"):
-        for spec in specs:
-            spec.check_task(task)
-    return specs
-
-
 class _OutputTracker:
     """Records files written by a run so partial outputs vanish on failure."""
 
@@ -252,33 +242,20 @@ def _cmd_generate(cfg, seed, tracker):
 
 def _cmd_curve(cfg, seed, tracker, jobs=1):
     data, test, label = _load_data(cfg, seed)
-    task = data.schema.task
-    predictors = _predictor_specs(cfg, task)
-    metrics = _metric_specs(cfg, task)
+    predictors = _predictor_specs(cfg, data.schema.task)
+    metrics = _get_list(cfg, "curve", "metrics", MetricSpec,
+                        default="mse" if data.schema.task == "regression" else "brier_binary")
     m_values = _get_m_values(cfg, "curve")
     spec, mode = _ensemble_request(cfg, max(m_values), data)
     repeats = _get_count(cfg, "curve", "repeats", default=3)
     averagings = _get_list(cfg, "curve", "averaging", str, default="mean")
-    with _config_errors("[curve] averaging"):
-        for averaging in averagings:
-            check_averaging(averaging, task)
-
-    cells = curve_cells(spec, data, predictors, test, m_values, repeats, averagings,
-                        metrics, seed, mode, label)
-    # run repeat by repeat (a stable sort), so a repeat's cells share its ensemble
-    order = sorted(range(len(cells)), key=lambda i: cells[i][1])
-    columns = zip(*(cells[i][2] for i in order))
-    workers = min(jobs, len(cells))     # a pool forks every worker on first submit
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor   # loads multiprocessing
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(zip(order, pool.map(curve_repeat, *columns)))
-    else:
-        results = dict(zip(order, map(curve_repeat, *columns)))
+    with _config_errors("[curve]"):
+        cells = curve_cells(spec, data, predictors, test, m_values, repeats, averagings,
+                            metrics, seed, mode, label)
 
     rows = []
-    for i, (labels, j, _) in enumerate(cells):
-        rows.extend(long_rows(labels, j, results[i]))
+    for (labels, j, _), scores in zip(cells, run_cells(cells, jobs)):
+        rows.extend(long_rows(labels, j, scores))
     write_long_csv(tracker.path("curve.csv"), rows)
     return EXIT_OK
 
@@ -389,7 +366,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     parser.add_argument("--jobs", type=_jobs, default=1,
-                        help="parallel workers for curve, at most one per grid cell")
+                        help="parallel workers for curve, at most one per (predictor, repeat)")
     parser.add_argument("--output", default=None, help="output directory")
     args = parser.parse_args(argv)
 

@@ -139,6 +139,14 @@ class NestedVarianceEstimate:
     s_per_theta: int
 
 
+def _check_test_set(data: Dataset, test: Dataset) -> None:
+    """Raise ValueError unless test has the data's columns and at least one row."""
+    if test.schema != data.schema:
+        raise ValueError("the test set's columns are not the data's")
+    if test.n == 0:
+        raise ValueError("the test set is empty")
+
+
 def _members(predictor: PredictorSpec, test: Dataset, draws) -> tuple[np.ndarray, np.ndarray]:
     """Train the predictor once per (synthetic dataset, training seed) pair of
     draws and predict the test rows with each model.
@@ -195,10 +203,7 @@ def estimate_mv_sdv_nested(generator: GeneratorSpec, data: Dataset,
     r_theta = check_count(r_theta, "r_theta", minimum=2)
     s_per_theta = check_count(s_per_theta, "s_per_theta", minimum=2)
     seed = check_seed(seed)
-    if test.schema != data.schema:
-        raise ValueError("the test set's columns are not the data's")
-    if test.n == 0:
-        raise ValueError("the test set is empty")
+    _check_test_set(data, test)
     if isinstance(predictor, str):
         predictor = parse_predictor(predictor, data.schema.task)
     n_rows = generator.n_synthetic if generator.n_synthetic is not None else data.n
@@ -691,9 +696,9 @@ def ensemble_members(generator: GeneratorSpec, data: Dataset, predictor: Predict
                      mode: str = "independent") -> tuple[np.ndarray, np.ndarray]:
     """Generate m synthetic datasets, train one model per dataset and predict
     the test rows with each: the (m, n_test, ...) member block and the encoded
-    test targets. Pure in rep_seed. The last ensemble is kept until the next
-    call, which serves its datasets and their kept encodings again for the
-    same generator, data object, m, mode and rep_seed.
+    test targets. Pure in rep_seed. The last ensemble and its kept encodings
+    serve the next call again for the same generator, data object, m, mode
+    and rep_seed, which run_cells' order puts one after another.
 
     A forest is the bootstrap generator with a CART predictor: member t is
     the tree grown on bootstrap replicate t."""
@@ -707,6 +712,26 @@ def ensemble_members(generator: GeneratorSpec, data: Dataset, predictor: Predict
         last = _last_ensemble = (key, data, datasets)
     return _members(predictor, test, ((ds, child_seed(rep_seed, "train", i))
                                       for i, ds in enumerate(last[2])))
+
+
+def run_cells(cells, jobs: int = 1) -> list[dict[int, tuple]]:
+    """The curve_repeat scores of curve_cells cells, in their (curve.csv)
+    order. The cells run repeat by repeat (a stable sort), so a serial run
+    generates each repeat's datasets once. With jobs > 1, min(jobs, units)
+    workers take one (predictor, repeat) unit per task: its cells are pickled
+    together, so they share one copy of the data and generate once."""
+    jobs = check_count(jobs, "jobs")
+    order = sorted(range(len(cells)), key=lambda i: cells[i][1])
+    columns = zip(*(cells[i][2] for i in order))
+    units = len({(labels["predictor"], j) for labels, j, _ in cells})
+    if min(jobs, units) > 1:
+        from concurrent.futures import ProcessPoolExecutor   # loads multiprocessing
+        with ProcessPoolExecutor(max_workers=min(jobs, units)) as pool:
+            scores = list(pool.map(curve_repeat, *columns, chunksize=len(cells) // units))
+    else:
+        scores = map(curve_repeat, *columns)
+    results = dict(zip(order, scores))
+    return [results[i] for i in range(len(cells))]
 
 
 def check_curve_request(data: Dataset, predictors, test: Dataset, m_values, averagings,
@@ -727,10 +752,7 @@ def check_curve_request(data: Dataset, predictors, test: Dataset, m_values, aver
         if predictor.task != task:
             raise ValueError(f"predictor {predictor.label!r} is for {predictor.task}, "
                              f"not the data's {task} task")
-    if test.schema != data.schema:
-        raise ValueError("the test set's columns are not the data's")
-    if test.n == 0:
-        raise ValueError("the test set is empty")
+    _check_test_set(data, test)
     m_values = sorted(set(check_count(m, "m values") for m in m_values))
     if not m_values:
         raise ValueError("there are no m values")
@@ -753,9 +775,9 @@ def curve_repeat(generator: GeneratorSpec, data: Dataset, predictor: PredictorSp
 def curve_cells(generator: GeneratorSpec, data: Dataset, predictors, test: Dataset,
                 m_values, repeats: int, averagings, metrics, seed: int = 0,
                 mode: str = "independent", dataset_label: str = "data") -> list[tuple]:
-    """Every cell of a curve grid in curve.csv row order, one per predictor,
-    metric, averaging and repeat: (labels, repeat, curve_repeat arguments).
-    The repeat seed depends only on the repeat, so cells are independent."""
+    """The cells of a curve grid for run_cells, in curve.csv row order: one
+    (labels, repeat, curve_repeat arguments) per predictor, metric, averaging
+    and repeat. The seed depends on the repeat alone, so its cells share an ensemble."""
     repeats = check_count(repeats, "repeats")
     seed = check_seed(seed)
     m_values = check_curve_request(data, predictors, test, m_values, averagings, metrics)
@@ -782,9 +804,9 @@ def mse_curve(generator: GeneratorSpec, data: Dataset,
         predictor = parse_predictor(predictor, data.schema.task)
     per_repeat: dict[int, np.ndarray] = {}
     rows = []
-    for labels, j, args in curve_cells(generator, data, [predictor], test, m_values, repeats,
-                                       [averaging], [metric], seed, mode, dataset_label):
-        scores = curve_repeat(*args)
+    cells = curve_cells(generator, data, [predictor], test, m_values, repeats, [averaging],
+                        [metric], seed, mode, dataset_label)
+    for (labels, j, _), scores in zip(cells, run_cells(cells)):
         for m, (score, _) in scores.items():
             per_repeat.setdefault(m, np.empty(repeats))[j] = score
         rows.extend(long_rows(labels, j, scores))

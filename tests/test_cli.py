@@ -118,6 +118,20 @@ def classification_config(tmp_path):
                         name="clf.cfg")
 
 
+def multiclass_config(tmp_path):
+    """classification_config with a third target class, maybe, on every fourth
+    row, scored by cross_entropy and brier_multiclass."""
+    cfg = classification_config(tmp_path)
+    data_path = tmp_path / "clf.csv"
+    lines = data_path.read_text(encoding="utf-8").splitlines()
+    lines[1::4] = [line.rsplit(",", 1)[0] + ",maybe" for line in lines[1::4]]
+    data_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = cfg.read_text(encoding="utf-8").replace("(no|yes) target", "(no|yes|maybe) target")
+    cfg.write_text(text.replace("metrics = cross_entropy, brier_binary",
+                                "metrics = cross_entropy, brier_multiclass"), encoding="utf-8")
+    return cfg
+
+
 @pytest.fixture
 def config(tmp_path):
     return process_config(tmp_path), tmp_path / "out"
@@ -167,7 +181,7 @@ class TestPipeline:
         assert (a / "curve.csv").read_bytes() == (b / "curve.csv").read_bytes()
 
     def test_jobs_capped_at_grid_cells(self, tmp_path, monkeypatch):
-        workers = []
+        workers, chunksizes = [], []
 
         class SerialPool:
             def __init__(self, max_workers):
@@ -179,17 +193,19 @@ class TestPipeline:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *columns):
+            def map(self, fn, *columns, chunksize=1):
+                chunksizes.append(chunksize)
                 return map(fn, *columns)
 
-        # cli imports the pool from concurrent.futures only when it needs one
+        # run_cells imports the pool from concurrent.futures only when it needs one
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        cfg = process_config(tmp_path)     # 2 predictors x 2 repeats = 4 cells
+        cfg = classification_config(tmp_path)
+        # 2 predictors x 2 repeats = 4 units, each of 2 metrics x 2 averagings = 4 cells
         a, b = tmp_path / "serial", tmp_path / "capped"
         assert cli.main(["curve", "--config", str(cfg), "--output", str(a)]) == 0
         assert cli.main(["curve", "--config", str(cfg), "--output", str(b),
                          "--jobs", "64"]) == 0
-        assert workers == [4]
+        assert workers == [4] and chunksizes == [4]
         assert (a / "curve.csv").read_bytes() == (b / "curve.csv").read_bytes()
 
     @pytest.mark.parametrize("jobs", ["0", "-3", "two", "1.5"])
@@ -222,6 +238,27 @@ class TestPipeline:
         assert len(calls) == 3                  # one per repeat, not one per cell (24)
         assert cli.main(["curve", "--config", str(cfg), "--output", str(b),
                          "--jobs", "3"]) == 0
+        assert (a / "curve.csv").read_bytes() == (b / "curve.csv").read_bytes()
+
+    def test_workers_generate_once_per_unit(self, tmp_path, monkeypatch):
+        log = tmp_path / "generations.log"
+        generate = decomposition.generate_ensemble
+
+        def logging_pid(*args, **kwargs):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return generate(*args, **kwargs)
+        # the pool forks its workers, so they inherit the wrapper
+        monkeypatch.setattr(decomposition, "generate_ensemble", logging_pid)
+        cfg = classification_config(tmp_path)   # 2 predictors x 2 metrics x 2 averagings
+        cfg.write_text(cfg.read_text().replace("repeats = 2", "repeats = 3"))
+        a, b = tmp_path / "serial", tmp_path / "par"
+        assert cli.main(["curve", "--config", str(cfg), "--output", str(b),
+                         "--jobs", "3"]) == 0
+        pids = log.read_text(encoding="utf-8").split()
+        assert len(pids) == 6           # one per (predictor, repeat), not one per cell (24)
+        assert str(os.getpid()) not in pids and len(set(pids)) <= 3
+        assert cli.main(["curve", "--config", str(cfg), "--output", str(a)]) == 0
         assert (a / "curve.csv").read_bytes() == (b / "curve.csv").read_bytes()
 
     def test_decompose_report(self, config):
@@ -875,16 +912,18 @@ class TestDecomposeValidation:
 class TestCurveValidation:
     @pytest.mark.parametrize("make_config, subcommand, old, new, message", [
         (classification_config, "curve", "averaging = mean, dual_log_prob",
-         "averaging = mean, bogus", "[curve] averaging: unknown averaging 'bogus'"),
+         "averaging = mean, bogus", "[curve]: unknown averaging 'bogus'"),
         (classification_config, "curve", "metrics = cross_entropy, brier_binary",
          "metrics = cross_entropy, mse",
-         "[curve] metrics: metric 'mse' is incompatible with task 'classification'"),
+         "[curve]: metric 'mse' is incompatible with task 'classification'"),
         (process_config, "curve", "repeats = 2\nmetrics = mse",
          "repeats = 2\nmetrics = mse\naveraging = dual_log_prob",
-         "[curve] averaging: dual_log_prob averaging requires a classification task"),
+         "[curve]: dual_log_prob averaging requires a classification task"),
         (process_config, "curve", "repeats = 2\nmetrics = mse",
          "repeats = 2\nmetrics = brier_binary",
-         "[curve] metrics: metric 'brier_binary' is incompatible with task 'regression'"),
+         "[curve]: metric 'brier_binary' is incompatible with task 'regression'"),
+        (multiclass_config, "curve", "metrics = cross_entropy, brier_multiclass",
+         "metrics = cross_entropy, brier_binary", "[curve]: brier_binary needs a binary task"),
         (classification_config, "curve", "specs = knn:3, cart", "specs = ridge:1.0",
          "[predictors] specs: ridge:1.0: ridge supports regression only"),
         (classification_config, "curve", "specs = knn:3, cart", "specs = knn:3, linear",
@@ -938,9 +977,10 @@ class TestCurveValidation:
         (process_config, "curve", "specs = cart, ridge:1.0", "specs = ,",
          "[predictors] specs lists no item"),
     ], ids=["bogus-averaging", "mse-on-classification", "dual-on-regression",
-            "brier-on-regression", "ridge-on-classification", "linear-on-classification",
-            "logistic-on-regression", "ridge-nan", "ridge-inf", "ridge-negative", "knn-zero",
-            "bagged-zero", "duplicate-label", "labels-equal-under-g", "nested-r-theta-one",
+            "brier-on-regression", "brier-binary-on-multiclass", "ridge-on-classification",
+            "linear-on-classification", "logistic-on-regression", "ridge-nan", "ridge-inf",
+            "ridge-negative", "knn-zero", "bagged-zero", "duplicate-label",
+            "labels-equal-under-g", "nested-r-theta-one",
             "generate-m-zero", "bogus-mode", "shared-summary-without-dp",
             "split-budget-without-dp", "test-fraction-above-one", "test-fraction-empty-test",
             "identity-not-boolean", "identity-with-n-synthetic", "r-real-not-int",

@@ -16,10 +16,10 @@ from genensemble.decomposition import (BOOTSTRAP_RESAMPLES, CORRELATED, IDENTITY
                                        SHARED_SUMMARY, TERM_SE_MULTIPLE, BregmanBoundReport,
                                        DecompositionReport, MonteCarloConfig, TermEstimate,
                                        achieved_benefit, bregman_oracle_decompose,
-                                       check_oracle_request, ensemble_members,
-                                       estimate_mv_sdv_nested, fit_rule_regression,
-                                       fit_rule_two_point, mse_curve, oracle_decompose,
-                                       predict_mse)
+                                       check_oracle_request, curve_cells, curve_repeat,
+                                       ensemble_members, estimate_mv_sdv_nested,
+                                       fit_rule_regression, fit_rule_two_point, mse_curve,
+                                       oracle_decompose, predict_mse, run_cells)
 from genensemble.generators import GeneratorSpec, fit, generate_ensemble, sample
 from genensemble.metrics import MEAN, MetricSpec, score_predictions, score_prefixes
 from genensemble.predictors import (PredictorSpec, _grow_tree, _tree_predict_rows,
@@ -1310,6 +1310,35 @@ class TestEnsembleMembersCache:
         calls, expected = _member_calls()
         for i in order:
             assert tuple(x.tobytes() for x in ensemble_members(*calls[i])) == expected[i]
+
+
+class TestRunCells:
+    """run_cells gives each curve_cells cell its curve_repeat scores, in row order."""
+
+    @staticmethod
+    def _cells():
+        data, test = _categorical_data(1), _categorical_data(3, n=10)
+        return curve_cells(_DP, data, [_KNN, PredictorSpec("cart", "classification")], test,
+                           [1, 2], 2, [MEAN, "dual_log_prob"], [MetricSpec("cross_entropy")],
+                           seed=4)
+
+    def test_scores_are_each_cells_in_row_order(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return generate_ensemble(*args, **kwargs)
+        monkeypatch.setattr(decomposition, "generate_ensemble", counting)
+        cells = self._cells()
+        scores = run_cells(cells)
+        assert len(calls) == 2                  # one per repeat, where row order makes 8
+        assert scores == [curve_repeat(*args) for _, _, args in cells]
+
+    @pytest.mark.parametrize("jobs, message", [(0, "jobs must be >= 1"),
+                                               (2.0, "jobs must be an integer")])
+    def test_jobs_is_a_count(self, jobs, message):
+        with pytest.raises(ValueError, match=message):
+            run_cells(self._cells(), jobs)
 
 
 class TestCurveRepeatValidation:
