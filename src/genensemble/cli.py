@@ -228,7 +228,7 @@ def _write_manifest(tracker: _OutputTracker, subcommand: str, seed: int,
 
 # --- subcommands -------------------------------------------------------------
 
-def _cmd_generate(cfg, seed, tracker):
+def _cmd_generate(cfg, seed, tracker, jobs):
     data, _, _ = _load_data(cfg, seed)
     m = _get(cfg, "generator", "m", default=1, convert=int)
     spec, mode = _ensemble_request(cfg, m, data)
@@ -240,11 +240,11 @@ def _cmd_generate(cfg, seed, tracker):
     return EXIT_OK
 
 
-def _cmd_curve(cfg, seed, tracker, jobs=1):
+def _cmd_curve(cfg, seed, tracker, jobs):
     data, test, label = _load_data(cfg, seed)
     predictors = _predictor_specs(cfg, data.schema.task)
-    metrics = _get_list(cfg, "curve", "metrics", MetricSpec,
-                        default="mse" if data.schema.task == "regression" else "brier_binary")
+    default = {0: "mse", 2: "brier_binary"}.get(data.schema.n_classes, "brier_multiclass")
+    metrics = _get_list(cfg, "curve", "metrics", MetricSpec, default=default)
     m_values = _get_m_values(cfg, "curve")
     spec, mode = _ensemble_request(cfg, max(m_values), data)
     repeats = _get_count(cfg, "curve", "repeats", default=3)
@@ -253,14 +253,13 @@ def _cmd_curve(cfg, seed, tracker, jobs=1):
         cells = curve_cells(spec, data, predictors, test, m_values, repeats, averagings,
                             metrics, seed, mode, label)
 
-    rows = []
-    for (labels, j, _), scores in zip(cells, run_cells(cells, jobs)):
-        rows.extend(long_rows(labels, j, scores))
+    rows = [row for (labels, j, _), scores in zip(cells, run_cells(cells, jobs))
+            for row in long_rows(labels, j, scores)]
     write_long_csv(tracker.path("curve.csv"), rows)
     return EXIT_OK
 
 
-def _cmd_predict_curve(cfg, seed, tracker):
+def _cmd_predict_curve(cfg, seed, tracker, jobs):
     curve_path = _get(cfg, "predict_curve", "curve_csv", required=True)
     if not Path(curve_path).is_file():
         raise ConfigError(f"[predict_curve] curve_csv {curve_path!r} does not exist")
@@ -297,7 +296,7 @@ def _cmd_predict_curve(cfg, seed, tracker):
     return EXIT_OK
 
 
-def _cmd_decompose(cfg, seed, tracker):
+def _cmd_decompose(cfg, seed, tracker, jobs):
     pid = _get(cfg, "decompose", "process", required=True)
     mode = _get(cfg, "decompose", "mode", default="iid")
     m = _get(cfg, "decompose", "m", default=1, convert=int)
@@ -311,12 +310,12 @@ def _cmd_decompose(cfg, seed, tracker):
         process = get_process(pid)
         check_oracle_request(process, mode, predictor, m, rho)
     report = oracle_decompose(process, mode, predictor, m=m, mc=mc,
-                              seed=child_seed(seed, "decompose"), rho=rho)
+                              seed=child_seed(seed, "decompose"), rho=rho, jobs=jobs)
     tracker.write_json("report.json", report.to_json_dict())
     return EXIT_OK if report.status == "ok" else EXIT_FLAGGED
 
 
-def _cmd_nested_var(cfg, seed, tracker):
+def _cmd_nested_var(cfg, seed, tracker, jobs):
     data, test, label = _load_data(cfg, seed)
     spec, mode = _ensemble_request(cfg, 1, data)
     if mode != "independent":
@@ -325,11 +324,10 @@ def _cmd_nested_var(cfg, seed, tracker):
     r_theta = _get_count(cfg, "nested_var", "r_theta", default=32, minimum=2)
     s_per = _get_count(cfg, "nested_var", "s_per_theta", default=5, minimum=2)
 
-    rows = []
-    summary = {}
+    rows, summary = [], {}
     for predictor in predictors:
         est = estimate_mv_sdv_nested(spec, data, predictor, test, r_theta, s_per,
-                                     seed=child_seed(seed, "nested"))
+                                     seed=child_seed(seed, "nested"), jobs=jobs)
         for i, (mv, sdv) in enumerate(zip(est.mv_per_point, est.sdv_per_point)):
             rows.append((label, predictor.label, i, repr(float(mv)), repr(float(sdv))))
         summary[predictor.label] = {"mv": est.mv, "sdv": est.sdv,
@@ -348,6 +346,7 @@ _SUBCOMMANDS = {
     "decompose": _cmd_decompose,
     "nested-var": _cmd_nested_var,
 }
+_PARALLEL = ("curve", "decompose", "nested-var")      # the subcommands that read --jobs
 
 
 def _jobs(text):
@@ -366,9 +365,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     parser.add_argument("--jobs", type=_jobs, default=1,
-                        help="parallel workers for curve, at most one per (predictor, repeat)")
+                        help="parallel workers for curve, decompose and nested-var")
     parser.add_argument("--output", default=None, help="output directory")
     args = parser.parse_args(argv)
+    if args.jobs > 1 and args.subcommand not in _PARALLEL:
+        parser.error(f"argument --jobs: only {', '.join(_PARALLEL)} take more than one worker")
 
     try:
         cfg, raw = _read_config(args.config)
@@ -383,10 +384,7 @@ def main(argv=None) -> int:
 
     tracker = _OutputTracker(directory)
     try:
-        if args.subcommand == "curve":
-            status = _cmd_curve(cfg, seed, tracker, jobs=args.jobs)
-        else:
-            status = _SUBCOMMANDS[args.subcommand](cfg, seed, tracker)
+        status = _SUBCOMMANDS[args.subcommand](cfg, seed, tracker, args.jobs)
         _write_manifest(tracker, args.subcommand, seed, raw)
         return status
     except ConfigError as exc:

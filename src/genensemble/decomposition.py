@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -184,10 +185,18 @@ def _spreads(grid: np.ndarray) -> dict:
     return out
 
 
+def _nested_fit(generator, data, predictor, test, n_rows, s_per_theta, seed, i) -> np.ndarray:
+    """The (s_per_theta, n_test, ...) member block of nested fit i."""
+    params = fit(generator, data, child_seed(seed, "fit", i))
+    return _members(predictor, test, (
+        (sample(params, n_rows, child_seed(child_seed(seed, "synth", i), "rep", j)),
+         child_seed(child_seed(seed, "train", i), "rep", j)) for j in range(s_per_theta)))[0]
+
+
 def estimate_mv_sdv_nested(generator: GeneratorSpec, data: Dataset,
                            predictor: PredictorSpec | str, test: Dataset,
                            r_theta: int = 32, s_per_theta: int = 5,
-                           seed: int = 0) -> NestedVarianceEstimate:
+                           seed: int = 0, jobs: int = 1) -> NestedVarianceEstimate:
     """Estimate model variance and synthetic-data variance per test point.
 
     Draws r_theta generator fits; for each fit draws s_per_theta synthetic
@@ -198,7 +207,8 @@ def estimate_mv_sdv_nested(generator: GeneratorSpec, data: Dataset,
     Binary predictors contribute their positive-class probability (the
     brier_binary terms); multiclass ones sum the per-class spreads (the
     brier_multiclass terms: squared error adds over class coordinates).
-    A spread that overflows raises ValueError.
+    A spread that overflows raises ValueError. Each fit draws from its own
+    seeds, so jobs workers (run_units) give the serial bytes.
     """
     r_theta = check_count(r_theta, "r_theta", minimum=2)
     s_per_theta = check_count(s_per_theta, "s_per_theta", minimum=2)
@@ -208,11 +218,8 @@ def estimate_mv_sdv_nested(generator: GeneratorSpec, data: Dataset,
         predictor = parse_predictor(predictor, data.schema.task)
     n_rows = generator.n_synthetic if generator.n_synthetic is not None else data.n
 
-    fits = [fit(generator, data, child_seed(seed, "fit", i)) for i in range(r_theta)]
-    block, _ = _members(predictor, test, (
-        (sample(params, n_rows, child_seed(child_seed(seed, "synth", i), "rep", j)),
-         child_seed(child_seed(seed, "train", i), "rep", j))
-        for i, params in enumerate(fits) for j in range(s_per_theta)))
+    block = np.stack(run_units(partial(_nested_fit, generator, data, predictor, test, n_rows,
+                                       s_per_theta, seed), range(r_theta), jobs))
     grid = _components(block, predictor.task).reshape(1, r_theta, s_per_theta, test.n, -1)
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -346,9 +353,9 @@ class _Draws(NamedTuple):
     rng_direct: np.random.Generator   # the direct chain's generator, for its outcomes
 
 
-def _chain(process, outputs, mode, m, rho, mc: MonteCarloConfig, seed: int):
-    """Draws of the chain real data -> theta -> synthetic data -> prediction,
-    one _Draws per outer replicate.
+def _chain(process, outputs, reduce, mode, m, rho, mc, seed, r) -> dict:
+    """The named statistics of outer replicate r: reduce of its _Draws of the
+    chain real data -> theta -> synthetic data -> prediction.
 
     outputs(rng, thetas, tag, r) returns one prediction per parameter draw in
     the array thetas, each made from its own synthetic dataset, with shape
@@ -358,33 +365,31 @@ def _chain(process, outputs, mode, m, rho, mc: MonteCarloConfig, seed: int):
     _Draws); the direct chain, from fresh draws of everything, predicts once
     for each of the m ensemble members.
     """
-    def thetas(rng, real, size, correlated=False):
-        """One block of size parameter draws for the mode."""
+    def thetas(rng, real, n, correlated=False):
+        """One block of n parameter draws for the mode."""
         if mode == SHARED_SUMMARY:
-            return process.sample_theta_from_summary(rng, process.sample_summary(rng, real),
-                                                     size)
+            return process.sample_theta_from_summary(rng, process.sample_summary(rng, real), n)
         if correlated:
-            return process.sample_theta_correlated(rng, real, 1, size, rho)[0]
-        return process.sample_theta(rng, real, size)
+            return process.sample_theta_correlated(rng, real, 1, n, rho)[0]
+        return process.sample_theta(rng, real, n)
 
     blocks = mc.summaries if mode == SHARED_SUMMARY else 1
-    for r in range(mc.r_real):
-        rng = child_rng(seed, "estimate", r)
-        real = process.sample_real(rng)
-        block_thetas, preds = np.empty((blocks, mc.r_theta)), []
-        for k in range(blocks):
-            block_thetas[k] = thetas(rng, real, mc.r_theta)
-            preds.append(outputs(rng, np.repeat(block_thetas[k][:, None], mc.r_syn, axis=1),
-                                 "grid", r))
-        pair_preds = None
-        if mode == CORRELATED:
-            pairs = process.sample_theta_correlated(rng, real, mc.r_theta, 2, rho)
-            pair_preds = outputs(rng, pairs, "covgrid", r)
+    rng = child_rng(seed, "estimate", r)
+    real = process.sample_real(rng)
+    block_thetas, preds = np.empty((blocks, mc.r_theta)), []
+    for k in range(blocks):
+        block_thetas[k] = thetas(rng, real, mc.r_theta)
+        preds.append(outputs(rng, np.repeat(block_thetas[k][:, None], mc.r_syn, axis=1),
+                             "grid", r))
+    pair_preds = None
+    if mode == CORRELATED:
+        pairs = process.sample_theta_correlated(rng, real, mc.r_theta, 2, rho)
+        pair_preds = outputs(rng, pairs, "covgrid", r)
 
-        rng_d = child_rng(seed, "direct", r)
-        thetas_d = thetas(rng_d, process.sample_real(rng_d), m, mode == CORRELATED)
-        yield _Draws(block_thetas, np.stack(preds), pair_preds,
-                     outputs(rng_d, thetas_d, "directgrid", r), rng_d)
+    rng_d = child_rng(seed, "direct", r)
+    thetas_d = thetas(rng_d, process.sample_real(rng_d), m, mode == CORRELATED)
+    return reduce(_Draws(block_thetas, np.stack(preds), pair_preds,
+                         outputs(rng_d, thetas_d, "directgrid", r), rng_d))
 
 
 def _bootstrap_se(seed: int, r_real: int, statistic, width: int) -> dict[str, float]:
@@ -411,52 +416,46 @@ def _estimates(seed: int, r_real: int, statistic, width: int = 1) -> dict[str, T
             for name in point}
 
 
-def _collect(chain, reduce) -> dict:
-    """Per-replicate statistics of the chain, indexed by outer replicate along
-    axis 0. reduce maps one replicate's _Draws to its named statistics, so
-    each outer replicate is reduced once, over its whole block of draws."""
-    reps = [reduce(draws) for draws in chain]
+def _collect(chain, r_real: int, jobs: int = 1) -> dict:
+    """The statistics chain(r) of the r_real outer replicates, mapped by
+    run_units, as arrays indexed by outer replicate along axis 0."""
+    reps = run_units(chain, range(r_real), jobs)
     return {name: np.array([rep[name] for rep in reps], dtype=np.float64) for name in reps[0]}
 
 
-def _squared_stats(process, point_shape: tuple, mode: str, mc: MonteCarloConfig):
+def _squared_stats(process, point_shape: tuple, mode: str, mc, draws: _Draws) -> dict:
     """Reducer for _collect of the squared-error terms, with point shape
     point_shape: the estimate chain's _spreads, its mean f_theta, and the
     direct error; cov_raw sums in order."""
-    def reduce(draws: _Draws) -> dict:
-        out = _spreads(draws.grid)
-        out["fbar"] = np.broadcast_to(process.f_theta(draws.thetas).mean(axis=1).mean(axis=0),
-                                      point_shape)
-        if mode == CORRELATED:
-            d = draws.pair_preds - np.add.accumulate(draws.pair_preds)[-1] / mc.r_theta
-            out["cov_raw"] = np.add.accumulate(d[:, 0] * d[:, 1])[-1] / (mc.r_theta - 1)
-        g_hat = draws.members.mean(axis=0)
-        y = process.sample_y(draws.rng_direct, (mc.r_y,) + point_shape)
-        out["mse"] = ((y - g_hat) ** 2).mean(axis=0)
-        return out
-    return reduce
+    out = _spreads(draws.grid)
+    out["fbar"] = np.broadcast_to(process.f_theta(draws.thetas).mean(axis=1).mean(axis=0),
+                                  point_shape)
+    if mode == CORRELATED:
+        d = draws.pair_preds - np.add.accumulate(draws.pair_preds)[-1] / mc.r_theta
+        out["cov_raw"] = np.add.accumulate(d[:, 0] * d[:, 1])[-1] / (mc.r_theta - 1)
+    g_hat = draws.members.mean(axis=0)
+    y = process.sample_y(draws.rng_direct, (mc.r_y,) + point_shape)
+    out["mse"] = ((y - g_hat) ** 2).mean(axis=0)
+    return out
 
 
-def _trained_outputs(process, predictor: PredictorSpec, test_points: np.ndarray,
-                     seed: int):
-    """Grid-prediction callable for _chain that trains the predictor on one
-    synthetic dataset per parameter draw and predicts at the test points.
+def _builtin_outputs(predict, rng, thetas, tag, r) -> np.ndarray:
+    """Grid predictions for _chain from a process's built-in predictor method."""
+    return predict(rng, thetas)
 
-    Slower than the built-in predictor; intended for small Monte Carlo counts.
-    """
-    schema = process.schema
-    test_rows = np.zeros((test_points.shape[0], len(schema.columns)))
-    test_rows[:, schema.feature_indices] = test_points
-    test_ds = Dataset(schema, test_rows)
 
-    def outputs(rng, thetas, tag, r):
-        base = child_seed(seed, tag, r)
-        cells = [child_seed(base, "cell", k) for k in range(thetas.size)]
-        block, _ = _members(predictor, test_ds, (
-            (process.sample_synth_dataset(theta, process.n_synth, child_rng(cell, "rows")),
-             child_seed(cell, "train")) for theta, cell in zip(thetas.flat, cells)))
-        return _components(block, predictor.task)[..., 0].reshape(thetas.shape + (test_ds.n,))
-    return outputs
+def _trained_outputs(process, predictor, test_points, seed, rng, thetas, tag, r) -> np.ndarray:
+    """Grid predictions for _chain that train the predictor on one synthetic
+    dataset per parameter draw and predict at the test points; slower than
+    the built-in predictor, so meant for small Monte Carlo counts."""
+    test_rows = np.zeros((len(test_points), len(process.schema.columns)))
+    test_rows[:, process.schema.feature_indices] = test_points
+    base = child_seed(seed, tag, r)
+    cells = [child_seed(base, "cell", k) for k in range(thetas.size)]
+    block, _ = _members(predictor, Dataset(process.schema, test_rows), (
+        (process.sample_synth_dataset(theta, process.n_synth, child_rng(cell, "rows")),
+         child_seed(cell, "train")) for theta, cell in zip(thetas.flat, cells)))
+    return _components(block, predictor.task)[..., 0].reshape(thetas.shape + (-1,))
 
 
 def _check_test_points(process, test_points) -> np.ndarray:
@@ -504,7 +503,7 @@ def check_oracle_request(process, generator_mode: str, predictor: PredictorSpec 
 def oracle_decompose(process, generator_mode: str = IID,
                      predictor: PredictorSpec | str = "builtin", m: int = 1,
                      test_points=None, mc: MonteCarloConfig = MonteCarloConfig(),
-                     seed: int = 0, rho: float = 0.0) -> DecompositionReport:
+                     seed: int = 0, rho: float = 0.0, jobs: int = 1) -> DecompositionReport:
     """Estimate every decomposition term on a truth process and check the identity.
 
     generator_mode selects the sampling structure: "iid" (parameters i.i.d.
@@ -524,7 +523,8 @@ def oracle_decompose(process, generator_mode: str = IID,
     standard error. The report is kept either way: status is
     "identity_flagged" when the gap lies beyond IDENTITY_SE_MULTIPLE standard
     errors, else "term_negative" when a variance term lies more than
-    TERM_SE_MULTIPLE standard errors below zero, else "ok".
+    TERM_SE_MULTIPLE standard errors below zero, else "ok". Each outer replicate
+    draws from its own seeds, so jobs workers (run_units) give the serial bytes.
     """
     if isinstance(process, str):
         process = get_process(process)
@@ -532,15 +532,12 @@ def oracle_decompose(process, generator_mode: str = IID,
     seed = check_seed(seed)
     pts = _check_test_points(process, test_points)
     n_x = pts.shape[0]
-    if predictor is None:
-        def outputs(rng, thetas, tag, r):
-            return process.predictor_outputs(rng, thetas)
-        point_shape = ()
-    else:
-        outputs = _trained_outputs(process, predictor, pts, seed)
-        point_shape = (n_x,)
-    records = _collect(_chain(process, outputs, generator_mode, m, rho, mc, seed),
-                       _squared_stats(process, point_shape, generator_mode, mc))
+    point_shape = () if predictor is None else (n_x,)
+    outputs = (partial(_builtin_outputs, process.predictor_outputs) if predictor is None
+               else partial(_trained_outputs, process, predictor, pts, seed))
+    reduce = partial(_squared_stats, process, point_shape, generator_mode, mc)
+    records = _collect(partial(_chain, process, outputs, reduce, generator_mode, m, rho, mc,
+                               seed), mc.r_real, jobs)
 
     noise = process.noise_var()
     f_value = process.f()
@@ -614,19 +611,17 @@ def _outcome_divergence(spec: brg.BregmanSpec, y_weights: np.ndarray, g) -> floa
     return float(y_weights[0] * d0 + y_weights[1] * d1)
 
 
-def _bregman_stats(spec: brg.BregmanSpec, y_weights: np.ndarray):
+def _bregman_stats(spec: brg.BregmanSpec, y_weights: np.ndarray, draws: _Draws) -> dict:
     """Reducer for _collect of the i.i.d. chain with probability-vector
     predictions: MV, SDV, mean dual prediction and ensemble error."""
-    def reduce(draws: _Draws) -> dict:
-        probs = draws.grid[0]                                    # (t, s, 2)
-        duals = brg.dual(spec, probs)
-        centers_t = brg.dual_inverse(spec, duals.mean(axis=1))   # E_{D_s|theta}[g]
-        return {"mv": brg.divergence(spec, centers_t[:, None, :], probs).mean(axis=1).mean(),
-                "sdv": brg.central_prediction(spec, centers_t).gvar,
-                "c_dual": duals.reshape(-1, 2).mean(axis=0),
-                "error": _outcome_divergence(spec, y_weights,
-                                             brg.dual_average(spec, draws.members))}
-    return reduce
+    probs = draws.grid[0]                                    # (t, s, 2)
+    duals = brg.dual(spec, probs)
+    centers_t = brg.dual_inverse(spec, duals.mean(axis=1))   # E_{D_s|theta}[g]
+    return {"mv": brg.divergence(spec, centers_t[:, None, :], probs).mean(axis=1).mean(),
+            "sdv": brg.central_prediction(spec, centers_t).gvar,
+            "c_dual": duals.reshape(-1, 2).mean(axis=0),
+            "error": _outcome_divergence(spec, y_weights,
+                                         brg.dual_average(spec, draws.members))}
 
 
 def bregman_oracle_decompose(process, m: int = 1,
@@ -651,10 +646,9 @@ def bregman_oracle_decompose(process, m: int = 1,
     y_mean = brg.dual_inverse(spec, brg.dual(spec, y_weights))
     noise = _outcome_divergence(spec, y_weights, y_mean)
 
-    def outputs(rng, thetas, tag, r):
-        return process.predictor_prob_outputs(rng, thetas)
-    records = _collect(_chain(process, outputs, IID, m, 0.0, mc, seed),
-                       _bregman_stats(spec, y_weights))
+    outputs = partial(_builtin_outputs, process.predictor_prob_outputs)
+    records = _collect(partial(_chain, process, outputs, partial(_bregman_stats, spec, y_weights),
+                               IID, m, 0.0, mc, seed), mc.r_real)
 
     def statistic(idx):
         cd = records["c_dual"][idx]                              # (rows, r_real, 2)
@@ -714,23 +708,32 @@ def ensemble_members(generator: GeneratorSpec, data: Dataset, predictor: Predict
                                       for i, ds in enumerate(last[2])))
 
 
-def run_cells(cells, jobs: int = 1) -> list[dict[int, tuple]]:
-    """The curve_repeat scores of curve_cells cells, in their (curve.csv)
-    order. The cells run repeat by repeat (a stable sort), so a serial run
-    generates each repeat's datasets once. With jobs > 1, min(jobs, units)
-    workers take one (predictor, repeat) unit per task: its cells are pickled
-    together, so they share one copy of the data and generate once."""
-    jobs = check_count(jobs, "jobs")
-    order = sorted(range(len(cells)), key=lambda i: cells[i][1])
-    columns = zip(*(cells[i][2] for i in order))
-    units = len({(labels["predictor"], j) for labels, j, _ in cells})
-    if min(jobs, units) > 1:
+def run_units(fn, units, jobs: int = 1) -> list:
+    """[fn(unit) for unit in units]: serially, or by min(jobs, len(units))
+    worker processes, one unit per task. fn (a module-level function or a
+    partial of one) and the units must pickle, and fn be pure in its unit."""
+    workers = min(check_count(jobs, "jobs"), len(units))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor   # loads multiprocessing
-        with ProcessPoolExecutor(max_workers=min(jobs, units)) as pool:
-            scores = list(pool.map(curve_repeat, *columns, chunksize=len(cells) // units))
-    else:
-        scores = map(curve_repeat, *columns)
-    results = dict(zip(order, scores))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, units))
+    return list(map(fn, units))
+
+
+def _curve_unit(cells) -> list[tuple[int, dict]]:
+    """(index, curve_repeat scores) of each (index, arguments) cell of a unit."""
+    return [(i, curve_repeat(*args)) for i, args in cells]
+
+
+def run_cells(cells, jobs: int = 1) -> list[dict[int, tuple]]:
+    """The curve_repeat scores of curve_cells cells, in their (curve.csv) order.
+    run_units maps (predictor, repeat) units repeat by repeat, so a serial run
+    generates each repeat's datasets once, and a worker once per unit."""
+    by_repeat: dict[int, dict[str, list]] = {}
+    for i, (labels, j, args) in enumerate(cells):
+        by_repeat.setdefault(j, {}).setdefault(labels["predictor"], []).append((i, args))
+    units = [unit for by_predictor in by_repeat.values() for unit in by_predictor.values()]
+    results = dict(cell for unit in run_units(_curve_unit, units, jobs) for cell in unit)
     return [results[i] for i in range(len(cells))]
 
 
@@ -802,8 +805,7 @@ def mse_curve(generator: GeneratorSpec, data: Dataset,
     """
     if isinstance(predictor, str):
         predictor = parse_predictor(predictor, data.schema.task)
-    per_repeat: dict[int, np.ndarray] = {}
-    rows = []
+    per_repeat, rows = {}, []
     cells = curve_cells(generator, data, [predictor], test, m_values, repeats, [averaging],
                         [metric], seed, mode, dataset_label)
     for (labels, j, _), scores in zip(cells, run_cells(cells)):

@@ -137,6 +137,42 @@ def config(tmp_path):
     return process_config(tmp_path), tmp_path / "out"
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Stands in a serial pool for the process pool: a list of the worker
+    count and the units of each pool started."""
+    log = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, units):
+            log.append((self.max_workers, list(units)))
+            return map(fn, log[-1][1])
+
+    # run_units imports the pool from concurrent.futures only when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return log
+
+
+def _outputs_at_jobs(cfg, tmp_path, subcommand, names, jobs=("1", "2", "3")):
+    """The bytes of each named output of subcommand at each --jobs value."""
+    outputs = []
+    for j in jobs:
+        out = tmp_path / f"{subcommand}_jobs{j}"
+        assert cli.main([subcommand, "--config", str(cfg), "--output", str(out),
+                         "--jobs", j]) == 0
+        outputs.append([(out / name).read_bytes() for name in names])
+    return outputs
+
+
 class TestPipeline:
     def test_generate_emits_csvs_provenance_manifest(self, config):
         cfg, out = config
@@ -180,33 +216,63 @@ class TestPipeline:
                          "--jobs", "3"]) == 0
         assert (a / "curve.csv").read_bytes() == (b / "curve.csv").read_bytes()
 
-    def test_jobs_capped_at_grid_cells(self, tmp_path, monkeypatch):
-        workers, chunksizes = [], []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *columns, chunksize=1):
-                chunksizes.append(chunksize)
-                return map(fn, *columns)
-
-        # run_cells imports the pool from concurrent.futures only when it needs one
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    def test_jobs_capped_at_grid_cells(self, tmp_path, serial_pool):
         cfg = classification_config(tmp_path)
         # 2 predictors x 2 repeats = 4 units, each of 2 metrics x 2 averagings = 4 cells
         a, b = tmp_path / "serial", tmp_path / "capped"
         assert cli.main(["curve", "--config", str(cfg), "--output", str(a)]) == 0
         assert cli.main(["curve", "--config", str(cfg), "--output", str(b),
                          "--jobs", "64"]) == 0
-        assert workers == [4] and chunksizes == [4]
+        [(workers, units)] = serial_pool
+        assert workers == 4 and [len(unit) for unit in units] == [4, 4, 4, 4]
         assert (a / "curve.csv").read_bytes() == (b / "curve.csv").read_bytes()
+
+    def test_decompose_jobs_capped_at_replicates(self, config, tmp_path, serial_pool):
+        cfg, out = config
+        assert cli.main(["decompose", "--config", str(cfg), "--output", str(out),
+                         "--jobs", "64"]) == 0
+        [(workers, units)] = serial_pool          # one unit per outer replicate
+        assert workers == 30 and units == list(range(30))
+
+    def test_nested_var_jobs_capped_at_fits(self, config, tmp_path, serial_pool):
+        cfg, out = config
+        assert cli.main(["nested-var", "--config", str(cfg), "--output", str(out),
+                         "--jobs", "64"]) == 0
+        # one pool per predictor (cart, ridge), one unit per fit of r_theta = 4
+        assert [(workers, units) for workers, units in serial_pool] == [(4, [0, 1, 2, 3])] * 2
+
+    @pytest.mark.parametrize("predictor", ["builtin", "cart"])
+    def test_decompose_report_is_the_same_at_any_jobs(self, tmp_path, predictor):
+        cfg = process_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace(
+            "r_real = 30\nr_theta = 8\nr_syn = 4\nr_y = 100",
+            f"predictor = {predictor}\nr_real = 6\nr_theta = 3\nr_syn = 2\nr_y = 20"))
+        first, *others = _outputs_at_jobs(cfg, tmp_path, "decompose", ["report.json"])
+        assert others == [first, first]
+        assert json.loads(first[0])["config"]["predictor"] == predictor
+
+    def test_nested_var_outputs_are_the_same_at_any_jobs(self, config, tmp_path):
+        cfg, _ = config
+        first, *others = _outputs_at_jobs(cfg, tmp_path, "nested-var",
+                                          ["nested_variance.csv", "nested_summary.json"])
+        assert others == [first, first]
+
+    @pytest.mark.parametrize("subcommand", ["generate", "predict-curve"])
+    def test_jobs_is_a_usage_error_where_nothing_runs_in_parallel(self, config, subcommand,
+                                                                   capsys):
+        # both ran serially without a word
+        cfg, out = config
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([subcommand, "--config", str(cfg), "--output", str(out), "--jobs", "2"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --jobs: only curve, decompose, nested-var take more than one" in err
+        assert not out.exists()
+
+    def test_jobs_is_refused_before_the_config_is_read(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["generate", "--config", str(tmp_path / "missing.cfg"), "--jobs", "2"])
+        assert exit_.value.code == 2 and "argument --jobs" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["0", "-3", "two", "1.5"])
     def test_jobs_below_one_or_not_an_integer_is_a_usage_error(self, jobs, tmp_path, monkeypatch, capsys):
@@ -909,6 +975,31 @@ class TestDecomposeValidation:
         assert report["status"] == "term_negative"
 
 
+class TestCurveMetricsDefault:
+    """With no [curve] metrics, a curve is scored by mse on a regression
+    target, brier_binary on a binary one and brier_multiclass above two
+    classes."""
+
+    @pytest.mark.parametrize("make_config, line, default", [
+        (process_config, "metrics = mse\n", "mse"),
+        (classification_config, "metrics = cross_entropy, brier_binary\n", "brier_binary"),
+        # exited 1: brier_binary needs a binary task
+        (multiclass_config, "metrics = cross_entropy, brier_multiclass\n", "brier_multiclass"),
+    ])
+    def test_default_is_the_named_metric(self, tmp_path, make_config, line, default):
+        cfg = make_config(tmp_path)
+        text = cfg.read_text(encoding="utf-8")
+        assert line in text
+        named, unnamed = tmp_path / "named", tmp_path / "unnamed"
+        cfg.write_text(text.replace(line, f"metrics = {default}\n"), encoding="utf-8")
+        assert cli.main(["curve", "--config", str(cfg), "--output", str(named)]) == 0
+        cfg.write_text(text.replace(line, ""), encoding="utf-8")
+        assert cli.main(["curve", "--config", str(cfg), "--output", str(unnamed)]) == 0
+        rows = read_long_csv(unnamed / "curve.csv")
+        assert rows and {row["metric"] for row in rows} == {default}
+        assert (named / "curve.csv").read_bytes() == (unnamed / "curve.csv").read_bytes()
+
+
 class TestCurveValidation:
     @pytest.mark.parametrize("make_config, subcommand, old, new, message", [
         (classification_config, "curve", "averaging = mean, dual_log_prob",
@@ -1144,7 +1235,7 @@ def test_import_leaves_scipy_stats_unloaded():
 
 def test_import_leaves_multiprocessing_unloaded():
     # the process pool loads multiprocessing, about 1.6 MiB and 10 ms, which
-    # only curve --jobs > 1 needs
+    # only --jobs > 1 needs
     out = _run_module("-c", "import sys, genensemble, genensemble.cli; "
                             "print('multiprocessing' in sys.modules)")
     assert out.returncode == 0 and out.stdout.strip() == "False"

@@ -631,14 +631,15 @@ class TestOracleMatchesPerSummaryReduction:
         process, seed = get_process(kwargs["process"]), kwargs["seed"]
         if "predictor" in kwargs:
             points = np.asarray(kwargs["test_points"], dtype=np.float64)
-            outputs = decomposition._trained_outputs(process, kwargs["predictor"], points, seed)
+            outputs = functools.partial(decomposition._trained_outputs, process,
+                                        kwargs["predictor"], points, seed)
             point_shape = (len(points),)
         else:
             def outputs(rng, thetas, tag, r):
                 return process.predictor_outputs(rng, thetas)
             point_shape = ()
 
-        def collect(chain, reduce):
+        def collect(chain, r_real, jobs=1):
             return _collect_reference(process, outputs, point_shape, kwargs["generator_mode"],
                                       kwargs["m"], kwargs["rho"], kwargs["mc"], seed)
         monkeypatch.setattr(decomposition, "_collect", collect)
@@ -688,7 +689,7 @@ class TestOracleMatchesPerSummaryReduction:
         process = get_process("discrete_toy")
         y_weights = np.array([1.0 - process.f(), process.f()])
 
-        def collect(chain, reduce):
+        def collect(chain, r_real, jobs=1):
             return dict(zip(("mv", "sdv", "c_dual", "error"), _collect_bregman_reference(
                 process, brg.BregmanSpec(brg.NEGENTROPY, 2), y_weights, m, mc, seed)))
         monkeypatch.setattr(decomposition, "_collect", collect)
@@ -800,8 +801,8 @@ def _with_records(monkeypatch, run):
     collected = []
     collect = decomposition._collect
 
-    def capture(chain, reduce):
-        collected.append(collect(chain, reduce))
+    def capture(chain, r_real, jobs=1):
+        collected.append(collect(chain, r_real, jobs))
         return collected[-1]
     monkeypatch.setattr(decomposition, "_collect", capture)
     return run(), collected[0]
@@ -965,7 +966,7 @@ class TestOracleArithmetic:
                                      rng.normal(size=(1, r_theta, 2) + point_shape), pairs,
                                      rng.normal(size=(2,) + point_shape), rng)
         out = decomposition._squared_stats(get_process("gaussian_toy"), point_shape,
-                                           CORRELATED, MonteCarloConfig(2, r_theta, 2, 2))(draws)
+                                           CORRELATED, MonteCarloConfig(2, r_theta, 2, 2), draws)
         g = pairs.reshape(r_theta, 2, -1)
         expected = [_sequential_cov(g[:, 0, k], g[:, 1, k]) for k in range(g.shape[2])]
         by_np_cov = [np.cov(g[:, 0, k], g[:, 1, k], ddof=1)[0, 1] for k in range(g.shape[2])]
@@ -1339,6 +1340,48 @@ class TestRunCells:
     def test_jobs_is_a_count(self, jobs, message):
         with pytest.raises(ValueError, match=message):
             run_cells(self._cells(), jobs)
+
+
+class TestRunUnits:
+    """run_units maps a function over units in order, serially or in a pool,
+    and the oracle's replicates and the nested fits give the serial bytes at
+    any jobs."""
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 8])
+    def test_results_are_in_unit_order(self, jobs):
+        assert decomposition.run_units(math.factorial, range(6), jobs) == [
+            math.factorial(i) for i in range(6)]
+
+    @pytest.mark.parametrize("jobs, message", [(0, "jobs must be >= 1"),
+                                               (True, "jobs must be an integer")])
+    def test_jobs_is_a_count(self, jobs, message):
+        with pytest.raises(ValueError, match=message):
+            decomposition.run_units(math.factorial, range(3), jobs)
+
+    @pytest.mark.parametrize("process, mode, rho, predictor", [
+        ("discrete_toy", "iid", 0.0, "builtin"),
+        ("discrete_toy", "shared_summary", 0.0, "builtin"),
+        ("gaussian_toy", "correlated", 0.5, "builtin"),
+        ("gaussian_toy", "iid", 0.0, "knn:3"),
+    ])
+    def test_oracle_report_bytes_at_any_jobs(self, process, mode, rho, predictor):
+        points = [[-1.0], [0.5]] if predictor != "builtin" else None
+        reports = [oracle_decompose(process, mode, predictor, m=2, test_points=points,
+                                    mc=_SMALL_MC, seed=9, rho=rho, jobs=jobs).to_json()
+                   for jobs in (1, 2, 3)]
+        assert reports[1:] == reports[:1] * 2
+
+    @pytest.mark.parametrize("predictor", ["cart", "knn:3"])
+    def test_nested_estimate_at_two_jobs(self, predictor):
+        data, test = _categorical_data(1), _categorical_data(3, n=10)
+        serial, pooled = (estimate_mv_sdv_nested(GeneratorSpec("bootstrap"), data, predictor,
+                                                 test, r_theta=3, s_per_theta=2, seed=6,
+                                                 jobs=jobs)
+                          for jobs in (1, 2))
+        for name in ("mv_per_point", "sdv_per_point"):
+            assert getattr(serial, name).tobytes() == getattr(pooled, name).tobytes()
+        assert (serial.mv, serial.sdv, serial.mv_se, serial.sdv_se) == (
+            pooled.mv, pooled.sdv, pooled.mv_se, pooled.sdv_se)
 
 
 class TestCurveRepeatValidation:
