@@ -31,7 +31,7 @@ from .decomposition import (MonteCarloConfig, check_oracle_request, curve_cells,
                             estimate_mv_sdv_nested, fit_rule_regression, fit_rule_two_point,
                             oracle_decompose, predict_mse, run_cells)
 from .generators import GeneratorSpec, check_ensemble_request, generate_ensemble
-from .metrics import (LABEL_COLUMNS, MetricSpec, finite_mean, long_rows, read_long_csv,
+from .metrics import (LABEL_COLUMNS, MetricSpec, finite_mean, group_scores, read_long_csv,
                       write_long_csv)
 from .predictors import PredictorSpec, parse_predictor
 from .processes import get_process
@@ -253,9 +253,7 @@ def _cmd_curve(cfg, seed, tracker, jobs):
         cells = curve_cells(spec, data, predictors, test, m_values, repeats, averagings,
                             metrics, seed, mode, label)
 
-    rows = [row for (labels, j, _), scores in zip(cells, run_cells(cells, jobs))
-            for row in long_rows(labels, j, scores)]
-    write_long_csv(tracker.path("curve.csv"), rows)
+    write_long_csv(tracker.path("curve.csv"), run_cells(cells, jobs))
     return EXIT_OK
 
 
@@ -269,11 +267,7 @@ def _cmd_predict_curve(cfg, seed, tracker, jobs):
     targets = _get_m_values(cfg, "predict_curve")
 
     with _config_errors("[predict_curve] curve_csv"):
-        rows = read_long_csv(curve_path)
-    groups: dict[tuple, dict[int, list[float]]] = {}
-    for row in rows:
-        key = tuple(row[c] for c in LABEL_COLUMNS)
-        groups.setdefault(key, {}).setdefault(row["m"], []).append(row["score"])
+        groups = group_scores(read_long_csv(curve_path))
 
     out_rows = []
     for key in sorted(groups):

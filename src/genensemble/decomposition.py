@@ -32,7 +32,7 @@ import numpy as np
 from . import bregman as brg
 from .data import Dataset, check_count, check_seed, encode
 from .generators import GeneratorSpec, fit, generate_ensemble, sample
-from .metrics import (MEAN, MetricSpec, check_averaging, finite_mean, long_rows,
+from .metrics import (MEAN, MetricSpec, check_averaging, finite_mean, group_scores,
                       score_prefixes)
 from .predictors import PredictorSpec, parse_predictor, predict_batch, train
 from .processes import get_process
@@ -140,8 +140,13 @@ class NestedVarianceEstimate:
     s_per_theta: int
 
 
-def _check_test_set(data: Dataset, test: Dataset) -> None:
-    """Raise ValueError unless test has the data's columns and at least one row."""
+def _check_fit_request(data: Dataset, predictors, test: Dataset) -> None:
+    """Raise ValueError unless each predictor is for the data's task and test
+    has the data's columns and at least one row."""
+    for predictor in predictors:
+        if predictor.task != data.schema.task:
+            raise ValueError(f"predictor {predictor.label!r} is for {predictor.task}, "
+                             f"not the data's {data.schema.task} task")
     if test.schema != data.schema:
         raise ValueError("the test set's columns are not the data's")
     if test.n == 0:
@@ -213,9 +218,9 @@ def estimate_mv_sdv_nested(generator: GeneratorSpec, data: Dataset,
     r_theta = check_count(r_theta, "r_theta", minimum=2)
     s_per_theta = check_count(s_per_theta, "s_per_theta", minimum=2)
     seed = check_seed(seed)
-    _check_test_set(data, test)
     if isinstance(predictor, str):
         predictor = parse_predictor(predictor, data.schema.task)
+    _check_fit_request(data, [predictor], test)
     n_rows = generator.n_synthetic if generator.n_synthetic is not None else data.n
 
     block = np.stack(run_units(partial(_nested_fit, generator, data, predictor, test, n_rows,
@@ -725,37 +730,38 @@ def _curve_unit(cells) -> list[tuple[int, dict]]:
     return [(i, curve_repeat(*args)) for i, args in cells]
 
 
-def run_cells(cells, jobs: int = 1) -> list[dict[int, tuple]]:
-    """The curve_repeat scores of curve_cells cells, in their (curve.csv) order.
+def run_cells(cells, jobs: int = 1) -> list[dict]:
+    """The curve.csv rows of curve_cells cells, in order: each cell's labels
+    plus m, repeat, score and std_error for each m of its curve_repeat scores.
     run_units maps (predictor, repeat) units repeat by repeat, so a serial run
     generates each repeat's datasets once, and a worker once per unit."""
     by_repeat: dict[int, dict[str, list]] = {}
     for i, (labels, j, args) in enumerate(cells):
         by_repeat.setdefault(j, {}).setdefault(labels["predictor"], []).append((i, args))
     units = [unit for by_predictor in by_repeat.values() for unit in by_predictor.values()]
-    results = dict(cell for unit in run_units(_curve_unit, units, jobs) for cell in unit)
-    return [results[i] for i in range(len(cells))]
+    scores = dict(cell for unit in run_units(_curve_unit, units, jobs) for cell in unit)
+    return [{**labels, "m": m, "repeat": j, "score": score, "std_error": se}
+            for i, (labels, j, _) in enumerate(cells) for m, (score, se) in scores[i].items()]
 
 
 def check_curve_request(data: Dataset, predictors, test: Dataset, m_values, averagings,
                         metrics) -> list[int]:
     """The m values, sorted and unique; raises ValueError, before any draw,
-    unless every cell of the curve grid can be scored: each metric and
-    averaging suits the data's task (brier_binary a binary one), each
-    predictor is for that task, there is an m value, and the test set is
-    non-empty with the data's columns."""
+    unless the grid scores each cell once: there is an m value, each metric and
+    averaging is listed once and suits the data's task (brier_binary a binary one),
+    each predictor is for that task and the test set has the data's columns and a row."""
     task = data.schema.task
     for metric in metrics:
         metric.check_task(task)
         if metric.kind == "brier_binary" and data.schema.n_classes != 2:
             raise ValueError("brier_binary needs a binary task")
+        if metrics.count(metric) > 1:
+            raise ValueError(f"metric {metric.kind!r} is listed twice")
     for averaging in averagings:
         check_averaging(averaging, task)
-    for predictor in predictors:
-        if predictor.task != task:
-            raise ValueError(f"predictor {predictor.label!r} is for {predictor.task}, "
-                             f"not the data's {task} task")
-    _check_test_set(data, test)
+        if averagings.count(averaging) > 1:
+            raise ValueError(f"averaging {averaging!r} is listed twice")
+    _check_fit_request(data, predictors, test)
     m_values = sorted(set(check_count(m, "m values") for m in m_values))
     if not m_values:
         raise ValueError("there are no m values")
@@ -805,14 +811,10 @@ def mse_curve(generator: GeneratorSpec, data: Dataset,
     """
     if isinstance(predictor, str):
         predictor = parse_predictor(predictor, data.schema.task)
-    per_repeat, rows = {}, []
-    cells = curve_cells(generator, data, [predictor], test, m_values, repeats, [averaging],
-                        [metric], seed, mode, dataset_label)
-    for (labels, j, _), scores in zip(cells, run_cells(cells)):
-        for m, (score, _) in scores.items():
-            per_repeat.setdefault(m, np.empty(repeats))[j] = score
-        rows.extend(long_rows(labels, j, scores))
-
+    rows = run_cells(curve_cells(generator, data, [predictor], test, m_values, repeats,
+                                 [averaging], [metric], seed, mode, dataset_label))
+    [by_m] = group_scores(rows).values()
+    per_repeat = {m: np.array(scores) for m, scores in by_m.items()}
     aggregate = {}
     for m, scores in per_repeat.items():
         mean = float(finite_mean(scores, 0, f"scores at m = {m}"))

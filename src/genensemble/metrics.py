@@ -170,11 +170,14 @@ def score_prefixes(member_preds: np.ndarray, y: np.ndarray, m_values, averaging:
             for m in m_values}
 
 
-def long_rows(labels: dict, repeat: int, scores: dict[int, tuple]) -> list[dict]:
-    """Long-format rows of one repeat: the labels plus m, repeat, score and
-    std_error for each entry {m: (score, std_error)} of scores."""
-    return [{**labels, "m": m, "repeat": repeat, "score": score, "std_error": se}
-            for m, (score, se) in scores.items()]
+def group_scores(rows) -> dict[tuple, dict[int, list[float]]]:
+    """The scores of long-format rows by their LABEL_COLUMNS values, then by
+    m: {labels: {m: [score, ...]}}, groups, m values and scores in row order."""
+    groups: dict[tuple, dict[int, list[float]]] = {}
+    for row in rows:
+        key = tuple(row[c] for c in LABEL_COLUMNS)
+        groups.setdefault(key, {}).setdefault(row["m"], []).append(row["score"])
+    return groups
 
 
 def write_long_csv(path, rows: list[dict]) -> None:

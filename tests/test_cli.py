@@ -1015,6 +1015,11 @@ class TestCurveValidation:
          "[curve]: metric 'brier_binary' is incompatible with task 'regression'"),
         (multiclass_config, "curve", "metrics = cross_entropy, brier_multiclass",
          "metrics = cross_entropy, brier_binary", "[curve]: brier_binary needs a binary task"),
+        (classification_config, "curve", "metrics = cross_entropy, brier_binary",
+         "metrics = cross_entropy, cross_entropy",
+         "[curve]: metric 'cross_entropy' is listed twice"),
+        (classification_config, "curve", "averaging = mean, dual_log_prob",
+         "averaging = mean, mean", "[curve]: averaging 'mean' is listed twice"),
         (classification_config, "curve", "specs = knn:3, cart", "specs = ridge:1.0",
          "[predictors] specs: ridge:1.0: ridge supports regression only"),
         (classification_config, "curve", "specs = knn:3, cart", "specs = knn:3, linear",
@@ -1068,7 +1073,8 @@ class TestCurveValidation:
         (process_config, "curve", "specs = cart, ridge:1.0", "specs = ,",
          "[predictors] specs lists no item"),
     ], ids=["bogus-averaging", "mse-on-classification", "dual-on-regression",
-            "brier-on-regression", "brier-binary-on-multiclass", "ridge-on-classification",
+            "brier-on-regression", "brier-binary-on-multiclass", "metric-listed-twice",
+            "averaging-listed-twice", "ridge-on-classification",
             "linear-on-classification", "logistic-on-regression", "ridge-nan", "ridge-inf",
             "ridge-negative", "knn-zero", "bagged-zero", "duplicate-label",
             "labels-equal-under-g", "nested-r-theta-one",

@@ -208,17 +208,36 @@ class TestNestedEstimator:
             estimate_mv_sdv_nested(GeneratorSpec("bootstrap"), data, "mean", empty,
                                    r_theta=2, s_per_theta=2)
 
-    def test_foreign_test_set_refused_before_any_fit(self, monkeypatch):
+    @staticmethod
+    def _fit_calls(monkeypatch) -> list:
+        """The arguments of each generator fit the estimator makes from now on."""
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args)
             return fit(*args, **kwargs)
         monkeypatch.setattr(decomposition, "fit", counting)
+        return calls
+
+    def test_foreign_test_set_refused_before_any_fit(self, monkeypatch):
+        calls = self._fit_calls(monkeypatch)
         data = get_process("gaussian_toy").sample_real_dataset(make_rng(0), 20)
         test = _xy_dataset(np.zeros((5, 2)), np.zeros(5))     # x0, x1, y: not the data's x, y
         with pytest.raises(ValueError, match="the test set's columns are not the data's"):
             estimate_mv_sdv_nested(GeneratorSpec("gaussian_ppd"), data, "ridge:1", test, 32, 5)
+        assert calls == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_predictor_for_another_task_refused_before_any_fit(self, monkeypatch, jobs):
+        # made one fit, then failed inside train (in a worker at jobs 2) with
+        # another message than the curve check's
+        calls = self._fit_calls(monkeypatch)
+        data = get_process("gaussian_toy").sample_real_dataset(make_rng(0), 20)
+        with pytest.raises(ValueError, match="predictor 'knn1' is for classification, "
+                                             "not the data's regression task"):
+            estimate_mv_sdv_nested(GeneratorSpec("gaussian_ppd"), data,
+                                   PredictorSpec("knn", "classification"), data, 32, 5,
+                                   jobs=jobs)
         assert calls == []
 
     def test_spread_that_overflows_refused(self):
@@ -1314,7 +1333,8 @@ class TestEnsembleMembersCache:
 
 
 class TestRunCells:
-    """run_cells gives each curve_cells cell its curve_repeat scores, in row order."""
+    """run_cells gives the curve.csv rows of each curve_cells cell's curve_repeat
+    scores, in row order."""
 
     @staticmethod
     def _cells():
@@ -1331,9 +1351,11 @@ class TestRunCells:
             return generate_ensemble(*args, **kwargs)
         monkeypatch.setattr(decomposition, "generate_ensemble", counting)
         cells = self._cells()
-        scores = run_cells(cells)
+        rows = run_cells(cells)
         assert len(calls) == 2                  # one per repeat, where row order makes 8
-        assert scores == [curve_repeat(*args) for _, _, args in cells]
+        assert rows == [{**labels, "m": m, "repeat": j, "score": score, "std_error": se}
+                        for labels, j, args in cells
+                        for m, (score, se) in curve_repeat(*args).items()]
 
     @pytest.mark.parametrize("jobs, message", [(0, "jobs must be >= 1"),
                                                (2.0, "jobs must be an integer")])

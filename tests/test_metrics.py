@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +13,9 @@ from genensemble.bregman import DomainError
 from genensemble.data import FeatureMatrix
 from genensemble.metrics import (DUAL_LOG_PROB, MEAN, METRIC_KINDS, PROB_SUM_TOL, MetricSpec,
                                  _auc, _midranks, check_averaging, clamp_probs,
-                                 combine_predictions, finite_mean, read_long_csv,
-                                 score_predictions, score_prefixes, write_long_csv)
+                                 LABEL_COLUMNS, combine_predictions, finite_mean, group_scores,
+                                 read_long_csv, score_predictions, score_prefixes,
+                                 write_long_csv)
 from genensemble.predictors import PredictorSpec, predict_batch, train
 
 
@@ -402,6 +405,46 @@ class TestLongCsv:
         assert back[0]["score"] == 1.25 and back[0]["std_error"] == 0.125
         assert back[1]["std_error"] is None
         assert back[0]["m"] == 2
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+# a few label tuples, so groups gather several rows; cells hold commas and quotes
+_labels = st.lists(st.tuples(*[st.text(alphabet='ab ,"\'', max_size=4)] * len(LABEL_COLUMNS)),
+                   min_size=1, max_size=3)
+
+
+class TestGroupScores:
+    """group_scores keys scores by LABEL_COLUMNS, then m, in row order, and
+    reads the same groups back from a written curve file."""
+
+    def test_groups_in_row_order(self):
+        mse, auc = ("d", "g", "mo", "p", "av", "mse"), ("d", "g", "mo", "p", "av", "auc")
+        rows = [{**dict(zip(LABEL_COLUMNS, key)), "m": m, "score": score}
+                for key, m, score in [(mse, 2, 0.5), (auc, 1, 0.25), (mse, 1, 1.0),
+                                      (mse, 2, 0.75)]]
+        groups = group_scores(rows)
+        assert groups == {mse: {2: [0.5, 0.75], 1: [1.0]}, auc: {1: [0.25]}}
+        assert list(groups) == [mse, auc] and list(groups[mse]) == [2, 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), labels=_labels)
+    def test_survives_a_long_csv_round_trip(self, data, labels):
+        rows = data.draw(st.lists(st.builds(
+            lambda key, m, repeat, score, se: {**dict(zip(LABEL_COLUMNS, key)), "m": m,
+                                               "repeat": repeat, "score": score,
+                                               "std_error": se},
+            st.sampled_from(labels), st.integers(1, 4), st.integers(0, 3), _finite,
+            st.none() | _finite), max_size=12))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "curve.csv"
+            write_long_csv(path, rows)
+            back = group_scores(read_long_csv(path))
+        expected = group_scores(rows)
+        assert list(back) == list(expected)
+        for key, by_m in expected.items():
+            assert list(back[key]) == list(by_m)
+            for m, scores in by_m.items():
+                assert [s.hex() for s in back[key][m]] == [s.hex() for s in scores]
 
 
 def test_clamp_probs_renormalizes():
