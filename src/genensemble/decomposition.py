@@ -746,25 +746,26 @@ def run_cells(cells, jobs: int = 1) -> list[dict]:
 
 def check_curve_request(data: Dataset, predictors, test: Dataset, m_values, averagings,
                         metrics) -> list[int]:
-    """The m values, sorted and unique; raises ValueError, before any draw,
-    unless the grid scores each cell once: there is an m value, each metric and
-    averaging is listed once and suits the data's task (brier_binary a binary one),
-    each predictor is for that task and the test set has the data's columns and a row."""
+    """The m values, sorted and unique; raises ValueError, before any draw, unless
+    the grid scores each cell once: no list is empty or names an item twice (a
+    predictor by its label), each metric, averaging and predictor suits the data's
+    task (brier_binary a binary one) and the test set has its columns and a row."""
     task = data.schema.task
     for metric in metrics:
         metric.check_task(task)
         if metric.kind == "brier_binary" and data.schema.n_classes != 2:
             raise ValueError("brier_binary needs a binary task")
-        if metrics.count(metric) > 1:
-            raise ValueError(f"metric {metric.kind!r} is listed twice")
     for averaging in averagings:
         check_averaging(averaging, task)
-        if averagings.count(averaging) > 1:
-            raise ValueError(f"averaging {averaging!r} is listed twice")
     _check_fit_request(data, predictors, test)
     m_values = sorted(set(check_count(m, "m values") for m in m_values))
-    if not m_values:
-        raise ValueError("there are no m values")
+    for kind, names in (("predictor", [spec.label for spec in predictors]), ("m value", m_values),
+                        ("metric", [spec.kind for spec in metrics]), ("averaging", averagings)):
+        if not names:
+            raise ValueError(f"there are no {kind}s")
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"{kind} {name!r} is listed twice")
     return m_values
 
 

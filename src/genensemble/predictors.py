@@ -19,8 +19,10 @@ the contiguous feature axis as a per-row loop reduces them, decide the order,
 so the output bits do not depend on BLAS, its threads or the blocks. A chosen
 neighbour's distance, or a regression mean of their targets, that overflows is refused.
 
-A bagged_trees forest is one CART grown from T roots, its bootstrap draws; a
-forest whose mean prediction overflows is refused.
+CART finds a split as the two sorted neighbours of a gap in one feature, and
+rows route by the lower one; thresholds, their midpoints, are taken once per
+tree. A bagged_trees forest is one CART grown from T roots, its bootstrap
+draws; a forest whose mean prediction overflows is refused.
 """
 from __future__ import annotations
 
@@ -118,10 +120,11 @@ class TrainedModel:
 class _Tree:
     """Grown CARTs as flat node arrays, roots at nodes 0 to T - 1: one for a
     cart, one per bootstrap draw for a bagged_trees forest. At a leaf, feature,
-    left and right are -1 and threshold is 0. value holds every node's mean
-    target (regression) or class frequencies (classification, one row each).
-    Predictions average the trees, so a cart leaf of -0.0 predicts +0.0.
-    """
+    left and right are -1 and threshold is 0; a split's threshold is the midpoint
+    of its two sorted neighbours, or the lower where the midpoint rounds onto the
+    upper or overflows. value holds every node's mean target (regression) or
+    class frequencies (classification, one row each). Predictions average the
+    trees, so a cart leaf of -0.0 predicts +0.0."""
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
@@ -154,7 +157,9 @@ _BLOCK_CELLS = 4096
 
 def _block(values, cell, shape, pad):
     """values placed by their flat cell index in a (nodes x widest node) block."""
-    block = np.full(shape[0] * shape[1], pad)
+    block = np.zeros(shape[0] * shape[1])   # np.full is a slower Python-level wrapper
+    if pad:
+        block.fill(pad)
     block[cell] = values
     return block.reshape(shape)
 
@@ -168,17 +173,16 @@ def _prefix_sums(values, cell, shape):
     return np.add.accumulate(_block(values, cell, shape, 0.0), axis=1)
 
 
-def _band_splits(xo, yo, node, counts, task, n_classes):
-    """Value of each node of a band and its best split, or feature -1.
+def _band_splits(xo, yo, node, counts, width, task, n_classes):
+    """Value of each node of a band and its best split: the feature, or -1, and
+    the split's two sorted neighbours in it, below and above.
 
-    The rows of node i lie contiguously in xo, yo (node[p] == i), in their
-    original order. Regression sums are sequential and the targets are
-    centred at the node mean before they are squared, so a large target
-    offset does not cancel. Features are scanned in ascending order with
-    strict improvement, and argmin picks the lowest midpoint, which is the
-    tie-break contract.
-    """
-    k, width = counts.size, int(counts.max())
+    The rows of node i, at most width, lie contiguously in xo, yo (node[p] ==
+    i), in their original order. Regression sums are sequential and the targets
+    are centred at the node mean before they are squared, so a large target
+    offset does not cancel. Features are scanned in ascending order with strict
+    improvement, and argmin picks the lowest gap: the tie-break contract."""
+    k = counts.size
     n_rows = counts[:, None]
     starts = counts.cumsum() - counts
     cell = node * width + (np.arange(node.size) - starts[node])
@@ -198,7 +202,7 @@ def _band_splits(xo, yo, node, counts, task, n_classes):
         targets = yo
 
     if not np.count_nonzero(impure):
-        return value, np.full(k, -1, dtype=np.intp), np.zeros(k)
+        return value, np.full(k, -1, dtype=np.intp), np.zeros(k), np.zeros(k)
     best, below, above = np.full(k, np.inf), np.zeros(k), np.zeros(k)
     feature = np.zeros(k, dtype=np.intp)
     score_row, x_row = np.arange(k) * width, np.arange(k) * (width + 1)
@@ -236,31 +240,26 @@ def _band_splits(xo, yo, node, counts, task, n_classes):
         at = x_row + i
         np.copyto(below, xs.reshape(-1)[at], where=better)
         np.copyto(above, xs.reshape(-1)[at + 1], where=better)
-    with np.errstate(over="ignore"):
-        threshold = 0.5 * (below + above)
-    # between adjacent floats the midpoint can round onto the upper value, and
-    # near the float limit it overflows: the split is at the lower value then
-    threshold = np.where((below <= threshold) & (threshold < above), threshold, below)
     split = impure & np.isfinite(best) & ~(best >= impurity)
-    return value, np.where(split, feature, -1), np.where(split, threshold, 0.0)
+    return value, np.where(split, feature, -1), below, above
 
 
 def _level_splits(xo, yo, node, counts, task, n_classes):
     """_band_splits over one level, in power-of-two size bands if it is skewed."""
-    if counts.size * int(counts.max()) <= max(2 * node.size, _BLOCK_CELLS):
-        return _band_splits(xo, yo, node, counts, task, n_classes)
+    k, width = counts.size, int(counts.max())
+    if k * width <= max(2 * node.size, _BLOCK_CELLS):
+        return _band_splits(xo, yo, node, counts, width, task, n_classes)
     band = np.ceil(np.log2(counts)).astype(np.intp)
-    value = np.zeros((counts.size,) + (() if task == "regression" else (n_classes,)))
-    feature = np.empty(counts.size, dtype=np.intp)
-    threshold = np.empty(counts.size)
+    value = np.zeros((k,) + (() if task == "regression" else (n_classes,)))
+    feature, below, above = np.empty(k, dtype=np.intp), np.empty(k), np.empty(k)
     for b in np.unique(band):
         members = band == b
         at = members[node]
         local = members.cumsum() - 1
-        (value[members], feature[members],
-         threshold[members]) = _band_splits(xo[at], yo[at], local[node[at]],
-                                            counts[members], task, n_classes)
-    return value, feature, threshold
+        (value[members], feature[members], below[members],
+         above[members]) = _band_splits(xo[at], yo[at], local[node[at]], counts[members],
+                                        int(counts[members].max()), task, n_classes)
+    return value, feature, below, above
 
 
 def _grow_tree(x, y, task, n_classes, roots=None):
@@ -268,12 +267,12 @@ def _grow_tree(x, y, task, n_classes, roots=None):
     row) until every leaf is pure or unsplittable; tree idx is the CART grown
     alone on x[idx], y[idx]. All trees grow a level at a time: the rows of each
     open node lie contiguously in `rows`, in their original order, and a split
-    node's rows move on, left child first. Roots are nodes 0 to T - 1; the r-th
-    split node (from 0) has children T + 2r and T + 2r + 1.
-    """
+    node's rows move on, left child first (x <= below, the lower neighbour); the
+    thresholds are taken once, at the end. Roots are nodes 0 to T - 1; the r-th
+    split node (from 0) has children T + 2r and T + 2r + 1."""
     roots = [np.arange(y.size)] if roots is None else roots
     scale = task == "regression" and _out_of_range(np.abs(y)).any()
-    levels = []                      # (feature, threshold, value) per level
+    levels = []                      # (feature, below, above, value) per level
     rows = np.concatenate(roots)
     counts = np.array([root.size for root in roots])
     node = np.repeat(np.arange(counts.size), counts)
@@ -283,21 +282,24 @@ def _grow_tree(x, y, task, n_classes, roots=None):
             top = np.maximum.reduceat(np.abs(yo), counts.cumsum() - counts)
             shift = np.where(_out_of_range(top), -np.frexp(top)[1], 0)
             yo = np.ldexp(yo, shift[node])
-        value, feature, threshold = _level_splits(x[rows], yo, node, counts, task, n_classes)
-        levels.append((feature, threshold, np.ldexp(value, -shift) if scale else value))
+        value, feature, below, above = _level_splits(x[rows], yo, node, counts, task, n_classes)
+        levels.append((feature, below, above, np.ldexp(value, -shift) if scale else value))
         split = feature >= 0
         rank = split.cumsum() - 1    # index of a split node among the level's splits
         keep = split[node]
         rows, node = rows[keep], node[keep]
-        side = ~(x[rows, feature[node]] <= threshold[node])
+        side = ~(x[rows, feature[node]] <= below[node])
         child = 2 * rank[node] + side
         order = child.argsort(kind="stable")
         rows, node = rows[order], child[order]
         counts = np.bincount(node, minlength=2 * np.count_nonzero(split))
-    feature, threshold, value = (np.concatenate(arrays) for arrays in zip(*levels))
+    feature, below, above, value = (np.concatenate(arrays) for arrays in zip(*levels))
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (below + above)
+    mid = np.where((below <= mid) & (mid < above), mid, below)     # see _Tree
     split = feature >= 0
     left = np.where(split, len(roots) - 2 + 2 * split.cumsum(), -1)
-    return _Tree(feature, threshold, left, np.where(split, left + 1, -1), value)
+    return _Tree(feature, np.where(split, mid, 0.0), left, np.where(split, left + 1, -1), value)
 
 
 def _tree_predict_rows(tree, x):

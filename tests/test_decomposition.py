@@ -23,7 +23,7 @@ from genensemble.decomposition import (BOOTSTRAP_RESAMPLES, CORRELATED, IDENTITY
 from genensemble.generators import GeneratorSpec, fit, generate_ensemble, sample
 from genensemble.metrics import MEAN, MetricSpec, score_predictions, score_prefixes
 from genensemble.predictors import (PredictorSpec, _grow_tree, _tree_predict_rows,
-                                    predict_batch, train)
+                                    parse_predictor, predict_batch, train)
 from genensemble.processes import get_process
 from genensemble.rng import child_rng, child_seed, make_rng
 
@@ -1457,6 +1457,25 @@ class TestCurveRepeatValidation:
             curve_repeat(GeneratorSpec("bootstrap"), data, predictor, test, m_values,
                          averaging, MetricSpec(metric), rep_seed=0)
         assert calls == []
+
+    @pytest.mark.parametrize("predictors, averagings, metrics, message", [
+        (["knn:3", "knn:3"], ["mean"], ["mse"], "predictor 'knn3' is listed twice"),
+        (["ridge:0.1234567", "ridge:0.1234568"], ["mean"], ["mse"],
+         "predictor 'ridge0.123457' is listed twice"),
+        ([], ["mean"], ["mse"], "there are no predictors"),
+        (["knn:3"], [], ["mse"], "there are no averagings"),
+        (["knn:3"], ["mean"], [], "there are no metrics"),
+    ], ids=["same-spec-twice", "shared-label", "no-predictors", "no-averagings", "no-metrics"])
+    def test_a_grid_of_no_cells_or_a_shared_label_is_refused(self, predictors, averagings,
+                                                             metrics, message):
+        # either would return no rows, or put two predictors' rows in one label group
+        toy = get_process("gaussian_toy")
+        data = toy.sample_real_dataset(make_rng(0), 20)
+        test = toy.sample_real_dataset(make_rng(1), 10)
+        with pytest.raises(ValueError, match=message):
+            curve_cells(GeneratorSpec("bootstrap"), data,
+                        [parse_predictor(text, "regression") for text in predictors], test,
+                        [1, 2], 2, averagings, [MetricSpec(kind) for kind in metrics])
 
 
 class TestCountRule:

@@ -259,6 +259,36 @@ class TestCartReference:
             assert_same_tree(reference_tree(x, y, task, n_classes),
                              _grow_tree(x, y, task, n_classes))
 
+    @pytest.mark.parametrize("block_cells", [4096, 0])
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_extreme_features_match_reference_bit_for_bit(self, task, block_cells,
+                                                          monkeypatch):
+        # features drawn from chains of adjacent floats, whose midpoints can round
+        # onto the upper value, and from near +-the largest float, whose midpoints
+        # overflow; with few distinct values such splits recur below the root
+        monkeypatch.setattr(predictors, "_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(12)
+        big = np.finfo(float).max
+        for _ in range(40):
+            chains = []
+            for start, toward in ((big, 0.0), (-big, 0.0), (1.0, 2.0), (0.0, 1.0),
+                                  (-3.5, 0.0), (1e308, big)):
+                chain = [start]
+                for _ in range(int(rng.integers(2, 8))):
+                    chain.append(np.nextafter(chain[-1], toward))
+                chains.append(chain)
+            values = np.concatenate(chains + [[1e308, -1e308]])
+            n, d = int(rng.integers(2, 40)), int(rng.integers(1, 4))
+            x = rng.choice(values, size=(n, d))
+            if task == "regression":
+                n_classes, y = 0, rng.normal(size=n)
+            else:
+                n_classes = int(rng.integers(2, 5))
+                y = rng.integers(0, n_classes, size=n)
+            with np.errstate(over="ignore"):      # the reference's own midpoints
+                reference = reference_tree(x, y, task, n_classes)
+            assert_same_tree(reference, _grow_tree(x, y, task, n_classes))
+
 
 def _knn_reference(tx, ty, k, task, n_classes, x):
     """kNN one test row at a time: a stable argsort of the row's distances."""
