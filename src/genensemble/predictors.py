@@ -180,8 +180,9 @@ def _band_splits(xo, yo, node, counts, width, task, n_classes):
     The rows of node i, at most width, lie contiguously in xo, yo (node[p] ==
     i), in their original order. Regression sums are sequential and the targets
     are centred at the node mean before they are squared, so a large target
-    offset does not cancel. Features are scanned in ascending order with strict
-    improvement, and argmin picks the lowest gap: the tie-break contract."""
+    offset does not cancel. The first feature seeds the running best and a later
+    one replaces it where it scores strictly lower (a score is finite or inf,
+    never NaN), and argmin picks the lowest gap: the tie-break contract."""
     k = counts.size
     n_rows = counts[:, None]
     starts = counts.cumsum() - counts
@@ -201,11 +202,9 @@ def _band_splits(xo, yo, node, counts, width, task, n_classes):
         impure = np.count_nonzero(class_counts, axis=1) > 1
         targets = yo
 
-    if not np.count_nonzero(impure):
+    if not (xo.shape[1] and np.count_nonzero(impure)):
         return value, np.full(k, -1, dtype=np.intp), np.zeros(k), np.zeros(k)
-    best, below, above = np.full(k, np.inf), np.zeros(k), np.zeros(k)
-    feature = np.zeros(k, dtype=np.intp)
-    score_row, x_row = np.arange(k) * width, np.arange(k) * (width + 1)
+    score_row, x_row = np.arange(0, k * width, width), np.arange(0, k * (width + 1), width + 1)
     # column i scores the split after row i of a node; the last column and
     # those past a node's end are masked below, right_n >= 1 keeps them finite
     left_n = np.arange(1, width + 1)
@@ -234,13 +233,15 @@ def _band_splits(xo, yo, node, counts, width, task, n_classes):
         score = np.where(xs[:, 1:] > xs[:, :-1], score, np.inf)
         i = score.argmin(axis=1)
         found = score.reshape(-1)[score_row + i]
-        better = np.isfinite(found) & (found < best)
-        np.copyto(best, found, where=better)
-        np.copyto(feature, j, where=better)
         at = x_row + i
-        np.copyto(below, xs.reshape(-1)[at], where=better)
-        np.copyto(above, xs.reshape(-1)[at + 1], where=better)
-    split = impure & np.isfinite(best) & ~(best >= impurity)
+        lower, upper = xs.reshape(-1)[at], xs.reshape(-1)[at + 1]
+        if j:
+            better = found < best
+            best, feature = np.where(better, found, best), np.where(better, j, feature)
+            below, above = np.where(better, lower, below), np.where(better, upper, above)
+        else:
+            best, feature, below, above = found, 0, lower, upper
+    split = impure & ~(best >= impurity)
     return value, np.where(split, feature, -1), below, above
 
 
@@ -288,7 +289,7 @@ def _grow_tree(x, y, task, n_classes, roots=None):
         rank = split.cumsum() - 1    # index of a split node among the level's splits
         keep = split[node]
         rows, node = rows[keep], node[keep]
-        side = ~(x[rows, feature[node]] <= below[node])
+        side = x[rows, feature[node]] > below[node]
         child = 2 * rank[node] + side
         order = child.argsort(kind="stable")
         rows, node = rows[order], child[order]
@@ -305,18 +306,16 @@ def _grow_tree(x, y, task, n_classes, roots=None):
 def _tree_predict_rows(tree, x):
     """Leaf value of every (tree, row) pair, (T, n) for regression or (T, n, K)
     probabilities, T = nodes - 2 * splits. All pairs descend together, one
-    level per step; a pair that has reached its leaf stays there.
-    """
+    level per step, through one flat (left, right) child table in which a leaf
+    is its own child and reads feature 0, so a pair at its leaf stays there."""
     leaf = tree.feature < 0
-    here = np.arange(leaf.size)
-    left, right = np.where(leaf, here, tree.left), np.where(leaf, here, tree.right)
-    n_roots, n = 2 * np.count_nonzero(leaf) - leaf.size, x.shape[0]
-    node, rows = np.divmod(np.arange(n_roots * n), n)
-    feature = tree.feature[node]
-    while np.count_nonzero(feature >= 0):
-        go_left = x[rows, feature] <= tree.threshold[node]
-        node = np.where(go_left, left[node], right[node])
-        feature = tree.feature[node]
+    child = np.where(leaf, np.arange(leaf.size), np.stack((tree.left, tree.right))).T.reshape(-1)
+    feature = np.maximum(tree.feature, 0)
+    (n, d), n_roots = x.shape, 2 * np.count_nonzero(leaf) - leaf.size
+    node, at = np.divmod(np.arange(n_roots * n), n)
+    flat, at = x.reshape(-1), at * d
+    while not leaf[node].all():
+        node = child[2 * node + (flat[at + feature[node]] > tree.threshold[node])]
     return tree.value[node].reshape((n_roots, n) + tree.value.shape[1:])
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 
@@ -395,6 +396,15 @@ class TestOracleDecompose:
         assert "dpvar" in rep.terms
         assert rep.terms["dpvar"].value > 0
         assert rep.status == "ok"
+
+    def test_cart_on_featureless_process(self):
+        # discrete_toy has no feature column, so every CART is grown on zero
+        # features: a root that holds both classes has no split to take
+        rep = oracle_decompose("discrete_toy", "iid", "cart", m=2,
+                               mc=MonteCarloConfig(4, 3, 2, 50), seed=3)
+        assert rep.status == "ok"
+        assert hashlib.sha256(rep.to_json().encode()).hexdigest() == (
+            "92d01b40473da5c867def258a6cb7154bced1b90192156cacaced975269aea11")
 
     def test_shared_summary_requires_summary_sampler(self):
         with pytest.raises(ValueError, match="summary"):

@@ -243,7 +243,7 @@ class TestCartReference:
         monkeypatch.setattr(predictors, "_BLOCK_CELLS", block_cells)
         rng = np.random.default_rng(11)
         for trial in range(60):
-            n, d = int(rng.integers(1, 70)), int(rng.integers(1, 5))
+            n, d = int(rng.integers(1, 70)), int(rng.integers(0, 5))
             x = rng.normal(size=(n, d))
             if trial % 3 == 1:            # integer features: many ties
                 x = rng.integers(-3, 4, size=(n, d)).astype(float)
