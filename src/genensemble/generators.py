@@ -208,22 +208,28 @@ def sample_params_from_summary(summary: PrivateSummary, seed: int) -> GeneratorP
                            schema=summary.schema, summary_id=summary.summary_id)
 
 
-def _fit_gaussian_ppd(data: Dataset, seed: int) -> GeneratorParams:
-    x = data.rows
+def _niw_posterior(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(xbar, Psi_n) of the Normal-Inverse-Wishart posterior whose prior is centered on
+    the rows x: kappa0=1, nu0=d+2, mu0=xbar, Psi0 = scatter/n + 1e-6 I. The ridge keeps
+    Psi_n positive definite for degenerate data only near unit scale."""
     n, d = x.shape
     xbar = x.mean(axis=0)
     scatter = (x - xbar).T @ (x - xbar)
-    # Normal-Inverse-Wishart posterior with a weakly informative prior centered
-    # on the sample: kappa0=1, nu0=d+2, mu0=xbar, Psi0 = scatter/n + 1e-6 I.
-    # The 1e-6 ridge keeps the scale matrix positive definite for degenerate data.
-    kappa0, nu0 = 1.0, d + 2.0
-    psi0 = scatter / n + 1e-6 * np.eye(d)
-    kappa_n, nu_n = kappa0 + n, nu0 + n
-    psi_n = psi0 + scatter
-    from scipy.stats import invwishart   # scipy.stats costs about 1 s to import
+    return xbar, scatter / n + 1e-6 * np.eye(d) + scatter
+
+
+def _fit_gaussian_ppd(data: Dataset, seed: int) -> GeneratorParams:
+    n, d = data.rows.shape
+    xbar, psi_n = _niw_posterior(data.rows)
+    kappa_n, nu_n = 1.0 + n, d + 2.0 + n
+    # Sigma ~ IW(nu_n, Psi_n) by Bartlett's decomposition, on scipy's invwishart stream:
+    # A has N(0, 1) below its diagonal and chi(nu_n - d + 1 + i) on it, CA = chol(Psi_n) A^-1
     rng = make_rng(seed)
-    cov = invwishart.rvs(df=nu_n, scale=psi_n, random_state=rng)
-    cov = np.atleast_2d(cov)
+    a = np.zeros((d, d))
+    a[np.tril_indices(d, -1)] = rng.normal(size=d * (d - 1) // 2)
+    a[np.diag_indices(d)] = rng.chisquare(nu_n - d + 1 + np.arange(d)) ** 0.5
+    ca = np.linalg.solve(a.T, np.linalg.cholesky(psi_n).T).T
+    cov = ca @ ca.T
     mean = rng.multivariate_normal(xbar, cov / kappa_n, method="cholesky")
     return GeneratorParams(kind=GAUSSIAN_PPD, mean=mean, cov=cov, schema=data.schema)
 
@@ -323,6 +329,10 @@ def check_ensemble_request(spec: GeneratorSpec, m: int, mode: str, data: Dataset
     for col in data.schema.columns:
         if want not in (None, col.kind):
             raise ValueError(f"{spec.kind} models {want} columns; {col.name!r} is {col.kind}")
+    if spec.kind == GAUSSIAN_PPD:
+        with np.errstate(all="ignore"):     # refused here, so no overflow warning
+            if not all(np.isfinite(part).all() for part in _niw_posterior(data.rows)):
+                raise ValueError(f"{GAUSSIAN_PPD}: the data's mean or scatter matrix overflows")
     if spec.kind == TRUTH_PROCESS:
         from .processes import get_process
         if get_process(spec.process).schema != data.schema:

@@ -632,6 +632,20 @@ class TestGeneratorRequest:
         assert err.startswith("config error: [generator]: ") and message in err
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("subcommand", ["generate", "curve", "nested-var"])
+    def test_gaussian_ppd_whose_scatter_overflows_is_a_config_error(self, tmp_path, subcommand,
+                                                                   capsys):
+        # a column of up to 7e155 squares past the float limit: a RuntimeWarning,
+        # then the covariance draw failed on infs at the first fit (exit 2)
+        cfg = generator_config(tmp_path, "kind = gaussian_ppd")
+        lines = ["a,b"] + [f"{i}e155,{i}" for i in range(8)]
+        (tmp_path / "ab.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main([subcommand, "--config", str(cfg), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == ("config error: [generator]: gaussian_ppd: the "
+                                           "data's mean or scatter matrix overflows\n")
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("mode", ["shared_summary", "split_budget"])
     def test_nested_var_refuses_a_mode_other_than_independent(self, tmp_path, mode, capsys):
         # nested-var draws independent fits, and ran them whatever the mode said
@@ -1232,11 +1246,23 @@ def _run_module(*args):
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes about 1 s to import, which every CLI run would pay;
-    # only a Gaussian-PPD fit loads it
-    out = _run_module("-c", "import sys, genensemble, genensemble.cli; "
-                            "print('scipy.stats' in sys.modules)")
+    # the library runs on numpy alone; scipy.stats alone takes about 0.4 s to import
+    out = _run_module("-c", "import sys, genensemble, genensemble.cli; print(any("
+                            "name == 'scipy' or name.startswith('scipy.') for name in sys.modules))")
     assert out.returncode == 0 and out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("subcommand", ["curve", "nested-var"])
+def test_gaussian_ppd_runs_with_scipy_blocked(tmp_path, subcommand):
+    # the covariance draw was scipy.stats.invwishart, the library's one use of scipy
+    cfg = process_config(tmp_path)
+    cfg.write_text(cfg.read_text(encoding="utf-8").replace("kind = bootstrap",
+                                                           "kind = gaussian_ppd"),
+                   encoding="utf-8")
+    out = _run_module("-W", "error", "-c", "import sys; sys.modules['scipy'] = None; "
+                      "from genensemble import cli; sys.exit(cli.main(sys.argv[1:]))",
+                      subcommand, "--config", str(cfg), "--output", str(tmp_path / "out"))
+    assert out.returncode == 0, out.stderr
 
 
 def test_import_leaves_multiprocessing_unloaded():

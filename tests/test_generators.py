@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -55,6 +56,34 @@ class TestFit:
         data = Dataset(NUM_SCHEMA, np.array([[1.0, 2.0], [1.0, 2.0]]))
         params = fit(GeneratorSpec("gaussian_ppd"), data, seed=0)
         assert np.all(np.isfinite(params.cov))
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(1, 6), data=st.data(), scale=st.floats(0.1, 10.0),
+           seed=st.integers(0, 2**63 - 1))
+    def test_gaussian_ppd_draw_matches_scipy_invwishart(self, d, data, scale, seed):
+        # the covariance is Bartlett's decomposition on scipy's random stream, so the
+        # mean that follows it draws the same numbers
+        n = data.draw(st.integers(d + 1, 400))
+        schema = Schema(tuple(Column(f"x{i}", NUMERIC, FEATURE) for i in range(d - 1))
+                        + (Column("y", NUMERIC, TARGET),))
+        rows = make_rng(seed).normal(size=(n, d)) * scale
+        scatter = (rows - rows.mean(axis=0)).T @ (rows - rows.mean(axis=0))
+        psi_n = scatter / n + 1e-6 * np.eye(d) + scatter
+        made = []
+
+        def recording_rng(s):
+            made.append(make_rng(s))
+            return made[-1]
+
+        with mock.patch("genensemble.generators.make_rng", recording_rng):
+            cov = fit(GeneratorSpec("gaussian_ppd"), Dataset(schema, rows), seed).cov
+        ref_rng = make_rng(seed)
+        ref = np.atleast_2d(stats.invwishart.rvs(df=d + 2.0 + n, scale=psi_n,
+                                                 random_state=ref_rng))
+        np.testing.assert_allclose(cov, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+        ref_rng.multivariate_normal(np.zeros(d), np.eye(d), method="cholesky")
+        assert made[0].bit_generator.state == ref_rng.bit_generator.state
+        assert np.array_equal(cov, cov.T) and np.linalg.eigvalsh(cov).min() > 0
 
     def test_noisy_marginal_zero_noise_gives_exact_frequencies(self):
         data = cat_dataset([[0, 1], [0, 0], [1, 1], [0, 1]])
@@ -296,11 +325,17 @@ class TestEnsembleRequest:
          "truth process 'discrete_toy' does not model the data's columns ['x', 'y']"),
         (GeneratorSpec("truth_process", process="bogus"), Dataset(NUM_SCHEMA, np.ones((3, 2))),
          "unknown truth process 'bogus'"),
+        (GeneratorSpec("gaussian_ppd"), Dataset(NUM_SCHEMA, [[1e155, 0.0], [-1e155, 1.0]]),
+         "gaussian_ppd: the data's mean or scatter matrix overflows"),
+        (GeneratorSpec("gaussian_ppd"), Dataset(NUM_SCHEMA, [[1.5e308, 0.0], [1.5e308, 1.0]]),
+         "gaussian_ppd: the data's mean or scatter matrix overflows"),
     ], ids=["dp-on-numeric", "ppd-on-categorical", "process-on-other-columns",
-            "process-on-gaussian-columns", "unknown-process"])
+            "process-on-gaussian-columns", "unknown-process", "ppd-scatter-overflows",
+            "ppd-mean-overflows"])
     def test_generator_that_cannot_serve_the_data_refused(self, spec, data, message):
         # each was found only by the first fit, or, for a truth process on
-        # other columns, not at all
+        # other columns, not at all; a gaussian_ppd scatter matrix that overflowed
+        # warned, then failed inside scipy's covariance draw
         for request in (lambda: check_ensemble_request(spec, 2, "independent", data),
                         lambda: generate_ensemble(spec, data, 2, "independent"),
                         lambda: fit(spec, data, 0)):
