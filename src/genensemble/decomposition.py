@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
@@ -34,7 +35,7 @@ from .data import Dataset, check_count, check_seed, encode
 from .generators import GeneratorSpec, fit, generate_ensemble, sample
 from .metrics import (MEAN, MetricSpec, check_averaging, finite_mean, group_scores,
                       score_prefixes)
-from .predictors import PredictorSpec, parse_predictor, predict_batch, train
+from .predictors import PredictorSpec, _workspace, parse_predictor, predict_batch, train
 from .processes import get_process
 from .rng import child_rng, child_seed
 
@@ -43,6 +44,11 @@ SHARED_SUMMARY = "shared_summary"
 CORRELATED = "correlated"
 # generator mode -> the terms it adds to the squared-error decomposition
 _MODE_TERMS = {IID: (), SHARED_SUMMARY: ("dpvar",), CORRELATED: ("cov",)}
+
+# The estimate chain's grid and _spreads' squared deviations, in two buffers per thread that
+# later replicates reuse: a fresh array above glibc's 128 KiB mmap threshold faults in its
+# pages on every replicate. Its own owner, so a trained kNN predictor cannot overwrite them.
+_ORACLE_WORKSPACE = threading.local()
 
 BOOTSTRAP_RESAMPLES = 400
 # A block of bootstrap resamples gathers at most this many record values, and
@@ -182,7 +188,10 @@ def _spreads(grid: np.ndarray) -> dict:
     variance of the draw means; b, their mean; and with more than one block
     dpv_raw, the variance of the block means."""
     a = grid.mean(axis=2)                            # (blocks, r_theta) + point shape
-    per_block = {"mv": grid.var(axis=2, ddof=1).mean(axis=1),
+    # np.var(axis=2, ddof=1)'s operations, in a workspace buffer in place of its temporaries
+    d = np.subtract(grid, a[:, :, None], out=_workspace(_ORACLE_WORKSPACE, 1, grid.shape))
+    d *= d
+    per_block = {"mv": (d.sum(axis=2) / (grid.shape[2] - 1)).mean(axis=1),
                  "sdv_raw": a.var(axis=1, ddof=1), "b": a.mean(axis=1)}
     out = {name: stat.mean(axis=0) for name, stat in per_block.items()}
     if grid.shape[0] > 1:
@@ -352,7 +361,9 @@ def _assemble(records: dict, mode: str, mc: MonteCarloConfig, f_value, idx) -> d
 class _Draws(NamedTuple):
     """The draws of one outer replicate of the chain."""
     thetas: np.ndarray       # (blocks, r_theta): one block per summary release, else one
-    grid: np.ndarray         # (blocks, r_theta, r_syn) + point shape
+    # (blocks, r_theta, r_syn) + point shape: a view of the thread's oracle workspace,
+    # valid only until the reducer returns
+    grid: np.ndarray
     pair_preds: np.ndarray | None  # (r_theta, 2) + point shape, correlated mode only
     members: np.ndarray      # (m,) + point shape: the direct ensemble's members
     rng_direct: np.random.Generator   # the direct chain's generator, for its outcomes
@@ -381,11 +392,13 @@ def _chain(process, outputs, reduce, mode, m, rho, mc, seed, r) -> dict:
     blocks = mc.summaries if mode == SHARED_SUMMARY else 1
     rng = child_rng(seed, "estimate", r)
     real = process.sample_real(rng)
-    block_thetas, preds = np.empty((blocks, mc.r_theta)), []
+    block_thetas = np.empty((blocks, mc.r_theta))
     for k in range(blocks):
         block_thetas[k] = thetas(rng, real, mc.r_theta)
-        preds.append(outputs(rng, np.repeat(block_thetas[k][:, None], mc.r_syn, axis=1),
-                             "grid", r))
+        preds = outputs(rng, np.repeat(block_thetas[k][:, None], mc.r_syn, axis=1), "grid", r)
+        if k == 0:
+            grid = _workspace(_ORACLE_WORKSPACE, 0, (blocks,) + preds.shape)
+        grid[k] = preds
     pair_preds = None
     if mode == CORRELATED:
         pairs = process.sample_theta_correlated(rng, real, mc.r_theta, 2, rho)
@@ -393,7 +406,7 @@ def _chain(process, outputs, reduce, mode, m, rho, mc, seed, r) -> dict:
 
     rng_d = child_rng(seed, "direct", r)
     thetas_d = thetas(rng_d, process.sample_real(rng_d), m, mode == CORRELATED)
-    return reduce(_Draws(block_thetas, np.stack(preds), pair_preds,
+    return reduce(_Draws(block_thetas, grid, pair_preds,
                          outputs(rng_d, thetas_d, "directgrid", r), rng_d))
 
 

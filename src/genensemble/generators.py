@@ -144,7 +144,7 @@ def gaussian_noise_scale(rho: float, n_columns: int) -> float:
 
 def project_to_simplex(counts: np.ndarray) -> np.ndarray:
     """Clip negative counts at 0 and renormalize; all-zero becomes uniform."""
-    clipped = np.clip(np.asarray(counts, dtype=np.float64), 0.0, None)
+    clipped = np.maximum(np.asarray(counts, dtype=np.float64), 0.0)    # np.clip's ufunc
     total = clipped.sum()
     if total <= 0:
         return np.full(clipped.shape, 1.0 / clipped.size)

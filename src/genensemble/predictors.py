@@ -26,6 +26,7 @@ draws; a forest whose mean prediction overflows is refused.
 """
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -328,13 +329,15 @@ _KNN_CELLS = 1 << 15
 _KNN_WORKSPACE = threading.local()
 
 
-def _workspace(slot, shape):
-    """An uninitialised float array: a view of workspace buffer `slot` if it fits."""
-    if shape[0] * shape[1] > _KNN_CELLS:
+def _workspace(owner, slot, shape):
+    """An uninitialised float array of the shape: a view of buffer `slot` of the
+    owner's (a threading.local's) two of _KNN_CELLS floats if it fits, else fresh."""
+    size = math.prod(shape)
+    if size > _KNN_CELLS:
         return np.empty(shape)
-    if not hasattr(_KNN_WORKSPACE, "buffers"):
-        _KNN_WORKSPACE.buffers = (np.empty(_KNN_CELLS), np.empty(_KNN_CELLS))
-    return _KNN_WORKSPACE.buffers[slot][:shape[0] * shape[1]].reshape(shape)
+    if not hasattr(owner, "buffers"):
+        owner.buffers = (np.empty(_KNN_CELLS), np.empty(_KNN_CELLS))
+    return owner.buffers[slot][:size].reshape(shape)
 
 
 def _candidates(x, tx, k):
@@ -351,9 +354,9 @@ def _candidates(x, tx, k):
         for first in range(0, x.shape[0], block):
             at = slice(first, first + block)
             xb = -2.0 * x[at]
-            fast = np.matmul(xb, tx.T, out=_workspace(0, (xb.shape[0], n_train)))
+            fast = np.matmul(xb, tx.T, out=_workspace(_KNN_WORKSPACE, 0, (xb.shape[0], n_train)))
             fast += tt
-            kth = _workspace(1, fast.shape)
+            kth = _workspace(_KNN_WORKSPACE, 1, fast.shape)
             np.copyto(kth, fast)
             kth.partition(k - 1, axis=1)
             bound = kth[:, k - 1:k] + 2.0 * slack[at, None]

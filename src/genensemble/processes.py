@@ -159,9 +159,8 @@ class DiscreteBernoulliProcess:
         return counts + rng.normal(0.0, self.dp_sigma, size=2)
 
     def sample_theta_from_summary(self, rng, summary, size):
-        p_hat = project_to_simplex(summary)
-        return rng.beta(self.n_real * p_hat[1] + 1.0,
-                        self.n_real * p_hat[0] + 1.0, size=size)
+        p0, p1 = project_to_simplex(summary).tolist()     # float products, numpy's bits
+        return rng.beta(self.n_real * p1 + 1.0, self.n_real * p0 + 1.0, size=size)
 
     def predictor_outputs(self, rng, thetas):
         thetas = np.asarray(thetas, dtype=np.float64)

@@ -3,6 +3,8 @@ import functools
 import hashlib
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from genensemble.decomposition import (BOOTSTRAP_RESAMPLES, CORRELATED, IDENTITY
                                        oracle_decompose, predict_mse, run_cells)
 from genensemble.generators import GeneratorSpec, fit, generate_ensemble, sample
 from genensemble.metrics import MEAN, MetricSpec, score_predictions, score_prefixes
-from genensemble.predictors import (PredictorSpec, _grow_tree, _tree_predict_rows,
+from genensemble.predictors import (_KNN_CELLS, PredictorSpec, _grow_tree, _tree_predict_rows,
                                     parse_predictor, predict_batch, train)
 from genensemble.processes import get_process
 from genensemble.rng import child_rng, child_seed, make_rng
@@ -1015,6 +1017,116 @@ class TestOracleArithmetic:
             assert value == float(weights[0] * d0 + weights[1] * d1)
             by_dot.append(value == float(weights @ np.array([d0, d1])))
         assert not all(by_dot)              # the BLAS dot differs on some pairs
+
+
+def _spreads_reference(grid):
+    """_spreads from np.mean and np.var(ddof=1) alone."""
+    a = grid.mean(axis=2)
+    per_block = {"mv": grid.var(axis=2, ddof=1).mean(axis=1),
+                 "sdv_raw": a.var(axis=1, ddof=1), "b": a.mean(axis=1)}
+    out = {name: stat.mean(axis=0) for name, stat in per_block.items()}
+    if grid.shape[0] > 1:
+        out["dpv_raw"] = per_block["b"].var(axis=0, ddof=1)
+    return out
+
+
+# signed zeros and values whose squares (or squared deviations) overflow
+_GRID_SPECIALS = [0.0, -0.0, 1e200, -1e200, 1.5e308, -1.5e308]
+
+
+class TestSpreads:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), blocks=st.integers(1, 4), r_theta=st.integers(2, 6),
+           r_syn=st.sampled_from([2, 3, 5, 7, 20]),
+           point=st.sampled_from([(), (1,), (3,), (1, 1), (2, 1), (3, 2)]),
+           strided=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_numpy_mean_and_var_bit_for_bit(self, data, blocks, r_theta, r_syn, point,
+                                                    strided, seed):
+        # a 2-D point shape is estimate_mv_sdv_nested's (n_test, c); strided takes the
+        # grid as every other column, as its binary positive-class view does
+        shape = (blocks, r_theta, r_syn) + point + ((2,) if strided else ())
+        grid = np.random.default_rng(seed).normal(size=shape)
+        flat = grid.reshape(-1)
+        for at, value in data.draw(st.lists(st.tuples(st.integers(0, flat.size - 1),
+                                                      st.sampled_from(_GRID_SPECIALS)))):
+            flat[at] = value
+        if strided:
+            grid = grid[..., 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = decomposition._spreads(grid), _spreads_reference(grid)
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].shape == want[name].shape
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+
+class TestOracleWorkspace:
+    """The estimate chain keeps its grid in the calling thread's oracle
+    workspace, which later replicates reuse."""
+
+    def _reducer_grids(self, monkeypatch, name):
+        """Wrap reducer name so each call records whether its grid is a view of
+        the calling thread's oracle buffer."""
+        shared, reduce = [], getattr(decomposition, name)
+
+        def recording(*args):
+            buffers = getattr(decomposition._ORACLE_WORKSPACE, "buffers", ())
+            shared.append(bool(buffers) and np.shares_memory(args[-1].grid, buffers[0]))
+            assert all(b.size <= _KNN_CELLS for b in buffers)
+            return reduce(*args)
+        monkeypatch.setattr(decomposition, name, recording)
+        return shared
+
+    @pytest.mark.parametrize("process, mode, rho, predictor", [
+        ("discrete_toy", "shared_summary", 0.0, "builtin"),
+        ("gaussian_toy", "correlated", 0.5, "builtin"),
+        ("gaussian_toy", "iid", 0.0, "knn:3"),
+    ])
+    def test_every_replicate_reads_the_thread_buffer(self, monkeypatch, process, mode, rho,
+                                                     predictor):
+        shared = self._reducer_grids(monkeypatch, "_squared_stats")
+        points = [[-1.0], [0.5]] if predictor != "builtin" else None
+        oracle_decompose(process, mode, predictor, m=2, test_points=points, mc=_BLOCK_MC,
+                         seed=2, rho=rho)
+        assert shared == [True] * _BLOCK_MC.r_real
+
+    def test_bregman_replicates_read_the_thread_buffer(self, monkeypatch):
+        shared = self._reducer_grids(monkeypatch, "_bregman_stats")
+        bregman_oracle_decompose("discrete_toy", m=2, mc=_SMALL_MC, seed=2)
+        assert shared == [True] * _SMALL_MC.r_real
+
+    def test_grid_above_the_budget_gets_fresh_memory(self, monkeypatch):
+        shared = self._reducer_grids(monkeypatch, "_squared_stats")
+        mc = MonteCarloConfig(3, 200, 200, 5)
+        assert mc.r_theta * mc.r_syn > _KNN_CELLS
+        oracle_decompose("gaussian_toy", "iid", m=2, mc=mc, seed=1)
+        assert shared == [False] * mc.r_real
+
+    def test_threads_reproduce_their_serial_reports(self):
+        seeds = [3, 11]
+        serial = [oracle_decompose("discrete_toy", SHARED_SUMMARY, m=2, mc=_BLOCK_MC,
+                                   seed=seed).to_json() for seed in seeds]
+        start, reports, buffers = threading.Barrier(len(seeds)), {}, {}
+
+        def work(i):
+            start.wait()
+            reports[i] = oracle_decompose("discrete_toy", SHARED_SUMMARY, m=2, mc=_BLOCK_MC,
+                                          seed=seeds[i]).to_json()
+            buffers[i] = decomposition._ORACLE_WORKSPACE.buffers
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(seeds))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)         # switch threads between numpy calls
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [reports[i] for i in range(len(seeds))] == serial
+        assert len({id(b) for held in buffers.values() for b in held}) == 4
 
 
 _PROPERTY_MC = MonteCarloConfig(40, 8, 5, 200, r_summary=6)
