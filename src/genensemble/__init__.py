@@ -26,3 +26,13 @@ from .decomposition import (DecompositionReport, MonteCarloConfig, RuleOfThumbFi
                             fit_rule_two_point, mse_curve, oracle_decompose,
                             predict_mse)
 from .processes import get_process
+
+__all__ = ["__version__", "Column", "Dataset", "FeatureMatrix", "Schema", "encode", "load_csv",
+           "save_csv", "train_test_split", "GeneratorParams", "GeneratorSpec", "PrivateSummary",
+           "epsilon_from_rho", "fit", "fit_dp_summary", "generate_ensemble", "rho_from_epsilon",
+           "sample", "sample_params_from_summary", "MetricSpec", "PredictorSpec", "TrainedModel",
+           "predict_batch", "train", "BregmanSpec", "CentralStats", "central_prediction",
+           "check_total_variance", "divergence", "dual", "dual_average", "dual_inverse",
+           "DecompositionReport", "MonteCarloConfig", "RuleOfThumbFit", "achieved_benefit",
+           "bregman_oracle_decompose", "estimate_mv_sdv_nested", "fit_rule_regression",
+           "fit_rule_two_point", "mse_curve", "oracle_decompose", "predict_mse", "get_process"]

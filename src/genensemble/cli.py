@@ -28,7 +28,7 @@ from . import __version__
 from .data import (CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Schema,
                    load_csv, save_csv, train_test_split, write_csv)
 from .decomposition import (MonteCarloConfig, check_oracle_request, curve_cells,
-                            estimate_mv_sdv_nested, fit_rule_regression, fit_rule_two_point,
+                            fit_rule_regression, fit_rule_two_point, nested_estimates,
                             oracle_decompose, predict_mse, run_cells)
 from .generators import GeneratorSpec, check_ensemble_request, generate_ensemble
 from .metrics import (LABEL_COLUMNS, MetricSpec, finite_mean, group_scores, read_long_csv,
@@ -318,10 +318,10 @@ def _cmd_nested_var(cfg, seed, tracker, jobs):
     r_theta = _get_count(cfg, "nested_var", "r_theta", default=32, minimum=2)
     s_per = _get_count(cfg, "nested_var", "s_per_theta", default=5, minimum=2)
 
+    estimates = nested_estimates(spec, data, predictors, test, r_theta, s_per,
+                                 seed=child_seed(seed, "nested"), jobs=jobs)
     rows, summary = [], {}
-    for predictor in predictors:
-        est = estimate_mv_sdv_nested(spec, data, predictor, test, r_theta, s_per,
-                                     seed=child_seed(seed, "nested"), jobs=jobs)
+    for predictor, est in zip(predictors, estimates):
         for i, (mv, sdv) in enumerate(zip(est.mv_per_point, est.sdv_per_point)):
             rows.append((label, predictor.label, i, repr(float(mv)), repr(float(sdv))))
         summary[predictor.label] = {"mv": est.mv, "sdv": est.sdv,

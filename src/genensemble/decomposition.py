@@ -147,8 +147,10 @@ class NestedVarianceEstimate:
 
 
 def _check_fit_request(data: Dataset, predictors, test: Dataset) -> None:
-    """Raise ValueError unless each predictor is for the data's task and test
-    has the data's columns and at least one row."""
+    """Raise ValueError unless there is a predictor, each is for the data's task
+    and test has the data's columns and at least one row."""
+    if not predictors:
+        raise ValueError("there are no predictors")
     for predictor in predictors:
         if predictor.task != data.schema.task:
             raise ValueError(f"predictor {predictor.label!r} is for {predictor.task}, "
@@ -159,19 +161,22 @@ def _check_fit_request(data: Dataset, predictors, test: Dataset) -> None:
         raise ValueError("the test set is empty")
 
 
-def _members(predictor: PredictorSpec, test: Dataset, draws) -> tuple[np.ndarray, np.ndarray]:
-    """Train the predictor once per (synthetic dataset, training seed) pair of
+def _members(predictors, test: Dataset, draws) -> tuple[list[np.ndarray], np.ndarray]:
+    """Train each predictor once per (synthetic dataset, training seed) pair of
     draws and predict the test rows with each model.
 
-    Both sides are encoded with the synthetic dataset's own scaler. Returns
-    the (m, n_test, ...) member block and the encoded test targets.
+    Both sides are encoded with the dataset's own scaler, once per draw and
+    wants_standardize value. Returns one (m, n_test, ...) member block per
+    predictor and the encoded test targets.
     """
-    preds = []
+    preds = [[] for _ in predictors]
+    flags = {predictor.wants_standardize for predictor in predictors}
     for ds, seed in draws:
-        fm_train = encode(ds, ds, predictor.wants_standardize)
-        fm_test = encode(ds, test, predictor.wants_standardize)
-        preds.append(predict_batch(train(predictor, fm_train, seed), fm_test.x))
-    return np.asarray(preds), fm_test.y
+        encoded = {flag: (encode(ds, ds, flag), encode(ds, test, flag)) for flag in flags}
+        for predictor, out in zip(predictors, preds):
+            fm_train, fm_test = encoded[predictor.wants_standardize]
+            out.append(predict_batch(train(predictor, fm_train, seed), fm_test.x))
+    return [np.asarray(p) for p in preds], fm_test.y
 
 
 def _components(block: np.ndarray, task: str) -> np.ndarray:
@@ -199,12 +204,46 @@ def _spreads(grid: np.ndarray) -> dict:
     return out
 
 
-def _nested_fit(generator, data, predictor, test, n_rows, s_per_theta, seed, i) -> np.ndarray:
-    """The (s_per_theta, n_test, ...) member block of nested fit i."""
+def _nested_fit(generator, data, predictors, test, n_rows, s_per_theta, seed, i) -> list:
+    """The (s_per_theta, n_test, ...) member block of nested fit i for each predictor."""
     params = fit(generator, data, child_seed(seed, "fit", i))
-    return _members(predictor, test, (
+    return _members(predictors, test, (
         (sample(params, n_rows, child_seed(child_seed(seed, "synth", i), "rep", j)),
          child_seed(child_seed(seed, "train", i), "rep", j)) for j in range(s_per_theta)))[0]
+
+
+def nested_estimates(generator: GeneratorSpec, data: Dataset, predictors, test: Dataset,
+                     r_theta: int = 32, s_per_theta: int = 5, seed: int = 0,
+                     jobs: int = 1) -> list[NestedVarianceEstimate]:
+    """estimate_mv_sdv_nested of each PredictorSpec in the list predictors, in
+    order. Each generator fit and synthetic dataset is drawn once and trains
+    every predictor, so entry k has the bytes of a lone call on predictors[k]."""
+    r_theta = check_count(r_theta, "r_theta", minimum=2)
+    s_per_theta = check_count(s_per_theta, "s_per_theta", minimum=2)
+    seed = check_seed(seed)
+    _check_fit_request(data, predictors, test)
+    n_rows = generator.n_synthetic if generator.n_synthetic is not None else data.n
+
+    fits = run_units(partial(_nested_fit, generator, data, predictors, test, n_rows,
+                             s_per_theta, seed), range(r_theta), jobs)
+    estimates = []
+    for predictor, blocks in zip(predictors, zip(*fits)):
+        grid = _components(np.stack(blocks), predictor.task)[None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            spreads = _spreads(grid)                 # the oracle's, over one block of fits
+            mv_per_point = spreads["mv"].sum(axis=-1)
+            between_var = spreads["sdv_raw"].sum(axis=-1)
+            sdv_per_point = between_var - mv_per_point / s_per_theta
+            mv, sdv = float(mv_per_point.mean()), float(sdv_per_point.mean())
+            within_var = grid[0].var(axis=1, ddof=1).sum(axis=-1)   # (r_theta, n_test), for the SE
+            mv_se = float(within_var.mean(axis=1).std(ddof=1) / math.sqrt(r_theta))
+            sdv_se = float(between_var.mean()) * math.sqrt(2.0 / (r_theta - 1))
+        if not np.isfinite([mv, sdv, mv_se, sdv_se]).all():     # a per-point NaN or inf too
+            raise ValueError("the nested MV/SDV estimate or its standard error is not finite")
+        estimates.append(NestedVarianceEstimate(
+            mv_per_point=mv_per_point, sdv_per_point=sdv_per_point, mv=mv, sdv=sdv,
+            mv_se=mv_se, sdv_se=sdv_se, r_theta=r_theta, s_per_theta=s_per_theta))
+    return estimates
 
 
 def estimate_mv_sdv_nested(generator: GeneratorSpec, data: Dataset,
@@ -224,31 +263,10 @@ def estimate_mv_sdv_nested(generator: GeneratorSpec, data: Dataset,
     A spread that overflows raises ValueError. Each fit draws from its own
     seeds, so jobs workers (run_units) give the serial bytes.
     """
-    r_theta = check_count(r_theta, "r_theta", minimum=2)
-    s_per_theta = check_count(s_per_theta, "s_per_theta", minimum=2)
-    seed = check_seed(seed)
     if isinstance(predictor, str):
         predictor = parse_predictor(predictor, data.schema.task)
-    _check_fit_request(data, [predictor], test)
-    n_rows = generator.n_synthetic if generator.n_synthetic is not None else data.n
-
-    block = np.stack(run_units(partial(_nested_fit, generator, data, predictor, test, n_rows,
-                                       s_per_theta, seed), range(r_theta), jobs))
-    grid = _components(block, predictor.task).reshape(1, r_theta, s_per_theta, test.n, -1)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        spreads = _spreads(grid)                 # the oracle's, over one block of fits
-        mv_per_point, between_var = spreads["mv"].sum(axis=-1), spreads["sdv_raw"].sum(axis=-1)
-        sdv_per_point = between_var - mv_per_point / s_per_theta
-        mv, sdv = float(mv_per_point.mean()), float(sdv_per_point.mean())
-        within_var = grid[0].var(axis=1, ddof=1).sum(axis=-1)   # (r_theta, n_test), for the SE
-        mv_se = float(within_var.mean(axis=1).std(ddof=1) / math.sqrt(r_theta))
-        sdv_se = float(between_var.mean()) * math.sqrt(2.0 / (r_theta - 1))
-    if not np.isfinite([mv, sdv, mv_se, sdv_se]).all():     # a per-point NaN or inf too
-        raise ValueError("the nested MV/SDV estimate or its standard error is not finite")
-    return NestedVarianceEstimate(mv_per_point=mv_per_point, sdv_per_point=sdv_per_point,
-                                  mv=mv, sdv=sdv, mv_se=mv_se, sdv_se=sdv_se,
-                                  r_theta=r_theta, s_per_theta=s_per_theta)
+    return nested_estimates(generator, data, [predictor], test, r_theta, s_per_theta,
+                            seed, jobs)[0]
 
 
 # --------------------------------------------------------------------------
@@ -470,7 +488,7 @@ def _trained_outputs(process, predictor, test_points, seed, rng, thetas, tag, r)
     test_rows[:, process.schema.feature_indices] = test_points
     base = child_seed(seed, tag, r)
     cells = [child_seed(base, "cell", k) for k in range(thetas.size)]
-    block, _ = _members(predictor, Dataset(process.schema, test_rows), (
+    [block], _ = _members([predictor], Dataset(process.schema, test_rows), (
         (process.sample_synth_dataset(theta, process.n_synth, child_rng(cell, "rows")),
          child_seed(cell, "train")) for theta, cell in zip(thetas.flat, cells)))
     return _components(block, predictor.task)[..., 0].reshape(thetas.shape + (-1,))
@@ -722,8 +740,9 @@ def ensemble_members(generator: GeneratorSpec, data: Dataset, predictor: Predict
         # rebinding last as well frees the old ensemble before a model is trained
         datasets, _ = generate_ensemble(generator, data, m, mode, seed=rep_seed)
         last = _last_ensemble = (key, data, datasets)
-    return _members(predictor, test, ((ds, child_seed(rep_seed, "train", i))
-                                      for i, ds in enumerate(last[2])))
+    [block], y = _members([predictor], test, ((ds, child_seed(rep_seed, "train", i))
+                                              for i, ds in enumerate(last[2])))
+    return block, y
 
 
 def run_units(fn, units, jobs: int = 1) -> list:

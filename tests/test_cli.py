@@ -66,6 +66,29 @@ s_per_theta = 3
 """
 
 
+# three predictors, none of which calls LAPACK, on a small nested-var run
+NESTED_PIN_CONFIG = """\
+[experiment]
+seed = 11
+
+[data]
+source = process
+process = gaussian_toy
+n = 40
+n_test = 20
+
+[generator]
+kind = bootstrap
+
+[predictors]
+specs = cart, knn:3, mean
+
+[nested_var]
+r_theta = 6
+s_per_theta = 3
+"""
+
+
 CLASSIFICATION_CONFIG = """\
 [experiment]
 seed = 5
@@ -238,8 +261,8 @@ class TestPipeline:
         cfg, out = config
         assert cli.main(["nested-var", "--config", str(cfg), "--output", str(out),
                          "--jobs", "64"]) == 0
-        # one pool per predictor (cart, ridge), one unit per fit of r_theta = 4
-        assert [(workers, units) for workers, units in serial_pool] == [(4, [0, 1, 2, 3])] * 2
+        # one pool for both predictors (cart, ridge), one unit per fit of r_theta = 4
+        assert serial_pool == [(4, [0, 1, 2, 3])]
 
     @pytest.mark.parametrize("predictor", ["builtin", "cart"])
     def test_decompose_report_is_the_same_at_any_jobs(self, tmp_path, predictor):
@@ -256,6 +279,33 @@ class TestPipeline:
         first, *others = _outputs_at_jobs(cfg, tmp_path, "nested-var",
                                           ["nested_variance.csv", "nested_summary.json"])
         assert others == [first, first]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_nested_var_bytes_are_pinned(self, tmp_path, jobs):
+        # cart, knn and mean need no LAPACK call, so these bytes hold on any BLAS build
+        out = tmp_path / "out"
+        assert cli.main(["nested-var", "--config", str(write_config(tmp_path, NESTED_PIN_CONFIG)),
+                         "--output", str(out), "--jobs", jobs]) == 0
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("nested_summary.json", "nested_variance.csv")} == {
+            "nested_summary.json":
+                "4be9abf1291d5a929aad9a05d88b2155a0708e408587fcf229fc4aa281007739",
+            "nested_variance.csv":
+                "287e4b5eb979701dc596b38cd474347d64785f3c295d3b3a056f5bb10b9e5cbe"}
+
+    def test_nested_var_draws_each_fit_once_for_all_predictors(self, tmp_path, monkeypatch):
+        # one generator fit and its samples serve all three predictors
+        calls = dict.fromkeys(("fit", "sample", "encode", "train"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(decomposition, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(decomposition, name, counted)
+        assert cli.main(["nested-var", "--config", str(write_config(tmp_path, NESTED_PIN_CONFIG)),
+                         "--output", str(tmp_path / "out")]) == 0
+        # 6 fits x 3 samples, each encoded (train and test rows) once for cart and
+        # mean, once for knn's standardized features, and trained on by 3 predictors
+        assert calls == {"fit": 6, "sample": 18, "encode": 72, "train": 54}
 
     @pytest.mark.parametrize("subcommand", ["generate", "predict-curve"])
     def test_jobs_is_a_usage_error_where_nothing_runs_in_parallel(self, config, subcommand,

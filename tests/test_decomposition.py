@@ -8,7 +8,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genensemble import bregman as brg
@@ -22,7 +22,8 @@ from genensemble.decomposition import (BOOTSTRAP_RESAMPLES, CORRELATED, IDENTITY
                                        check_oracle_request, curve_cells, curve_repeat,
                                        ensemble_members, estimate_mv_sdv_nested,
                                        fit_rule_regression, fit_rule_two_point, mse_curve,
-                                       oracle_decompose, predict_mse, run_cells)
+                                       nested_estimates, oracle_decompose, predict_mse,
+                                       run_cells)
 from genensemble.generators import GeneratorSpec, fit, generate_ensemble, sample
 from genensemble.metrics import MEAN, MetricSpec, score_predictions, score_prefixes
 from genensemble.predictors import (_KNN_CELLS, PredictorSpec, _grow_tree, _tree_predict_rows,
@@ -359,6 +360,38 @@ class TestNestedMatchesReference:
         assert est.mv_per_point.tobytes() == ref[0].tobytes()
         assert est.sdv_per_point.tobytes() == ref[1].tobytes()
         assert (est.mv, est.sdv, est.mv_se, est.sdv_se) == ref[2:]
+
+
+_NESTED_FIELDS = ("mv_per_point", "sdv_per_point", "mv", "sdv", "mv_se", "sdv_se")
+
+
+class TestNestedEstimatesShareDraws:
+    @settings(max_examples=20, deadline=None)
+    @given(n_classes=st.sampled_from([0, 2, 3]),
+           kinds=st.lists(st.sampled_from(["cart", "knn", "mean", "linear"]), min_size=1,
+                          max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n_classes=3, kinds=["knn", "cart", "knn"], seed=0)      # a repeated spec
+    def test_each_entry_is_a_lone_estimate(self, n_classes, kinds, seed):
+        # "linear" stands for each task's linear model: ridge, or logistic
+        data = _nested_data(n_classes)
+        test = Dataset(data.schema, data.rows[:5])
+        task = data.schema.task
+        predictors = [PredictorSpec(("ridge" if n_classes == 0 else "logistic")
+                                    if kind == "linear" else kind, task) for kind in kinds]
+        generator = GeneratorSpec("bootstrap", n_synthetic=12)
+        estimates = nested_estimates(generator, data, predictors, test, 3, 2, seed)
+        assert len(estimates) == len(predictors)
+        for predictor, est in zip(predictors, estimates):
+            lone = estimate_mv_sdv_nested(generator, data, predictor, test, 3, 2, seed)
+            for name in _NESTED_FIELDS:
+                assert (np.asarray(getattr(est, name)).tobytes()
+                        == np.asarray(getattr(lone, name)).tobytes()), name
+
+    def test_an_empty_list_is_refused_before_a_draw(self):
+        data = _nested_data(0)
+        with pytest.raises(ValueError, match="there are no predictors"):
+            nested_estimates(GeneratorSpec("bootstrap"), data, [], data, 3, 2)
 
 
 class TestOracleDecompose:
@@ -1378,8 +1411,9 @@ def _categorical_data(seed, n=30):
 def _fresh_members(generator, data, predictor, test, m, rep_seed, mode="independent"):
     """ensemble_members computed from a new generate_ensemble call."""
     datasets, _ = generate_ensemble(generator, data, m, mode, seed=rep_seed)
-    return decomposition._members(predictor, test, ((ds, child_seed(rep_seed, "train", i))
-                                                    for i, ds in enumerate(datasets)))
+    [block], y = decomposition._members([predictor], test, (
+        (ds, child_seed(rep_seed, "train", i)) for i, ds in enumerate(datasets)))
+    return block, y
 
 
 _DP = GeneratorSpec("noisy_marginal_dp", epsilon=1.0, delta=1e-6)
