@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_count
+
 PROB_FLOOR = 1e-12
 
 SQUARED = "squared"
@@ -37,8 +39,7 @@ class BregmanSpec:
     def __post_init__(self):
         if self.kind not in (SQUARED, NEGENTROPY):
             raise ValueError(f"unknown Bregman kind {self.kind!r}")
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        object.__setattr__(self, "dimension", check_count(self.dimension, "dimension"))
 
 
 @dataclass(frozen=True)
@@ -59,10 +60,18 @@ def softmax(u: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _check_domain(spec: BregmanSpec, v) -> np.ndarray:
+def _check_finite(spec: BregmanSpec, v) -> np.ndarray:
+    """v as a float array of finite points of spec's dimension, else DomainError."""
     v = np.asarray(v, dtype=np.float64)
-    if v.shape[-1] != spec.dimension:
+    if v.shape[-1:] != (spec.dimension,):
         raise DomainError(f"expected dimension {spec.dimension}, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise DomainError("inputs must be finite")
+    return v
+
+
+def _check_domain(spec: BregmanSpec, v) -> np.ndarray:
+    v = _check_finite(spec, v)
     if spec.kind == NEGENTROPY:
         if np.any(v < -1e-12) or np.any(np.abs(v.sum(axis=-1) - 1.0) > 1e-6):
             raise DomainError("negentropy inputs must lie on the probability simplex")
@@ -90,9 +99,7 @@ def dual(spec: BregmanSpec, g) -> np.ndarray:
 
 
 def dual_inverse(spec: BregmanSpec, u) -> np.ndarray:
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape[-1] != spec.dimension:
-        raise DomainError(f"expected dimension {spec.dimension}, got shape {u.shape}")
+    u = _check_finite(spec, u)
     if spec.kind == SQUARED:
         return u / 2.0
     return softmax(u)
@@ -122,7 +129,13 @@ def central_prediction(spec: BregmanSpec, samples, weights=None) -> CentralStats
         gvar = float(np.mean(divergence(spec, central, samples)))
     else:
         weights = np.asarray(weights, dtype=np.float64)
-        weights = weights / weights.sum()
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = weights.sum()
+        if (weights.shape != samples.shape[:1] or not np.isfinite(weights).all()
+                or (weights < 0).any() or not 0.0 < total < np.inf):
+            raise ValueError("weights must be one finite, non-negative weight per sample, "
+                             "with a finite positive sum")
+        weights = weights / total
         central = dual_inverse(spec, np.tensordot(weights, duals, axes=1))
         gvar = float(weights @ divergence(spec, central, samples))
     return CentralStats(central=central, gvar=gvar)

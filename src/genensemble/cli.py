@@ -43,6 +43,22 @@ EXIT_RUNTIME = 2
 EXIT_FLAGGED = 3
 
 
+# The keys each config section accepts; [schema] keys name the data's columns, so any
+# key goes there. A file may hold sections its subcommand does not read.
+_SECTION_KEYS = {
+    "experiment": ("seed", "output"),
+    "data": ("source", "path", "test_fraction", "process", "n", "n_test"),
+    "schema": None,
+    "generator": ("kind", "n_synthetic", "identity", "epsilon", "delta", "process", "mode", "m"),
+    "predictors": ("specs",),
+    "curve": ("metrics", "m_values", "repeats", "averaging"),
+    "predict_curve": ("curve_csv", "method", "m_values"),
+    "decompose": ("process", "mode", "m", "rho", "predictor") + tuple(
+        f.name for f in fields(MonteCarloConfig)),
+    "nested_var": ("r_theta", "s_per_theta"),
+}
+
+
 class ConfigError(Exception):
     pass
 
@@ -67,6 +83,18 @@ def _read_config(path: str) -> tuple[configparser.ConfigParser, bytes]:
         parser.read_string(raw.decode("utf-8"))
     except (UnicodeDecodeError, configparser.Error) as exc:
         raise ConfigError(f"cannot parse config {path!r}: {exc}") from None
+    if parser.defaults():           # configparser would copy its keys into every section
+        raise ConfigError(f"[DEFAULT] sets {', '.join(parser.defaults())}; "
+                          f"give each option in its own section")
+    for section in parser.sections():
+        if section not in _SECTION_KEYS:
+            raise ConfigError(f"unknown section [{section}]; the sections are "
+                              f"{', '.join(_SECTION_KEYS)}")
+        known = _SECTION_KEYS[section]
+        for key in parser.options(section):
+            if known is not None and key not in known:
+                raise ConfigError(f"unknown option [{section}] {key}; [{section}] takes "
+                                  f"{', '.join(known)}")
     return parser, raw
 
 

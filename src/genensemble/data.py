@@ -55,6 +55,23 @@ def check_seed(value, name: str = "seed") -> int:
     return value
 
 
+def check_flag(value, name: str) -> bool:
+    """value as a bool; ValueError unless it is a Python or numpy bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
+def check_real(value, name: str, low: float = -math.inf, high: float = math.inf) -> float:
+    """value as a float; ValueError unless it is a finite Python or numpy real
+    number in [low, high]. bool and str are not, even when they hold one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not (math.isfinite(value) and low <= value <= high):
+        raise ValueError(f"{name} must lie in [{low:g}, {high:g}] and be finite, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Column:
     name: str

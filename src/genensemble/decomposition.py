@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bregman as brg
-from .data import Dataset, check_count, check_seed, encode
+from .data import Dataset, check_count, check_real, check_seed, encode
 from .generators import GeneratorSpec, fit, generate_ensemble, sample
 from .metrics import (MEAN, MetricSpec, check_averaging, finite_mean, group_scores,
                       score_prefixes)
@@ -97,9 +97,9 @@ def fit_rule_regression(points: dict[int, float]) -> RuleOfThumbFit:
     The negated slope estimates MV + SDV and the intercept estimates the
     single-dataset error. R^2 squares the residuals after one exact power-of-two
     scaling, so a huge curve fits too; a fit or R^2 that is not finite raises
-    ValueError.
+    ValueError, as does a key that is not a count (data.check_count).
     """
-    ms = sorted(points)
+    ms = sorted(check_count(m, "m") for m in points)
     if len(ms) < 2:
         raise ValueError("need at least 2 distinct m values")
     x = np.array([1.0 - 1.0 / m for m in ms])
@@ -187,21 +187,22 @@ def _components(block: np.ndarray, task: str) -> np.ndarray:
     return block[..., 1:2] if block.shape[-1] == 2 else block
 
 
-def _spreads(grid: np.ndarray) -> dict:
+def _spreads(grid: np.ndarray) -> tuple[dict, np.ndarray]:
     """Spreads of a (blocks, r_theta, r_syn) + point prediction grid, averaged
     over its parameter blocks: mv, the mean within-draw variance; sdv_raw, the
     variance of the draw means; b, their mean; and with more than one block
-    dpv_raw, the variance of the block means."""
+    dpv_raw, the variance of the block means. Also returns the within-draw
+    variances themselves, of shape (blocks, r_theta) + point."""
     a = grid.mean(axis=2)                            # (blocks, r_theta) + point shape
     # np.var(axis=2, ddof=1)'s operations, in a workspace buffer in place of its temporaries
     d = np.subtract(grid, a[:, :, None], out=_workspace(_ORACLE_WORKSPACE, 1, grid.shape))
     d *= d
-    per_block = {"mv": (d.sum(axis=2) / (grid.shape[2] - 1)).mean(axis=1),
-                 "sdv_raw": a.var(axis=1, ddof=1), "b": a.mean(axis=1)}
+    within = d.sum(axis=2) / (grid.shape[2] - 1)
+    per_block = {"mv": within.mean(axis=1), "sdv_raw": a.var(axis=1, ddof=1), "b": a.mean(axis=1)}
     out = {name: stat.mean(axis=0) for name, stat in per_block.items()}
     if grid.shape[0] > 1:
         out["dpv_raw"] = per_block["b"].var(axis=0, ddof=1)
-    return out
+    return out, within
 
 
 def _nested_fit(generator, data, predictors, test, n_rows, s_per_theta, seed, i) -> list:
@@ -230,12 +231,12 @@ def nested_estimates(generator: GeneratorSpec, data: Dataset, predictors, test: 
     for predictor, blocks in zip(predictors, zip(*fits)):
         grid = _components(np.stack(blocks), predictor.task)[None]
         with np.errstate(over="ignore", invalid="ignore"):
-            spreads = _spreads(grid)                 # the oracle's, over one block of fits
+            spreads, within = _spreads(grid)         # the oracle's, over one block of fits
             mv_per_point = spreads["mv"].sum(axis=-1)
             between_var = spreads["sdv_raw"].sum(axis=-1)
             sdv_per_point = between_var - mv_per_point / s_per_theta
             mv, sdv = float(mv_per_point.mean()), float(sdv_per_point.mean())
-            within_var = grid[0].var(axis=1, ddof=1).sum(axis=-1)   # (r_theta, n_test), for the SE
+            within_var = within[0].sum(axis=-1)      # (r_theta, n_test), for the SE
             mv_se = float(within_var.mean(axis=1).std(ddof=1) / math.sqrt(r_theta))
             sdv_se = float(between_var.mean()) * math.sqrt(2.0 / (r_theta - 1))
         if not np.isfinite([mv, sdv, mv_se, sdv_se]).all():     # a per-point NaN or inf too
@@ -428,28 +429,27 @@ def _chain(process, outputs, reduce, mode, m, rho, mc, seed, r) -> dict:
                          outputs(rng_d, thetas_d, "directgrid", r), rng_d))
 
 
-def _bootstrap_se(seed: int, r_real: int, statistic, width: int) -> dict[str, float]:
-    """Bootstrap standard error of each named statistic over BOOTSTRAP_RESAMPLES
-    resamples of the r_real outer replicates. statistic maps a (rows, r_real)
-    index block, one resample per row, to one value per row, gathering width
-    values of a record per index; blocks of at most _BOOTSTRAP_CELLS gathered
-    values draw the same resamples as one draw per row."""
+def _estimates(seed: int, r_real: int, statistic,
+               width: int = 1) -> tuple[dict[str, TermEstimate], dict]:
+    """Each named statistic on all r_real outer replicates, with its bootstrap
+    standard error over BOOTSTRAP_RESAMPLES resamples of them, and the
+    statistic's arrays on all replicates. statistic maps a (rows, r_real)
+    index block, one resample per row, to named arrays whose rows each reduce
+    to their mean, gathering width values of a record per index; blocks of at
+    most _BOOTSTRAP_CELLS gathered values draw the same resamples as one draw
+    per row."""
+    def means(arrays):
+        return {name: a.reshape(len(a), -1).mean(axis=1) for name, a in arrays.items()}
+
+    full = statistic(np.arange(r_real)[None])
     rng = child_rng(seed, "bootstrap")
     rows = max(1, _BOOTSTRAP_CELLS // (r_real * width))
-    blocks = [statistic(rng.integers(0, r_real, size=(min(rows, BOOTSTRAP_RESAMPLES - start),
-                                                      r_real)))
+    blocks = [means(statistic(rng.integers(0, r_real, size=(
+                  min(rows, BOOTSTRAP_RESAMPLES - start), r_real))))
               for start in range(0, BOOTSTRAP_RESAMPLES, rows)]
-    return {name: float(np.std(np.concatenate([b[name] for b in blocks]), ddof=1))
-            for name in blocks[0]}
-
-
-def _estimates(seed: int, r_real: int, statistic, width: int = 1) -> dict[str, TermEstimate]:
-    """Each named statistic on all r_real outer replicates, with its
-    bootstrap standard error; see _bootstrap_se for width."""
-    point = statistic(np.arange(r_real)[None])
-    se = _bootstrap_se(seed, r_real, statistic, width)
-    return {name: TermEstimate(value=float(point[name][0]), std_error=se[name])
-            for name in point}
+    return {name: TermEstimate(value=float(value[0]), std_error=float(
+                np.std(np.concatenate([b[name] for b in blocks]), ddof=1)))
+            for name, value in means(full).items()}, full
 
 
 def _collect(chain, r_real: int, jobs: int = 1) -> dict:
@@ -463,7 +463,7 @@ def _squared_stats(process, point_shape: tuple, mode: str, mc, draws: _Draws) ->
     """Reducer for _collect of the squared-error terms, with point shape
     point_shape: the estimate chain's _spreads, its mean f_theta, and the
     direct error; cov_raw sums in order."""
-    out = _spreads(draws.grid)
+    out, _ = _spreads(draws.grid)
     out["fbar"] = np.broadcast_to(process.f_theta(draws.thetas).mean(axis=1).mean(axis=0),
                                   point_shape)
     if mode == CORRELATED:
@@ -520,8 +520,7 @@ def check_oracle_request(process, generator_mode: str, predictor: PredictorSpec 
         raise ValueError(f"process {process.id!r} has no summary sampler")
     if generator_mode == CORRELATED and not hasattr(process, "sample_theta_correlated"):
         raise ValueError(f"process {process.id!r} has no correlated sampler")
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
+    check_real(rho, "rho", 0.0, 1.0)
     if rho != 0.0 and generator_mode != CORRELATED:
         raise ValueError(f"rho applies to the correlated mode only, not {generator_mode!r}")
     check_count(m, "m")
@@ -565,7 +564,7 @@ def oracle_decompose(process, generator_mode: str = IID,
     if isinstance(process, str):
         process = get_process(process)
     predictor = check_oracle_request(process, generator_mode, predictor, m, rho)
-    seed = check_seed(seed)
+    seed, rho = check_seed(seed), float(rho)
     pts = _check_test_points(process, test_points)
     n_x = pts.shape[0]
     point_shape = () if predictor is None else (n_x,)
@@ -582,10 +581,9 @@ def oracle_decompose(process, generator_mode: str = IID,
     def statistic(idx):
         bs = _assemble(records, generator_mode, mc, f_value, idx)
         bs["gap"] = _identity_gap(bs, m, noise, generator_mode)
-        return {name: bs[name].reshape(len(idx), -1).mean(axis=1)
-                for name in term_names + ("gap",)}
+        return {name: bs[name] for name in term_names + ("gap",)}
 
-    terms = _estimates(seed, mc.r_real, statistic, math.prod(point_shape))
+    terms, stats = _estimates(seed, mc.r_real, statistic, math.prod(point_shape))
     gap = terms.pop("gap")
     terms["noise"] = TermEstimate(value=float(noise), std_error=0.0)
     if abs(gap.value) > IDENTITY_SE_MULTIPLE * gap.std_error:
@@ -596,7 +594,6 @@ def oracle_decompose(process, generator_mode: str = IID,
     else:
         status = "ok"
 
-    stats = _assemble(records, generator_mode, mc, f_value, np.arange(mc.r_real)[None])
     per_point = {name: np.broadcast_to(stats[name][0], (n_x,)) for name in term_names}
 
     config = {"process": process.id, "mode": generator_mode, "m": int(m), "rho": rho,
@@ -696,7 +693,7 @@ def bregman_oracle_decompose(process, m: int = 1,
         out["slack"] = out["mv"] + out["sdv"] + out["rdv"] + out["bias"] + noise - out["error"]
         return out
 
-    est = _estimates(seed, mc.r_real, statistic)
+    est, _ = _estimates(seed, mc.r_real, statistic)
     slack = est.pop("slack")
     config = {"process": process.id, "m": m, "seed": seed,
               "mc": {"r_real": mc.r_real, "r_theta": mc.r_theta, "r_syn": mc.r_syn}}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CATEGORICAL, NUMERIC, Dataset, Schema, check_count, check_seed
+from .data import CATEGORICAL, NUMERIC, Dataset, Schema, check_count, check_flag, check_seed
 from .rng import child_seed, make_rng
 
 BOOTSTRAP = "bootstrap"
@@ -43,6 +43,7 @@ class GeneratorSpec:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.n_synthetic is not None:
             object.__setattr__(self, "n_synthetic", check_count(self.n_synthetic, "n_synthetic"))
+        object.__setattr__(self, "identity", check_flag(self.identity, "identity"))
         if self.identity and (self.kind != BOOTSTRAP or self.n_synthetic is not None):
             raise ValueError("identity needs the bootstrap generator and no n_synthetic")
         if self.kind != NOISY_MARGINAL_DP and (self.epsilon, self.delta) != (None, None):

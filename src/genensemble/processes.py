@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Dataset, Schema
+from .data import (CATEGORICAL, FEATURE, NUMERIC, TARGET, Column, Dataset, Schema, check_count,
+                   check_flag, check_real)
 from .generators import gaussian_noise_scale, project_to_simplex, rho_from_epsilon
 
 
@@ -38,12 +39,13 @@ class GaussianMeanProcess:
         # perfect=True pins the generator parameters at the true mean, i.e.
         # synthetic data comes from the real data-generating distribution;
         # SDV, RDV and the synthetic-data bias then all vanish.
-        self.mu0 = float(mu0)
-        self.noise_sd = float(noise_sd)
-        self.tau = float(tau)
-        self.n_real = int(n_real)
-        self.n_synth = int(n_synth)
-        self.perfect = bool(perfect)
+        self.mu0 = check_real(mu0, "mu0")
+        # noise_sd = tau = 0 is the deterministic chain, whose every term is exactly 0
+        self.noise_sd = check_real(noise_sd, "noise_sd", low=0.0)
+        self.tau = check_real(tau, "tau", low=0.0)
+        self.n_real = check_count(n_real, "n_real")
+        self.n_synth = check_count(n_synth, "n_synth")
+        self.perfect = check_flag(perfect, "perfect")
         self.schema = Schema((Column("x", NUMERIC, FEATURE),
                               Column("y", NUMERIC, TARGET)))
 
@@ -126,9 +128,9 @@ class DiscreteBernoulliProcess:
     builtin_predictor = "freq"
 
     def __init__(self, p0=0.3, n_real=100, n_synth=100, epsilon=1.0, delta=1e-6):
-        self.p0 = float(p0)
-        self.n_real = int(n_real)
-        self.n_synth = int(n_synth)
+        self.p0 = check_real(p0, "p0", 0.0, 1.0)
+        self.n_real = check_count(n_real, "n_real")
+        self.n_synth = check_count(n_synth, "n_synth")
         self.epsilon = float(epsilon)
         self.delta = float(delta)
         self.dp_sigma = gaussian_noise_scale(rho_from_epsilon(epsilon, delta), 1)

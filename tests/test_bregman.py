@@ -47,6 +47,50 @@ class TestDivergence:
                     assert divergence(spec, y, g) > 0.0
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("dimension, message", [
+        (1.5, "dimension must be an integer, got 1.5"),
+        (True, "dimension must be an integer, got True"),
+        (0, "dimension must be >= 1"),
+    ])
+    def test_dimension_is_a_count(self, dimension, message):
+        with pytest.raises(ValueError, match=message):
+            BregmanSpec(SQUARED, dimension)
+
+    def test_numpy_dimension_is_stored_as_int(self):
+        spec = BregmanSpec(NEGENTROPY, np.int64(2))
+        assert type(spec.dimension) is int and spec == NE2
+
+    @pytest.mark.parametrize("spec", [SQ1, NE2], ids=["squared", "negentropy"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_are_refused(self, spec, bad):
+        point = [bad] if spec is SQ1 else [bad, 1.0]
+        good = [1.0] if spec is SQ1 else [0.5, 0.5]
+        for call in (lambda: divergence(spec, point, good), lambda: divergence(spec, good, point),
+                     lambda: dual(spec, point), lambda: dual_inverse(spec, point),
+                     lambda: dual_average(spec, [good, point]),
+                     lambda: central_prediction(spec, [good, point])):
+            with pytest.raises(DomainError, match="inputs must be finite"):
+                call()
+
+    @pytest.mark.parametrize("weights", [
+        [0.0, 0.0], [-1.0, 2.0], [math.nan, 1.0], [math.inf, 1.0], [1.0], [1.0, 1.0, 1.0],
+        [[0.5, 0.5]], [1e308, 1e308]])
+    def test_bad_weights_are_refused(self, weights):
+        # zero weights gave a NaN central prediction and negative ones a bogus one
+        with pytest.raises(ValueError, match="weights must be one finite, non-negative"):
+            central_prediction(NE2, [[0.3, 0.7], [0.6, 0.4]], weights=weights)
+
+    def test_weights_keep_their_bits(self):
+        samples = np.array([[0.3, 0.7], [0.6, 0.4], [0.5, 0.5]])
+        weights = np.array([1.0, 0.0, 3.0])
+        stats = central_prediction(NE2, samples, weights=weights)
+        w = weights / weights.sum()
+        central = dual_inverse(NE2, np.tensordot(w, dual(NE2, samples), axes=1))
+        assert stats.central.tobytes() == central.tobytes()
+        assert stats.gvar == float(w @ divergence(NE2, central, samples))
+
+
 class TestDualMaps:
     def test_squared_linear_maps(self):
         np.testing.assert_allclose(dual(SQ1, [3.0]), [6.0])

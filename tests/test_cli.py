@@ -1039,6 +1039,63 @@ class TestDecomposeValidation:
         assert report["status"] == "term_negative"
 
 
+class TestConfigKeys:
+    """A section or key the CLI does not read is a config error, found before
+    any data is read or any directory is made, whichever subcommand runs."""
+
+    @pytest.mark.parametrize("subcommand, old, new, message", [
+        ("generate", "seed = 42", "sed = 42", "unknown option [experiment] sed"),
+        ("generate", "n_test = 30", "ntest = 30", "unknown option [data] ntest"),
+        ("curve", "mode = independent", "modes = independent",
+         "unknown option [generator] modes"),
+        ("curve", "specs = cart, ridge:1.0", "specs = cart, ridge:1.0\nspec = knn:1",
+         "unknown option [predictors] spec"),
+        # typos for repeats and metrics: the run wrote 3 repeats of mse rows
+        ("curve", "repeats = 2\nmetrics = mse", "repeat = 7\nmetric = brier_binary",
+         "unknown option [curve] repeat; [curve] takes metrics, m_values, repeats, averaging"),
+        ("predict-curve", "method = two_point", "methods = regression",
+         "unknown option [predict_curve] methods"),
+        ("decompose", "r_y = 100", "r_ys = 100", "unknown option [decompose] r_ys"),
+        ("nested-var", "s_per_theta = 3", "s_per_thetas = 3",
+         "unknown option [nested_var] s_per_thetas"),
+        ("nested-var", "[nested_var]", "[nested-var]", "unknown section [nested-var]"),
+        ("generate", "[experiment]", "[Experiment]", "unknown section [Experiment]"),
+        ("generate", "seed = 42", "Seed = 42", "unknown option [experiment] Seed"),
+        # configparser copies [DEFAULT]'s keys into every section, [schema] included
+        ("generate", "[experiment]", "[DEFAULT]\nseed = 1\n[experiment]",
+         "[DEFAULT] sets seed"),
+    ])
+    def test_unknown_name_is_a_config_error(self, tmp_path, subcommand, old, new, message,
+                                            capsys):
+        out = tmp_path / "out"
+        text = PROCESS_CONFIG.format(curve_csv=tmp_path / "curve.csv")
+        assert text.count(old) == 1
+        cfg = write_config(tmp_path, text.replace(old, new))
+        assert cli.main([subcommand, "--config", str(cfg), "--output", str(out)]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_an_empty_default_section_is_harmless(self, tmp_path):
+        text = PROCESS_CONFIG.format(curve_csv=tmp_path / "curve.csv")
+        cfg = write_config(tmp_path, "[DEFAULT]\n" + text)
+        assert cli.main(["generate", "--config", str(cfg), "--output", str(tmp_path / "a")]) == 0
+
+    def test_every_key_read_is_in_the_table(self, config, monkeypatch):
+        # the table holds the keys the subcommands read, so a config that
+        # sets every one of them runs
+        read, get = set(), cli._get
+
+        def recording(cfg, section, key, *args, **kwargs):
+            read.add((section, key))
+            return get(cfg, section, key, *args, **kwargs)
+        monkeypatch.setattr(cli, "_get", recording)
+        cfg, out = config
+        for subcommand in ("generate", "curve", "predict-curve", "decompose", "nested-var"):
+            assert cli.main([subcommand, "--config", str(cfg), "--output", str(out)]) == 0
+        assert {section for section, _ in read} <= set(cli._SECTION_KEYS) - {"schema"}
+        assert all(key in cli._SECTION_KEYS[section] for section, key in read)
+
+
 class TestCurveMetricsDefault:
     """With no [curve] metrics, a curve is scored by mse on a regression
     target, brier_binary on a binary one and brier_multiclass above two

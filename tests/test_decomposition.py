@@ -92,6 +92,21 @@ class TestRuleOfThumb:
         with pytest.raises(ValueError):
             fit_rule_regression({4: 1.0})
 
+    @pytest.mark.parametrize("points, message", [
+        ({0: 1.0, 1: 2.0}, "m must be >= 1"),
+        ({-1: 1.0, 1: 2.0}, "m must be >= 1"),
+        ({True: 1.0, 2: 2.0}, "m must be an integer, got True"),
+        ({1.5: 1.0, 2: 2.0}, "m must be an integer, got 1.5"),
+    ])
+    def test_regression_refuses_an_m_that_is_not_a_count(self, points, message):
+        # m = 0 divided by zero, and the others fit a curve at no ensemble size
+        with pytest.raises(ValueError, match=message):
+            fit_rule_regression(points)
+
+    def test_regression_takes_numpy_counts(self):
+        points = {np.int64(1): 10.0, np.int64(2): 8.0, np.int64(4): 7.0}
+        assert fit_rule_regression(points) == fit_rule_regression({1: 10.0, 2: 8.0, 4: 7.0})
+
     def test_predict_identity_at_one(self):
         rule = fit_rule_two_point(9.37, 7.38)
         assert predict_mse(rule, 1) == 9.37
@@ -1016,6 +1031,21 @@ class TestBootstrapBlocks:
         assert len(counted) == calls
         assert sum(counted) == BOOTSTRAP_RESAMPLES + 1
 
+    def test_oracle_assembles_once_per_statistic_call(self, monkeypatch):
+        # the per-point terms are the statistic's arrays on all replicates, not a
+        # second assembly after the bootstrap
+        counted = []
+        assemble = decomposition._assemble
+
+        def counting(*args):
+            counted.append(args[-1].shape[0])
+            return assemble(*args)
+        monkeypatch.setattr(decomposition, "_assemble", counting)
+        oracle_decompose("discrete_toy", "shared_summary", m=2,
+                         mc=MonteCarloConfig(200, 2, 2, 2, r_summary=2))
+        assert len(counted) == 11
+        assert sum(counted) == BOOTSTRAP_RESAMPLES + 1
+
 
 class TestOracleArithmetic:
     """Each oracle statistic is built from products and in-order sums only,
@@ -1060,7 +1090,7 @@ def _spreads_reference(grid):
     out = {name: stat.mean(axis=0) for name, stat in per_block.items()}
     if grid.shape[0] > 1:
         out["dpv_raw"] = per_block["b"].var(axis=0, ddof=1)
-    return out
+    return out, grid.var(axis=2, ddof=1)
 
 
 # signed zeros and values whose squares (or squared deviations) overflow
@@ -1086,11 +1116,14 @@ class TestSpreads:
         if strided:
             grid = grid[..., 1]
         with np.errstate(over="ignore", invalid="ignore"):
-            got, want = decomposition._spreads(grid), _spreads_reference(grid)
+            (got, got_within), (want, want_within) = (decomposition._spreads(grid),
+                                                      _spreads_reference(grid))
         assert list(got) == list(want)
         for name in want:
             assert got[name].shape == want[name].shape
             assert got[name].tobytes() == want[name].tobytes(), name
+        assert got_within.shape == want_within.shape == (blocks, r_theta) + point
+        assert got_within.tobytes() == want_within.tobytes()
 
 
 class TestOracleWorkspace:
@@ -1632,6 +1665,57 @@ class TestCurveRepeatValidation:
             curve_cells(GeneratorSpec("bootstrap"), data,
                         [parse_predictor(text, "regression") for text in predictors], test,
                         [1, 2], 2, averagings, [MetricSpec(kind) for kind in metrics])
+
+
+class TestOptionRules:
+    """Every process and oracle option is checked by type and range, and the
+    error names it."""
+
+    @pytest.mark.parametrize("process, options, message", [
+        ("gaussian_toy", {"tau": math.nan}, r"tau must lie in \[0, inf\] and be finite, got nan"),
+        ("gaussian_toy", {"tau": math.inf}, r"tau must lie in \[0, inf\] and be finite"),
+        ("gaussian_toy", {"tau": -0.1}, r"tau must lie in \[0, inf\]"),
+        ("gaussian_toy", {"noise_sd": math.nan}, r"noise_sd must lie in \[0, inf\]"),
+        ("gaussian_toy", {"noise_sd": -1.0}, r"noise_sd must lie in \[0, inf\]"),
+        ("gaussian_toy", {"mu0": math.inf}, r"mu0 must lie in \[-inf, inf\] and be finite"),
+        ("gaussian_toy", {"mu0": np.float32("nan")}, "mu0 must lie in"),
+        ("gaussian_toy", {"mu0": "1.0"}, "mu0 must be a real number, got '1.0'"),
+        ("gaussian_toy", {"tau": True}, "tau must be a real number, got True"),
+        ("gaussian_toy", {"perfect": "no"}, "perfect must be a bool, got 'no'"),
+        ("gaussian_toy", {"perfect": 1}, "perfect must be a bool, got 1"),
+        ("gaussian_toy", {"n_real": 0}, "n_real must be >= 1"),
+        ("gaussian_toy", {"n_synth": 2.0}, "n_synth must be an integer, got 2.0"),
+        ("discrete_toy", {"p0": 1.5}, r"p0 must lie in \[0, 1\] and be finite, got 1.5"),
+        ("discrete_toy", {"p0": -0.1}, r"p0 must lie in \[0, 1\]"),
+        ("discrete_toy", {"p0": math.nan}, r"p0 must lie in \[0, 1\]"),
+        ("discrete_toy", {"n_real": 0}, "n_real must be >= 1"),
+        ("discrete_toy", {"n_synth": True}, "n_synth must be an integer, got True"),
+    ])
+    def test_process_option_refused(self, process, options, message):
+        with pytest.raises(ValueError, match=message):
+            get_process(process, **options)
+
+    def test_process_options_are_stored_as_python_numbers(self):
+        proc = get_process("gaussian_toy", mu0=np.float32(0.5), noise_sd=np.float64(2.0),
+                           tau=0, n_real=np.int64(7), perfect=np.True_)
+        values = (proc.mu0, proc.noise_sd, proc.tau, proc.n_real, proc.perfect)
+        assert values == (0.5, 2.0, 0.0, 7, True)
+        assert [type(v) for v in values] == [float, float, float, int, bool]
+        assert type(get_process("discrete_toy", p0=1).p0) is float
+
+    @pytest.mark.parametrize("rho", [True, np.True_, "0.5", None])
+    def test_oracle_refuses_a_rho_that_is_not_a_real_number(self, rho):
+        with pytest.raises(ValueError, match="rho must be a real number"):
+            oracle_decompose("gaussian_toy", "correlated", m=2, rho=rho,
+                             mc=MonteCarloConfig(2, 2, 2, 2))
+
+    def test_oracle_records_rho_as_a_float(self):
+        report = oracle_decompose("gaussian_toy", "correlated", m=2, rho=1,
+                                  mc=MonteCarloConfig(3, 2, 2, 2))
+        assert json.loads(report.to_json())["config"]["rho"] == 1.0
+        assert type(report.config["rho"]) is float
+        assert report.to_json() == oracle_decompose(
+            "gaussian_toy", "correlated", m=2, rho=1.0, mc=MonteCarloConfig(3, 2, 2, 2)).to_json()
 
 
 class TestCountRule:

@@ -281,6 +281,18 @@ class TestGeneratorSpec:
         with pytest.raises(ValueError, match="identity needs the bootstrap generator"):
             GeneratorSpec(kind, identity=True, n_synthetic=n_synthetic)
 
+    @pytest.mark.parametrize("identity", ["no", "true", 1, 0.0, None])
+    def test_identity_must_be_a_bool(self, identity):
+        # any truthy value turned identity on and returned the training data verbatim
+        with pytest.raises(ValueError, match="identity must be a bool, got"):
+            GeneratorSpec("bootstrap", identity=identity)
+
+    @pytest.mark.parametrize("identity", [True, np.True_, False, np.False_])
+    def test_identity_is_stored_as_a_python_bool(self, identity):
+        spec = GeneratorSpec("bootstrap", identity=identity)
+        assert spec.identity is bool(identity)
+        assert spec == GeneratorSpec("bootstrap", identity=bool(identity))
+
     @pytest.mark.parametrize("kind, options", [
         ("bootstrap", {"epsilon": 1.0, "delta": 1e-6}),
         ("gaussian_ppd", {"delta": 1e-6}),
