@@ -12,6 +12,14 @@ log-probability averaging of classifier ensembles.
 
 Interpolating trees emit hard 0/1 probabilities, so probabilities are floored
 at PROB_FLOOR before any logarithm and renormalized.
+
+Inputs are checked once, by the public function that receives them: its
+dimension and finiteness, and under negentropy the simplex, before the floor.
+The public functions then run private kernels that do the arithmetic alone.
+A point derived inside a call, such as a central prediction, is checked and
+floored once where a divergence reads it; a mean of duals is checked for
+overflow only under the squared potential, since under negentropy it is a
+mean of logs of floored probabilities.
 """
 from __future__ import annotations
 
@@ -73,36 +81,73 @@ def _check_finite(spec: BregmanSpec, v) -> np.ndarray:
 def _check_domain(spec: BregmanSpec, v) -> np.ndarray:
     v = _check_finite(spec, v)
     if spec.kind == NEGENTROPY:
-        if np.any(v < -1e-12) or np.any(np.abs(v.sum(axis=-1) - 1.0) > 1e-6):
+        if (v < -1e-12).any() or (np.abs(v.sum(axis=-1) - 1.0) > 1e-6).any():
             raise DomainError("negentropy inputs must lie on the probability simplex")
         v = clamp_probs(v)
     return v
 
 
-def divergence(spec: BregmanSpec, y, g) -> float | np.ndarray:
-    """D(y, g) = F(y) - F(g) - <grad F(g), y - g>; >= 0 with equality iff y = g."""
-    y = _check_domain(spec, y)
-    g = _check_domain(spec, g)
+# The kernels below do the arithmetic only, on points a public function has
+# already checked: each input array is checked once, where it enters.
+
+def _divergence(spec: BregmanSpec, y: np.ndarray, g: np.ndarray) -> float | np.ndarray:
     if spec.kind == SQUARED:
         return np.sum((y - g) ** 2, axis=-1)
     # On the simplex this reduces to KL(y || g).
     return np.sum(y * (np.log(y) - np.log(g)), axis=-1)
 
 
+def _dual(spec: BregmanSpec, g: np.ndarray) -> np.ndarray:
+    return 2.0 * g if spec.kind == SQUARED else np.log(g)
+
+
+def _dual_inverse(spec: BregmanSpec, u: np.ndarray) -> np.ndarray:
+    return u / 2.0 if spec.kind == SQUARED else softmax(u)
+
+
+def _mean_inverse(spec: BregmanSpec, u: np.ndarray) -> np.ndarray:
+    """Inverse dual of a mean u of the duals of checked points. Under negentropy
+    those duals are logs of floored probabilities, so u is finite; the squared
+    potential's mean of 2g can overflow, so it is checked."""
+    if spec.kind == SQUARED:
+        u = _check_finite(spec, u)
+    return _dual_inverse(spec, u)
+
+
+def _central(spec: BregmanSpec, samples: np.ndarray, weights=None) -> CentralStats:
+    """central_prediction of checked samples; valid weights are normalized here."""
+    duals = _dual(spec, samples)
+    if weights is None:
+        central = _mean_inverse(spec, duals.mean(axis=0))
+        gvar = float(np.mean(_divergence(spec, _check_domain(spec, central), samples)))
+    else:
+        weights = weights / weights.sum()
+        central = _mean_inverse(spec, np.tensordot(weights, duals, axes=1))
+        gvar = float(weights @ _divergence(spec, _check_domain(spec, central), samples))
+    return CentralStats(central=central, gvar=gvar)
+
+
+def _check_stack(spec: BregmanSpec, predictions, noun: str) -> np.ndarray:
+    """A non-empty stack of predictions along axis 0, checked by _check_domain."""
+    predictions = np.asarray(predictions, dtype=np.float64)
+    if predictions.ndim < 2 or predictions.shape[0] < 1:
+        raise ValueError(f"need a non-empty {noun} of predictions")
+    return _check_domain(spec, predictions)
+
+
+def divergence(spec: BregmanSpec, y, g) -> float | np.ndarray:
+    """D(y, g) = F(y) - F(g) - <grad F(g), y - g>; >= 0 with equality iff y = g."""
+    return _divergence(spec, _check_domain(spec, y), _check_domain(spec, g))
+
+
 def dual(spec: BregmanSpec, g) -> np.ndarray:
     """Gradient map grad F; under negentropy log g, which is grad F = 1 + log g
     up to the simplex normal, a shift that dual_inverse cancels."""
-    g = _check_domain(spec, g)
-    if spec.kind == SQUARED:
-        return 2.0 * g
-    return np.log(g)
+    return _dual(spec, _check_domain(spec, g))
 
 
 def dual_inverse(spec: BregmanSpec, u) -> np.ndarray:
-    u = _check_finite(spec, u)
-    if spec.kind == SQUARED:
-        return u / 2.0
-    return softmax(u)
+    return _dual_inverse(spec, _check_finite(spec, u))
 
 
 def dual_average(spec: BregmanSpec, predictions) -> np.ndarray:
@@ -111,23 +156,14 @@ def dual_average(spec: BregmanSpec, predictions) -> np.ndarray:
     Arithmetic mean for the squared potential; normalized geometric mean for
     negentropy.
     """
-    predictions = np.asarray(predictions, dtype=np.float64)
-    if predictions.ndim < 2 or predictions.shape[0] < 1:
-        raise ValueError("need a non-empty stack of predictions")
-    duals = dual(spec, predictions)
-    return dual_inverse(spec, duals.mean(axis=0))
+    predictions = _check_stack(spec, predictions, "stack")
+    return _mean_inverse(spec, _dual(spec, predictions).mean(axis=0))
 
 
 def central_prediction(spec: BregmanSpec, samples, weights=None) -> CentralStats:
     """Central prediction and generalized variance of a prediction sample."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim < 2 or samples.shape[0] < 1:
-        raise ValueError("need a non-empty sample of predictions")
-    duals = dual(spec, samples)
-    if weights is None:
-        central = dual_inverse(spec, duals.mean(axis=0))
-        gvar = float(np.mean(divergence(spec, central, samples)))
-    else:
+    samples = _check_stack(spec, samples, "sample")
+    if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
         with np.errstate(over="ignore", invalid="ignore"):
             total = weights.sum()
@@ -135,10 +171,7 @@ def central_prediction(spec: BregmanSpec, samples, weights=None) -> CentralStats
                 or (weights < 0).any() or not 0.0 < total < np.inf):
             raise ValueError("weights must be one finite, non-negative weight per sample, "
                              "with a finite positive sum")
-        weights = weights / total
-        central = dual_inverse(spec, np.tensordot(weights, duals, axes=1))
-        gvar = float(weights @ divergence(spec, central, samples))
-    return CentralStats(central=central, gvar=gvar)
+    return _central(spec, samples, weights)
 
 
 def check_total_variance(spec: BregmanSpec, grouped_samples) -> tuple[float, float, float]:
@@ -152,12 +185,14 @@ def check_total_variance(spec: BregmanSpec, grouped_samples) -> tuple[float, flo
     groups = [np.asarray(g, dtype=np.float64) for g in grouped_samples]
     if len(groups) < 2 or any(g.shape[0] < 1 for g in groups):
         raise ValueError("need at least two non-empty groups")
-    sizes = np.array([g.shape[0] for g in groups], dtype=np.float64)
+    counts = [g.shape[0] for g in groups]
+    sizes = np.array(counts, dtype=np.float64)
     weights = sizes / sizes.sum()
-    pooled = np.concatenate(groups, axis=0)
-    lhs = central_prediction(spec, pooled).gvar
-    within = [central_prediction(spec, g) for g in groups]
-    between = central_prediction(spec, np.asarray([w.central for w in within]),
-                                 weights=weights)
+    pooled = _check_stack(spec, np.concatenate(groups, axis=0), "sample")
+    lhs = _central(spec, pooled).gvar
+    # each group is its rows of the checked pool
+    within = [_central(spec, g) for g in np.split(pooled, np.cumsum(counts)[:-1])]
+    between = _central(spec, _check_domain(spec, np.asarray([w.central for w in within])),
+                       weights)
     rhs = float(weights @ np.array([w.gvar for w in within])) + between.gvar
     return lhs, rhs, lhs - rhs

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,11 +63,24 @@ def check_flag(value, name: str) -> bool:
     return bool(value)
 
 
-def check_real(value, name: str, low: float = -math.inf, high: float = math.inf) -> float:
-    """value as a float; ValueError unless it is a finite Python or numpy real
-    number in [low, high]. bool and str are not, even when they hold one."""
+def check_number(value, name: str):
+    """value unchanged; ValueError unless it is a Python or numpy real number
+    that a float holds, ±inf included. bool and str are not, even when they
+    hold one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:                     # such as an int beyond 2**1024
+        raise ValueError(f"{name} must lie within the float range, "
+                         f"±{sys.float_info.max:g}") from None
+    return value
+
+
+def check_real(value, name: str, low: float = -math.inf, high: float = math.inf) -> float:
+    """value as a float; ValueError unless check_number takes it and it is
+    finite and in [low, high]."""
+    check_number(value, name)
     if not (math.isfinite(value) and low <= value <= high):
         raise ValueError(f"{name} must lie in [{low:g}, {high:g}] and be finite, got {value!r}")
     return float(value)
@@ -271,7 +285,7 @@ def save_csv(dataset: Dataset, path) -> None:
 def train_test_split(data: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded permutation split; |test| = round(test_fraction * n), half rounds up.
     Raises ValueError when either side would be empty."""
-    if not 0.0 < test_fraction < 1.0:
+    if not 0.0 < check_number(test_fraction, "test_fraction") < 1.0:
         raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     n_test = int(math.floor(test_fraction * data.n + 0.5))
     if not 0 < n_test < data.n:

@@ -193,15 +193,24 @@ def _spreads(grid: np.ndarray) -> tuple[dict, np.ndarray]:
     variance of the draw means; b, their mean; and with more than one block
     dpv_raw, the variance of the block means. Also returns the within-draw
     variances themselves, of shape (blocks, r_theta) + point."""
-    a = grid.mean(axis=2)                            # (blocks, r_theta) + point shape
-    # np.var(axis=2, ddof=1)'s operations, in a workspace buffer in place of its temporaries
+    blocks, r_theta, r_syn = grid.shape[:3]
+    # np.mean and np.var(ddof=1)'s own operations: a sum over the axis divided by
+    # its length, and each variance centred at the mean already taken; the
+    # grid's squared deviations go to a workspace buffer in place of temporaries
+    a = np.add.reduce(grid, axis=2) / r_syn          # (blocks, r_theta) + point shape
     d = np.subtract(grid, a[:, :, None], out=_workspace(_ORACLE_WORKSPACE, 1, grid.shape))
     d *= d
-    within = d.sum(axis=2) / (grid.shape[2] - 1)
-    per_block = {"mv": within.mean(axis=1), "sdv_raw": a.var(axis=1, ddof=1), "b": a.mean(axis=1)}
-    out = {name: stat.mean(axis=0) for name, stat in per_block.items()}
-    if grid.shape[0] > 1:
-        out["dpv_raw"] = per_block["b"].var(axis=0, ddof=1)
+    within = np.add.reduce(d, axis=2) / (r_syn - 1)
+    b = np.add.reduce(a, axis=1) / r_theta
+    e = a - b[:, None]
+    e *= e
+    per_block = {"mv": np.add.reduce(within, axis=1) / r_theta,
+                 "sdv_raw": np.add.reduce(e, axis=1) / (r_theta - 1), "b": b}
+    out = {name: np.add.reduce(stat, axis=0) / blocks for name, stat in per_block.items()}
+    if blocks > 1:
+        e = b - out["b"]
+        e *= e
+        out["dpv_raw"] = np.add.reduce(e, axis=0) / (blocks - 1)
     return out, within
 
 
@@ -637,24 +646,30 @@ class BregmanBoundReport:
         return self.error.value <= self.upper_bound + multiple * self.bound_slack_se
 
 
-def _outcome_divergence(spec: brg.BregmanSpec, y_weights: np.ndarray, g) -> float:
+def _outcome_divergence(spec: brg.BregmanSpec, outcomes: np.ndarray, y_weights: np.ndarray,
+                        g: np.ndarray) -> float:
     """Expected divergence from the one-hot binary outcome, drawn with
-    probabilities y_weights, to the prediction g."""
-    d0, d1 = (brg.divergence(spec, y, g) for y in np.eye(2))
+    probabilities y_weights, to the prediction g; outcomes (the one-hot rows)
+    and g are checked points."""
+    d0, d1 = brg._divergence(spec, outcomes, g)
     return float(y_weights[0] * d0 + y_weights[1] * d1)
 
 
-def _bregman_stats(spec: brg.BregmanSpec, y_weights: np.ndarray, draws: _Draws) -> dict:
+def _bregman_stats(spec: brg.BregmanSpec, outcomes: np.ndarray, y_weights: np.ndarray,
+                   draws: _Draws) -> dict:
     """Reducer for _collect of the i.i.d. chain with probability-vector
-    predictions: MV, SDV, mean dual prediction and ensemble error."""
-    probs = draws.grid[0]                                    # (t, s, 2)
-    duals = brg.dual(spec, probs)
-    centers_t = brg.dual_inverse(spec, duals.mean(axis=1))   # E_{D_s|theta}[g]
-    return {"mv": brg.divergence(spec, centers_t[:, None, :], probs).mean(axis=1).mean(),
-            "sdv": brg.central_prediction(spec, centers_t).gvar,
+    predictions: MV, SDV, mean dual prediction and ensemble error. The
+    probability grid, the member stack and each centre derived from them are
+    checked once."""
+    probs = brg._check_domain(spec, draws.grid[0])                  # (t, s, 2)
+    duals = brg._dual(spec, probs)
+    # E_{D_s|theta}[g] for each draw theta
+    centers_t = brg._check_domain(spec, brg._mean_inverse(spec, duals.mean(axis=1)))
+    g = brg._check_domain(spec, brg.dual_average(spec, draws.members))
+    return {"mv": brg._divergence(spec, centers_t[:, None, :], probs).mean(axis=1).mean(),
+            "sdv": brg._central(spec, centers_t).gvar,
             "c_dual": duals.reshape(-1, 2).mean(axis=0),
-            "error": _outcome_divergence(spec, y_weights,
-                                         brg.dual_average(spec, draws.members))}
+            "error": _outcome_divergence(spec, outcomes, y_weights, g)}
 
 
 def bregman_oracle_decompose(process, m: int = 1,
@@ -676,20 +691,22 @@ def bregman_oracle_decompose(process, m: int = 1,
     spec = brg.BregmanSpec(brg.NEGENTROPY, 2)
     p0 = process.f()
     y_weights = np.array([1.0 - p0, p0])
-    y_mean = brg.dual_inverse(spec, brg.dual(spec, y_weights))
-    noise = _outcome_divergence(spec, y_weights, y_mean)
+    outcomes = brg._check_domain(spec, np.eye(2))
+    y_mean = brg._check_domain(spec, brg.dual_inverse(spec, brg.dual(spec, y_weights)))
+    noise = _outcome_divergence(spec, outcomes, y_weights, y_mean)
 
     outputs = partial(_builtin_outputs, process.predictor_prob_outputs)
-    records = _collect(partial(_chain, process, outputs, partial(_bregman_stats, spec, y_weights),
-                               IID, m, 0.0, mc, seed), mc.r_real)
+    reduce = partial(_bregman_stats, spec, outcomes, y_weights)
+    records = _collect(partial(_chain, process, outputs, reduce, IID, m, 0.0, mc, seed),
+                       mc.r_real)
 
     def statistic(idx):
         cd = records["c_dual"][idx]                              # (rows, r_real, 2)
-        overall = brg.dual_inverse(spec, cd.mean(axis=1))
+        overall = brg._check_domain(spec, brg._mean_inverse(spec, cd.mean(axis=1)))
         out = {name: records[name][idx].mean(axis=1) for name in ("error", "mv", "sdv")}
-        centers = brg.dual_inverse(spec, cd)
-        out["rdv"] = brg.divergence(spec, overall[:, None], centers).mean(axis=1)
-        out["bias"] = brg.divergence(spec, y_mean, overall)
+        centers = brg._check_domain(spec, brg._mean_inverse(spec, cd))
+        out["rdv"] = brg._divergence(spec, overall[:, None], centers).mean(axis=1)
+        out["bias"] = brg._divergence(spec, y_mean, overall)
         out["slack"] = out["mv"] + out["sdv"] + out["rdv"] + out["bias"] + noise - out["error"]
         return out
 

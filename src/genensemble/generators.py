@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CATEGORICAL, NUMERIC, Dataset, Schema, check_count, check_flag, check_seed
+from .data import (CATEGORICAL, NUMERIC, Dataset, Schema, check_count, check_flag,
+                   check_number, check_seed)
 from .rng import child_seed, make_rng
 
 BOOTSTRAP = "bootstrap"
@@ -108,8 +109,11 @@ def epsilon_from_rho(rho: float, delta: float) -> float:
 def rho_from_epsilon(epsilon: float, delta: float) -> float:
     """The largest float rho whose spend epsilon_from_rho(rho, delta) is at most epsilon.
 
-    Raises ValueError when no positive rho fits, as for epsilon = 5e-324.
+    Raises ValueError when no positive rho fits, as for epsilon = 5e-324, and
+    when epsilon or delta is not a real number (check_number).
     """
+    check_number(epsilon, "epsilon")
+    check_number(delta, "delta")
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if not 0.0 < delta < 1.0:

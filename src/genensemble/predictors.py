@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bregman import softmax
-from .data import FeatureMatrix, check_count, check_seed
+from .data import FeatureMatrix, check_count, check_real, check_seed
 from .metrics import finite_mean
 from .rng import child_rng
 
@@ -62,8 +62,7 @@ class PredictorSpec:
             raise ValueError(f"{self.kind} supports {' and '.join(_KINDS[self.kind][2])} only")
         for option in ("k", "n_trees"):
             object.__setattr__(self, option, check_count(getattr(self, option), option))
-        if not 0.0 <= self.lam < np.inf:
-            raise ValueError("lam must be finite and >= 0")
+        object.__setattr__(self, "lam", check_real(self.lam, "lam", low=0.0))
 
     @property
     def wants_standardize(self) -> bool:

@@ -131,9 +131,9 @@ class DiscreteBernoulliProcess:
         self.p0 = check_real(p0, "p0", 0.0, 1.0)
         self.n_real = check_count(n_real, "n_real")
         self.n_synth = check_count(n_synth, "n_synth")
+        self.dp_sigma = gaussian_noise_scale(rho_from_epsilon(epsilon, delta), 1)
         self.epsilon = float(epsilon)
         self.delta = float(delta)
-        self.dp_sigma = gaussian_noise_scale(rho_from_epsilon(epsilon, delta), 1)
         self.schema = Schema((Column("y", CATEGORICAL, TARGET, levels=("0", "1")),))
 
     # exact quantities -----------------------------------------------------

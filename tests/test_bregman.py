@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genensemble.bregman import (NEGENTROPY, SQUARED, BregmanSpec, DomainError,
                                  central_prediction, check_total_variance, divergence,
@@ -89,6 +91,99 @@ class TestInputChecks:
         central = dual_inverse(NE2, np.tensordot(w, dual(NE2, samples), axes=1))
         assert stats.central.tobytes() == central.tobytes()
         assert stats.gvar == float(w @ divergence(NE2, central, samples))
+
+
+def _reference_central(spec, samples, weights=None):
+    """central_prediction composed from the public maps, each of which checks
+    its own input."""
+    duals = dual(spec, samples)
+    if weights is None:
+        central = dual_inverse(spec, duals.mean(axis=0))
+        return central, float(np.mean(divergence(spec, central, samples)))
+    weights = weights / weights.sum()
+    central = dual_inverse(spec, np.tensordot(weights, duals, axes=1))
+    return central, float(weights @ divergence(spec, central, samples))
+
+
+def _reference_total_variance(spec, groups):
+    sizes = np.array([g.shape[0] for g in groups], dtype=np.float64)
+    weights = sizes / sizes.sum()
+    lhs = _reference_central(spec, np.concatenate(groups, axis=0))[1]
+    within = [_reference_central(spec, g) for g in groups]
+    between = _reference_central(spec, np.asarray([c for c, _ in within]), weights)[1]
+    rhs = float(weights @ np.array([v for _, v in within])) + between
+    return lhs, rhs, lhs - rhs
+
+
+def _points(rng, spec, shape):
+    """Points of spec's domain: under negentropy, simplex points with exact
+    zeros, tiny negative zeros and row sums off by up to 1e-7, all within the check's
+    tolerance; under the squared potential, normals of a random scale."""
+    shape = shape + (spec.dimension,)
+    if spec.kind == SQUARED:
+        return rng.normal(size=shape) * 10.0 ** rng.integers(-3, 7)
+    p = rng.gamma(0.5, size=shape)
+    p[rng.random(shape) < 0.2] = 0.0
+    p[..., 0] += 1e-9                     # no all-zero row
+    p /= p.sum(axis=-1, keepdims=True)
+    p[(p == 0.0) & (rng.random(shape) < 0.5)] = -1e-13
+    return p * (1.0 + rng.uniform(-1e-7, 1e-7, size=shape[:-1] + (1,)))
+
+
+class TestChecksOnceProperty:
+    """Each public function checks its inputs once and then runs the private
+    kernels; its bytes are those of the composition of the public maps."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from([SQUARED, NEGENTROPY]), dimension=st.integers(1, 10),
+           sizes=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+           point=st.sampled_from([(), (3,)]), weighted=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bytes_match_the_public_composition(self, kind, dimension, sizes, point, weighted,
+                                                seed):
+        # a weighted sample and the groups are (n, d); a stack may carry a
+        # point shape (n, 3, d), which weights and groups do not support
+        spec = BregmanSpec(kind, dimension)
+        rng = np.random.default_rng(seed)
+        stack = _points(rng, spec, (sizes[0],) + point)
+        got = dual_average(spec, stack)
+        assert got.tobytes() == dual_inverse(spec, dual(spec, stack).mean(axis=0)).tobytes()
+
+        groups = [_points(rng, spec, (n,)) for n in sizes]
+        samples, weights = (groups[0], rng.uniform(size=sizes[0])) if weighted else (stack, None)
+        if weighted:
+            weights[rng.random(sizes[0]) < 0.3] = 0.0
+            weights[0] += 0.5                     # a positive sum
+        stats = central_prediction(spec, samples, weights=weights)
+        central, gvar = _reference_central(spec, samples, weights)
+        assert stats.central.tobytes() == central.tobytes()
+        assert np.float64(stats.gvar).tobytes() == np.float64(gvar).tobytes()
+
+        got = np.array(check_total_variance(spec, groups))
+        assert got.tobytes() == np.array(_reference_total_variance(spec, groups)).tobytes()
+
+    @pytest.mark.parametrize("spec, fault", [
+        (SQ1, "nan"), (SQ1, "inf"), (SQ1, "dimension"),
+        (NE2, "nan"), (NE2, "inf"), (NE2, "dimension"), (NE2, "simplex")])
+    def test_every_public_function_refuses_a_bad_point(self, spec, fault):
+        good = [1.0] if spec is SQ1 else [0.5, 0.5]
+        bad, message = {
+            "nan": ([math.nan] + good[1:], "inputs must be finite"),
+            "inf": ([math.inf] + good[1:], "inputs must be finite"),
+            "dimension": (good + [0.0], f"expected dimension {spec.dimension}, got shape"),
+            "simplex": ([0.7, 0.7], "negentropy inputs must lie on the probability simplex"),
+        }[fault]
+        stack = [bad, bad] if fault == "dimension" else [good, bad]
+        calls = [lambda: divergence(spec, bad, good), lambda: divergence(spec, good, bad),
+                 lambda: dual(spec, bad), lambda: dual_average(spec, stack),
+                 lambda: central_prediction(spec, stack),
+                 lambda: central_prediction(spec, stack, weights=[1.0, 2.0]),
+                 lambda: check_total_variance(spec, [stack[:1], stack[1:]])]
+        if fault != "simplex":                   # duals are unconstrained
+            calls.append(lambda: dual_inverse(spec, bad))
+        for call in calls:
+            with pytest.raises(DomainError, match=message):
+                call()
 
 
 class TestDualMaps:

@@ -1148,11 +1148,11 @@ class TestCurveValidation:
         (process_config, "curve", "specs = cart, ridge:1.0", "specs = cart, logistic",
          "[predictors] specs: logistic: logistic supports classification only"),
         (process_config, "curve", "specs = cart, ridge:1.0", "specs = cart, ridge:nan",
-         "[predictors] specs: ridge:nan: lam must be finite and >= 0"),
+         "[predictors] specs: ridge:nan: lam must lie in [0, inf] and be finite, got nan"),
         (process_config, "curve", "specs = cart, ridge:1.0", "specs = cart, ridge:inf",
-         "[predictors] specs: ridge:inf: lam must be finite and >= 0"),
+         "[predictors] specs: ridge:inf: lam must lie in [0, inf] and be finite, got inf"),
         (process_config, "curve", "specs = cart, ridge:1.0", "specs = cart, ridge:-1",
-         "[predictors] specs: ridge:-1: lam must be finite and >= 0"),
+         "[predictors] specs: ridge:-1: lam must lie in [0, inf] and be finite, got -1.0"),
         (process_config, "curve", "specs = cart, ridge:1.0", "specs = cart, knn:0",
          "[predictors] specs: knn:0: k must be >= 1"),
         (process_config, "nested-var", "specs = cart, ridge:1.0",

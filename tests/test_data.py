@@ -186,6 +186,13 @@ class TestSplit:
             with pytest.raises(ValueError):
                 train_test_split(data, bad, seed=0)
 
+    @pytest.mark.parametrize("fraction", ["0.5", True, None])
+    def test_fraction_must_be_a_number(self, fraction):
+        # "0.5" raised TypeError from the comparison
+        data = Dataset(NUM_SCHEMA, np.arange(8.0).reshape(4, 2))
+        with pytest.raises(ValueError, match="test_fraction must be a real number"):
+            train_test_split(data, fraction, seed=0)
+
     @pytest.mark.parametrize("fraction, side", [(0.01, "test"), (0.99, "train")])
     def test_empty_side_rejected(self, fraction, side):
         data = Dataset(NUM_SCHEMA, np.arange(60.0).reshape(30, 2))

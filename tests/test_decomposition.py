@@ -944,6 +944,40 @@ class TestBootstrapMatchesPerResampleLoop:
         assert _bregman_json(report) == _bregman_reference(report, records, process, mc, seed)
 
 
+class TestBregmanOracleChecks:
+    """The Bregman oracle checks each distinct array once and keeps its bytes."""
+
+    @pytest.mark.parametrize("m, seed, digest", [
+        (4, 1, "6b4c5116864c042b76957ef8e90a93d2c01dff928f187f13375c87a8ad2a13fa"),
+        (2, 5, "802c44d46969d31cb5be55a54fc248a930b50f0bbd4c3b4541d65c1b2ff647b7"),
+    ])
+    def test_report_bytes_are_pinned(self, m, seed, digest):
+        # the digests of the reports composed from the public maps, which checked
+        # every array at each use
+        report = bregman_oracle_decompose("discrete_toy", m=m, mc=MonteCarloConfig(40, 6, 4, 4),
+                                          seed=seed)
+        assert hashlib.sha256(_bregman_json(report).encode()).hexdigest() == digest
+
+    def test_each_array_is_checked_once(self, monkeypatch):
+        # per replicate: the probability grid, the member stack, the per-draw
+        # centres, their central prediction and the ensemble's dual average; per
+        # statistic call: the overall centre and the per-replicate centres; once:
+        # the outcomes, the class weights and their centre (11 per replicate before)
+        shapes = []
+        check = brg._check_domain
+
+        def counting(spec, v):
+            shapes.append(np.shape(v))
+            return check(spec, v)
+        monkeypatch.setattr(brg, "_check_domain", counting)
+        r_real = 40
+        bregman_oracle_decompose("discrete_toy", m=4, mc=MonteCarloConfig(r_real, 6, 4, 4))
+        rows = decomposition._BOOTSTRAP_CELLS // r_real
+        statistic_calls = 1 + -(-BOOTSTRAP_RESAMPLES // rows)
+        assert len(shapes) == 3 + 5 * r_real + 2 * statistic_calls
+        assert shapes.count((6, 4, 2)) == shapes.count((4, 2)) == r_real
+
+
 _RECORD_NAMES = ("mv", "sdv_raw", "b", "fbar", "mse", "dpv_raw", "cov_raw")
 
 
@@ -1076,7 +1110,8 @@ class TestOracleArithmetic:
         for p, q in rng.uniform(size=(200, 2)):
             weights, g = np.array([1.0 - p, p]), np.array([1.0 - q, q])
             d0, d1 = (brg.divergence(spec, y, g) for y in np.eye(2))
-            value = decomposition._outcome_divergence(spec, weights, g)
+            value = decomposition._outcome_divergence(
+                spec, brg._check_domain(spec, np.eye(2)), weights, brg._check_domain(spec, g))
             assert value == float(weights[0] * d0 + weights[1] * d1)
             by_dot.append(value == float(weights @ np.array([d0, d1])))
         assert not all(by_dot)              # the BLAS dot differs on some pairs
@@ -1690,6 +1725,14 @@ class TestOptionRules:
         ("discrete_toy", {"p0": math.nan}, r"p0 must lie in \[0, 1\]"),
         ("discrete_toy", {"n_real": 0}, "n_real must be >= 1"),
         ("discrete_toy", {"n_synth": True}, "n_synth must be an integer, got True"),
+        # a bool budget ran at epsilon 1 and a str one raised TypeError; a huge
+        # int raised OverflowError
+        ("discrete_toy", {"epsilon": True}, "epsilon must be a real number, got True"),
+        ("discrete_toy", {"epsilon": "2"}, "epsilon must be a real number, got '2'"),
+        ("discrete_toy", {"delta": "1e-6"}, "delta must be a real number, got '1e-6'"),
+        ("discrete_toy", {"epsilon": 10**400}, "epsilon must lie within the float range"),
+        ("gaussian_toy", {"mu0": 10**400}, "mu0 must lie within the float range"),
+        ("gaussian_toy", {"tau": -10**400}, "tau must lie within the float range"),
     ])
     def test_process_option_refused(self, process, options, message):
         with pytest.raises(ValueError, match=message):
@@ -1702,6 +1745,12 @@ class TestOptionRules:
         assert values == (0.5, 2.0, 0.0, 7, True)
         assert [type(v) for v in values] == [float, float, float, int, bool]
         assert type(get_process("discrete_toy", p0=1).p0) is float
+
+    def test_budget_keeps_the_zero_noise_surrogate_and_int_values(self):
+        assert get_process("discrete_toy", epsilon=math.inf).dp_sigma == 0.0
+        proc = get_process("discrete_toy", epsilon=2, delta=np.float64(1e-6))
+        assert (proc.epsilon, proc.delta) == (2.0, 1e-6)
+        assert proc.dp_sigma == get_process("discrete_toy", epsilon=2.0, delta=1e-6).dp_sigma
 
     @pytest.mark.parametrize("rho", [True, np.True_, "0.5", None])
     def test_oracle_refuses_a_rho_that_is_not_a_real_number(self, rho):

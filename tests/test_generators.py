@@ -304,6 +304,23 @@ class TestGeneratorSpec:
         with pytest.raises(ValueError, match="epsilon and delta need kind=noisy_marginal_dp"):
             GeneratorSpec(kind, **options)
 
+    @pytest.mark.parametrize("epsilon, delta, message", [
+        (True, 1e-6, "epsilon must be a real number, got True"),   # was stored and run at 1
+        ("1", 1e-6, "epsilon must be a real number, got '1'"),     # raised TypeError
+        (1.0, "1e-6", "delta must be a real number, got '1e-6'"),
+        (1.0, True, "delta must be a real number, got True"),
+        pytest.param(10**400, 1e-6, "epsilon must lie within the float range", id="huge-int"),
+    ])
+    def test_budget_must_be_a_real_number(self, epsilon, delta, message):
+        with pytest.raises(ValueError, match=message):
+            GeneratorSpec("noisy_marginal_dp", epsilon=epsilon, delta=delta)
+
+    @pytest.mark.parametrize("epsilon", [2, np.float64(0.5), math.inf])
+    def test_valid_budget_is_stored_unconverted(self, epsilon):
+        # provenance.json writes the configured value as given
+        spec = GeneratorSpec("noisy_marginal_dp", epsilon=epsilon, delta=1e-6)
+        assert spec.epsilon is epsilon
+
     @pytest.mark.parametrize("kind, options", [
         ("bootstrap", {}), ("noisy_marginal_dp", {"epsilon": 1.0, "delta": 1e-6})])
     def test_process_refused_where_it_would_be_ignored(self, kind, options):

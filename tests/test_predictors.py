@@ -779,6 +779,20 @@ class TestContracts:
         with pytest.raises(ValueError):
             parse_predictor("mystery", "regression")
 
+    @pytest.mark.parametrize("kind, task", [("ridge", "regression"),
+                                            ("logistic", "classification")])
+    @pytest.mark.parametrize("lam", [True, np.True_, "1", None])
+    def test_lam_must_be_a_real_number(self, kind, task, lam):
+        # True fitted at lam 1 and "1" raised TypeError
+        with pytest.raises(ValueError, match="lam must be a real number"):
+            PredictorSpec(kind, task, lam=lam)
+
+    def test_lam_is_a_float_and_keeps_its_label(self):
+        for lam, label in ((1, "ridge1"), (np.float64(0.1), "ridge0.1"), (0, "ridge0")):
+            spec = PredictorSpec("ridge", "regression", lam=lam)
+            assert type(spec.lam) is float and spec.label == label
+            assert spec == parse_predictor(label.replace("ridge", "ridge:"), "regression")
+
     @pytest.mark.parametrize("text, message", [
         ("knn:x", "knn:x: k must be an integer"),
         ("bagged_trees:2.5", "bagged_trees:2.5: n_trees must be an integer"),
@@ -787,9 +801,9 @@ class TestContracts:
         ("mean:abc", "mean:abc: mean takes no argument"),
         ("knn:0", "knn:0: k must be >= 1"),
         ("bagged_trees:0", "bagged_trees:0: n_trees must be >= 1"),
-        ("ridge:nan", "ridge:nan: lam must be finite and >= 0"),
-        ("ridge:inf", "ridge:inf: lam must be finite and >= 0"),
-        ("ridge:-1", "ridge:-1: lam must be finite and >= 0"),
+        ("ridge:nan", "ridge:nan: lam must lie in \\[0, inf\\] and be finite, got nan"),
+        ("ridge:inf", "ridge:inf: lam must lie in \\[0, inf\\] and be finite, got inf"),
+        ("ridge:-1", "ridge:-1: lam must lie in \\[0, inf\\] and be finite, got -1.0"),
         ("logistic", "logistic: logistic supports classification only"),
     ])
     def test_parse_predictor_names_spec_and_option(self, text, message):
